@@ -38,7 +38,9 @@ dataflow framework (:mod:`repro.analysis.dataflow`):
 
 Soundness notes: integer arithmetic in the VM wraps to 32 bits, so any
 abstract result leaving the signed 32-bit range widens to ⊤ rather than
-pretending Python's bignums model the machine.  Floats, loads and
+pretending Python's bignums model the machine, and its congruence
+keeps only the power-of-two part of the modulus (the part wrap-around
+preserves — which is also all that alignment proofs consume).  Floats, loads and
 unknown intrinsics are ⊤.  ``None`` in a register map means ⊤ (the
 register may hold anything, including a float or address).
 """
@@ -285,13 +287,34 @@ class AbsInt:
 TOP_INT = AbsInt()
 
 
+def _wrap_sound(interval: Interval, cong: Congruence) -> AbsInt:
+    """Pair the interval and congruence of one ``+``/``-``/``*`` result.
+
+    ``cong`` describes the exact (bignum) result.  When ``interval`` —
+    already through :func:`_clamp32` — is unbounded, the machine value
+    may be that result plus a multiple of 2**32, which preserves only
+    the power-of-two part of the modulus; an exact constant just wraps.
+    """
+    if interval.bounded:
+        return AbsInt(interval, cong)
+    if cong.mod == 0:
+        return AbsInt.const((cong.rem - INT32_MIN) % 2**32 + INT32_MIN)
+    return AbsInt(interval, Congruence(math.gcd(cong.mod, 2**32), cong.rem))
+
+
 def _arith(op: str, a: AbsInt, b: AbsInt) -> AbsInt:
     if op == "+":
-        return AbsInt(_iv_add(a.interval, b.interval), a.cong.add(b.cong))
+        return _wrap_sound(
+            _iv_add(a.interval, b.interval), a.cong.add(b.cong)
+        )
     if op == "-":
-        return AbsInt(_iv_sub(a.interval, b.interval), a.cong.sub(b.cong))
+        return _wrap_sound(
+            _iv_sub(a.interval, b.interval), a.cong.sub(b.cong)
+        )
     if op == "*":
-        return AbsInt(_iv_mul(a.interval, b.interval), a.cong.mul(b.cong))
+        return _wrap_sound(
+            _iv_mul(a.interval, b.interval), a.cong.mul(b.cong)
+        )
     if op in ("/", "%"):
         divisor = b.const_value
         if op == "%" and divisor is not None and divisor > 0:
@@ -596,7 +619,9 @@ class IntervalAnalysis(ForwardAnalysis):
             _kill_reg(instr.dst, conds, copies)
             regs.pop(instr.dst, None)
             if instr.op == "-" and isinstance(a, AbsInt) and not instr.float_op:
-                regs[instr.dst] = AbsInt(_iv_neg(a.interval), a.cong.neg())
+                regs[instr.dst] = _wrap_sound(
+                    _iv_neg(a.interval), a.cong.neg()
+                )
             elif instr.op == "!":
                 regs[instr.dst] = AbsInt(Interval(0, 1), TOP_CONGRUENCE)
         elif isinstance(instr, Call):
@@ -642,7 +667,7 @@ class IntervalAnalysis(ForwardAnalysis):
             return None
         if isinstance(a, AbsAddr) and isinstance(b, AbsAddr):
             if instr.op == "-" and a.region == b.region:
-                return AbsInt(
+                return _wrap_sound(
                     _iv_sub(a.offset.interval, b.offset.interval),
                     a.offset.cong.sub(b.offset.cong),
                 )

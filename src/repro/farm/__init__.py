@@ -11,8 +11,10 @@ always drains — crashes and timeouts become structured
 :class:`JobFailure` records with bounded retry, never a hung driver.
 
 :func:`run_jobs_serial` is the same execution path run inline: the
-baseline that farm results are byte-identical to.  See ``docs/farm.md``
-and the ``repro.tools.farm`` CLI.
+baseline that farm results are byte-identical to.  The job spec and
+that path (:func:`execute_job`) live in :mod:`repro.runspec`, shared
+with the single-run tools.  See ``docs/farm.md`` and the
+``repro.tools.farm`` CLI.
 """
 
 from repro.farm.batch import (
@@ -32,15 +34,15 @@ from repro.farm.driver import (
     summarize_batch,
     summary_json,
 )
-from repro.farm.job import (
+from repro.farm.job import JobFailure, JobResult
+from repro.farm.worker import run_jobs_serial, worker_main
+from repro.runspec import (
     FAULT_KINDS,
     FarmJob,
-    JobFailure,
-    JobResult,
+    execute_job,
     job_key,
     program_key,
 )
-from repro.farm.worker import execute_job, run_jobs_serial, worker_main
 
 __all__ = [
     "BATCH_KIND",

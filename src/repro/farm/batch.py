@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import json
 
-from repro.farm.job import FarmJob
 from repro.game.sources import ai_kernel_source, figure2_source
+from repro.runspec import FarmJob
 
 #: Batch-file discriminator (optional; a bare list is also accepted).
 BATCH_KIND = "repro-farm-batch"

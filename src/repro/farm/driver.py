@@ -10,7 +10,7 @@ absorbed by the shared on-disk cache plus each worker's warm-program
 memo, so on a long-lived pool the steady state is pure simulation.
 
 Dispatch is **sharded by program**: the first worker to run a program
-(:func:`~repro.farm.job.program_key`) owns that key for the life of
+(:func:`~repro.runspec.program_key`) owns that key for the life of
 the pool, and later jobs with the same key only ever dispatch to the
 owner.  That makes warm mode a guarantee rather than a scheduling
 accident — on a repeat batch every job lands on the worker whose memo
@@ -52,9 +52,10 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from typing import Callable, Optional
 
-from repro.farm.job import FarmJob, JobFailure, JobResult, program_key
+from repro.farm.job import JobFailure, JobResult
 from repro.farm.worker import worker_main
 from repro.obs.metrics import MetricsHub
+from repro.runspec import FarmJob, program_key
 
 #: Bump when the batch-summary JSON layout changes shape.
 SUMMARY_SCHEMA_VERSION = 1
@@ -370,15 +371,9 @@ class Farm:
                     JobResult(
                         index=index,
                         job=jobs[index],
-                        report=payload["report"],
-                        output=payload["output"],
                         worker=worker_id,
                         attempts=assignment.attempt,
-                        wall_seconds=payload["wall_seconds"],
-                        compiles=payload["compiles"],
-                        cache_hits=payload["cache_hits"],
-                        translations=payload["translations"],
-                        warm=payload["warm"],
+                        **payload,
                     ),
                 )
             else:  # deterministic job error: no retry

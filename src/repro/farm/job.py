@@ -1,222 +1,15 @@
-"""Farm job specifications and per-job outcome records.
+"""Per-job outcome records of a farm batch.
 
-A :class:`FarmJob` names everything one simulation needs — program
-(source text or a serialized artifact path), registry target, execution
-engine, scheduling policy, queue depth and a seed — and nothing about
-*where* it runs.  The same job list produces byte-identical
-:class:`~repro.obs.report.RunReport` JSON whether it executes serially
-in-process (:func:`repro.farm.worker.run_jobs_serial`) or fanned across
-a :class:`repro.farm.driver.Farm` worker pool; only the envelope fields
-(worker id, attempts, wall clock) differ.
-
-Jobs are frozen dataclasses: hashable (the determinism tests key result
-maps on them), picklable (they cross the driver/worker pipes) and
-validated at construction time — an unknown engine, target or policy
-fails when the batch is *built*, not minutes later inside a worker.
+The job spec itself (:class:`~repro.runspec.FarmJob`) lives with the
+execute path in :mod:`repro.runspec`; this module holds what the farm
+wraps around a finished — or failed — job.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
-from repro.compiler.driver import CompileOptions
-from repro.ir.serialize import to_canonical_json
-from repro.machine.config import resolve_target
-from repro.sched.policy import POLICY_NAMES
-from repro.vm.interpreter import DEFAULT_ENGINE, validate_engine
-
-#: Fault-injection directives accepted by :attr:`FarmJob.fault` (chaos
-#: hooks for the robustness tests and for operational drills):
-#:
-#: * ``"crash"`` — the worker process exits hard (``os._exit``) without
-#:   reporting, exercising crash detection + bounded retry;
-#: * ``"crash-once:<path>"`` — crash only if ``<path>`` does not exist
-#:   yet (the first attempt creates it), exercising retry-then-succeed;
-#: * ``"sleep:<seconds>"`` — wedge the worker before executing,
-#:   exercising the per-job timeout.
-FAULT_KINDS = ("crash", "crash-once", "sleep")
-
-
-def _validate_fault(fault: str) -> None:
-    kind = fault.split(":", 1)[0]
-    if kind not in FAULT_KINDS:
-        raise ValueError(
-            f"unknown fault directive {fault!r}; known kinds: "
-            + ", ".join(FAULT_KINDS)
-        )
-    if kind == "sleep":
-        try:
-            seconds = float(fault.split(":", 1)[1])
-        except (IndexError, ValueError):
-            raise ValueError(
-                f"fault {fault!r} must be 'sleep:<seconds>'"
-            ) from None
-        if seconds < 0:
-            raise ValueError(f"fault sleep seconds must be >= 0, got {fault!r}")
-    if kind == "crash-once" and ":" not in fault:
-        raise ValueError("fault 'crash-once' needs a marker path: "
-                         "'crash-once:<path>'")
-
-
-@dataclass(frozen=True)
-class FarmJob:
-    """One simulation request.
-
-    Attributes:
-        workload: Human-readable name, recorded as the
-            :class:`~repro.obs.report.RunReport` workload.
-        source: OffloadMini source text.  Exactly one of ``source`` /
-            ``artifact`` must be set.
-        artifact: Path to a serialized program artifact
-            (:mod:`repro.ir.serialize`); loaded instead of compiling.
-        target: Registered machine target name
-            (:func:`repro.machine.config.resolve_target`).
-        engine: Execution engine, or None for the process default
-            (:data:`repro.vm.interpreter.DEFAULT_ENGINE`).
-        policy: Scheduling policy
-            (:data:`repro.sched.policy.POLICY_NAMES`); None runs compat
-            mode unless ``queue_depth`` forces explicit scheduling.
-        queue_depth: Per-accelerator ready-queue bound (None: target
-            default).
-        seed: Batch-builder seed, recorded for job identity.  The
-            simulator itself is deterministic; seeds vary *which*
-            workload a corpus generator emits, never how it executes.
-        options: Compiler options for ``source`` jobs.
-        timeout: Per-job wall-clock budget in seconds, overriding the
-            farm's default; 0 disables the timeout for this job.
-        fault: Fault-injection directive (see :data:`FAULT_KINDS`), or
-            None for a normal job.
-    """
-
-    workload: str
-    source: Optional[str] = None
-    artifact: Optional[str] = None
-    target: str = "cell"
-    engine: Optional[str] = None
-    policy: Optional[str] = None
-    queue_depth: Optional[int] = None
-    seed: int = 0
-    options: CompileOptions = field(default_factory=CompileOptions)
-    timeout: Optional[float] = None
-    fault: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if (self.source is None) == (self.artifact is None):
-            raise ValueError(
-                f"job {self.workload!r}: exactly one of source/artifact "
-                f"must be set"
-            )
-        resolve_target(self.target, source=f"FarmJob({self.workload!r}).target")
-        if self.engine is not None:
-            validate_engine(self.engine, source="FarmJob.engine")
-        if self.policy is not None and self.policy not in POLICY_NAMES:
-            raise ValueError(
-                f"job {self.workload!r}: unknown policy {self.policy!r}; "
-                f"choose one of {', '.join(POLICY_NAMES)}"
-            )
-        if self.queue_depth is not None and self.queue_depth < 0:
-            raise ValueError(
-                f"job {self.workload!r}: queue_depth must be >= 0"
-            )
-        if self.timeout is not None and self.timeout < 0:
-            raise ValueError(f"job {self.workload!r}: timeout must be >= 0")
-        if self.fault is not None:
-            _validate_fault(self.fault)
-
-    # ------------------------------------------------------------ identity
-
-    def resolved_engine(self) -> str:
-        """The concrete engine this job runs on (None -> env default)."""
-        if self.engine is not None:
-            return self.engine
-        return validate_engine(DEFAULT_ENGINE, source="REPRO_VM_ENGINE")
-
-    def identity(self) -> dict:
-        """The job's JSON-able identity fields (no program text)."""
-        return {
-            "workload": self.workload,
-            "target": self.target,
-            "engine": self.resolved_engine(),
-            "policy": self.policy or "",
-            "queue_depth": self.queue_depth if self.queue_depth is not None
-            else -1,
-            "seed": self.seed,
-        }
-
-    def as_dict(self) -> dict:
-        """The full job spec as a JSON-able dict (batch-file format)."""
-        out: dict = {
-            "workload": self.workload,
-            "target": self.target,
-            "seed": self.seed,
-        }
-        if self.source is not None:
-            out["source"] = self.source
-        if self.artifact is not None:
-            out["artifact"] = self.artifact
-        if self.engine is not None:
-            out["engine"] = self.engine
-        if self.policy is not None:
-            out["policy"] = self.policy
-        if self.queue_depth is not None:
-            out["queue_depth"] = self.queue_depth
-        if self.timeout is not None:
-            out["timeout"] = self.timeout
-        if self.fault is not None:
-            out["fault"] = self.fault
-        options = dataclasses.asdict(self.options)
-        if options != dataclasses.asdict(CompileOptions()):
-            out["options"] = options
-        return out
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "FarmJob":
-        """Inverse of :meth:`as_dict` (rejects unknown fields loudly)."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"job spec must be an object, got {obj!r}")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(obj) - known)
-        if unknown:
-            raise ValueError(
-                f"job spec has unknown field(s): {', '.join(unknown)}"
-            )
-        kwargs = dict(obj)
-        if "options" in kwargs:
-            kwargs["options"] = CompileOptions(**kwargs["options"])
-        return cls(**kwargs)
-
-
-def program_key(job: FarmJob) -> str:
-    """The warm-program memo key: what makes two jobs share translations.
-
-    Jobs that compile the same source for the same target with the same
-    options — under the same engine — reuse one warmed program object
-    inside a worker, whatever their policy, queue depth or seed.
-    Artifact jobs key on the artifact path.
-    """
-    from repro.compiler.cache import compile_cache_key
-
-    if job.artifact is not None:
-        base = f"artifact:{job.artifact}:{job.target}"
-    else:
-        base = compile_cache_key(
-            job.source, job.target, job.options
-        )
-    return f"{base}:{job.resolved_engine()}"
-
-
-def job_key(job: FarmJob) -> str:
-    """A content address for the whole job (identity + program)."""
-    material = to_canonical_json(
-        {"program": program_key(job), **job.identity()}
-    )
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-
-# --------------------------------------------------------------- outcomes
+from repro.runspec import FarmJob
 
 
 @dataclass

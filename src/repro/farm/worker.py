@@ -1,135 +1,24 @@
-"""Farm worker: the in-process job executor and the worker-process loop.
+"""Farm worker: the worker-process loop and the serial baseline.
 
-:func:`execute_job` is the single execution path both deployment shapes
-share — :func:`run_jobs_serial` calls it inline (the baseline the
-determinism tests and the CI farm job diff against) and
-:func:`worker_main` calls it inside a pooled worker process.  Because
-the path is shared, a farm run cannot drift from a serial run: same
-compile, same warm-up, same machine construction, same report
-collection.
+Both deployment shapes run jobs through
+:func:`repro.runspec.execute_job` — :func:`run_jobs_serial` inline (the
+baseline the determinism tests and the CI farm job diff against),
+:func:`worker_main` inside a pooled worker process — so a farm run
+cannot drift from a serial run.
 
-Warm mode is the worker's in-process memo: the first job for a given
-``(program, engine)`` pair compiles (or loads) and pre-translates via
-:func:`repro.vm.warm_translations`; every later job with the same key —
-in this batch or any later batch on the same pool — reuses the warmed
-program object and performs **zero** compiles and zero codegen
-translations.  The on-disk compile cache (``cache_dir``) is the second
-warmth layer, shared across workers and across pool restarts.
+Each worker holds the two warmth layers ``execute_job`` takes: its
+in-process warm-program memo, and a handle on the shared on-disk
+compile cache (``cache_dir``) that survives pool restarts.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Callable, Optional
 
-from repro.farm.job import FarmJob, JobResult, program_key
-from repro.machine.config import resolve_target
-from repro.machine.machine import Machine
+from repro.farm.job import JobResult
 from repro.obs.metrics import MetricsHub
-from repro.obs.report import collect_report
-from repro.sched.scheduler import SchedOptions
-from repro.vm.compiled import warm_translations
-from repro.vm.interpreter import RunOptions, run_program
-
-
-def _apply_fault(fault: Optional[str]) -> None:
-    """Honour a fault-injection directive (see
-    :data:`repro.farm.job.FAULT_KINDS`)."""
-    if fault is None:
-        return
-    kind, _, arg = fault.partition(":")
-    if kind == "crash":
-        os._exit(13)
-    if kind == "crash-once":
-        if not os.path.exists(arg):
-            with open(arg, "w") as handle:
-                handle.write("crashed\n")
-            os._exit(13)
-        return
-    if kind == "sleep":
-        time.sleep(float(arg))
-
-
-def execute_job(job: FarmJob, cache=None, memo: Optional[dict] = None) -> dict:
-    """Run one job to a payload dict (shared by serial and farm paths).
-
-    Args:
-        job: The job spec.
-        cache: Optional shared
-            :class:`~repro.compiler.cache.CompileCache`.
-        memo: The warm-program memo, ``program_key -> (program,
-            machine)`` — pass the same dict across calls to get warm
-            mode.  The memoized machine only anchors translations (its
-            cost model object identity); every job still simulates on a
-            fresh machine.
-
-    Returns a dict with the canonical ``report`` (``wall_seconds`` 0,
-    byte-identical across deployment shapes), the program ``output``
-    values, and the warmth accounting: ``compiles`` (full pipeline
-    runs), ``cache_hits`` (artifacts served from the disk cache),
-    ``translations`` (functions translated / codegen'd), ``warm``
-    (True when the job touched neither compiler nor translator) and
-    ``wall_seconds`` (host clock, envelope only).
-    """
-    from repro.compiler.driver import compile_program
-    from repro.ir.serialize import load_program
-
-    started = time.perf_counter()
-    _apply_fault(job.fault)
-    config = resolve_target(job.target, source="FarmJob.target")
-    engine = job.resolved_engine()
-    key = program_key(job)
-    compiles = cache_hits = translations = 0
-    memoized = memo.get(key) if memo is not None else None
-    if memoized is not None:
-        program = memoized
-    else:
-        if job.artifact is not None:
-            program = load_program(job.artifact)
-        elif cache is not None:
-            hits0, stores0 = cache.stats.hits, cache.stats.stores
-            program = compile_program(
-                job.source, config, job.options, cache=cache
-            )
-            cache_hits = cache.stats.hits - hits0
-            compiles = cache.stats.stores - stores0
-        else:
-            program = compile_program(job.source, config, job.options)
-            compiles = 1
-        if engine != "reference":
-            translations = warm_translations(
-                program,
-                Machine(config),
-                engine="codegen" if engine == "codegen" else "compiled",
-                cache=cache,
-            )
-        if memo is not None:
-            memo[key] = program
-    machine = Machine(config)
-    hub = MetricsHub()
-    machine.attach_metrics(hub)
-    sched = None
-    if job.policy is not None or job.queue_depth is not None:
-        sched = SchedOptions(
-            policy=job.policy or "greedy", queue_depth=job.queue_depth
-        )
-    result = run_program(
-        program, machine, RunOptions(engine=engine, sched=sched)
-    )
-    report = collect_report(
-        result, workload=job.workload, hub=hub, engine=engine,
-        target=job.target,
-    ).as_dict()
-    return {
-        "report": report,
-        "output": list(result.output),
-        "compiles": compiles,
-        "cache_hits": cache_hits,
-        "translations": translations,
-        "warm": memoized is not None,
-        "wall_seconds": time.perf_counter() - started,
-    }
+from repro.runspec import FarmJob, execute_job
 
 
 def worker_main(worker_id: str, cache_dir: Optional[str], conn) -> None:
@@ -201,17 +90,7 @@ def run_jobs_serial(
     for index, job in enumerate(jobs):
         payload = execute_job(job, cache=cache, memo=memo)
         result = JobResult(
-            index=index,
-            job=job,
-            report=payload["report"],
-            output=payload["output"],
-            worker="serial",
-            attempts=1,
-            wall_seconds=payload["wall_seconds"],
-            compiles=payload["compiles"],
-            cache_hits=payload["cache_hits"],
-            translations=payload["translations"],
-            warm=payload["warm"],
+            index=index, job=job, worker="serial", attempts=1, **payload
         )
         hub.observe(
             "farm.job_wall_ms", None, int(payload["wall_seconds"] * 1000)

@@ -1,7 +1,8 @@
-"""Command-line tools.
+"""Command-line tools: ``python -m repro.tools.<name>``.
 
-* ``python -m repro.tools.run program.om`` — compile and execute an
-  OffloadMini source file on a chosen target.
-* ``python -m repro.tools.check program.om`` — compile-only, run the
-  static DMA race analysis and the annotation-requirement report.
+``run``, ``trace``, ``sched`` and ``bench`` describe each run as a
+:class:`repro.runspec.FarmJob` and execute it through
+:mod:`repro.runspec`, the path ``farm`` batches take too; ``check``
+and ``report`` run nothing.  Flags that several tools take are declared
+once in :mod:`repro.tools.flags`.
 """

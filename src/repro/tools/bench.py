@@ -16,8 +16,15 @@ Usage::
 
     PYTHONPATH=src python -m repro.tools.bench [--out BENCH_vm.json]
         [--repeats 3] [--quick] [--trace FILE]
-        [--trace-format chrome|timeline|profile] [--policy NAME]
-        [--target NAME ...] [--reports DIR]
+        [--trace-format chrome|timeline|profile]
+        [--policy greedy|least-loaded|locality|critical-path]
+        [--target cell|smp|dsp|apu|manycore ...] [--reports DIR]
+        [--farm N ...]
+
+Only the loops that *time a single layer* (:func:`bench_workload`,
+:func:`bench_compile_cache`) call the compiler and VM directly; every
+untimed run is a :class:`repro.runspec.FarmJob` on the
+``prepare`` / ``simulate`` path ``repro.tools.run`` and the farm share.
 
 The headline numbers are on the Figure 2 game-frame workload: the
 acceptance target is >= 3x for the compiled engine and >= 7x (aim 10x)
@@ -32,6 +39,7 @@ bytes moved, scheduler stall cycles and cold code uploads per target.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
 import os
@@ -43,7 +51,7 @@ import time
 from repro.compiler.cache import CACHE_ENV_VAR, CompileCache, compile_cache_key
 from repro.compiler.driver import CompileOptions, compile_program
 from repro.ir.serialize import program_to_json
-from repro.machine.config import resolve_target, target_names
+from repro.machine.config import resolve_target
 from repro.machine.machine import Machine
 from repro.game.sources import (
     ai_kernel_source,
@@ -52,7 +60,11 @@ from repro.game.sources import (
     move_loop_source,
     word_struct_source,
 )
+from repro.obs import MetricsHub, TraceRecorder, save_report
+from repro.runspec import FarmJob, job_report, prepare, simulate
 from repro.sched import POLICY_NAMES, SchedOptions
+from repro.tools.flags import add_policy_flag, add_target_flag, add_trace_flags
+from repro.tools.run import write_trace
 from repro.vm.compiled import warm_translations
 from repro.vm.interpreter import RunOptions, run_program
 
@@ -85,7 +97,6 @@ def workloads(quick: bool) -> list[dict]:
                 frames=2 * scale,
             ),
             "config": "cell",
-            "options": CompileOptions(),
         },
         {
             "name": "game-frame-sequential",
@@ -97,14 +108,12 @@ def workloads(quick: bool) -> list[dict]:
                 offloaded=False,
             ),
             "config": "cell",
-            "options": CompileOptions(),
         },
         {
             "name": "ai-kernel-cached",
             "description": "Section 4.1 AI pass through a direct cache",
             "source": ai_kernel_source(entity_count=32 * scale),
             "config": "cell",
-            "options": CompileOptions(),
         },
         {
             "name": "move-loop-accessor",
@@ -113,14 +122,12 @@ def workloads(quick: bool) -> list[dict]:
                 object_count=32 * scale, use_accessor=True, cache="direct"
             ),
             "config": "cell",
-            "options": CompileOptions(),
         },
         {
             "name": "word-struct",
             "description": "Section 5 word-addressed packet loop",
             "source": word_struct_source(packet_count=32 * scale),
             "config": "dsp",
-            "options": CompileOptions(),
         },
         {
             "name": "game-demo",
@@ -132,7 +139,6 @@ def workloads(quick: bool) -> list[dict]:
                 frames=scale,
             ),
             "config": "cell",
-            "options": CompileOptions(),
         },
     ]
 
@@ -149,7 +155,7 @@ def _time_run(program, config, engine: str, sched=None) -> tuple[float, object]:
 
 def bench_workload(spec: dict, repeats: int, sched=None) -> dict:
     config = resolve_target(spec["config"])
-    program = compile_program(spec["source"], config, spec["options"])
+    program = compile_program(spec["source"], config)
 
     # Pay each engine's one-time translation cost up front, timed
     # separately, so the per-run columns (and every speedup ratio)
@@ -216,13 +222,11 @@ def bench_scheduler(quick: bool) -> dict:
     source = figure2_source(
         entity_count=48 * scale, pair_count=32 * scale, frames=8
     )
-    config = resolve_target("cell")
-    program = compile_program(source, config, CompileOptions())
+    base = FarmJob("game-frame", source=source, engine="compiled")
+    program = prepare(base).program
     policies = {}
     for policy in POLICY_NAMES:
-        _, result = _time_run(
-            program, config, "compiled", SchedOptions(policy=policy)
-        )
+        result = simulate(program, dataclasses.replace(base, policy=policy))
         policies[policy] = {
             "simulated_cycles": result.cycles,
             **result.sched.as_dict(result.cycles),
@@ -237,6 +241,21 @@ def bench_scheduler(quick: bool) -> dict:
     }
 
 
+def _portability_jobs(quick: bool, targets) -> list[FarmJob]:
+    """The 4-frame game frame under the locality policy, once per target."""
+    scale = 1 if quick else 2
+    source = figure2_source(
+        entity_count=48 * scale, pair_count=32 * scale, frames=4
+    )
+    return [
+        FarmJob(
+            "game-frame-portability", source=source, target=target,
+            engine="compiled", policy="locality",
+        )
+        for target in targets
+    ]
+
+
 def bench_targets(quick: bool, targets) -> dict:
     """The same game frame on every requested target, one row each.
 
@@ -248,19 +267,12 @@ def bench_targets(quick: bool, targets) -> dict:
     cold code uploads — so the cost-structure story (apu moves no DMA,
     manycore pays uploads and backpressure) is visible in the report.
     """
-    scale = 1 if quick else 2
-    source = figure2_source(
-        entity_count=48 * scale, pair_count=32 * scale, frames=4
-    )
     rows = {}
-    for name in targets:
-        config = resolve_target(name)
-        program = compile_program(source, config, CompileOptions())
-        _, result = _time_run(
-            program, config, "compiled", SchedOptions(policy="locality")
-        )
+    for job in _portability_jobs(quick, targets):
+        result = simulate(prepare(job).program, job)
+        config = result.machine.config
         perf = result.machine.perf.as_dict()
-        rows[name] = {
+        rows[job.target] = {
             "config": config.name,
             "accelerators": config.num_accelerators,
             "simulated_cycles": result.cycles,
@@ -394,7 +406,9 @@ def bench_farm(quick: bool, worker_counts=BENCH_FARM_WORKERS) -> dict:
     }
 
 
-def emit_run_reports(quick: bool, targets, directory: str, sched=None) -> list[str]:
+def emit_run_reports(
+    quick: bool, targets, directory: str, policy=None
+) -> list[str]:
     """One canonical :class:`~repro.obs.report.RunReport` per bench cell.
 
     Each workload of the matrix gets a fresh, *untimed* run with a
@@ -405,43 +419,25 @@ def emit_run_reports(quick: bool, targets, directory: str, sched=None) -> list[s
     carry no wall-clock, so the files are byte-reproducible and can be
     committed as CI baselines.
     """
-    from repro.obs import MetricsHub, collect_report, save_report
-
+    jobs = [
+        FarmJob(
+            spec["name"], source=spec["source"], target=spec["config"],
+            engine="compiled", policy=policy,
+        )
+        for spec in workloads(quick)
+    ] + _portability_jobs(quick, targets)
     os.makedirs(directory, exist_ok=True)
     written = []
-
-    def emit(name, source, target, options, run_sched):
-        config = resolve_target(target)
-        program = compile_program(source, config, options)
-        machine = Machine(config)
+    for job in jobs:
         hub = MetricsHub()
-        machine.attach_metrics(hub)
-        result = run_program(
-            program, machine, RunOptions(engine="compiled", sched=run_sched)
-        )
-        report = collect_report(
-            result, workload=name, hub=hub, engine="compiled", target=target
-        )
-        path = os.path.join(directory, f"{name}__{target}.json")
-        save_report(report, path)
+        result = simulate(prepare(job).program, job, hub=hub)
+        path = os.path.join(directory, f"{job.workload}__{job.target}.json")
+        save_report(job_report(result, job, hub), path)
         written.append(path)
-
-    for spec in workloads(quick):
-        emit(spec["name"], spec["source"], spec["config"], spec["options"],
-             sched)
-    scale = 1 if quick else 2
-    portability_source = figure2_source(
-        entity_count=48 * scale, pair_count=32 * scale, frames=4
-    )
-    for target in targets:
-        emit(
-            "game-frame-portability", portability_source, target,
-            CompileOptions(), SchedOptions(policy="locality"),
-        )
     return written
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench", description=__doc__.splitlines()[0]
     )
@@ -457,24 +453,19 @@ def main(argv: list[str] | None = None) -> int:
         "--quick", action="store_true",
         help="smaller workloads, one repetition (CI smoke mode)",
     )
-    parser.add_argument(
-        "--trace", default=None, metavar="FILE",
+    add_trace_flags(
+        parser,
         help="also trace one compiled run of the headline game-frame "
              "workload and export it to FILE",
     )
-    parser.add_argument(
-        "--trace-format", choices=["chrome", "timeline", "profile"],
-        default="chrome",
-        help="export format for --trace (default: chrome)",
-    )
-    parser.add_argument(
-        "--policy", choices=list(POLICY_NAMES), default=None,
+    add_policy_flag(
+        parser,
         help="run the whole workload matrix under this scheduling "
              "policy (default: compat mode, no explicit scheduling)",
     )
-    parser.add_argument(
-        "--target", action="append", choices=list(target_names()),
-        default=None, dest="targets", metavar="NAME",
+    add_target_flag(
+        parser, action="append", default=None, dest="targets",
+        metavar="NAME",
         help="target(s) for the per-target game-frame section; repeat "
              f"to add more (default: {', '.join(BENCH_TARGETS)})",
     )
@@ -490,7 +481,11 @@ def main(argv: list[str] | None = None) -> int:
              "repeat to add more (default: "
              f"{', '.join(str(n) for n in BENCH_FARM_WORKERS)})",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     repeats = 1 if args.quick else max(1, args.repeats)
     matrix_sched = (
         SchedOptions(policy=args.policy) if args.policy is not None else None
@@ -510,20 +505,15 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     if args.trace is not None:
-        from repro.obs import TraceRecorder
-        from repro.tools.run import write_trace
-
         headline_spec = next(
             s for s in workloads(args.quick) if s["name"] == "game-frame"
         )
-        config = resolve_target(headline_spec["config"])
-        program = compile_program(
-            headline_spec["source"], config, headline_spec["options"]
+        job = FarmJob(
+            "game-frame", source=headline_spec["source"],
+            target=headline_spec["config"], engine="compiled",
         )
-        machine = Machine(config)
         recorder = TraceRecorder()
-        machine.attach_trace(recorder)
-        run_program(program, machine, RunOptions(engine="compiled"))
+        simulate(prepare(job).program, job, trace=recorder)
         write_trace(recorder, args.trace, args.trace_format)
 
     scheduler = bench_scheduler(args.quick)
@@ -579,7 +569,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.reports is not None:
         written = emit_run_reports(
             args.quick, args.targets or BENCH_TARGETS, args.reports,
-            matrix_sched,
+            args.policy,
         )
         print(f"-- {len(written)} run reports -> {args.reports}")
 

@@ -54,8 +54,9 @@ from repro.analysis.runner import format_analysis_timings
 from repro.compiler.driver import CompileOptions
 from repro.compiler.passes import PassManager, format_timings
 from repro.errors import CompileError
-from repro.machine.config import default_target, resolve_target, target_names
+from repro.machine.config import resolve_target, target_names
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
+from repro.tools.flags import add_target_flag, read_source
 
 _EXIT_CONTRACT = """\
 exit status:
@@ -98,10 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "sources", nargs="*", help="OffloadMini source file(s)"
     )
-    parser.add_argument(
-        "--target", choices=list(target_names()), default=default_target(),
-        help="registered machine target (default: cell, or REPRO_TARGET)",
-    )
+    add_target_flag(parser)
     parser.add_argument(
         "--all-targets", action="store_true",
         help="portability lint: check under every registered target and "
@@ -153,12 +151,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     inputs: list[tuple[str, str]] = []
     for path in args.sources:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                inputs.append((path, handle.read()))
-        except OSError as error:
-            print(f"error: {error}", file=sys.stderr)
+        source = read_source(path)
+        if source is None:
             return 1
+        inputs.append((path, source))
     if args.corpus == "game":
         inputs.extend(_game_corpus())
     if not inputs:
@@ -190,8 +186,7 @@ def main(argv: list[str] | None = None) -> int:
                     trace=recorder,
                 )
             except CompileError as error:
-                for diagnostic in error.diagnostics:
-                    print(diagnostic.render(), file=sys.stderr)
+                print(error, file=sys.stderr)
                 return 1
             findings.extend(ctx.findings)
             if args.time_passes:

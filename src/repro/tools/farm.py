@@ -37,9 +37,7 @@ from repro.farm import (
     run_jobs_serial,
     summary_json,
 )
-from repro.machine.config import target_names
-from repro.sched import POLICY_NAMES
-from repro.vm.interpreter import ENGINE_NAMES
+from repro.tools.flags import add_engine_flag, add_policy_flag, add_target_flag
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,17 +61,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, metavar="N",
         help="corpus seed for --corpus mixed (default: 0)",
     )
-    parser.add_argument(
-        "--engine", choices=list(ENGINE_NAMES), default=None,
+    add_engine_flag(
+        parser,
         help="execution engine for generated corpora (default: each "
              "corpus's own choice)",
     )
-    parser.add_argument(
-        "--target", choices=list(target_names()), default=None,
+    add_target_flag(
+        parser, default=None,
         help="target for --corpus figure2 (default: cell)",
     )
-    parser.add_argument(
-        "--policy", choices=list(POLICY_NAMES), default=None,
+    add_policy_flag(
+        parser,
         help="scheduling policy for --corpus figure2 (default: locality)",
     )
     parser.add_argument(

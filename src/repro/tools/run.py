@@ -4,17 +4,25 @@ Usage::
 
     python -m repro.tools.run program.om [--target cell|smp|dsp|apu|manycore]
         [--optimize] [--demand-load] [--cache none|direct|setassoc|victim]
-        [--wordaddr hybrid|emulate] [--dump-ir] [--perf] [--record-races]
-        [--engine compiled|codegen|reference] [--dump-codegen]
-        [--dump-after PASS] [--time-passes] [--cache-dir DIR]
-        [--emit-artifact PATH] [--trace FILE]
-        [--trace-format chrome|timeline|profile] [--report FILE]
+        [--wordaddr hybrid|emulate] [--engine compiled|codegen|reference]
         [--policy greedy|least-loaded|locality|critical-path]
-        [--queue-depth N]
+        [--queue-depth N] [--trace FILE]
+        [--trace-format chrome|timeline|profile] [--report FILE]
+        [--dump-ir] [--perf] [--record-races] [--dump-codegen]
+        [--dump-after PASS] [--time-passes] [--cache-dir DIR]
+        [--emit-artifact PATH]
+
+The target, compile, engine, scheduling and trace flags are the shared
+ones of :mod:`repro.tools.flags` (``--engine`` defaults to
+:data:`repro.vm.DEFAULT_ENGINE`).  They describe one
+:class:`repro.runspec.FarmJob`, run through the same ``prepare`` →
+``simulate`` → ``job_report`` steps as a farm job; only ``--dump-after``
+/ ``--time-passes`` drive the pass pipeline directly.
 
 A ``.json`` input is loaded as a serialized program artifact (see
 ``--emit-artifact`` and :mod:`repro.ir.serialize`) instead of being
-compiled; compilation flags are then ignored.
+compiled; compilation flags are then ignored, and the machine is the
+one the artifact was compiled for.
 
 Exit status: 0 on success, 1 on compile errors, 2 on runtime traps.
 """
@@ -27,31 +35,31 @@ import sys
 import time
 
 from repro.compiler.cache import cache_at
-from repro.compiler.driver import CompileOptions, compile_program
 from repro.compiler.passes import DEFAULT_PASS_NAMES, PassManager, format_timings
 from repro.errors import CompileError, ReproError
 from repro.ir.printer import format_program
-from repro.ir.serialize import ArtifactError, load_program, save_program
-from repro.machine.config import default_target, resolve_target, target_names
-from repro.machine.machine import Machine
+from repro.ir.serialize import load_program, save_program
+from repro.machine.config import resolve_target
 from repro.obs import (
     MetricsHub,
     TraceRecorder,
     chrome_trace_json,
-    collect_report,
     format_profile,
     format_timeline,
     offload_profile,
     report_json,
     save_report,
 )
-from repro.runtime.cachekinds import CACHE_KIND_CHOICES
-from repro.sched import POLICY_NAMES, SchedOptions
-from repro.vm.interpreter import (
-    DEFAULT_ENGINE,
-    ENGINE_NAMES,
-    RunOptions,
-    run_program,
+from repro.runspec import FarmJob, job_report, prepare, simulate
+from repro.tools.flags import (
+    add_compile_flags,
+    add_engine_flag,
+    add_policy_flag,
+    add_queue_depth_flag,
+    add_target_flag,
+    add_trace_flags,
+    compile_options,
+    read_source,
 )
 
 
@@ -62,22 +70,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "source", help="OffloadMini source file (or .json program artifact)"
     )
-    parser.add_argument(
-        "--target", choices=list(target_names()), default=default_target(),
-        help="registered machine target (default: cell, or REPRO_TARGET)",
+    add_target_flag(parser)
+    add_compile_flags(parser)
+    add_engine_flag(parser)
+    add_policy_flag(
+        parser,
+        help="offload scheduling policy (enables explicit scheduling: "
+             "upload modelling, sched.* trace events, utilization summary)",
     )
-    parser.add_argument("--optimize", action="store_true",
-                        help="run the IR optimiser")
-    parser.add_argument("--demand-load", action="store_true",
-                        help="enable on-demand code loading")
-    parser.add_argument(
-        "--cache", choices=list(CACHE_KIND_CHOICES),
-        default="none",
-        help="default software cache for un-annotated offloads",
+    add_queue_depth_flag(
+        parser, note=". Implies --policy greedy when no policy is given"
+    )
+    add_trace_flags(
+        parser,
+        help="record a cycle-accurate event trace of the run to FILE "
+             "('-' for stdout)",
     )
     parser.add_argument(
-        "--wordaddr", choices=["hybrid", "emulate"], default="hybrid",
-        help="Section 5 addressing mode on word-addressed targets",
+        "--report", default=None, metavar="FILE",
+        help="write a canonical JSON run report (counters, histograms, "
+             "derived metrics) to FILE ('-' for stdout); render/compare "
+             "with repro.tools.report",
     )
     parser.add_argument("--dump-ir", action="store_true",
                         help="print the compiled IR instead of running")
@@ -107,43 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="record DMA races instead of aborting on the first one",
     )
     parser.add_argument(
-        "--engine", choices=list(ENGINE_NAMES), default=None,
-        help="execution engine (default: the compiled closure engine; "
-             "'codegen' runs generated Python source)",
-    )
-    parser.add_argument(
         "--dump-codegen", action="store_true",
         help="print the codegen engine's generated Python module for "
              "the compiled program instead of running it",
-    )
-    parser.add_argument(
-        "--policy", choices=list(POLICY_NAMES), default=None,
-        help="offload scheduling policy (enables explicit scheduling: "
-             "upload modelling, sched.* trace events, utilization summary)",
-    )
-    parser.add_argument(
-        "--queue-depth", type=int, default=None, metavar="N",
-        help="bound each accelerator's ready queue at N jobs (0 = "
-             "unbounded; default: the target's sched_queue_depth); a "
-             "full queue stalls the host (backpressure). Implies "
-             "--policy greedy when no policy is given",
-    )
-    parser.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="record a cycle-accurate event trace of the run to FILE "
-             "('-' for stdout)",
-    )
-    parser.add_argument(
-        "--trace-format", choices=["chrome", "timeline", "profile"],
-        default="chrome",
-        help="trace export format: Chrome/Perfetto trace_event JSON "
-             "(default), a flat text timeline, or a per-offload profile",
-    )
-    parser.add_argument(
-        "--report", default=None, metavar="FILE",
-        help="write a canonical JSON run report (counters, histograms, "
-             "derived metrics) to FILE ('-' for stdout); render/compare "
-             "with repro.tools.report",
     )
     return parser
 
@@ -158,96 +137,89 @@ def export_trace(recorder, fmt: str) -> str:
 
 
 def write_trace(recorder, path: str, fmt: str) -> None:
+    """Export ``recorder`` to ``path`` ('-' for stdout), warning on
+    stderr when the ring buffer wrapped and the capture is truncated."""
     text = export_trace(recorder, fmt)
-    dropped = recorder.dropped
     if path == "-":
         sys.stdout.write(text)
-        if dropped:
-            print(
-                f"warning: trace truncated, {dropped} oldest events "
-                f"dropped (raise TraceRecorder capacity)",
-                file=sys.stderr,
-            )
-        return
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    note = f" ({dropped} oldest events dropped)" if dropped else ""
-    print(
-        f"-- trace: {len(recorder)} events -> {path}{note}", file=sys.stderr
-    )
-
-
-def _compile(args, source: str):
-    """Compile per the parsed flags; returns the program (or None when a
-    --dump-after / --time-passes-only pipeline run already finished)."""
-    options = CompileOptions(
-        wordaddr_mode=args.wordaddr,
-        default_cache=args.cache,
-        optimize=args.optimize,
-        demand_load=args.demand_load,
-    )
-    config = resolve_target(args.target)
-    if args.dump_after is not None or args.time_passes:
-        # Debugging hooks need the pass pipeline itself; bypass the
-        # compile cache so every pass actually runs and is timed.
-        manager = PassManager.default()
-        dump_after = (args.dump_after,) if args.dump_after else ()
-        ctx = manager.run(
-            source,
-            config,
-            options,
-            filename=args.source,
-            stop_after=args.dump_after,
-            dump_after=dump_after,
+    else:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        print(
+            f"-- trace: {len(recorder)} events -> {path}", file=sys.stderr
         )
-        if args.time_passes:
-            print(format_timings(ctx.timings), file=sys.stderr)
-        if args.dump_after is not None:
-            print(ctx.dumps[args.dump_after])
-            return None
-        return ctx.program
-    cache = cache_at(args.cache_dir) if args.cache_dir else None
-    return compile_program(
-        source, config, options, filename=args.source, cache=cache
+    if recorder.dropped:
+        print(
+            f"warning: trace truncated, {recorder.dropped} oldest events "
+            f"dropped (raise the recorder capacity, currently "
+            f"{recorder.capacity})",
+            file=sys.stderr,
+        )
+
+
+def _run_pass_pipeline(args, job: FarmJob):
+    """``--dump-after`` / ``--time-passes``: drive the pass pipeline
+    itself, bypassing cache and warm-up so every pass runs and is timed.
+    Returns the program, or None when ``--dump-after`` ended the job."""
+    ctx = PassManager.default().run(
+        job.source,
+        resolve_target(job.target),
+        job.options,
+        filename=args.source,
+        stop_after=args.dump_after,
+        dump_after=(args.dump_after,) if args.dump_after else (),
     )
+    if args.time_passes:
+        print(format_timings(ctx.timings), file=sys.stderr)
+    if args.dump_after is not None:
+        print(ctx.dumps[args.dump_after])
+        return None
+    return ctx.program
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = resolve_target(args.target)
-    if args.source.endswith(".json"):
-        try:
+    spec = dict(
+        workload=os.path.splitext(os.path.basename(args.source))[0],
+        engine=args.engine,
+        policy=args.policy,
+        queue_depth=args.queue_depth,
+    )
+    try:
+        if args.source.endswith(".json"):
+            # An artifact names its own machine, so it is loaded here —
+            # not by prepare() — to learn the target the job must name.
             program = load_program(args.source)
-        except (OSError, ArtifactError, ValueError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        if program.target_name != config.name:
-            try:
-                config = resolve_target(
-                    program.target_name, source="artifact target_name"
-                )
-            except ValueError:
-                print(
-                    f"error: artifact targets unknown machine "
-                    f"{program.target_name!r}",
-                    file=sys.stderr,
-                )
+            target = args.target
+            if program.target_name != resolve_target(target).name:
+                target = program.target_name
+            job = FarmJob(artifact=args.source, target=target, **spec)
+        else:
+            source = read_source(args.source)
+            if source is None:
                 return 1
-    else:
-        try:
-            with open(args.source, "r", encoding="utf-8") as handle:
-                source = handle.read()
-        except OSError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        try:
-            program = _compile(args, source)
-        except CompileError as error:
-            for diagnostic in error.diagnostics:
-                print(diagnostic.render(), file=sys.stderr)
-            return 1
-        if program is None:
-            return 0
+            job = FarmJob(
+                source=source, target=args.target,
+                options=compile_options(args), **spec,
+            )
+            if args.dump_after is not None or args.time_passes:
+                program = _run_pass_pipeline(args, job)
+                if program is None:
+                    return 0
+            else:
+                cache = cache_at(args.cache_dir) if args.cache_dir else None
+                program = prepare(
+                    job, cache=cache, filename=args.source
+                ).program
+    except CompileError as error:
+        print(error, file=sys.stderr)
+        return 1
+    except (OSError, ValueError) as error:
+        # unreadable / malformed artifact or one for an unknown machine,
+        # --queue-depth < 0, an unknown engine name in REPRO_VM_ENGINE
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+    config = resolve_target(job.target)
     if args.emit_artifact is not None:
         try:
             save_program(program, args.emit_artifact)
@@ -273,31 +245,15 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
         return 0
-    sched = None
-    if args.policy is not None or args.queue_depth:
-        sched = SchedOptions(
-            policy=args.policy or "greedy",
-            queue_depth=args.queue_depth,
-        )
-    run_options = RunOptions(
-        racecheck="record" if args.record_races else "raise",
-        engine=args.engine,
-        sched=sched,
-    )
-    machine = Machine(config)
-    recorder = None
-    if args.trace is not None:
-        recorder = TraceRecorder()
-        machine.attach_trace(recorder)
-    hub = None
-    if args.report is not None:
-        hub = MetricsHub()
-        machine.attach_metrics(hub)
+    recorder = TraceRecorder() if args.trace is not None else None
+    hub = MetricsHub() if args.report is not None else None
     started = time.perf_counter()
     try:
-        result = run_program(program, machine, run_options)
+        result = simulate(
+            program, job, trace=recorder, hub=hub,
+            racecheck="record" if args.record_races else "raise",
+        )
     except ValueError as error:
-        # e.g. an unknown engine name in REPRO_VM_ENGINE
         print(f"error: {error}", file=sys.stderr)
         return 1
     except ReproError as error:
@@ -308,13 +264,8 @@ def main(argv: list[str] | None = None) -> int:
     if recorder is not None:
         write_trace(recorder, args.trace, args.trace_format)
     if args.report is not None:
-        report = collect_report(
-            result,
-            workload=os.path.splitext(os.path.basename(args.source))[0],
-            hub=hub,
-            wall_seconds=time.perf_counter() - started,
-            engine=args.engine or DEFAULT_ENGINE,
-            target=args.target,
+        report = job_report(
+            result, job, hub, wall_seconds=time.perf_counter() - started
         )
         if args.report == "-":
             sys.stdout.write(report_json(report))
@@ -322,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
             save_report(report, args.report)
             print(f"-- report written to {args.report}", file=sys.stderr)
     print(f"-- {result.cycles} simulated cycles on {config.name}", file=sys.stderr)
-    if sched is not None and result.sched is not None:
+    if job.explicit_sched():
         st = result.sched
         util = ", ".join(
             f"acc{i}={u:.0%}"

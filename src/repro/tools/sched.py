@@ -3,15 +3,19 @@
 Usage::
 
     python -m repro.tools.sched [program.om | --corpus figure2|game-demo]
-        [--target cell|smp|dsp|apu|manycore] [--policy NAME] [--queue-depth N]
-        [--admission stall|trap] [--engine compiled|reference]
-        [--frames N] [--trace FILE] [--trace-format chrome|timeline]
+        [--target cell|smp|dsp|apu|manycore]
+        [--engine compiled|codegen|reference]
+        [--policy greedy|least-loaded|locality|critical-path]
+        [--queue-depth N] [--admission stall|trap] [--frames N]
+        [--trace FILE] [--trace-format chrome|timeline]
         [--json] [--require locality<greedy]
 
 Without ``--policy`` every policy runs and a comparison table is
 printed (simulated cycles, uploads, stalls, queue high-water,
 utilization).  With ``--policy`` only that policy runs and the full
-scheduler accounting is shown.
+scheduler accounting is shown.  ``--engine`` defaults to
+:data:`repro.vm.DEFAULT_ENGINE`; each policy is one
+:class:`repro.runspec.FarmJob` over one prepared program.
 
 ``--require locality<greedy`` exits 4 unless the locality policy's
 simulated cycles are strictly below greedy's — the gate the CI sched
@@ -24,17 +28,24 @@ traps, 4 on a failed ``--require`` gate.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
-from repro.compiler.driver import CompileOptions, compile_program
 from repro.errors import CompileError, ReproError
 from repro.game.sources import figure2_source, game_demo_source
-from repro.machine.config import default_target, resolve_target, target_names
-from repro.machine.machine import Machine
 from repro.obs import TraceRecorder
-from repro.sched import POLICY_NAMES, SchedOptions
-from repro.vm.interpreter import RunOptions, run_program
+from repro.runspec import FarmJob, prepare, simulate
+from repro.sched import POLICY_NAMES
+from repro.tools.flags import (
+    add_engine_flag,
+    add_policy_flag,
+    add_queue_depth_flag,
+    add_target_flag,
+    add_trace_flags,
+    read_source,
+)
+from repro.tools.run import write_trace
 
 CORPUS = {
     "figure2": lambda frames: figure2_source(
@@ -62,36 +73,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--frames", type=int, default=8,
         help="frame count for --corpus workloads (default: 8)",
     )
-    parser.add_argument(
-        "--target", choices=list(target_names()), default=default_target(),
-        help="registered machine target (default: cell, or REPRO_TARGET)",
-    )
-    parser.add_argument(
-        "--policy", choices=list(POLICY_NAMES), default=None,
-        help="run one policy (default: compare all)",
-    )
-    parser.add_argument(
-        "--queue-depth", type=int, default=None, metavar="N",
-        help="per-accelerator ready-queue bound (0 = unbounded; "
-             "default: the target's sched_queue_depth)",
-    )
+    add_target_flag(parser)
+    add_engine_flag(parser)
+    add_policy_flag(parser, help="run one policy (default: compare all)")
+    add_queue_depth_flag(parser)
     parser.add_argument(
         "--admission", choices=["stall", "trap"], default="stall",
         help="full-queue behaviour (default: stall = host backpressure)",
     )
-    parser.add_argument(
-        "--engine", choices=["compiled", "reference"], default=None,
-        help="execution engine (default: the compiled closure engine)",
-    )
-    parser.add_argument(
-        "--trace", default=None, metavar="FILE",
+    add_trace_flags(
+        parser,
         help="export a trace of the last policy run to FILE "
              "('-' for stdout); includes the sched lane",
-    )
-    parser.add_argument(
-        "--trace-format", choices=["chrome", "timeline"],
-        default="chrome",
-        help="trace export format (default: chrome)",
+        formats=("chrome", "timeline"),
     )
     parser.add_argument(
         "--json", action="store_true",
@@ -114,34 +108,16 @@ def _load_source(args) -> str | None:
             file=sys.stderr,
         )
         return None
-    try:
-        with open(args.source, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return None
+    return read_source(args.source)
 
 
-def run_policy(
-    program, config, policy: str, args, recorder=None
-) -> dict:
+def run_policy(program, job: FarmJob, admission: str, recorder=None) -> dict:
     """One policy run; returns its row of the comparison table."""
-    machine = Machine(config)
-    if recorder is not None:
-        machine.attach_trace(recorder)
-    sched = SchedOptions(
-        policy=policy,
-        queue_depth=args.queue_depth,
-        admission=args.admission,
-    )
-    result = run_program(
-        program, machine, RunOptions(engine=args.engine, sched=sched)
-    )
-    stats = result.sched
+    result = simulate(program, job, trace=recorder, admission=admission)
     return {
-        "policy": policy,
+        "policy": job.policy,
         "simulated_cycles": result.cycles,
-        **stats.as_dict(result.cycles),
+        **result.sched.as_dict(result.cycles),
     }
 
 
@@ -173,12 +149,19 @@ def main(argv: list[str] | None = None) -> int:
     source = _load_source(args)
     if source is None:
         return 1
-    config = resolve_target(args.target)
     try:
-        program = compile_program(source, config, CompileOptions())
+        base = FarmJob(
+            workload=args.corpus or args.source, source=source,
+            target=args.target, engine=args.engine,
+            queue_depth=args.queue_depth,
+        )
+        program = prepare(base).program
     except CompileError as error:
-        for diagnostic in error.diagnostics:
-            print(diagnostic.render(), file=sys.stderr)
+        print(error, file=sys.stderr)
+        return 1
+    except ValueError as error:
+        # --queue-depth < 0, an unknown engine name in REPRO_VM_ENGINE
+        print(f"error: {error}", file=sys.stderr)
         return 1
 
     policies = [args.policy] if args.policy else list(POLICY_NAMES)
@@ -189,22 +172,19 @@ def main(argv: list[str] | None = None) -> int:
             # Only the last policy run is traced (one file, one lane set).
             if args.trace is not None and index == len(policies) - 1:
                 recorder = TraceRecorder()
-            rows.append(
-                run_policy(program, config, policy, args, recorder)
-            )
+            job = dataclasses.replace(base, policy=policy)
+            rows.append(run_policy(program, job, args.admission, recorder))
     except ReproError as error:
         print(f"runtime error: {error}", file=sys.stderr)
         return 2
 
     if args.json:
-        payload = {"target": config.name, "policies": rows}
+        payload = {"target": program.target_name, "policies": rows}
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         print(format_table(rows))
 
     if recorder is not None:
-        from repro.tools.run import write_trace
-
         write_trace(recorder, args.trace, args.trace_format)
 
     if args.require is not None:

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.tools.trace program.om [--target cell|smp|dsp|apu|manycore]
         [--optimize] [--demand-load] [--cache none|direct|setassoc|victim]
-        [--wordaddr hybrid|emulate] [--engine compiled|reference]
+        [--wordaddr hybrid|emulate] [--engine compiled|codegen|reference]
         [--format chrome|timeline|profile] [--out FILE]
         [--capacity N] [--frame-marker SUFFIX] [--compile-spans]
 
@@ -12,9 +12,11 @@ Usage::
 
 The first form compiles the program, runs it with a
 :class:`~repro.obs.trace.TraceRecorder` attached, and writes the export
-to ``--out`` (stdout by default).  ``--compile-spans`` additionally runs
-the compilation through the pass manager with per-pass span events on
-the ``compile`` track — note those spans carry *wall-clock*
+to ``--out`` (stdout by default).  The target, compile and engine flags
+are the shared ones of :mod:`repro.tools.flags` (``--engine`` defaults
+to :data:`repro.vm.DEFAULT_ENGINE`).  ``--compile-spans`` additionally
+runs the compilation through the pass manager with per-pass span events
+on the ``compile`` track — note those spans carry *wall-clock*
 microseconds, so the export is no longer run-to-run byte-identical.
 
 The second form loads an exported Chrome trace JSON file and checks it
@@ -31,21 +33,20 @@ import argparse
 import json
 import sys
 
-from repro.compiler.driver import CompileOptions
 from repro.compiler.passes import PassManager
 from repro.errors import CompileError, ReproError
-from repro.machine.config import default_target, resolve_target, target_names
-from repro.machine.machine import Machine
-from repro.obs import (
-    NULL_RECORDER,
-    TraceRecorder,
-    chrome_trace_json,
-    format_profile,
-    format_timeline,
-    offload_profile,
-    validate_chrome_trace,
+from repro.machine.config import resolve_target
+from repro.obs import TraceRecorder, validate_chrome_trace
+from repro.runspec import FarmJob, prepare, simulate
+from repro.tools.flags import (
+    TRACE_FORMATS,
+    add_compile_flags,
+    add_engine_flag,
+    add_target_flag,
+    compile_options,
+    read_source,
 )
-from repro.vm.interpreter import RunOptions, run_program
+from repro.tools.run import write_trace
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,28 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--validate", default=None, metavar="FILE",
         help="validate an exported Chrome trace JSON file and exit",
     )
+    add_target_flag(parser)
+    add_compile_flags(parser)
+    add_engine_flag(parser)
     parser.add_argument(
-        "--target", choices=list(target_names()), default=default_target(),
-        help="registered machine target (default: cell, or REPRO_TARGET)",
-    )
-    parser.add_argument("--optimize", action="store_true",
-                        help="run the IR optimiser")
-    parser.add_argument("--demand-load", action="store_true",
-                        help="enable on-demand code loading")
-    parser.add_argument(
-        "--cache", default="none",
-        help="default software cache for un-annotated offloads",
-    )
-    parser.add_argument(
-        "--wordaddr", choices=["hybrid", "emulate"], default="hybrid",
-        help="addressing mode on word-addressed targets",
-    )
-    parser.add_argument(
-        "--engine", choices=["compiled", "reference"], default=None,
-        help="execution engine (default: the compiled closure engine)",
-    )
-    parser.add_argument(
-        "--format", choices=["chrome", "timeline", "profile"],
+        "--format", choices=list(TRACE_FORMATS),
         default="chrome", dest="fmt",
         help="export format (default: chrome trace_event JSON)",
     )
@@ -132,70 +116,43 @@ def main(argv: list[str] | None = None) -> int:
         print("error: a source file (or --validate) is required",
               file=sys.stderr)
         return 1
+    source = read_source(args.source)
+    if source is None:
+        return 1
     try:
-        with open(args.source, "r", encoding="utf-8") as handle:
-            source = handle.read()
-    except OSError as error:
+        recorder = TraceRecorder(
+            capacity=args.capacity,
+            frame_marker=args.frame_marker or None,
+        )
+        job = FarmJob(
+            workload=args.source, source=source, target=args.target,
+            engine=args.engine, options=compile_options(args),
+        )
+        if args.compile_spans:
+            # Pass spans come from the pass pipeline itself, so this
+            # one mode drives it directly instead of prepare().
+            program = PassManager.default().run(
+                source, resolve_target(job.target), job.options,
+                filename=args.source, trace=recorder,
+            ).program
+        else:
+            program = prepare(job, filename=args.source).program
+    except CompileError as error:
+        print(error, file=sys.stderr)
+        return 1
+    except ValueError as error:
+        # --capacity <= 0, an unknown engine name in REPRO_VM_ENGINE
         print(f"error: {error}", file=sys.stderr)
         return 1
-
-    recorder = TraceRecorder(
-        capacity=args.capacity,
-        frame_marker=args.frame_marker or None,
-    )
-    config = resolve_target(args.target)
-    options = CompileOptions(
-        wordaddr_mode=args.wordaddr,
-        default_cache=args.cache,
-        optimize=args.optimize,
-        demand_load=args.demand_load,
-    )
     try:
-        ctx = PassManager.default().run(
-            source,
-            config,
-            options,
-            filename=args.source,
-            trace=recorder if args.compile_spans else NULL_RECORDER,
-        )
-    except CompileError as error:
-        for diagnostic in error.diagnostics:
-            print(diagnostic.render(), file=sys.stderr)
-        return 1
-    program = ctx.program
-
-    machine = Machine(config)
-    machine.attach_trace(recorder)
-    try:
-        result = run_program(program, machine, RunOptions(engine=args.engine))
+        result = simulate(program, job, trace=recorder)
     except ReproError as error:
         print(f"runtime error: {error}", file=sys.stderr)
         return 2
-
-    if args.fmt == "chrome":
-        text = chrome_trace_json(recorder)
-    elif args.fmt == "timeline":
-        text = format_timeline(recorder)
-    else:
-        text = format_profile(offload_profile(recorder))
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(
-            f"-- {len(recorder)} events "
-            f"({recorder.dropped} dropped) -> {args.out}",
-            file=sys.stderr,
-        )
-    if recorder.dropped:
-        print(
-            f"warning: trace truncated, {recorder.dropped} oldest events "
-            f"dropped — raise --capacity (currently {args.capacity})",
-            file=sys.stderr,
-        )
+    write_trace(recorder, args.out, args.fmt)
     print(
-        f"-- {result.cycles} simulated cycles on {config.name}",
+        f"-- {result.cycles} simulated cycles on "
+        f"{result.machine.config.name}",
         file=sys.stderr,
     )
     return 0

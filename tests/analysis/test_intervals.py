@@ -9,6 +9,7 @@ from repro.analysis.intervals import (
     Congruence,
     Interval,
     TOP_INT,
+    _arith,
     analyze_function,
     compute_summaries,
     loop_trips,
@@ -84,6 +85,32 @@ class TestAbsInt:
         w = a.widen(b)
         assert w.interval.hi is None  # widened
         assert TOP_INT.join(a) == TOP_INT
+
+
+class TestWrapSoundArithmetic:
+    """A result that may leave the signed 32-bit range wraps in the VM:
+    only the power-of-two part of its modulus survives."""
+
+    def test_unbounded_product_keeps_only_the_power_of_two_part(self):
+        grown = AbsInt(Interval(15, None), Congruence(3150, 225))
+        squared = _arith("*", grown, grown)
+        assert squared.interval == Interval(None, None)
+        assert squared.cong == Congruence(2, 1)  # odd stays odd
+        assert squared.contains(-1732076671)  # 15**8 wrapped
+
+    def test_alignment_facts_survive_a_possible_wrap(self):
+        index = AbsInt(Interval(0, None), Congruence(1, 0))
+        offset = _arith("*", index, AbsInt.const(48))
+        assert offset.cong == Congruence(16, 0)
+        assert offset.cong.aligned_to(16) is True
+
+    def test_overflowing_constant_wraps_to_its_machine_value(self):
+        big = AbsInt.const(2**31 - 1)
+        assert _arith("+", big, AbsInt.const(1)) == AbsInt.const(-(2**31))
+
+    def test_in_range_results_keep_the_full_modulus(self):
+        a = AbsInt(Interval(0, 100), Congruence(24, 8))
+        assert _arith("*", a, AbsInt.const(3)).cong == Congruence(72, 24)
 
 
 LOOP_DMA = """

@@ -9,6 +9,18 @@ from repro.machine.config import CELL_LIKE, DSP_WORD, SMP_UNIFORM, MachineConfig
 from repro.machine.machine import Machine
 from repro.vm.interpreter import RunOptions, RunResult, run_program
 
+try:
+    from hypothesis import settings
+except ImportError:  # only tests/properties needs hypothesis
+    pass
+else:
+    # Tier-1 must be reproducible: property tests draw the same examples
+    # on every run, so a counter-example is a deterministic failure to
+    # fix rather than a flake in ``-x`` runs.  Fuzzing sessions restore
+    # random exploration with ``pytest --hypothesis-profile=default``.
+    settings.register_profile("tier1", derandomize=True)
+    settings.load_profile("tier1")
+
 
 @pytest.fixture
 def cell_machine() -> Machine:

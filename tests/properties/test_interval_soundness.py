@@ -150,12 +150,7 @@ def evaluate(function, block_starts, fuel=20000):
     raise AssertionError("evaluator ran out of fuel")
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.tuples(*[st.integers(-50, 50) for _ in VARS]),
-    _statements,
-)
-def test_every_concrete_value_lies_in_its_interval(inits, statements):
+def assert_sound(inits, statements):
     program = compile_program(render_program(inits, statements), CELL_LIKE)
     (entry,) = program.accel_functions()
     cfg = build_cfg(entry)
@@ -170,3 +165,19 @@ def test_every_concrete_value_lies_in_its_interval(inits, statements):
             assert value.contains(snapshot[reg]), (
                 f"r{reg} = {snapshot[reg]} escapes {value} at pc {pc}"
             )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(*[st.integers(-50, 50) for _ in VARS]),
+    _statements,
+)
+def test_every_concrete_value_lies_in_its_interval(inits, statements):
+    assert_sound(inits, statements)
+
+
+def test_congruence_survives_32bit_wrap():
+    """The shrunk counter-example the property once found: 15 squared
+    three times wraps to -1732076671, which the analysis used to place
+    in ``≡ 225 (mod 3150)`` — a modulus wrap-around does not preserve."""
+    assert_sound((15, 0, 0, 0), [("for", 3, [("assign", "x0", "x0 * x0")])])

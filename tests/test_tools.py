@@ -186,6 +186,26 @@ class TestRunTool:
         assert warm.out == cold.out
         assert "[host] 7" in warm.out
 
+    def test_queue_depth_zero_enables_explicit_scheduling(
+        self, source_file, capsys
+    ):
+        # 0 means "unbounded", not "unset": like any --queue-depth it
+        # implies --policy greedy, so on manycore (default bound 2) the
+        # run is explicitly scheduled and prints the sched summary.
+        path = source_file(CLEAN)
+        assert run_tool.main([path, "--target", "manycore"]) == 0
+        assert "-- sched:" not in capsys.readouterr().err
+        status = run_tool.main(
+            [path, "--target", "manycore", "--queue-depth", "0"]
+        )
+        assert status == 0
+        assert "-- sched: policy=greedy" in capsys.readouterr().err
+
+    def test_negative_queue_depth_is_a_usage_error(self, source_file, capsys):
+        status = run_tool.main([source_file(CLEAN), "--queue-depth", "-1"])
+        assert status == 1
+        assert "queue_depth" in capsys.readouterr().err
+
 
 class TestCheckTool:
     # --- the documented exit-code contract: 0 clean, 1 compile error,
