@@ -16,7 +16,10 @@ consults:
 * **Value**: the serialized program artifact
   (:mod:`repro.ir.serialize`), stored on disk under
   ``<dir>/<key[:2]>/<key>.json`` with atomic writes, plus an in-memory
-  text layer so a warm process never re-reads the file.
+  text layer so a warm process never re-reads the file.  Consumers may
+  park derived binary entries next to the artifacts
+  (``<key>.<kind>.bin``, :meth:`CompileCache.store_bytes`); the codegen
+  engine keeps its marshalled code objects there.
 * **Safety**: ``load`` always *deserializes a fresh program object
   graph*; callers may mutate what they get back without poisoning later
   hits.  Corrupt or version-skewed entries are treated as misses and
@@ -38,6 +41,7 @@ from typing import Optional, TYPE_CHECKING
 from repro.ir.serialize import (
     ARTIFACT_VERSION,
     ArtifactError,
+    artifact_digest,
     program_from_json,
     program_to_json,
     to_canonical_json,
@@ -52,9 +56,21 @@ if TYPE_CHECKING:
 #: Environment variable naming the process-wide cache directory.
 CACHE_ENV_VAR = "REPRO_COMPILE_CACHE"
 
+#: File-name suffixes of program artifacts (:meth:`CompileCache.path_for`),
+#: auxiliary entries (:meth:`CompileCache.aux_path`) and the temp files
+#: an interrupted publish can leave behind.
+ARTIFACT_SUFFIX = ".json"
+AUX_SUFFIX = ".bin"
+TMP_SUFFIX = ".tmp"
 
-def _publish_text(path: str, text: str) -> None:
-    """Atomically publish ``text`` at ``path`` (concurrent-writer safe).
+#: Every suffix the cache writes under its directory — the one list
+#: :meth:`CompileCache.clear` (and anything sizing a cache directory)
+#: goes by.
+OWNED_SUFFIXES = (ARTIFACT_SUFFIX, AUX_SUFFIX, TMP_SUFFIX)
+
+
+def _publish(path: str, data: bytes) -> None:
+    """Atomically publish ``data`` at ``path`` (concurrent-writer safe).
 
     The write lands in a uniquely named temp file in the *destination
     directory* (same filesystem, so the rename cannot degrade to a
@@ -65,10 +81,10 @@ def _publish_text(path: str, text: str) -> None:
     """
     directory = os.path.dirname(path)
     os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=TMP_SUFFIX)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp_path, path)
     except OSError:
         try:
@@ -108,8 +124,8 @@ def compile_cache_key(
 class CacheStats:
     """Hit/miss accounting for one :class:`CompileCache` instance.
 
-    Program artifacts and auxiliary text entries (generated engine
-    source, see :meth:`CompileCache.store_text`) are counted
+    Program artifacts and auxiliary binary entries (engine code
+    objects, see :meth:`CompileCache.store_bytes`) are counted
     separately so artifact-cache assertions stay exact."""
 
     hits: int = 0
@@ -119,6 +135,7 @@ class CacheStats:
     aux_hits: int = 0
     aux_misses: int = 0
     aux_stores: int = 0
+    aux_bad: int = 0  # entries their consumer rejected (also misses)
 
 
 class CompileCache:
@@ -136,19 +153,21 @@ class CompileCache:
         #: key -> artifact JSON text; avoids disk reads on a warm
         #: process while still deserializing fresh objects per load.
         self._text: dict[str, str] = {}
-        #: (key, kind) -> auxiliary text entries (e.g. generated
-        #: engine source keyed alongside the artifact shards).
-        self._aux: dict[tuple[str, str], str] = {}
 
     # -------------------------------------------------------------- paths
 
     def path_for(self, key: str) -> str:
-        return os.path.join(self.directory, key[:2], f"{key}.json")
+        return os.path.join(
+            self.directory, key[:2], f"{key}{ARTIFACT_SUFFIX}"
+        )
 
     def aux_path(self, key: str, kind: str) -> str:
         """Path of the auxiliary ``kind`` entry stored alongside ``key``
-        (e.g. kind ``"codegen.py"`` -> ``<dir>/<key[:2]>/<key>.codegen.py``)."""
-        return os.path.join(self.directory, key[:2], f"{key}.{kind}")
+        (kind ``"codegen1.cpython-311"`` ->
+        ``<dir>/<key[:2]>/<key>.codegen1.cpython-311.bin``)."""
+        return os.path.join(
+            self.directory, key[:2], f"{key}.{kind}{AUX_SUFFIX}"
+        )
 
     def __contains__(self, key: str) -> bool:
         return key in self._text or os.path.exists(self.path_for(key))
@@ -162,7 +181,9 @@ class CompileCache:
             path = self.path_for(key)
             try:
                 with open(path, "r", encoding="utf-8") as handle:
-                    text = handle.read()
+                    # Without store()'s trailing newline, so
+                    # artifact_digest() is the same after either.
+                    text = handle.read().rstrip("\n")
             except OSError:
                 self.stats.misses += 1
                 return None
@@ -184,34 +205,49 @@ class CompileCache:
     def store(self, key: str, program: "IRProgram") -> None:
         """Persist ``program`` under ``key`` (atomic, last-writer-wins)."""
         text = program_to_json(program)
-        _publish_text(self.path_for(key), text + "\n")
+        _publish(self.path_for(key), (text + "\n").encode("utf-8"))
         self._text[key] = text
         self.stats.stores += 1
 
-    def load_text(self, key: str, kind: str) -> Optional[str]:
-        """The auxiliary ``kind`` text stored under ``key``, or None.
-
-        Unlike :meth:`load` there is no validation layer here — callers
-        version their payloads through the key itself (the codegen
-        engine folds :data:`repro.vm.codegen.CODEGEN_VERSION` into it),
-        so a hit is always usable as-is.
+    def artifact_digest(self, key: str) -> Optional[str]:
+        """sha256 of the artifact text this cache object last stored or
+        loaded under ``key`` (None before either): the identity of that
+        program, for whoever keys derived entries on it and would
+        otherwise serialize the program a second time.  It describes the
+        artifact, not any program object — a caller that has since
+        mutated the program it got back must not use it.
         """
-        text = self._aux.get((key, kind))
-        if text is None:
-            try:
-                with open(self.aux_path(key, kind), "r", encoding="utf-8") as handle:
-                    text = handle.read()
-            except OSError:
-                self.stats.aux_misses += 1
-                return None
-            self._aux[(key, kind)] = text
-        self.stats.aux_hits += 1
-        return text
+        text = self._text.get(key)
+        return None if text is None else artifact_digest(text)
 
-    def store_text(self, key: str, text: str, kind: str) -> None:
-        """Persist auxiliary text under ``key`` (atomic, like :meth:`store`)."""
-        _publish_text(self.aux_path(key, kind), text)
-        self._aux[(key, kind)] = text
+    def load_bytes(self, key: str, kind: str) -> Optional[bytes]:
+        """The auxiliary ``kind`` entry stored under ``key``, or None.
+
+        The file is outside input and there is no validation layer
+        here: the consumer validates what it is handed and reports an
+        entry it cannot use with :meth:`reject_bytes`.
+        """
+        try:
+            with open(self.aux_path(key, kind), "rb") as handle:
+                data = handle.read()
+        except OSError:
+            self.stats.aux_misses += 1
+            return None
+        self.stats.aux_hits += 1
+        return data
+
+    def reject_bytes(self) -> None:
+        """The entry :meth:`load_bytes` just returned was unusable:
+        recount that hit as a bad entry (:attr:`CacheStats.aux_bad`) and
+        a miss, like a corrupt artifact.  The caller regenerates and
+        :meth:`store_bytes` overwrites it."""
+        self.stats.aux_hits -= 1
+        self.stats.aux_misses += 1
+        self.stats.aux_bad += 1
+
+    def store_bytes(self, key: str, data: bytes, kind: str) -> None:
+        """Persist auxiliary bytes under ``key`` (atomic, like :meth:`store`)."""
+        _publish(self.aux_path(key, kind), data)
         self.stats.aux_stores += 1
 
     def _discard(self, key: str) -> None:
@@ -221,10 +257,9 @@ class CompileCache:
             pass
 
     def clear(self) -> None:
-        """Drop every entry (in memory and on disk), auxiliary text
-        entries included."""
+        """Drop every entry (in memory and on disk), auxiliary entries
+        included: every file whose suffix is in :data:`OWNED_SUFFIXES`."""
         self._text.clear()
-        self._aux.clear()
         if not os.path.isdir(self.directory):
             return
         for shard in os.listdir(self.directory):
@@ -236,11 +271,7 @@ class CompileCache:
                 # mid-publish (e.g. a farm worker hit by a timeout);
                 # they were never visible to readers but should not
                 # accumulate.
-                if (
-                    name.endswith(".json")
-                    or name.endswith(".codegen.py")
-                    or name.endswith(".tmp")
-                ):
+                if name.endswith(OWNED_SUFFIXES):
                     try:
                         os.unlink(os.path.join(shard_dir, name))
                     except OSError:

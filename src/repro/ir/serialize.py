@@ -28,6 +28,7 @@ instruction's ``__post_init__`` on reconstruction.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from typing import Any
 
@@ -306,6 +307,15 @@ def program_to_json(program: IRProgram) -> str:
 
 def program_from_json(text: str) -> IRProgram:
     return program_from_dict(json.loads(text))
+
+
+def artifact_digest(text: str) -> str:
+    """sha256 of a canonical artifact ``text`` (:func:`program_to_json`):
+    the program identity consumers of the compile cache key derived
+    entries on.  Whoever already holds the text (the cache does, after a
+    store or a load) hashes it instead of serializing the program again.
+    """
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def save_program(program: IRProgram, path: str) -> None:

@@ -282,6 +282,7 @@ def prepare(
     config = resolve_target(job.target, source="FarmJob.target")
     engine = job.resolved_engine()
     compiles = cache_hits = translations = 0
+    digest = None
     if job.artifact is not None:
         program = load_program(job.artifact)
     elif cache is not None:
@@ -291,6 +292,12 @@ def prepare(
         )
         cache_hits = cache.stats.hits - hits0
         compiles = cache.stats.stores - stores0
+        # The cache holds the artifact text it just stored or loaded;
+        # nothing has touched the program since, so its digest keys the
+        # engine's cached code objects without a second serialization.
+        digest = cache.artifact_digest(
+            compile_cache_key(job.source, config, job.options)
+        )
     else:
         program = compile_program(job.source, config, job.options, filename)
         compiles = 1
@@ -298,7 +305,8 @@ def prepare(
         # The throwaway machine only anchors the translations (its cost
         # model object identity); every run simulates on a fresh one.
         translations = warm_translations(
-            program, Machine(config), engine=engine, cache=cache
+            program, Machine(config), engine=engine, cache=cache,
+            digest=digest,
         )
     if memo is not None:
         memo[key] = program

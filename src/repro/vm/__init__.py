@@ -6,9 +6,12 @@ parallelism is modelled by clock combination at launch/join points, so
 measured cycle counts are exactly reproducible run to run.
 
 Three engines share the contract (identical cycles, counters, traces):
-the reference decode loop (:mod:`repro.vm.interpreter`), the
-closure-compiled engine (:mod:`repro.vm.compiled`) and the
-source-codegen engine (:mod:`repro.vm.codegen`).
+the source-codegen engine (:mod:`repro.vm.codegen`; the default —
+:data:`DEFAULT_ENGINE` — whose code objects the compile cache keeps
+across processes), the closure-compiled engine
+(:mod:`repro.vm.compiled`; selectable, and codegen's per-function
+fallback) and the reference decode loop (:mod:`repro.vm.interpreter`;
+the semantic source of truth).
 """
 
 from repro.vm.codegen import (

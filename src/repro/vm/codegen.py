@@ -60,18 +60,34 @@ Translation scheme
 Caching
 -------
 
-Generated source is cached at two levels:
+The generated module is compiled as one *compile unit per function*
+(plus the prelude and the dispatch table), all ``exec``\\ ed into one
+shared namespace, so the ``compile()`` arena is bounded by the largest
+function rather than by the whole module.  The resulting code objects
+are cached at two levels:
 
 * in memory on the :class:`~repro.ir.module.IRProgram` object itself,
   keyed by cost-model identity (like the compiled engine's per-function
   ops cache), so repeat runs of one program object never regenerate;
 * on disk in the content-addressed compile cache
-  (:mod:`repro.compiler.cache`), keyed by sha256 over the canonical
-  program artifact + the cost model + :data:`CODEGEN_VERSION`, stored
-  alongside the program artifact shards as ``<key>.codegen.py``.  With
-  a cache attached (``REPRO_COMPILE_CACHE`` or an explicit cache), a
-  warm start loads the source text and ``exec``\\ s it without running
-  the translator at all (``CodegenStats.translations == 0``).
+  (:mod:`repro.compiler.cache`) as ``marshal.dumps`` of the tuple of
+  code objects, stored alongside the program artifact shards as
+  ``<key>.<kind>.bin``.  The key is sha256 over the digest of the
+  canonical program artifact + the cost model (the job path hands in
+  the digest of the text the compile cache just stored or loaded, so
+  the program is not serialized a second time; anyone else's program
+  is serialized and hashed, so mutated IR keys as what it is); key and
+  kind both carry :data:`CODEGEN_VERSION` and
+  ``sys.implementation.cache_tag``, because marshalled bytecode is only
+  meaningful to the interpreter version that wrote it.  With a cache
+  attached (``REPRO_COMPILE_CACHE`` or an explicit cache), a warm start
+  unmarshals the code objects and ``exec``\\ s them without running the
+  translator or ``compile()`` at all
+  (``CodegenStats.translations == 0``).  An entry that does not
+  unmarshal to a tuple of code objects is counted
+  (``CacheStats.aux_bad``), treated as a miss and overwritten.
+  Generated *source* is never stored; inspect it with
+  ``python -m repro.tools.run --dump-codegen``.
 
 Functions using an instruction the translator does not know fall back
 per-function to the closure-compiled path; everything else in the
@@ -82,7 +98,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import marshal
 import math
+import sys
+from types import CodeType
 from typing import Callable, Optional
 
 from repro.ir.instructions import (
@@ -111,25 +130,26 @@ from repro.ir.instructions import (
     UnOp,
 )
 from repro.ir.module import IRFunction, IRProgram
-from repro.ir.serialize import ARTIFACT_VERSION, program_to_dict, to_canonical_json
+from repro.ir.serialize import (
+    artifact_digest,
+    program_to_json,
+    to_canonical_json,
+)
 from repro.machine.config import CostModel
 from repro.machine.machine import Machine
 from repro.machine.memory import scalar_codec
+from repro.obs.trace import EV_ENTER, EV_EXIT, EV_FRAME
 from repro.vm.compiled import CompiledInterpreter
 from repro.vm.context import ThreadContext
 from repro.vm.interpreter import RunOptions
 
 #: Bumped whenever the translation scheme changes in any way that can
-#: affect generated source; part of the disk cache key so stale cached
-#: modules are never re-executed.
+#: affect generated source; part of the disk cache key and kind so
+#: stale cached modules are never re-executed.
 CODEGEN_VERSION = 1
 
-#: File suffix of cached generated source inside the compile cache
-#: (stored as ``<dir>/<key[:2]>/<key>.codegen.py``).
-CODEGEN_KIND = "codegen.py"
-
-#: Pseudo-filename under which generated modules are compiled (shows up
-#: in tracebacks from generated code).
+#: Pseudo-filename under which generated code is compiled (shows up in
+#: tracebacks from generated code).
 MODULE_FILENAME = "<repro.vm.codegen>"
 
 _TERMINATORS = (Jump, CJump, Ret, Trap)
@@ -175,8 +195,8 @@ class CodegenStats:
     """Codegen accounting for one engine instance (or warm pass).
 
     ``translations`` counts IR functions whose source was *generated*
-    this time; a warm start served entirely from the compile cache
-    leaves it at 0.
+    this time, and ``source_chars`` the size of that source; a warm
+    start served entirely from the compile cache leaves both at 0.
     """
 
     translations: int = 0
@@ -1146,12 +1166,14 @@ def _prelude(needs: set, program: IRProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def generate_module_source(
+def generate_module_units(
     program: IRProgram, cost: CostModel
-) -> tuple[str, int, int]:
-    """Translate every function of ``program`` into one Python module.
+) -> tuple[list[str], int, int]:
+    """Translate every function of ``program`` into the source of one
+    Python module, as its compile units: the prelude, one chunk per
+    generated function, and the ``FUNCTIONS`` dispatch table.
 
-    Returns ``(source, generated_count, fallback_count)``; functions
+    Returns ``(units, generated_count, fallback_count)``; functions
     the translator cannot lower are left out of the module (the engine
     falls back to the closure-compiled path for them).
     """
@@ -1179,40 +1201,89 @@ def generate_module_source(
         if new_failed == failed:
             break
         failed = new_failed
-    parts = [_prelude(needs, program)]
-    parts.extend(chunks[name] for name in ordered if name in chunks)
+    units = [_prelude(needs, program)]
+    units.extend(chunks[name] for name in ordered if name in chunks)
     table = "".join(
         f"    {name!r}: {func_names[name]},\n"
         for name in ordered
         if name in chunks
     )
-    parts.append("FUNCTIONS = {\n" + table + "}\n")
-    return "\n".join(parts), len(chunks), len(failed)
+    units.append("FUNCTIONS = {\n" + table + "}\n")
+    return units, len(chunks), len(failed)
 
 
-def exec_module_source(source: str) -> dict[str, Callable]:
-    """Compile and exec one generated module; returns its dispatch
-    table (IR function name -> generated Python function)."""
+def generate_module_source(
+    program: IRProgram, cost: CostModel
+) -> tuple[str, int, int]:
+    """:func:`generate_module_units` joined into one module's text
+    (what ``run --dump-codegen`` prints)."""
+    units, generated, fallbacks = generate_module_units(program, cost)
+    return "\n".join(units), generated, fallbacks
+
+
+def _exec_units(units: tuple[CodeType, ...]) -> dict:
+    """Exec a module's compile units into one shared namespace and
+    return it; ``FUNCTIONS`` in it is the dispatch table (IR function
+    name -> generated Python function)."""
     namespace: dict = {"__name__": "repro.vm._codegen_generated"}
-    exec(compile(source, MODULE_FILENAME, "exec"), namespace)
-    return namespace["FUNCTIONS"]
+    for unit in units:
+        exec(unit, namespace)
+    return namespace
 
 
-def codegen_cache_key(program: IRProgram, cost: CostModel) -> Optional[str]:
-    """Content address of one program's generated module, or None when
-    the program cannot be canonically serialized (hand-built IR with
-    exotic instruction objects stays uncached, never wrong)."""
+def _load_units(blob: bytes) -> Optional[dict[str, Callable]]:
+    """Dispatch table of a cached module from its disk-cache entry, or
+    None for anything but a marshalled tuple of code objects that
+    defines ``FUNCTIONS``."""
     try:
-        material = to_canonical_json(
-            {
-                "codegen_version": CODEGEN_VERSION,
-                "artifact_version": ARTIFACT_VERSION,
-                "program": program_to_dict(program),
-                "cost": dataclasses.asdict(cost),
-            }
-        )
-    except Exception:
+        units = marshal.loads(blob)
+    except Exception:  # whatever marshal raises on bytes it did not write
         return None
+    if not isinstance(units, tuple) or not all(
+        isinstance(unit, CodeType) for unit in units
+    ):
+        return None
+    return _exec_units(units).get("FUNCTIONS")
+
+
+def codegen_cache_kind() -> str:
+    """Auxiliary-entry kind of cached code objects: translator version
+    and interpreter bytecode tag, so entries of different versions sit
+    side by side in one cache directory."""
+    return f"codegen{CODEGEN_VERSION}.{sys.implementation.cache_tag}"
+
+
+def codegen_cache_key(
+    program: IRProgram, cost: CostModel, digest: Optional[str] = None
+) -> Optional[str]:
+    """Content address of one program's generated code objects, or None
+    when there is nothing sound to key on: the program cannot be
+    canonically serialized (hand-built IR with exotic instruction
+    objects stays uncached, never wrong), or the interpreter declares
+    no bytecode cache tag.
+
+    ``digest`` is :func:`repro.ir.serialize.artifact_digest` of the
+    program's canonical text, from a caller that holds that text and
+    vouches the program has not changed since (the compile cache,
+    :meth:`~repro.compiler.cache.CompileCache.artifact_digest`);
+    without it the program is serialized and hashed here.
+    """
+    tag = sys.implementation.cache_tag
+    if tag is None:
+        return None
+    if digest is None:
+        try:
+            digest = artifact_digest(program_to_json(program))
+        except Exception:
+            return None
+    material = to_canonical_json(
+        {
+            "codegen_version": CODEGEN_VERSION,
+            "cache_tag": tag,
+            "program_sha256": digest,
+            "cost": dataclasses.asdict(cost),
+        }
+    )
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
@@ -1220,7 +1291,6 @@ def clear_codegen_cache(program: IRProgram) -> None:
     """Drop the in-memory generated module of ``program`` (after
     mutating its IR)."""
     program.__dict__.pop("_cg_module", None)
-    program.__dict__.pop("_cg_source", None)
 
 
 class CodegenInterpreter(CompiledInterpreter):
@@ -1268,24 +1338,23 @@ class CodegenInterpreter(CompiledInterpreter):
     def _emit_enter(self, ctx: ThreadContext, name: str) -> None:
         trace = self._trace
         track = ctx.core.name
-        from repro.obs.trace import EV_ENTER, EV_FRAME
-
         trace.emit(ctx.now, track, EV_ENTER, (name,))
         marker = trace.frame_marker
         if marker is not None and name.endswith(marker):
             trace.emit(ctx.now, track, EV_FRAME, (name,))
 
     def _emit_exit(self, ctx: ThreadContext, name: str) -> None:
-        from repro.obs.trace import EV_EXIT
-
         self._trace.emit(ctx.now, ctx.core.name, EV_EXIT, (name,))
 
     # ------------------------------------------------------------- module
 
-    def _ensure_module(self, cache=None) -> dict[str, Callable]:
+    def _ensure_module(
+        self, cache=None, digest: Optional[str] = None
+    ) -> dict[str, Callable]:
         """Build (or load) the generated module for this program + cost
         model; results are cached on the program object and, when a
-        compile cache is available, on disk as generated source."""
+        compile cache is available, on disk as marshalled code objects
+        (``digest``: see :func:`codegen_cache_key`)."""
         program = self.program
         stats = self.codegen_stats
         cached = program.__dict__.get("_cg_module")
@@ -1300,28 +1369,37 @@ class CodegenInterpreter(CompiledInterpreter):
             from repro.compiler.cache import resolve_cache
 
             cache = resolve_cache(None)
-        source = None
-        key = None
-        if cache is not None:
-            key = codegen_cache_key(program, self._cost)
-            if key is not None:
-                source = cache.load_text(key, kind=CODEGEN_KIND)
-        if source is not None:
-            stats.cache_hits += 1
-        else:
-            if cache is not None and key is not None:
+        funcs = None
+        key = (
+            codegen_cache_key(program, self._cost, digest)
+            if cache is not None
+            else None
+        )
+        if key is not None:
+            kind = codegen_cache_kind()
+            blob = cache.load_bytes(key, kind)
+            if blob is not None:
+                funcs = _load_units(blob)
+                if funcs is None:
+                    cache.reject_bytes()
+            if funcs is not None:
+                stats.cache_hits += 1
+            else:
                 stats.cache_misses += 1
-            source, generated, fallbacks = generate_module_source(
+        if funcs is None:
+            sources, generated, fallbacks = generate_module_units(
                 program, self._cost
             )
             stats.translations += generated
             stats.fallbacks += fallbacks
-            if cache is not None and key is not None:
-                cache.store_text(key, source, kind=CODEGEN_KIND)
-        funcs = exec_module_source(source)
+            stats.source_chars = sum(map(len, sources))
+            units = tuple(
+                compile(source, MODULE_FILENAME, "exec") for source in sources
+            )
+            if key is not None:
+                cache.store_bytes(key, marshal.dumps(units), kind)
+            funcs = _exec_units(units)["FUNCTIONS"]
         stats.exec_loads += 1
-        stats.source_chars = len(source)
         program._cg_module = (self._cost, CODEGEN_VERSION, funcs)  # type: ignore[attr-defined]
-        program._cg_source = source  # type: ignore[attr-defined]
         self._gen_funcs = funcs
         return funcs

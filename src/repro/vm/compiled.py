@@ -1260,6 +1260,7 @@ def warm_translations(
     options: Optional[RunOptions] = None,
     engine: str = "compiled",
     cache=None,
+    digest: Optional[str] = None,
 ) -> int:
     """Translate every function of ``program`` ahead of execution.
 
@@ -1273,16 +1274,20 @@ def warm_translations(
 
     Args:
         engine: ``"compiled"`` warms the closure translations,
-            ``"codegen"`` the generated-source module (loading cached
-            source from ``cache`` / ``REPRO_COMPILE_CACHE`` when
-            available, in which case no codegen runs at all) and
-            ``"all"`` warms both.
+            ``"codegen"`` the generated module (loading cached code
+            objects from ``cache`` / ``REPRO_COMPILE_CACHE`` when
+            available, in which case neither codegen nor ``compile()``
+            runs at all) and ``"all"`` warms both.
         cache: Optional :class:`repro.compiler.cache.CompileCache` the
             codegen warm-up should consult before translating.
+        digest: Optional ``cache.artifact_digest(key)`` of the artifact
+            ``program`` was just stored to or loaded from, unmodified;
+            spares the codegen cache key a serialization of the program
+            (:func:`repro.vm.codegen.codegen_cache_key`).
 
     Returns the number of functions that actually needed translating
     (0 when the program is already warm for this cost model — for the
-    codegen engine that includes source served from the compile cache).
+    codegen engine that includes a module served from the compile cache).
     """
     if engine not in ("compiled", "codegen", "all"):
         raise ValueError(
@@ -1313,6 +1318,6 @@ def warm_translations(
         from repro.vm.codegen import CodegenInterpreter
 
         warm = CodegenInterpreter(program, machine, warm_options)
-        warm._ensure_module(cache=cache)
+        warm._ensure_module(cache=cache, digest=digest)
         translated += warm.codegen_stats.translations
     return translated

@@ -86,7 +86,7 @@ ENGINE_NAMES = ("compiled", "codegen", "reference")
 
 #: Execution engine used when :class:`RunOptions` does not name one.
 #: Overridable for a whole process via ``REPRO_VM_ENGINE``.
-DEFAULT_ENGINE = os.environ.get("REPRO_VM_ENGINE", "compiled")
+DEFAULT_ENGINE = os.environ.get("REPRO_VM_ENGINE", "codegen")
 
 
 def validate_engine(engine: str, source: str = "engine") -> str:
@@ -140,8 +140,8 @@ class RunOptions:
             checks it per instruction; the compiled engine at basic-block
             granularity (so a runaway program may execute up to one block
             past the budget before trapping).
-        engine: ``"compiled"`` (closure-compiled dispatch, the
-            default), ``"codegen"`` (generated Python source) or
+        engine: ``"codegen"`` (generated Python source, the
+            default), ``"compiled"`` (closure-compiled dispatch) or
             ``"reference"`` (the legacy decode loop).  None picks
             :data:`DEFAULT_ENGINE`.  Unknown names are rejected at
             construction time.

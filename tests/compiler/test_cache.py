@@ -144,15 +144,16 @@ class TestResolution:
 
 
 class TestAuxTextEntries:
-    """Auxiliary text entries (generated engine source) live alongside
-    the artifact shards without disturbing artifact accounting."""
+    """Auxiliary entries (the codegen engine's marshalled code objects;
+    opaque bytes here) live alongside the artifact shards without
+    disturbing artifact accounting."""
+
+    KIND = "codegen1.test-tag"
 
     def test_store_then_load(self, tmp_path):
         cache = CompileCache(str(tmp_path))
-        cache.store_text("ab" * 32, "def f(): pass\n", kind="codegen.py")
-        assert cache.load_text("ab" * 32, kind="codegen.py") == (
-            "def f(): pass\n"
-        )
+        cache.store_bytes("ab" * 32, b"\x00payload\xff", kind=self.KIND)
+        assert cache.load_bytes("ab" * 32, self.KIND) == b"\x00payload\xff"
         assert cache.stats.aux_stores == 1
         assert cache.stats.aux_hits == 1
         # Artifact counters untouched.
@@ -161,23 +162,49 @@ class TestAuxTextEntries:
 
     def test_miss_counts_and_returns_none(self, tmp_path):
         cache = CompileCache(str(tmp_path))
-        assert cache.load_text("cd" * 32, kind="codegen.py") is None
+        assert cache.load_bytes("cd" * 32, self.KIND) is None
         assert cache.stats.aux_misses == 1
+        assert cache.stats.aux_bad == 0
 
     def test_survives_process_boundary(self, tmp_path):
-        CompileCache(str(tmp_path)).store_text(
-            "ef" * 32, "x = 1\n", kind="codegen.py"
+        CompileCache(str(tmp_path)).store_bytes(
+            "ef" * 32, b"x = 1\n", kind=self.KIND
         )
         fresh = CompileCache(str(tmp_path))
-        assert fresh.load_text("ef" * 32, kind="codegen.py") == "x = 1\n"
+        assert fresh.load_bytes("ef" * 32, self.KIND) == b"x = 1\n"
+
+    def test_rejected_entry_is_recounted_as_a_bad_miss(self, tmp_path):
+        cache = CompileCache(str(tmp_path))
+        cache.store_bytes("23" * 32, b"\xff\xfe", kind=self.KIND)
+        assert cache.load_bytes("23" * 32, self.KIND) == b"\xff\xfe"
+        cache.reject_bytes()  # what a consumer that cannot use it does
+        assert cache.stats.aux_bad == 1
+        assert cache.stats.aux_misses == 1
+        assert cache.stats.aux_hits == 0
+        assert cache.stats.evictions_bad == 0  # artifacts count apart
 
     def test_clear_drops_aux_entries(self, tmp_path):
         cache = CompileCache(str(tmp_path))
-        cache.store_text("01" * 32, "y = 2\n", kind="codegen.py")
+        cache.store_bytes("01" * 32, b"y = 2\n", kind=self.KIND)
         cache.clear()
-        assert CompileCache(str(tmp_path)).load_text(
-            "01" * 32, kind="codegen.py"
+        assert CompileCache(str(tmp_path)).load_bytes(
+            "01" * 32, self.KIND
         ) is None
+
+    def test_clear_leaves_no_file_the_cache_wrote(self, tmp_path):
+        # Through the real consumers: an artifact and the codegen
+        # engine's code-object entry for it.
+        cache = CompileCache(str(tmp_path))
+        program = compile_program(SOURCE, CELL_LIKE, cache=cache)
+        warm_translations(
+            program, Machine(CELL_LIKE), engine="codegen", cache=cache
+        )
+        assert cache.stats.stores == 1 and cache.stats.aux_stores == 1
+        cache.clear()
+        left = [
+            name for _, _, files in os.walk(str(tmp_path)) for name in files
+        ]
+        assert left == []
 
 
 class TestCachedExecutionEquivalence:

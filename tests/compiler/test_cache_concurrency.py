@@ -10,11 +10,14 @@ contract under that race is:
   ``evictions_bad`` stays 0);
 * last-writer-wins publication is harmless because artifacts are
   deterministic — every racer writes byte-identical content;
-* the same holds for auxiliary ``.codegen.py`` text entries.
+* the same holds for auxiliary bytes entries (the codegen engine's
+  marshalled code objects): a reader gets the complete blob or a miss,
+  never a torn one.
 """
 
 from __future__ import annotations
 
+import marshal
 import multiprocessing
 import os
 import threading
@@ -26,6 +29,25 @@ from repro.ir.serialize import program_to_json
 from repro.machine.config import CELL_LIKE
 
 SOURCE = figure2_source(entity_count=6, pair_count=4, frames=1)
+
+AUX_KIND = "codegen1.test-tag"
+
+#: A blob shaped like the real entries: a marshalled tuple of code
+#: objects, big enough that a torn write could not go unnoticed.
+UNITS = tuple(
+    compile(f"def f{i}(x):\n    return x + {i}\n" * 40, "<blob>", "exec")
+    for i in range(24)
+)
+BLOB = marshal.dumps(UNITS)
+
+
+def _probe_blob(directory, key):
+    """A cold reader's view of the aux entry: None (fine: miss) or a
+    description of what went wrong."""
+    blob = CompileCache(directory).load_bytes(key, AUX_KIND)
+    if blob is None or blob == BLOB:
+        return None
+    return "torn blob" if BLOB.startswith(blob) else "blob mismatch"
 
 
 def _mp_context():
@@ -51,9 +73,8 @@ def _hammer_store_load(directory, key, text, rounds, out):
             bad += 1
         elif program_to_json(loaded) != text:
             bad += 1
-        cache.store_text(key, text, "codegen.py")
-        aux = CompileCache(directory).load_text(key, "codegen.py")
-        if aux is not None and aux != text:
+        cache.store_bytes(key, BLOB, AUX_KIND)
+        if _probe_blob(directory, key) is not None:
             bad += 1
     out.put(bad)
 
@@ -75,6 +96,10 @@ class TestConcurrentWriters:
                     failures.append("torn or missing artifact")
                 elif program_to_json(loaded) != text:
                     failures.append("content mismatch")
+                cache.store_bytes(key, BLOB, AUX_KIND)
+                problem = _probe_blob(str(tmp_path), key)
+                if problem is not None:
+                    failures.append(problem)
 
         threads = [threading.Thread(target=worker) for _ in range(6)]
         for thread in threads:
@@ -85,6 +110,7 @@ class TestConcurrentWriters:
         # The published file is complete and loadable afterwards.
         final = CompileCache(str(tmp_path))
         assert program_to_json(final.load(key)) == text
+        assert final.load_bytes(key, AUX_KIND) == BLOB
         assert final.stats.evictions_bad == 0
 
     def test_processes_hammering_one_key(self, tmp_path):
@@ -109,7 +135,7 @@ class TestConcurrentWriters:
         assert bad == 0
         final = CompileCache(str(tmp_path))
         assert program_to_json(final.load(key)) == text
-        assert final.load_text(key, "codegen.py") == text
+        assert final.load_bytes(key, AUX_KIND) == BLOB
         assert final.stats.evictions_bad == 0
 
     def test_clear_sweeps_tmp_droppings(self, tmp_path):

@@ -411,6 +411,10 @@ class TestDeterminism:
         module = program._cg_module
         run_program(program, Machine(CELL_LIKE), RunOptions(engine="codegen"))
         assert program._cg_module is module  # second run reused the module
+        # The module is the dispatch table of exec'd code objects; no
+        # copy of the generated source rides along.
+        assert set(module[2]) == set(program.functions)
+        assert "_cg_source" not in program.__dict__
 
     def test_engine_selection(self):
         program = compile_program(figure1_source(), CELL_LIKE)

@@ -8,6 +8,10 @@ is built.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.compiler.driver import compile_program
@@ -67,12 +71,28 @@ class TestSelection:
         )
         assert type(interp) is CodegenInterpreter
 
-    def test_default_engine_is_compiled(self, program, monkeypatch):
-        monkeypatch.delenv("REPRO_VM_ENGINE", raising=False)
-        # DEFAULT_ENGINE is read at import time; None in RunOptions
-        # resolves through it.
-        interp = make_interpreter(program, Machine(CELL_LIKE), RunOptions())
-        assert isinstance(interp, CompiledInterpreter)
+    def test_default_engine_is_codegen(self):
+        # DEFAULT_ENGINE is read at import time, so ask an interpreter
+        # that starts with REPRO_VM_ENGINE unset.
+        env = {
+            k: v for k, v in os.environ.items() if k != "REPRO_VM_ENGINE"
+        }
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        script = (
+            "from repro.compiler.driver import compile_program\n"
+            "from repro.machine import Machine, resolve_target\n"
+            "from repro.vm import DEFAULT_ENGINE, make_interpreter\n"
+            "config = resolve_target('cell')\n"
+            "program = compile_program('void main() { }', config)\n"
+            "engine = make_interpreter(program, Machine(config))\n"
+            "print(DEFAULT_ENGINE, type(engine).__name__)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["codegen", "CodegenInterpreter"]
 
     def test_env_override_selects_engine(self, program, monkeypatch):
         import repro.vm.interpreter as interpreter_module
