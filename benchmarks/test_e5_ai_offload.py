@@ -9,7 +9,7 @@ delta between the two versions, and the cache-choice sensitivity (raw
 DMA loses to the host; a suitable cache wins).
 """
 
-from repro.analysis.metrics import source_delta
+from repro.analysis.effort import source_delta
 from repro.game.sources import ai_kernel_source
 
 from benchmarks.conftest import report, simulate

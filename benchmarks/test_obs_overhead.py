@@ -120,7 +120,7 @@ def _timed_run(program, recorder=None):
 
 def test_disabled_tracing_overhead_under_3_percent():
     program = compile_program(GAME_FRAME, CELL_LIKE)
-    # Warm-up run pays closure translation, as in steady-state use.
+    # Warm-up run pays translation, as in steady-state use.
     _timed_run(program)
     run_seconds, result = min(
         (_timed_run(program) for _ in range(3)), key=lambda pair: pair[0]

@@ -1,4 +1,4 @@
-"""Wall-clock comparison of the three execution engines.
+"""Wall-clock comparison of the two execution engines.
 
 Thin entry point over :mod:`repro.tools.bench` so the benchmark lives
 alongside the paper-experiment suites::
@@ -8,11 +8,11 @@ alongside the paper-experiment suites::
 
 Unlike the ``test_e*`` suites (which measure *simulated cycles* and are
 engine-independent by construction), this measures *host seconds*: how
-fast the simulator itself executes under the closure-compiled and
-source-codegen engines versus the reference decode loop, workload by
-workload.  One-time translation/codegen cost is timed separately
-(``*_translate_seconds`` columns) so the per-engine simulation times —
-and every ``speedup`` ratio derived from them — are not polluted by the
+fast the simulator itself executes under the source-codegen engine
+versus the reference decode loop, workload by workload.  One-time
+translation cost is timed separately (the ``codegen_translate_seconds``
+column) so the per-engine simulation times — and the
+``codegen_speedup`` ratio derived from them — are not polluted by the
 first-run translation cost.
 
 ``--validate`` checks a previously written ``BENCH_vm.json`` instead of
@@ -32,9 +32,7 @@ _WORKLOAD_FIELDS = (
     "name",
     "simulated_cycles",
     "reference_seconds",
-    "compiled_seconds",
     "codegen_seconds",
-    "speedup",
     "codegen_speedup",
     "engines_identical",
     "perf_counters",
@@ -119,8 +117,7 @@ def validate_bench_report(obj: object) -> list[str]:
                 )
     summary = obj.get("summary")
     if isinstance(summary, dict):
-        for key in ("geomean_speedup", "geomean_codegen_speedup",
-                    "all_identical"):
+        for key in ("geomean_codegen_speedup", "all_identical"):
             if key not in summary:
                 problems.append(f"summary: missing {key!r}")
     return problems

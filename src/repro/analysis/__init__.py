@@ -25,10 +25,7 @@
 * :mod:`repro.analysis.annotations` — computes which virtual methods an
   offload block *would need* in its ``domain(...)`` annotation, the
   quantity whose explosion drove the Section 4.1 restructuring.
-* :mod:`repro.analysis.static_races` — the seed per-block DMA race
-  analysis, kept as the baseline the CFG-based checker is differentially
-  tested against.
-* :mod:`repro.analysis.metrics` — source-effort metrics (lines of code,
+* :mod:`repro.analysis.effort` — source-effort metrics (lines of code,
   source deltas) used to reproduce the paper's "~200 additional lines"
   style of claim.
 """
@@ -44,6 +41,7 @@ from repro.analysis.cost import (
     static_profile,
 )
 from repro.analysis.diagnostics import CODES, Finding, RelatedLocation
+from repro.analysis.effort import count_loc, source_delta
 from repro.analysis.intervals import (
     AbsInt,
     Congruence,
@@ -52,9 +50,7 @@ from repro.analysis.intervals import (
     analyze_function,
     loop_trips,
 )
-from repro.analysis.metrics import count_loc, source_delta
 from repro.analysis.runner import AnalysisResult, run_analyses
-from repro.analysis.static_races import StaticRaceFinding, find_static_races
 
 __all__ = [
     "AbsInt",
@@ -66,13 +62,11 @@ __all__ = [
     "Interval",
     "OffloadCost",
     "RelatedLocation",
-    "StaticRaceFinding",
     "TripCount",
     "analyze_function",
     "annotation_requirements",
     "count_loc",
     "estimate_program",
-    "find_static_races",
     "loop_trips",
     "report_for_program",
     "run_analyses",

@@ -1,7 +1,6 @@
 """CFG construction and a generic worklist dataflow framework.
 
-The seed static race analysis (:mod:`repro.analysis.static_races`) is a
-per-basic-block abstract interpretation that *resets at labels and
+A per-basic-block abstract interpretation *resets at labels and
 branches* — every loop or branching DMA idiom silently falls through to
 the dynamic checker.  This module is the foundation that removes that
 limitation: a control-flow graph over :class:`repro.ir.module.IRFunction`

@@ -1,13 +1,12 @@
 """Flow-sensitive, interprocedural DMA-discipline checking.
 
-The rebuilt static side of the paper's DMA race tooling (Scratch,
-TACAS 2010): where :mod:`repro.analysis.static_races` resets its state
-at every label and branch, this checker runs the abstract semantics
-through the dataflow framework (:mod:`repro.analysis.dataflow`), so the
-set of issued-but-unwaited transfers flows *across* branches and around
-loop back edges.  The Figure 1 collision pattern with a forgotten wait
-between iterations — which the intra-block analysis provably misses —
-is reported statically here.
+The static side of the paper's DMA race tooling (Scratch, TACAS 2010):
+this checker runs the abstract semantics through the dataflow framework
+(:mod:`repro.analysis.dataflow`), so the set of issued-but-unwaited
+transfers flows *across* branches and around loop back edges.  The
+Figure 1 collision pattern with a forgotten wait between iterations —
+which a per-basic-block analysis provably misses — is reported
+statically here.
 
 Abstract state per program point:
 

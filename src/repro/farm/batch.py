@@ -63,7 +63,7 @@ def mixed_corpus(seed: int = 0, engine: str | None = None) -> list[FarmJob]:
 def figure2_batch(
     count: int = 16,
     target: str = "cell",
-    engine: str | None = "compiled",
+    engine: str | None = "codegen",
     policy: str | None = "locality",
     scale: int = 1,
 ) -> list[FarmJob]:
@@ -92,9 +92,9 @@ def determinism_batch(targets=("cell", "apu", "manycore")) -> list[FarmJob]:
     jobs = []
     for target in targets:
         for policy, engine, seed in (
-            ("greedy", "compiled", 0),
-            ("locality", "compiled", 1),
-            ("locality", "codegen", 0),
+            ("greedy", "codegen", 0),
+            ("locality", "codegen", 1),
+            ("locality", "reference", 0),
             (None, "reference", 1),
         ):
             jobs.append(

@@ -8,9 +8,9 @@ from an attached :class:`~repro.obs.metrics.MetricsHub`, scheduler
 statistics, derived metrics (bus bandwidth, utilization, CPI), and the
 fingerprints of any diagnostics.  Every simulated quantity in the
 report is an integer or a deterministically rounded float, so
-:func:`report_json` is **byte-identical** across the reference,
-compiled and codegen engines and across repeat runs; only
-``wall_seconds`` (opt-in, default 0) is host-dependent.
+:func:`report_json` is **byte-identical** across the reference and
+codegen engines and across repeat runs; only ``wall_seconds`` (opt-in,
+default 0) is host-dependent.
 
 The JSON form is canonical — sorted keys, no whitespace — which makes
 reports diffable as artifacts: commit one as a baseline and let CI run

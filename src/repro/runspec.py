@@ -44,7 +44,7 @@ from repro.obs.metrics import MetricsHub
 from repro.obs.report import RunReport, collect_report
 from repro.sched.policy import POLICY_NAMES
 from repro.sched.scheduler import SchedOptions
-from repro.vm.compiled import warm_translations
+from repro.vm.codegen import warm_translations
 from repro.vm.interpreter import (
     DEFAULT_ENGINE,
     RunOptions,

@@ -1,16 +1,16 @@
-"""Wall-clock benchmark: all three execution engines head to head.
+"""Wall-clock benchmark: the two execution engines head to head.
 
 Measures *host* execution time (Python wall clock, not simulated cycles)
-of the reference decode loop, the closure-compiled engine and the
-source-codegen engine over the paper's workloads, verifies along the way
-that all engines observe identical simulated results, and writes a
-machine-readable report to ``BENCH_vm.json``.
+of the reference decode loop and the source-codegen engine over the
+paper's workloads, verifies along the way that both engines observe
+identical simulated results, and writes a machine-readable report to
+``BENCH_vm.json``.
 
-One-time translation cost (IR -> closures for the compiled engine,
-IR -> generated Python source for the codegen engine) is timed
-separately via :func:`repro.vm.warm_translations` and reported as
-``*_translate_seconds``, so the per-engine ``*_seconds`` columns and
-every ``speedup`` ratio measure steady-state simulation only.
+One-time translation cost (IR -> generated Python source -> code
+objects) is timed separately via :func:`repro.vm.warm_translations` and
+reported as ``codegen_translate_seconds``, so the per-engine
+``*_seconds`` columns and the ``codegen_speedup`` ratio measure
+steady-state simulation only.
 
 Usage::
 
@@ -27,13 +27,13 @@ untimed run is a :class:`repro.runspec.FarmJob` on the
 ``prepare`` / ``simulate`` path ``repro.tools.run`` and the farm share.
 
 The headline numbers are on the Figure 2 game-frame workload: the
-acceptance target is >= 3x for the compiled engine and >= 7x (aim 10x)
-for the codegen engine over the reference.  The report also carries a
-``scheduler`` section: simulated game-frame cycles under every
-scheduling policy, with the locality-vs-greedy ratio the CI sched job
-gates on — and a ``targets`` section: the same game frame on each
-``--target`` (default cell, apu, manycore), with simulated cycles, DMA
-bytes moved, scheduler stall cycles and cold code uploads per target.
+acceptance target is >= 7x (aim 10x) for the codegen engine over the
+reference.  The report also carries a ``scheduler`` section: simulated
+game-frame cycles under every scheduling policy, with the
+locality-vs-greedy ratio the CI sched job gates on — and a ``targets``
+section: the same game frame on each ``--target`` (default cell, apu,
+manycore), with simulated cycles, DMA bytes moved, scheduler stall
+cycles and cold code uploads per target.
 """
 
 from __future__ import annotations
@@ -65,15 +65,15 @@ from repro.runspec import FarmJob, job_report, prepare, simulate
 from repro.sched import POLICY_NAMES, SchedOptions
 from repro.tools.flags import add_policy_flag, add_target_flag, add_trace_flags
 from repro.tools.run import write_trace
-from repro.vm.compiled import warm_translations
+from repro.vm.codegen import warm_translations
 from repro.vm.interpreter import RunOptions, run_program
 
 #: The engines the workload matrix times, reference first.
-BENCH_ENGINES = ("reference", "compiled", "codegen")
+BENCH_ENGINES = ("reference", "codegen")
 
 #: Layout version of ``BENCH_vm.json``; bump when fields are renamed
 #: or removed (``benchmarks/wallclock.py --validate`` checks it).
-BENCH_SCHEMA_VERSION = 3
+BENCH_SCHEMA_VERSION = 4
 
 #: Default targets for the per-target game-frame portability section:
 #: the paper's distributed-memory machine plus the two registry presets
@@ -157,16 +157,14 @@ def bench_workload(spec: dict, repeats: int, sched=None) -> dict:
     config = resolve_target(spec["config"])
     program = compile_program(spec["source"], config)
 
-    # Pay each engine's one-time translation cost up front, timed
-    # separately, so the per-run columns (and every speedup ratio)
-    # measure steady-state simulation only.
-    translate = {}
-    for engine in ("compiled", "codegen"):
-        start = time.perf_counter()
-        warm_translations(program, Machine(config), engine=engine)
-        translate[engine] = time.perf_counter() - start
+    # Pay the one-time translation cost up front, timed separately, so
+    # the per-run columns (and the speedup ratio) measure steady-state
+    # simulation only.
+    start = time.perf_counter()
+    warm_translations(program, Machine(config))
+    translate_s = time.perf_counter() - start
 
-    # Warm-up runs double as the three-way equivalence check.
+    # Warm-up runs double as the equivalence check.
     results = {}
     for engine in BENCH_ENGINES:
         _, results[engine] = _time_run(program, config, engine, sched)
@@ -186,7 +184,6 @@ def bench_workload(spec: dict, repeats: int, sched=None) -> dict:
             times[engine].append(elapsed)
 
     ref_s = min(times["reference"])
-    compiled_s = min(times["compiled"])
     codegen_s = min(times["codegen"])
     return {
         "name": spec["name"],
@@ -194,13 +191,9 @@ def bench_workload(spec: dict, repeats: int, sched=None) -> dict:
         "config": spec["config"],
         "simulated_cycles": ref_result.cycles,
         "reference_seconds": round(ref_s, 6),
-        "compiled_seconds": round(compiled_s, 6),
         "codegen_seconds": round(codegen_s, 6),
-        "compiled_translate_seconds": round(translate["compiled"], 6),
-        "codegen_translate_seconds": round(translate["codegen"], 6),
-        "speedup": round(ref_s / compiled_s, 3),
+        "codegen_translate_seconds": round(translate_s, 6),
         "codegen_speedup": round(ref_s / codegen_s, 3),
-        "codegen_vs_compiled": round(compiled_s / codegen_s, 3),
         "engines_identical": identical,
         # Full counter snapshot of the (engine-identical) run, so the
         # report carries the paper's per-experiment quantities — cache
@@ -222,7 +215,7 @@ def bench_scheduler(quick: bool) -> dict:
     source = figure2_source(
         entity_count=48 * scale, pair_count=32 * scale, frames=8
     )
-    base = FarmJob("game-frame", source=source, engine="compiled")
+    base = FarmJob("game-frame", source=source, engine="codegen")
     program = prepare(base).program
     policies = {}
     for policy in POLICY_NAMES:
@@ -250,7 +243,7 @@ def _portability_jobs(quick: bool, targets) -> list[FarmJob]:
     return [
         FarmJob(
             "game-frame-portability", source=source, target=target,
-            engine="compiled", policy="locality",
+            engine="codegen", policy="locality",
         )
         for target in targets
     ]
@@ -260,7 +253,7 @@ def bench_targets(quick: bool, targets) -> dict:
     """The same game frame on every requested target, one row each.
 
     This is the portability-matrix view of the benchmark: one source,
-    compiled per target through the registry, run on the compiled
+    compiled per target through the registry, run on the codegen
     engine under the locality policy (per-target queue depths and
     upload costs bind).  Rows report the quantities the presets differ
     on — simulated cycles, DMA bytes moved, scheduler stall cycles and
@@ -399,7 +392,7 @@ def bench_farm(quick: bool, worker_counts=BENCH_FARM_WORKERS) -> dict:
     return {
         "workload": "figure2-batch",
         "jobs": count,
-        "engine": "compiled",
+        "engine": "codegen",
         "policy": "locality",
         "host_cpus": os.cpu_count() or 1,
         "workers": rows,
@@ -422,7 +415,7 @@ def emit_run_reports(
     jobs = [
         FarmJob(
             spec["name"], source=spec["source"], target=spec["config"],
-            engine="compiled", policy=policy,
+            engine="codegen", policy=policy,
         )
         for spec in workloads(quick)
     ] + _portability_jobs(quick, targets)
@@ -455,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_trace_flags(
         parser,
-        help="also trace one compiled run of the headline game-frame "
+        help="also trace one codegen run of the headline game-frame "
              "workload and export it to FILE",
     )
     add_policy_flag(
@@ -498,8 +491,6 @@ def main(argv: list[str] | None = None) -> int:
         status = "ok" if entry["engines_identical"] else "MISMATCH"
         print(
             f"{entry['name']:24s} ref {entry['reference_seconds']:8.4f}s  "
-            f"compiled {entry['compiled_seconds']:8.4f}s "
-            f"({entry['speedup']:5.2f}x)  "
             f"codegen {entry['codegen_seconds']:8.4f}s "
             f"({entry['codegen_speedup']:5.2f}x)  [{status}]"
         )
@@ -510,7 +501,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         job = FarmJob(
             "game-frame", source=headline_spec["source"],
-            target=headline_spec["config"], engine="compiled",
+            target=headline_spec["config"], engine="codegen",
         )
         recorder = TraceRecorder()
         simulate(prepare(job).program, job, trace=recorder)
@@ -558,12 +549,9 @@ def main(argv: list[str] | None = None) -> int:
             f"({row['ok']}/{farm['jobs']} ok, warm)"
         )
 
-    product = 1.0
     codegen_product = 1.0
     for entry in results:
-        product *= entry["speedup"]
         codegen_product *= entry["codegen_speedup"]
-    geomean = product ** (1.0 / len(results))
     codegen_geomean = codegen_product ** (1.0 / len(results))
     headline = next(e for e in results if e["name"] == "game-frame")
     if args.reports is not None:
@@ -588,11 +576,8 @@ def main(argv: list[str] | None = None) -> int:
         "compile_cache": compile_cache,
         "farm": farm,
         "summary": {
-            "geomean_speedup": round(geomean, 3),
             "geomean_codegen_speedup": round(codegen_geomean, 3),
-            "game_frame_speedup": headline["speedup"],
             "game_frame_codegen_speedup": headline["codegen_speedup"],
-            "game_frame_codegen_vs_compiled": headline["codegen_vs_compiled"],
             "locality_vs_greedy": scheduler["locality_vs_greedy"],
             "compile_cache_speedup": compile_cache["compile_speedup"],
             "farm_speedup": farm["workers"][str(farm_counts[-1])]["speedup"],
@@ -607,8 +592,7 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(report, handle, indent=2)
         handle.write("\n")
     print(
-        f"-- geomean compiled {geomean:.2f}x / codegen "
-        f"{codegen_geomean:.2f}x, game-frame {headline['speedup']:.2f}x / "
+        f"-- geomean codegen {codegen_geomean:.2f}x, game-frame "
         f"{headline['codegen_speedup']:.2f}x -> {args.out}"
     )
     if not report["summary"]["all_identical"]:

@@ -38,6 +38,7 @@ from repro.farm import (
     summary_json,
 )
 from repro.tools.flags import add_engine_flag, add_policy_flag, add_target_flag
+from repro.vm.interpreter import DEFAULT_ENGINE, validate_engine
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,6 +223,10 @@ def _describe(summary, label: str) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Jobs that name no engine resolve the ambient default only
+        # when they are keyed, inside the pool: reject a stale
+        # REPRO_VM_ENGINE here, once, as the usage error it is.
+        validate_engine(DEFAULT_ENGINE, source="REPRO_VM_ENGINE")
         jobs = resolve_jobs(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.tools.run program.om [--target cell|smp|dsp|apu|manycore]
         [--optimize] [--demand-load] [--cache none|direct|setassoc|victim]
-        [--wordaddr hybrid|emulate] [--engine compiled|codegen|reference]
+        [--wordaddr hybrid|emulate] [--engine codegen|reference]
         [--policy greedy|least-loaded|locality|critical-path]
         [--queue-depth N] [--trace FILE]
         [--trace-format chrome|timeline|profile] [--report FILE]
@@ -241,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
         if fallbacks:
             print(
                 f"-- {fallbacks} function(s) fall back to the "
-                f"closure-compiled engine",
+                f"reference interpreter",
                 file=sys.stderr,
             )
         return 0

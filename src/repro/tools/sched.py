@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.tools.sched [program.om | --corpus figure2|game-demo]
         [--target cell|smp|dsp|apu|manycore]
-        [--engine compiled|codegen|reference]
+        [--engine codegen|reference]
         [--policy greedy|least-loaded|locality|critical-path]
         [--queue-depth N] [--admission stall|trap] [--frames N]
         [--trace FILE] [--trace-format chrome|timeline]

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.tools.trace program.om [--target cell|smp|dsp|apu|manycore]
         [--optimize] [--demand-load] [--cache none|direct|setassoc|victim]
-        [--wordaddr hybrid|emulate] [--engine compiled|codegen|reference]
+        [--wordaddr hybrid|emulate] [--engine codegen|reference]
         [--format chrome|timeline|profile] [--out FILE]
         [--capacity N] [--frame-marker SUFFIX] [--compile-spans]
 

@@ -5,13 +5,12 @@ per offload launch) executes to completion with its own cycle counter;
 parallelism is modelled by clock combination at launch/join points, so
 measured cycle counts are exactly reproducible run to run.
 
-Three engines share the contract (identical cycles, counters, traces):
+Two engines share the contract (identical cycles, counters, traces):
 the source-codegen engine (:mod:`repro.vm.codegen`; the default —
 :data:`DEFAULT_ENGINE` — whose code objects the compile cache keeps
-across processes), the closure-compiled engine
-(:mod:`repro.vm.compiled`; selectable, and codegen's per-function
-fallback) and the reference decode loop (:mod:`repro.vm.interpreter`;
-the semantic source of truth).
+across processes) and the reference decode loop
+(:mod:`repro.vm.interpreter`; the semantic source of truth, the oracle
+of the equivalence suite and codegen's per-function fallback).
 """
 
 from repro.vm.codegen import (
@@ -19,8 +18,8 @@ from repro.vm.codegen import (
     CodegenStats,
     clear_codegen_cache,
     generate_module_source,
+    warm_translations,
 )
-from repro.vm.compiled import CompiledInterpreter, warm_translations
 from repro.vm.interpreter import (
     DEFAULT_ENGINE,
     ENGINE_NAMES,
@@ -35,7 +34,6 @@ from repro.vm.interpreter import (
 __all__ = [
     "CodegenInterpreter",
     "CodegenStats",
-    "CompiledInterpreter",
     "DEFAULT_ENGINE",
     "ENGINE_NAMES",
     "Interpreter",

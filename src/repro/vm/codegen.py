@@ -1,14 +1,16 @@
 """Source-codegen execution engine.
 
-The closure-compiled engine (:mod:`repro.vm.compiled`) removed the
-per-instruction decode, but still pays one Python *call* per fused
-block closure, one list indexing per dispatch, and one attribute hop
-per register access (``st.regs[i]``).  This engine removes those too:
-each IR function is translated into real generated Python source — one
-``def`` per IR function, virtual registers lowered to Python *locals*,
-fused basic blocks becoming straight-line statements, and cycle /
-perf-counter / budget updates batched per block — then compiled with
-:func:`compile` / ``exec`` and dispatched as an ordinary Python call::
+The reference interpreter (:mod:`repro.vm.interpreter`) re-decodes
+every instruction on every execution: one ``isinstance`` ladder per
+dispatch, attribute loads on the instruction object, a list indexing
+per register access and a per-instruction budget check.  That
+host-side overhead — not the simulated machine — dominates wall-clock
+time.  This engine pays the decode once per program: each IR function
+is translated into real generated Python source — one ``def`` per IR
+function, virtual registers lowered to Python *locals*, fused basic
+blocks becoming straight-line statements, and cycle / perf-counter /
+budget updates batched per block — then compiled with :func:`compile`
+/ ``exec`` and dispatched as an ordinary Python call::
 
     def _f0_main(eng, ctx):
         r0 = r1 = 0
@@ -31,11 +33,11 @@ Translation scheme
   function parameters are the leading locals, bound directly from the
   generated function's positional parameters.
 * **Block fusion.**  Leaders are the entry plus *actual* jump targets
-  (not every label), so straight-line runs are longer than the compiled
-  engine's.  Functions without branches compile to pure straight-line
-  code with no dispatch loop at all; branching functions use a
-  ``while True`` / ``if _pc == N`` ladder with ``continue`` as the only
-  dispatch overhead.
+  (not every label), which keeps straight-line runs long.  Functions
+  without branches compile to pure straight-line code with no dispatch
+  loop at all; branching functions use a ``while True`` /
+  ``if _pc == N`` ladder with ``continue`` as the only dispatch
+  overhead.
 * **Cycle batching.**  Clock-blind instructions (arithmetic, moves,
   scalar local/main traffic, word extract/insert, print and math
   intrinsics) are charged in one ``ctx.now += total`` per run;
@@ -55,7 +57,12 @@ Translation scheme
   copies, race checking — is *called into* the reference
   implementation (``eng._run_offload``, ``eng._domain_call_values``,
   ...), never re-implemented, which is how the engine stays cycle-,
-  counter- and trace-identical to both existing engines.
+  counter- and trace-identical to the reference engine.  The only
+  host-side differences: the ``max_instructions`` guard is charged per
+  basic block at block entry (totals are exact for every completed
+  block), and hot counters (``vm.calls``, ``word.extracts`` ...)
+  accumulate in :class:`~repro.machine.perf.CounterSlot` batches that
+  drain into the machine-wide counters on read.
 
 Caching
 -------
@@ -67,8 +74,8 @@ function rather than by the whole module.  The resulting code objects
 are cached at two levels:
 
 * in memory on the :class:`~repro.ir.module.IRProgram` object itself,
-  keyed by cost-model identity (like the compiled engine's per-function
-  ops cache), so repeat runs of one program object never regenerate;
+  keyed by cost-model identity, so repeat runs of one program object
+  never regenerate;
 * on disk in the content-addressed compile cache
   (:mod:`repro.compiler.cache`) as ``marshal.dumps`` of the tuple of
   code objects, stored alongside the program artifact shards as
@@ -90,8 +97,9 @@ are cached at two levels:
   ``python -m repro.tools.run --dump-codegen``.
 
 Functions using an instruction the translator does not know fall back
-per-function to the closure-compiled path; everything else in the
-program still runs generated code.
+per-function to the reference interpreter's decode loop; everything
+else in the program — their callees included — still runs generated
+code.
 """
 
 from __future__ import annotations
@@ -139,9 +147,8 @@ from repro.machine.config import CostModel
 from repro.machine.machine import Machine
 from repro.machine.memory import scalar_codec
 from repro.obs.trace import EV_ENTER, EV_EXIT, EV_FRAME
-from repro.vm.compiled import CompiledInterpreter
 from repro.vm.context import ThreadContext
-from repro.vm.interpreter import RunOptions
+from repro.vm.interpreter import Interpreter, RunOptions
 
 #: Bumped whenever the translation scheme changes in any way that can
 #: affect generated source; part of the disk cache key and kind so
@@ -187,7 +194,7 @@ _INTRINSIC_TYPES = {
 
 class _Unsupported(Exception):
     """Raised by the translator for constructs it cannot lower; the
-    affected function falls back to the closure-compiled path."""
+    affected function falls back to the reference interpreter."""
 
 
 @dataclasses.dataclass
@@ -453,9 +460,9 @@ class _FunctionEmitter:
 
     def _collect_blocks(self) -> list[tuple[int, int, int]]:
         """(leader, end, span) per block.  Leaders are the entry plus
-        resolvable in-range jump targets — fewer than the compiled
-        engine's every-label leaders, so straight-line runs are longer.
-        Spans still count exactly the executed instructions."""
+        resolvable in-range jump targets, not every label, so
+        straight-line runs stay long.  Spans still count exactly the
+        executed instructions."""
         fn = self.fn
         code = fn.code
         n = len(code)
@@ -1175,7 +1182,7 @@ def generate_module_units(
 
     Returns ``(units, generated_count, fallback_count)``; functions
     the translator cannot lower are left out of the module (the engine
-    falls back to the closure-compiled path for them).
+    falls back to the reference interpreter for them).
     """
     ordered = sorted(program.functions)
     func_names = {
@@ -1293,12 +1300,12 @@ def clear_codegen_cache(program: IRProgram) -> None:
     program.__dict__.pop("_cg_module", None)
 
 
-class CodegenInterpreter(CompiledInterpreter):
+class CodegenInterpreter(Interpreter):
     """Drop-in engine executing generated Python source.
 
     All lifecycle, offload, domain-dispatch, DMA and intrinsic
     machinery is inherited; functions the translator cannot lower run
-    on the inherited closure-compiled path.
+    on the inherited decode loop.
     """
 
     def __init__(
@@ -1308,6 +1315,20 @@ class CodegenInterpreter(CompiledInterpreter):
         options: Optional[RunOptions] = None,
     ):
         super().__init__(program, machine, options)
+        self._cost = machine.config.cost
+        self._budget = self.options.max_instructions
+        self._chk_discipline = self.options.check_dma_discipline
+        perf = machine.perf
+        # Batched counters for the quantities generated code itself
+        # produces; everything underneath (DMA, caches, dispatch tables)
+        # keeps its own accounting.
+        self._sc_calls = perf.slot("vm.calls")
+        self._sc_extracts = perf.slot("word.extracts")
+        self._sc_inserts = perf.slot("word.inserts")
+        self._sc_outer_loads = perf.slot("outer.loads")
+        self._sc_outer_read = perf.slot("outer.bytes_read")
+        self._sc_outer_stores = perf.slot("outer.stores")
+        self._sc_outer_written = perf.slot("outer.bytes_written")
         self.codegen_stats = CodegenStats()
         self._gen_funcs: Optional[dict[str, Callable]] = None
 
@@ -1321,9 +1342,9 @@ class CodegenInterpreter(CompiledInterpreter):
             funcs = self._ensure_module()
         fn = funcs.get(function.name)
         if fn is None:
-            return CompiledInterpreter._exec_function(
-                self, function, args, ctx
-            )
+            # Nested calls come back through ``self._exec_function``,
+            # so a fallback function's callees still run generated code.
+            return Interpreter._exec_function(self, function, args, ctx)
         return fn(self, ctx, *args)
 
     def _call_by_name(
@@ -1403,3 +1424,52 @@ class CodegenInterpreter(CompiledInterpreter):
         program._cg_module = (self._cost, CODEGEN_VERSION, funcs)  # type: ignore[attr-defined]
         self._gen_funcs = funcs
         return funcs
+
+
+def warm_translations(
+    program: IRProgram,
+    machine: Machine,
+    options: Optional[RunOptions] = None,
+    engine: str = "codegen",
+    cache=None,
+    digest: Optional[str] = None,
+) -> int:
+    """Translate every function of ``program`` ahead of execution.
+
+    Serving workloads that load a cached artifact
+    (:mod:`repro.compiler.cache`) and then field many requests against
+    it can pay the IR -> translation cost at load time instead of on
+    the first run.  The generated module is cached on the program
+    object itself (keyed by cost model), so every subsequent
+    ``run_program`` of this program object on a machine with the same
+    cost model reuses it.
+
+    Args:
+        engine: The translating engine to warm; ``"codegen"`` is the
+            only one (the reference engine translates nothing).
+        cache: Optional :class:`repro.compiler.cache.CompileCache` to
+            consult before translating (else ``REPRO_COMPILE_CACHE``);
+            cached code objects mean neither codegen nor ``compile()``
+            runs at all.
+        digest: Optional ``cache.artifact_digest(key)`` of the artifact
+            ``program`` was just stored to or loaded from, unmodified;
+            spares the cache key a serialization of the program
+            (:func:`codegen_cache_key`).
+
+    Returns the number of functions that actually needed translating
+    (0 when the program is already warm for this cost model, or its
+    module was served from the compile cache).
+    """
+    if engine != "codegen":
+        raise ValueError(
+            f"unknown warm_translations engine {engine!r}; known: 'codegen'"
+        )
+    # No race checkers: this engine instance only translates, and must
+    # not leave observers attached to the machine's DMA engines.
+    warm = CodegenInterpreter(
+        program,
+        machine,
+        dataclasses.replace(options or RunOptions(), racecheck=None),
+    )
+    warm._ensure_module(cache=cache, digest=digest)
+    return warm.codegen_stats.translations

@@ -78,11 +78,10 @@ ACCESSOR_TAG = 28
 _U32 = 0xFFFFFFFF
 
 #: Every execution engine ``make_interpreter`` knows how to build.
-#: ``"reference"`` is the decode loop in this module, ``"compiled"`` the
-#: closure-compiled engine (:mod:`repro.vm.compiled`) and ``"codegen"``
-#: the source-generating engine (:mod:`repro.vm.codegen`).  All three
+#: ``"reference"`` is the decode loop in this module and ``"codegen"``
+#: the source-generating engine (:mod:`repro.vm.codegen`).  The two
 #: are cycle- and counter-identical; only host wall-clock differs.
-ENGINE_NAMES = ("compiled", "codegen", "reference")
+ENGINE_NAMES = ("codegen", "reference")
 
 #: Execution engine used when :class:`RunOptions` does not name one.
 #: Overridable for a whole process via ``REPRO_VM_ENGINE``.
@@ -137,12 +136,11 @@ class RunOptions:
         check_dma_discipline: Trap local-store reads that overlap a DMA
             get still in flight (read-before-wait bugs).
         max_instructions: Runaway-program guard.  The reference engine
-            checks it per instruction; the compiled engine at basic-block
+            checks it per instruction; the codegen engine at basic-block
             granularity (so a runaway program may execute up to one block
             past the budget before trapping).
-        engine: ``"codegen"`` (generated Python source, the
-            default), ``"compiled"`` (closure-compiled dispatch) or
-            ``"reference"`` (the legacy decode loop).  None picks
+        engine: ``"codegen"`` (generated Python source, the default)
+            or ``"reference"`` (the decode loop).  None picks
             :data:`DEFAULT_ENGINE`.  Unknown names are rejected at
             construction time.
         sched: Explicit scheduling configuration
@@ -201,7 +199,7 @@ class RunResult:
     #: that were never joined (:class:`repro.analysis.diagnostics.Finding`).
     diagnostics: list = field(default_factory=list)
     #: Simulated instructions retired (identical across engines; the
-    #: compiled/codegen engines count per executed block).
+    #: codegen engine counts per executed block).
     instructions: int = 0
 
     @property
@@ -994,13 +992,9 @@ def make_interpreter(
         validate_engine(engine, source="RunOptions.engine")
     if engine == "reference":
         return Interpreter(program, machine, options)
-    if engine == "codegen":
-        from repro.vm.codegen import CodegenInterpreter
+    from repro.vm.codegen import CodegenInterpreter
 
-        return CodegenInterpreter(program, machine, options)
-    from repro.vm.compiled import CompiledInterpreter
-
-    return CompiledInterpreter(program, machine, options)
+    return CodegenInterpreter(program, machine, options)
 
 
 def run_program(

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import dmacheck
-from repro.analysis.static_races import find_races_in_program
 from repro.compiler.driver import compile_program
 from repro.errors import DmaRaceError
 from repro.game.sources import figure1_racy_source, figure1_source
@@ -22,17 +21,125 @@ def codes(findings):
     return [f.code for f in findings]
 
 
+def races(source):
+    return [
+        f
+        for f in dmacheck.check_program(compiled(source))
+        if f.code == "E-dma-race"
+    ]
+
+
+PUT_PUT_OVERLAP = """
+int g_data[16];
+void main() {
+    __offload {
+        int a[8];
+        dma_put(&a[0], &g_data[0], 32, 1);
+        dma_put(&a[0], &g_data[4], 32, 2);
+        dma_wait(1);
+        dma_wait(2);
+    };
+}
+"""
+
+GET_GET_OUTER_OVERLAP = """
+int g_data[16];
+void main() {
+    __offload {
+        int a[8]; int b[8];
+        dma_get(&a[0], &g_data[0], 32, 1);
+        dma_get(&b[0], &g_data[4], 32, 1);
+        dma_wait(1);
+        int x = a[0] + b[0];
+        g_data[0] = x;
+    };
+}
+"""
+
+WAIT_BETWEEN = """
+int g_data[16];
+void main() {
+    __offload {
+        int a[8];
+        dma_put(&a[0], &g_data[0], 32, 1);
+        dma_wait(1);
+        dma_put(&a[0], &g_data[4], 32, 1);
+        dma_wait(1);
+    };
+}
+"""
+
+
+class TestStraightLineDetection:
+    """The straight-line programs the deleted seed (per-basic-block)
+    race checker was tested on: this checker flags every one that
+    checker flagged and clears every one it cleared."""
+
+    def test_put_put_overlap_flagged(self):
+        findings = races(PUT_PUT_OVERLAP)
+        assert len(findings) >= 1
+        assert "outer memory" in findings[0].message
+        assert "dma_wait" in findings[0].message
+
+    def test_get_get_outer_overlap_not_flagged(self):
+        assert dmacheck.check_program(compiled(GET_GET_OUTER_OVERLAP)) == []
+
+    def test_get_get_local_overlap_flagged(self):
+        source = """
+        int g_data[16];
+        void main() {
+            __offload {
+                int a[8];
+                dma_get(&a[0], &g_data[0], 32, 1);
+                dma_get(&a[0], &g_data[8], 32, 2);
+                dma_wait(1);
+                dma_wait(2);
+            };
+        }
+        """
+        assert any("local memory" in f.message for f in races(source))
+
+    def test_wait_between_transfers_clears(self):
+        assert dmacheck.check_program(compiled(WAIT_BETWEEN)) == []
+
+    def test_disjoint_transfers_not_flagged(self):
+        source = """
+        int g_data[32];
+        void main() {
+            __offload {
+                int a[8]; int b[8];
+                dma_get(&a[0], &g_data[0], 32, 1);
+                dma_get(&b[0], &g_data[16], 32, 1);
+                dma_wait(1);
+            };
+        }
+        """
+        assert dmacheck.check_program(compiled(source)) == []
+
+    def test_figure1_pattern_is_clean(self):
+        assert dmacheck.check_program(compiled(figure1_source())) == []
+
+
+class TestDynamicAgreement:
+    def test_racy_figure1_caught_dynamically(self):
+        with pytest.raises(DmaRaceError):
+            run_source(figure1_racy_source())
+
+    def test_racy_figure1_recorded_in_record_mode(self):
+        options = RunOptions(racecheck="record")
+        result = run_source(figure1_racy_source(), run_options=options)
+        assert len(result.races) >= 1
+        assert result.races[0].location == "outer"
+
+
 class TestLoopCarriedRace:
     def test_figure1_in_a_loop_misses_old_catches_new(self):
         """The acceptance test for the rebuilt checker: the racy Figure-1
         variant re-issues an overlapping transfer on the loop back edge
-        without waiting.  The seed intra-block analysis provably misses
-        it; the CFG-based checker reports E-dma-race; and the dynamic
+        without waiting.  An intra-block analysis provably misses it;
+        the CFG-based checker reports E-dma-race; and the dynamic
         checker confirms the race actually happens at runtime."""
         program = compiled(figure1_racy_source())
-
-        old = find_races_in_program(program.accel_functions())
-        assert old == []  # the seed analysis is blind to back edges
 
         new = dmacheck.check_program(program)
         races = [f for f in new if f.code == "E-dma-race"]
@@ -54,64 +161,14 @@ class TestLoopCarriedRace:
 
 
 class TestStraightLineParity:
-    """On straight-line code the new checker subsumes the old one."""
-
-    RACY = """
-    int g_data[16];
-    void main() {
-        __offload {
-            int a[8];
-            dma_put(&a[0], &g_data[0], 32, 1);
-            dma_put(&a[0], &g_data[4], 32, 2);
-            dma_wait(1);
-            dma_wait(2);
-        };
-    }
-    """
-
-    CLEAN = """
-    int g_data[16];
-    void main() {
-        __offload {
-            int a[8];
-            dma_put(&a[0], &g_data[0], 32, 1);
-            dma_wait(1);
-            dma_put(&a[0], &g_data[4], 32, 1);
-            dma_wait(1);
-        };
-    }
-    """
-
     def test_new_finds_at_least_what_old_finds(self):
-        program = compiled(self.RACY)
-        old = find_races_in_program(program.accel_functions())
-        new = [
-            f
-            for f in dmacheck.check_program(program)
-            if f.code == "E-dma-race"
-        ]
-        assert len(old) >= 1
-        assert len(new) >= len(old)
+        assert len(races(PUT_PUT_OVERLAP)) >= 1
 
     def test_wait_between_transfers_still_clean(self):
-        assert dmacheck.check_program(compiled(self.CLEAN)) == []
+        assert dmacheck.check_program(compiled(WAIT_BETWEEN)) == []
 
     def test_get_get_outer_overlap_allowed(self):
-        source = """
-        int g_data[16];
-        void main() {
-            __offload {
-                int a[8]; int b[8];
-                dma_get(&a[0], &g_data[0], 32, 1);
-                dma_get(&b[0], &g_data[4], 32, 1);
-                dma_wait(1);
-                int x = a[0] + b[0];
-                g_data[0] = x;
-            };
-        }
-        """
-        findings = dmacheck.check_program(compiled(source))
-        assert "E-dma-race" not in codes(findings)
+        assert races(GET_GET_OUTER_OVERLAP) == []
 
 
 class TestFlowSensitivity:

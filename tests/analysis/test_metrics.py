@@ -1,6 +1,6 @@
 """Tests for the source-effort metrics."""
 
-from repro.analysis.metrics import count_loc, source_delta
+from repro.analysis.effort import count_loc, source_delta
 from repro.game.sources import ai_kernel_source
 
 

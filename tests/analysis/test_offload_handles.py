@@ -150,11 +150,15 @@ class TestRuntimeAudit:
 
     def test_audit_identical_between_engines(self):
         from repro.machine.machine import Machine
-        from repro.vm.interpreter import RunOptions, run_program
+        from repro.vm.interpreter import (
+            ENGINE_NAMES,
+            RunOptions,
+            run_program,
+        )
 
         program = compile_program(LEAKY, CELL_LIKE)
         messages = []
-        for engine in ("reference", "compiled"):
+        for engine in ENGINE_NAMES:
             result = run_program(
                 program, Machine(CELL_LIKE), RunOptions(engine=engine)
             )

@@ -25,7 +25,7 @@ from repro.ir.serialize import (
 from repro.machine.config import CELL_LIKE, DSP_WORD, SMP_UNIFORM
 from repro.machine.machine import Machine
 from repro.game.sources import ai_kernel_source, figure2_source, word_struct_source
-from repro.vm.interpreter import RunOptions, run_program
+from repro.vm.interpreter import ENGINE_NAMES, RunOptions, run_program
 
 WORKLOADS = [
     ("figure2-cell", figure2_source(entity_count=8, pair_count=6, frames=1), CELL_LIKE, CompileOptions()),
@@ -67,7 +67,7 @@ class TestDeterminism:
         assert clone.vtables == program.vtables
         assert clone.data_end == program.data_end
 
-    @pytest.mark.parametrize("engine", ["compiled", "reference"])
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_deserialized_program_runs_identically(
         self, name, source, config, options, engine
     ):

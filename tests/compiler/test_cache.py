@@ -17,8 +17,8 @@ from repro.ir.serialize import program_to_json
 from repro.machine.config import CELL_LIKE, DSP_WORD, SMP_UNIFORM
 from repro.machine.machine import Machine
 from repro.game.sources import figure2_source
-from repro.vm.compiled import warm_translations
-from repro.vm.interpreter import RunOptions, run_program
+from repro.vm.codegen import warm_translations
+from repro.vm.interpreter import ENGINE_NAMES, RunOptions, run_program
 
 SOURCE = figure2_source(entity_count=8, pair_count=6, frames=1)
 
@@ -208,7 +208,7 @@ class TestAuxTextEntries:
 
 
 class TestCachedExecutionEquivalence:
-    @pytest.mark.parametrize("engine", ["compiled", "codegen", "reference"])
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_cached_program_runs_identically(self, tmp_path, engine):
         cold = compile_program(SOURCE, CELL_LIKE)
         cache = CompileCache(str(tmp_path))
@@ -229,16 +229,16 @@ class TestWarmTranslations:
         compile_program(SOURCE, CELL_LIKE, cache=cache)
         program = compile_program(SOURCE, CELL_LIKE, cache=cache)
         machine = Machine(CELL_LIKE)
-        first = warm_translations(program, machine)
+        # This test's own (cold) cache, not an ambient one that a
+        # previous suite run may have filled with the code objects.
+        first = warm_translations(program, machine, cache=cache)
         assert first == len(program.functions)
-        assert warm_translations(program, machine) == 0
+        assert warm_translations(program, machine, cache=cache) == 0
         # A warmed program still runs identically (and does not pay
         # translation again inside the run).
-        result = run_program(program, machine, RunOptions(engine="compiled"))
+        result = run_program(program, machine)
         fresh = run_program(
-            compile_program(SOURCE, CELL_LIKE),
-            Machine(CELL_LIKE),
-            RunOptions(engine="compiled"),
+            compile_program(SOURCE, CELL_LIKE), Machine(CELL_LIKE)
         )
         assert result.output == fresh.output
         assert result.cycles == fresh.cycles

@@ -112,9 +112,9 @@ class TestIdentity:
         assert program_key(a) == program_key(b)
 
     def test_program_key_varies_with_target_and_engine(self):
-        base = FarmJob(workload="w", source=SOURCE, engine="compiled")
+        base = FarmJob(workload="w", source=SOURCE, engine="reference")
         other_target = FarmJob(
-            workload="w", source=SOURCE, engine="compiled", target="apu"
+            workload="w", source=SOURCE, engine="reference", target="apu"
         )
         other_engine = FarmJob(workload="w", source=SOURCE, engine="codegen")
         assert program_key(base) != program_key(other_target)
@@ -148,7 +148,7 @@ class TestCorpora:
         assert len(jobs) == 12
         assert {j.target for j in jobs} == {"cell", "apu", "manycore"}
         assert {j.resolved_engine() for j in jobs} == {
-            "reference", "compiled", "codegen",
+            "reference", "codegen",
         }
 
     def test_corpora_registry(self):

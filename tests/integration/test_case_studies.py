@@ -4,7 +4,7 @@ system restructuring and the AI offload."""
 import pytest
 
 from repro.analysis.annotations import report_for_program
-from repro.analysis.metrics import source_delta
+from repro.analysis.effort import source_delta
 from repro.compiler.driver import analyze_source, compile_program
 from repro.game.sources import ai_kernel_source, component_system_source, move_loop_source
 from repro.machine.config import CELL_LIKE

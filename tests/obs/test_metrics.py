@@ -187,9 +187,7 @@ def _run_with_hub(source, target="cell", sched=None):
     machine = Machine(config)
     hub = MetricsHub()
     machine.attach_metrics(hub)
-    result = run_program(
-        program, machine, RunOptions(engine="compiled", sched=sched)
-    )
+    result = run_program(program, machine, RunOptions(sched=sched))
     return hub, result
 
 
@@ -237,7 +235,7 @@ class TestInstrumentation:
         program = compile_program(figure2_source(), config)
         machine = Machine(config)
         assert machine.metrics is NULL_METRICS
-        result = run_program(program, machine, RunOptions(engine="compiled"))
+        result = run_program(program, machine)
         assert result.cycles > 0
 
 

@@ -4,8 +4,8 @@ The report layer's contract, at the *byte* level of the canonical
 JSON (:func:`repro.obs.report.report_json`):
 
 * the same program on the same target yields an identical report under
-  the reference, compiled and codegen engines (modulo the ``engine``
-  identity field itself);
+  the reference and codegen engines (modulo the ``engine`` identity
+  field itself);
 * repeat runs on fresh machines are byte-identical — no wall-clock,
   iteration-order or id leakage;
 * target-independent fields (workload identity, schema, engine) agree
@@ -42,7 +42,12 @@ from repro.obs.report import (
     validate_report,
 )
 from repro.sched import SchedOptions
-from repro.vm.interpreter import ENGINE_NAMES, RunOptions, run_program
+from repro.vm.interpreter import (
+    DEFAULT_ENGINE,
+    ENGINE_NAMES,
+    RunOptions,
+    run_program,
+)
 
 WORKLOADS = {
     "figure2": figure2_source,
@@ -50,7 +55,7 @@ WORKLOADS = {
 }
 
 
-def make_report(workload: str, engine: str = "compiled",
+def make_report(workload: str, engine: str = DEFAULT_ENGINE,
                 target: str = "cell", policy: str | None = "locality"):
     config = resolve_target(target)
     program = compile_program(WORKLOADS[workload](), config)
@@ -119,10 +124,10 @@ class TestByteIdentity:
         machine.attach_metrics(hub)
         result = run_program(
             program, machine,
-            RunOptions(engine="compiled", sched=SchedOptions(policy="locality")),
+            RunOptions(sched=SchedOptions(policy="locality")),
         )
         traced = collect_report(
-            result, workload="figure2", hub=hub, engine="compiled",
+            result, workload="figure2", hub=hub, engine=DEFAULT_ENGINE,
             target="cell",
         ).as_dict()
         # Tracing adds the dropped-events gauge but must not perturb

@@ -6,7 +6,7 @@ export:
 * running the same program twice (same engine, fresh machines) produces
   identical traces — there is no wall-clock, iteration-order or id
   leakage in run traces;
-* the reference and compiled engines produce identical traces — every
+* the reference and codegen engines produce identical traces — every
   emission site sits at a clock-observation point where the two engines
   agree on ``ctx.now``, so tracing is part of the equivalence contract.
 
@@ -34,7 +34,7 @@ WORKLOADS = {
 }
 
 
-def traced_json(program, engine: str) -> str:
+def traced_json(program, engine=None) -> str:
     machine = Machine(CELL_LIKE)
     recorder = TraceRecorder()
     machine.attach_trace(recorder)
@@ -45,8 +45,8 @@ def traced_json(program, engine: str) -> str:
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_repeat_runs_byte_identical(name):
     program = compile_program(WORKLOADS[name], CELL_LIKE)
-    first = traced_json(program, "compiled")
-    second = traced_json(program, "compiled")
+    first = traced_json(program)
+    second = traced_json(program)
     assert first == second
 
 
@@ -54,15 +54,13 @@ def test_repeat_runs_byte_identical(name):
 def test_engines_byte_identical(name):
     program = compile_program(WORKLOADS[name], CELL_LIKE)
     assert traced_json(program, "reference") == traced_json(
-        program, "compiled"
+        program, "codegen"
     )
 
 
 def test_recompilation_byte_identical():
     # Even a fresh compile of the same source traces identically: the
     # whole pipeline (layout, ids, domain tables) is deterministic.
-    first = traced_json(compile_program(WORKLOADS["figure2"], CELL_LIKE),
-                        "compiled")
-    second = traced_json(compile_program(WORKLOADS["figure2"], CELL_LIKE),
-                         "compiled")
+    first = traced_json(compile_program(WORKLOADS["figure2"], CELL_LIKE))
+    second = traced_json(compile_program(WORKLOADS["figure2"], CELL_LIKE))
     assert first == second

@@ -239,7 +239,7 @@ class TestProfileFeedback:
 class TestAffinityAndErrors:
     def test_run_options_sched_roundtrip(self):
         options = RunOptions(sched=SchedOptions(policy="locality"))
-        clone = dataclasses.replace(options, engine="compiled")
+        clone = dataclasses.replace(options, engine="reference")
         assert clone.sched.policy == "locality"
 
     def test_queue_depth_survives_as_stats(self):

@@ -68,14 +68,14 @@ def test_run_bench_and_farm_emit_the_same_report(
     path = tmp_path / "figure2.om"
     path.write_text(source)
     job = FarmJob(
-        "figure2", source=source, target=target, engine="compiled",
+        "figure2", source=source, target=target, engine="codegen",
         policy="locality",
     )
     farm_report = execute_job(job)["report"]
 
     out = tmp_path / "run.json"
     assert run_tool.main(
-        [str(path), "--target", target, "--engine", "compiled",
+        [str(path), "--target", target, "--engine", "codegen",
          "--policy", "locality", "--report", str(out)]
     ) == 0
     run_report = json.loads(out.read_text())
@@ -88,17 +88,17 @@ def test_run_bench_and_farm_emit_the_same_report(
 
     # sched runs the same job; trace runs it in compat mode (no policy).
     assert sched_tool.main(
-        [str(path), "--target", target, "--engine", "compiled",
+        [str(path), "--target", target, "--engine", "codegen",
          "--policy", "locality", "--json"]
     ) == 0
     (row,) = json.loads(capsys.readouterr().out)["policies"]
     assert row["simulated_cycles"] == farm_report["simulated_cycles"]
 
     compat = execute_job(
-        FarmJob("figure2", source=source, target=target, engine="compiled")
+        FarmJob("figure2", source=source, target=target, engine="codegen")
     )["report"]
     assert trace_tool.main(
-        [str(path), "--target", target, "--engine", "compiled",
+        [str(path), "--target", target, "--engine", "codegen",
          "--out", str(tmp_path / "trace.json")]
     ) == 0
     assert (

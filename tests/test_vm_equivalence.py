@@ -1,7 +1,6 @@
-"""Differential tests: every engine against the reference engine.
+"""Differential tests: the codegen engine against the reference engine.
 
-The closure-compiled engine (:mod:`repro.vm.compiled`) and the
-source-codegen engine (:mod:`repro.vm.codegen`) promise to be
+The source-codegen engine (:mod:`repro.vm.codegen`) promises to be
 *bit-identical* to the reference decode loop: same printed output, same
 return value, same simulated cycle counts, same perf counters, same
 cycle-stamped traces, same trap messages.  This suite enforces that
@@ -47,7 +46,6 @@ from repro.vm.interpreter import (
     run_program,
 )
 from repro.vm.codegen import CodegenInterpreter
-from repro.vm.compiled import CompiledInterpreter
 from tests.properties.test_differential_fuzzing import ProgramBuilder
 
 #: Every registered target, by short name — the suite samples all of
@@ -55,17 +53,16 @@ from tests.properties.test_differential_fuzzing import ProgramBuilder
 CONFIGS = {name: resolve_target(name) for name in TARGET_NAMES}
 
 #: Reference first: ``run_both`` compares every other engine against it.
-ALL_ENGINES = ("reference", "compiled", "codegen")
+ALL_ENGINES = ("reference", "codegen")
 
 
 def run_both(source, config=CELL_LIKE, compile_options=None, run_options=None):
     """Run one source under every engine on fresh machines.
 
-    Returns the (reference, compiled) :class:`RunResult`\\ s after
+    Returns the (reference, codegen) :class:`RunResult`\\ s after
     asserting that every observable — output, return value, cycle
     counts, the full perf counter dict, recorded races, and the
-    cycle-stamped event trace — is identical across all three engines
-    (codegen included).
+    cycle-stamped event trace — is identical across the engines.
     """
     program = compile_program(source, config, compile_options)
     results = []
@@ -189,8 +186,8 @@ class TestPaperWorkloads:
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_engines_identical(self, name):
         source, config, options = WORKLOADS[name]
-        ref, compiled = run_both(source, config, options)
-        assert compiled.printed  # the workload actually did something
+        ref, codegen = run_both(source, config, options)
+        assert codegen.printed  # the workload actually did something
 
 
 class TestFuzzCorpus:
@@ -306,13 +303,13 @@ class TestSchedulerEquivalence:
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_policies_identical_on_figure2(self, policy):
-        ref, compiled = run_both(
+        ref, codegen = run_both(
             figure2_source(frames=4),
             run_options=RunOptions(sched=SchedOptions(policy=policy)),
         )
         assert ref.sched is not None
         assert ref.sched.policy == policy
-        assert compiled.sched.as_dict() == ref.sched.as_dict()
+        assert codegen.sched.as_dict() == ref.sched.as_dict()
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_policies_identical_on_game_demo(self, policy):
@@ -322,44 +319,44 @@ class TestSchedulerEquivalence:
         )
 
     def test_bounded_queue_identical(self):
-        ref, compiled = run_both(
+        ref, codegen = run_both(
             _burst_offloads_source(),
             run_options=RunOptions(
                 sched=SchedOptions(policy="greedy", queue_depth=1)
             ),
         )
         assert ref.sched.stalls > 0
-        assert compiled.sched.stalls == ref.sched.stalls
+        assert codegen.sched.stalls == ref.sched.stalls
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_policies_identical_on_manycore(self, policy):
         """Cold uploads and the per-target queue depth (queue_depth
         stays None, so manycore's sched_queue_depth=2 binds) don't
         break engine equivalence."""
-        ref, compiled = run_both(
+        ref, codegen = run_both(
             figure2_source(frames=4),
             config=MANYCORE_GRID,
             run_options=RunOptions(sched=SchedOptions(policy=policy)),
         )
         assert ref.sched.queue_depth == MANYCORE_GRID.sched_queue_depth
         assert ref.sched.uploads > 0  # cold code uploads were modelled
-        assert compiled.sched.as_dict() == ref.sched.as_dict()
+        assert codegen.sched.as_dict() == ref.sched.as_dict()
 
     def test_manycore_default_backpressure_identical(self):
         """A burst of offloads on manycore stalls under the target's
         *default* queue depth — no explicit --queue-depth needed — and
         both engines agree on the stall accounting."""
-        ref, compiled = run_both(
+        ref, codegen = run_both(
             _burst_offloads_source(count=80),
             config=MANYCORE_GRID,
             run_options=RunOptions(sched=SchedOptions(policy="greedy")),
         )
         assert ref.sched.queue_depth == 2
         assert ref.sched.stalls > 0
-        assert compiled.sched.stalls == ref.sched.stalls
+        assert codegen.sched.stalls == ref.sched.stalls
 
     @pytest.mark.parametrize("policy", POLICY_NAMES)
-    @pytest.mark.parametrize("engine", ["compiled", "codegen"])
+    @pytest.mark.parametrize("engine", ["codegen"])
     def test_repeat_runs_byte_identical(self, policy, engine):
         """Two runs under one policy export byte-identical traces."""
         program = compile_program(figure2_source(frames=3), CELL_LIKE)
@@ -378,11 +375,11 @@ class TestSchedulerEquivalence:
 
 
 class TestDeterminism:
-    """The translated engines are deterministic run-to-run, and their
-    per-program translation caches survive across machines without
+    """The translated engine is deterministic run-to-run, and its
+    per-program translation cache survives across machines without
     leaking state between runs."""
 
-    @pytest.mark.parametrize("engine", ["compiled", "codegen"])
+    @pytest.mark.parametrize("engine", ["codegen"])
     def test_repeat_runs_identical(self, engine):
         program = compile_program(figure2_source(), CELL_LIKE)
         first = run_program(
@@ -396,14 +393,6 @@ class TestDeterminism:
         assert (
             first.machine.perf.as_dict() == second.machine.perf.as_dict()
         )
-
-    def test_ops_cached_on_function(self):
-        program = compile_program(figure1_source(), CELL_LIKE)
-        run_program(program, Machine(CELL_LIKE), RunOptions(engine="compiled"))
-        entry = program.function(program.entry)
-        ops = entry._cc_ops
-        run_program(program, Machine(CELL_LIKE), RunOptions(engine="compiled"))
-        assert entry._cc_ops is ops  # second run reused the translation
 
     def test_codegen_module_cached_on_program(self):
         program = compile_program(figure1_source(), CELL_LIKE)
@@ -419,20 +408,17 @@ class TestDeterminism:
     def test_engine_selection(self):
         program = compile_program(figure1_source(), CELL_LIKE)
         interp = make_interpreter(
-            program, Machine(CELL_LIKE), RunOptions(engine="compiled")
-        )
-        assert isinstance(interp, CompiledInterpreter)
-        assert not isinstance(interp, CodegenInterpreter)
-        interp = make_interpreter(
             program, Machine(CELL_LIKE), RunOptions(engine="codegen")
         )
         assert isinstance(interp, CodegenInterpreter)
         interp = make_interpreter(
             program, Machine(CELL_LIKE), RunOptions(engine="reference")
         )
-        assert not isinstance(interp, CompiledInterpreter)
-        assert "codegen" in ENGINE_NAMES
-        with pytest.raises(ValueError, match="unknown execution engine"):
-            make_interpreter(
-                program, Machine(CELL_LIKE), RunOptions(engine="jit")
-            )
+        assert not isinstance(interp, CodegenInterpreter)
+        assert ENGINE_NAMES == ("codegen", "reference")
+        # "compiled" named the deleted closure engine.
+        for unknown in ("jit", "compiled"):
+            with pytest.raises(ValueError, match="unknown execution engine"):
+                make_interpreter(
+                    program, Machine(CELL_LIKE), RunOptions(engine=unknown)
+                )

@@ -1,6 +1,6 @@
 """Codegen engine internals: generated source, caching, warm starts.
 
-Equivalence with the other engines is enforced by
+Equivalence with the reference engine is enforced by
 ``tests/test_vm_equivalence.py``; this module covers what is specific
 to the source-generating engine — deterministic source text, the
 in-memory and on-disk caches, warm starts that perform zero codegen
@@ -27,6 +27,7 @@ from repro.compiler.cache import (
     compile_cache_key,
 )
 from repro.compiler.driver import CompileOptions, compile_program
+from repro.errors import RuntimeTrap
 from repro.game.sources import (
     figure1_racy_source,
     figure1_source,
@@ -36,6 +37,7 @@ from repro.ir.instructions import Const, Ret, UnOp
 from repro.ir.module import IRFunction
 from repro.machine.config import CELL_LIKE, resolve_target, target_names
 from repro.machine.machine import Machine
+from repro.obs import TraceRecorder
 from repro.runspec import FarmJob, execute_job
 from repro.tools.check import _game_corpus
 from repro.vm.codegen import (
@@ -46,9 +48,9 @@ from repro.vm.codegen import (
     codegen_cache_kind,
     generate_module_source,
     generate_module_units,
+    warm_translations,
 )
-from repro.vm.compiled import warm_translations
-from repro.vm.interpreter import RunOptions, run_program
+from repro.vm.interpreter import Interpreter, RunOptions, run_program
 
 
 @pytest.fixture(autouse=True)
@@ -128,17 +130,11 @@ class TestWarmStarts:
         # Already warm: the module is cached on the program object.
         assert warm_translations(program, machine, engine="codegen") == 0
 
-    def test_warm_translations_all_covers_both_engines(self):
-        program = _fresh_program()
-        machine = Machine(CELL_LIKE)
-        count = warm_translations(program, machine, engine="all")
-        assert count == 2 * len(program.functions)
-        assert warm_translations(program, machine, engine="all") == 0
-
     def test_warm_translations_rejects_unknown_engine(self):
         program = _fresh_program()
-        with pytest.raises(ValueError, match="warm_translations engine"):
-            warm_translations(program, Machine(CELL_LIKE), engine="jit")
+        for engine in ("jit", "compiled", "all", "reference"):
+            with pytest.raises(ValueError, match="warm_translations engine"):
+                warm_translations(program, Machine(CELL_LIKE), engine=engine)
 
     def test_disk_cache_warm_start_performs_zero_codegen(
         self, tmp_path, monkeypatch
@@ -433,6 +429,64 @@ class TestFallback:
         )
         assert result.output == ref.output
         assert result.cycles == ref.cycles
+
+    def test_live_function_runs_on_the_reference_fallback(self, monkeypatch):
+        """``GameWorld::doFrame`` — called from generated ``main``, and
+        itself launching the offload and calling three generated
+        functions — is refused by the emitter, so every frame runs
+        generated code -> ``Interpreter._exec_function`` -> generated
+        code.  Every observable equals the all-reference run's."""
+        forced = "GameWorld::doFrame"
+        emit = codegen_module._FunctionEmitter.emit
+
+        def emit_or_refuse(emitter):
+            if emitter.fn.name == forced:
+                raise codegen_module._Unsupported("forced by this test")
+            return emit(emitter)
+
+        monkeypatch.setattr(
+            codegen_module._FunctionEmitter, "emit", emit_or_refuse
+        )
+        decoded = []
+        decode_loop = Interpreter._exec_function
+
+        def spy(self, function, args, ctx):
+            decoded.append(function.name)
+            return decode_loop(self, function, args, ctx)
+
+        monkeypatch.setattr(Interpreter, "_exec_function", spy)
+
+        def observe(engine, budget=None):
+            options = RunOptions(engine=engine)
+            if budget is not None:
+                options.max_instructions = budget
+            machine = Machine(CELL_LIKE)
+            recorder = TraceRecorder(capacity=1 << 18)
+            machine.attach_trace(recorder)
+            try:
+                result = run_program(
+                    _fresh_program(figure2_source(frames=2)), machine, options
+                )
+            except RuntimeTrap as trap:
+                return str(trap)
+            return (
+                result.output, result.cycles, result.instructions,
+                machine.perf.as_dict(), recorder.events(),
+            )
+
+        ref = observe("reference")
+        decoded.clear()
+        assert observe("codegen") == ref
+        # Only the refused function ran on the decode loop: its callees
+        # and the offload it launches went back to generated code.
+        assert decoded == [forced] * 2
+
+        total = ref[2]
+        assert observe("codegen", budget=total) == ref
+        for budget in (total - 1, total // 2):
+            message = observe("codegen", budget=budget)
+            assert message == f"instruction budget exceeded ({budget})"
+            assert observe("reference", budget=budget) == message
 
 
 class TestDumpCodegen:

@@ -13,7 +13,7 @@ from repro.errors import RuntimeTrap
 from repro.machine.config import CELL_LIKE
 from repro.machine.dma import NUM_TAGS
 from repro.machine.machine import Machine
-from repro.vm.interpreter import RunOptions, run_program
+from repro.vm.interpreter import ENGINE_NAMES, RunOptions, run_program
 from tests.conftest import printed, run_source
 
 
@@ -40,7 +40,7 @@ def trap_message_both_engines(source):
     """Run under both engines; assert both trap with the same message."""
     program = compile_program(source, CELL_LIKE)
     messages = []
-    for engine in ("reference", "compiled"):
+    for engine in ENGINE_NAMES:
         with pytest.raises(RuntimeTrap) as excinfo:
             run_program(
                 program, Machine(CELL_LIKE), RunOptions(engine=engine)

@@ -18,7 +18,6 @@ from repro.compiler.driver import compile_program
 from repro.machine.config import CELL_LIKE
 from repro.machine.machine import Machine
 from repro.vm.codegen import CodegenInterpreter
-from repro.vm.compiled import CompiledInterpreter
 from repro.vm.interpreter import (
     ENGINE_NAMES,
     Interpreter,
@@ -62,10 +61,6 @@ class TestSelection:
             program, machine, RunOptions(engine="reference")
         )
         assert type(interp) is Interpreter
-        interp = make_interpreter(
-            program, Machine(CELL_LIKE), RunOptions(engine="compiled")
-        )
-        assert type(interp) is CompiledInterpreter
         interp = make_interpreter(
             program, Machine(CELL_LIKE), RunOptions(engine="codegen")
         )
@@ -142,3 +137,75 @@ class TestCliSurface:
         source.write_text("void main() { print_int(41); }")
         assert main([str(source), "--engine", engine]) == 0
         assert "41" in capsys.readouterr().out
+
+
+KNOWN_ENGINES = "known engines: 'codegen', 'reference'"
+
+
+class TestRemovedEngineName:
+    """``compiled`` named the deleted closure engine; a shell profile,
+    CI env, script or batch file may still carry it.  Every way in
+    rejects it with the structured unknown-engine message and the
+    tool's usage exit code."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["repro.tools.farm", "--corpus", "mixed"],
+            ["repro.tools.farm", "--corpus", "mixed", "--serial"],
+            ["repro.tools.run", "SOURCE"],
+            ["repro.tools.trace", "SOURCE"],
+            ["repro.tools.sched", "SOURCE"],
+        ],
+        ids=["farm", "farm-serial", "run", "trace", "sched"],
+    )
+    def test_stale_env_default_is_a_usage_error(self, tmp_path, argv):
+        source = tmp_path / "p.om"
+        source.write_text("void main() { print_int(1); }")
+        argv = [str(source) if arg == "SOURCE" else arg for arg in argv]
+        env = dict(os.environ, REPRO_VM_ENGINE="compiled")
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        done = subprocess.run(
+            [sys.executable, "-m", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.strip() == (
+            "error: unknown execution engine 'compiled' "
+            f"(from REPRO_VM_ENGINE); {KNOWN_ENGINES}"
+        )
+
+    def test_engine_flag_is_an_argparse_usage_error(self, tmp_path, capsys):
+        from repro.tools.run import main
+
+        source = tmp_path / "p.om"
+        source.write_text("void main() { print_int(1); }")
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(source), "--engine", "compiled"])
+        assert excinfo.value.code == 2
+        complaint = capsys.readouterr().err
+        assert "invalid choice: 'compiled'" in complaint
+        choices = complaint.split("choose from", 1)[1]
+        assert "codegen" in choices and "reference" in choices
+        assert "compiled" not in choices
+
+    def test_farm_job_and_batch_file(self, tmp_path, capsys):
+        from repro.farm import FarmJob
+        from repro.tools.farm import main
+
+        with pytest.raises(ValueError) as excinfo:
+            FarmJob("w", source="void main() { }", engine="compiled")
+        assert str(excinfo.value) == (
+            "unknown execution engine 'compiled' (from FarmJob.engine); "
+            + KNOWN_ENGINES
+        )
+        batch = tmp_path / "batch.json"
+        batch.write_text(
+            '[{"workload": "w", "source": "void main() { }",'
+            ' "engine": "compiled"}]'
+        )
+        assert main([str(batch)]) == 1
+        assert capsys.readouterr().err.strip() == (
+            f"error: batch file {str(batch)!r}, job [0]: unknown execution "
+            f"engine 'compiled' (from FarmJob.engine); {KNOWN_ENGINES}"
+        )
