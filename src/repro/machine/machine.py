@@ -102,25 +102,6 @@ class Machine:
         """Allocator over the main-memory heap region."""
         return self._heap
 
-    def reset(self) -> None:
-        """Return the machine to its power-on state.
-
-        Memory contents are preserved only in the sense of being zeroed;
-        clocks, counters, DMA queues and the heap allocator all restart.
-        """
-        self.perf.reset()
-        self.host.clock.reset()
-        if self.interconnect is not None:
-            self.interconnect.reset()
-        self.main_memory.fill(0)
-        for acc in self.accelerators:
-            acc.clock.reset()
-            if acc.local_store is not None:
-                acc.local_store.fill(0)
-            if acc.dma is not None:
-                acc.dma.reset()
-        self._heap.reset()
-
     def total_cycles(self) -> int:
         """The latest clock across all cores — wall-clock of the run."""
         latest = self.host.clock.now

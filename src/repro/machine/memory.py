@@ -14,6 +14,7 @@ reach the memory system.
 
 from __future__ import annotations
 
+import mmap
 import struct
 from typing import Optional
 
@@ -67,7 +68,10 @@ class MemorySpace:
         self.name = name
         self.size = size
         self.granularity = granularity
-        self._data = bytearray(size)
+        # Anonymous mapping: the OS hands out zeroed pages on first
+        # touch, so building a 16 MiB space costs microseconds and only
+        # the pages a run writes ever become resident.
+        self._data = mmap.mmap(-1, size)
 
     # ---------------------------------------------------------------- raw
 
@@ -98,7 +102,7 @@ class MemorySpace:
     def read(self, address: int, nbytes: int) -> bytes:
         """Read ``nbytes`` raw bytes starting at ``address``."""
         self._check(address, nbytes)
-        return bytes(self._data[address : address + nbytes])
+        return self._data[address : address + nbytes]
 
     def write(self, address: int, data: bytes) -> None:
         """Write raw bytes starting at ``address``."""
@@ -113,7 +117,7 @@ class MemorySpace:
         """
         if address < 0 or address + nbytes > self.size:
             self.check_bounds(address, nbytes)
-        return bytes(self._data[address : address + nbytes])
+        return self._data[address : address + nbytes]
 
     def write_unchecked(self, address: int, data: bytes) -> None:
         """Write bypassing the granularity rule (bounds still enforced)."""
@@ -189,12 +193,11 @@ class MemorySpace:
         """Set every byte of the space to ``value``."""
         if not 0 <= value <= 0xFF:
             raise ValueError(f"fill value must be a byte, got {value}")
-        for i in range(self.size):
-            self._data[i] = value
+        self._data[:] = bytes([value]) * self.size
 
     def snapshot(self) -> bytes:
         """Return an immutable copy of the full contents."""
-        return bytes(self._data)
+        return self._data[:]
 
     def __repr__(self) -> str:
         return (

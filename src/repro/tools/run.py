@@ -232,18 +232,19 @@ def main(argv: list[str] | None = None) -> int:
         print(format_program(program))
         return 0
     if args.dump_codegen:
-        from repro.vm.codegen import generate_module_source
+        from repro.vm.codegen import LADDER_MARK, generate_module_source
 
-        source_text, _, fallbacks = generate_module_source(
+        source_text, generated, fallbacks = generate_module_source(
             program, config.cost
         )
         print(source_text)
-        if fallbacks:
-            print(
-                f"-- {fallbacks} function(s) fall back to the "
-                f"reference interpreter",
-                file=sys.stderr,
-            )
+        print(
+            f"-- codegen: {generated} functions, "
+            f"{len(source_text.splitlines())} lines, "
+            f"{source_text.count(LADDER_MARK)} ladders, "
+            f"{fallbacks} fallbacks",
+            file=sys.stderr,
+        )
         return 0
     recorder = TraceRecorder() if args.trace is not None else None
     hub = MetricsHub() if args.report is not None else None

@@ -13,38 +13,59 @@ budget updates batched per block — then compiled with :func:`compile`
 / ``exec`` and dispatched as an ordinary Python call::
 
     def _f0_main(eng, ctx):
-        r0 = r1 = 0
-        ctx.now += 4
-        eng._sc_calls.count += 1
+        _ic = eng._instructions         # hoisted counters
+        _now = ctx.now + 4
         ...
-        _pc = 0
-        while True:
-            if _pc == 0:
-                eng._instructions += 12
-                ...
-                ctx.now += 9            # batched clock-blind charges
-                r0 = (r1 + r2 + 0x80000000 & 0xFFFFFFFF) - 0x80000000
-                ...
+            while True:                 # a natural loop of the IR
+                _ic += 12               # one budget test per block
+                if _ic > _bud:
+                    raise RuntimeTrap(...)
+                _now += 9               # batched clock-blind charges
+                if not (r3 < 48):
+                    break
+                r0 = ((r1 + 24) + 0x80000000 & 0xFFFFFFFF) - 0x80000000
 
 Translation scheme
 ------------------
 
 * **Registers -> locals.**  Register ``i`` becomes local ``r{i}``;
-  function parameters are the leading locals, bound directly from the
-  generated function's positional parameters.
+  parameters are the generated function's positional parameters, and
+  only registers live into the entry block get a ``= 0`` initialiser.
 * **Block fusion.**  Leaders are the entry plus *actual* jump targets
-  (not every label), which keeps straight-line runs long.  Functions
-  without branches compile to pure straight-line code with no dispatch
-  loop at all; branching functions use a ``while True`` /
-  ``if _pc == N`` ladder with ``continue`` as the only dispatch
-  overhead.
+  (not every label), which keeps straight-line runs long.  Each block
+  opens with its one ``_ic += span`` budget test.
 * **Cycle batching.**  Clock-blind instructions (arithmetic, moves,
   scalar local/main traffic, word extract/insert, print and math
-  intrinsics) are charged in one ``ctx.now += total`` per run;
-  segments break at every clock-observing instruction (calls,
-  outer-space accesses, DMA intrinsics, offload launch/join, bulk
-  copies, branches), so ``ctx.now`` is exactly the reference engine's
-  at every observation point.
+  intrinsics) are charged in one ``_now += total`` per run; segments
+  break at every clock-observing instruction (calls, outer-space
+  accesses, DMA intrinsics, offload launch/join, bulk copies), so the
+  clock is exactly the reference engine's at every observation point.
+  A branch is charged with the segment before it when nothing in that
+  segment can trap.
+* **Propagation inside a block.**  Simulated cost is already in those
+  batched updates, so host work may shrink: a constant or copy is
+  substituted into its readers; a pure, trap-free ALU result read
+  exactly once is forwarded into that reader in parentheses (same
+  operations, same order); a value nobody reads is not computed.  A
+  pending value is stored just before a register it reads is
+  redefined, and at block end when the backward liveness pass says a
+  successor reads it.  Loads, stores, calls, intrinsics, integer
+  division (it traps) and everything clock-observing stay statements,
+  in program order.
+* **Structured control flow.**  Natural loops become ``while True:``
+  with ``break`` / ``continue``; two-way branches whose arms rejoin or
+  leave become ``if`` / ``else``.  A function whose CFG cannot be
+  written that way (irreducible, a short-circuit join, a nest deeper
+  than the parser allows) keeps the ``while True`` / ``if _pc == N``
+  ladder, arms ordered by loop depth (``CodegenStats.ladders``).
+* **Hoisted counters.**  ``eng._instructions``, ``eng._budget``,
+  ``ctx.now`` and each memory's ``_data`` / ``size`` live in locals
+  (``_ic``, ``_bud``, ``_now``, ``_md`` / ``_mz``, ``_ld`` / ``_lz``).
+  ``_ic`` and ``_now`` are written back before, and re-read after,
+  everything that is handed ``ctx`` — calls, domain dispatch, offload
+  launch/join, bulk copies, trace events — and on return; DMA engines
+  and outer-access strategies take and return the clock as a value.
+  One ``except BaseException`` around the body restores both.
 * **Typedness.**  A per-function fixpoint classifies registers as
   int-typed / float-typed / unknown, eliding the defensive ``int()`` /
   ``float()`` coercions where a register's value class is proven.
@@ -112,6 +133,8 @@ import sys
 from types import CodeType
 from typing import Callable, Optional
 
+from repro.analysis.dataflow import BasicBlock, ControlFlowGraph
+from repro.compiler.optimize import instr_def, instr_uses
 from repro.ir.instructions import (
     AccSpace,
     BinOp,
@@ -153,7 +176,7 @@ from repro.vm.interpreter import Interpreter, RunOptions
 #: Bumped whenever the translation scheme changes in any way that can
 #: affect generated source; part of the disk cache key and kind so
 #: stale cached modules are never re-executed.
-CODEGEN_VERSION = 1
+CODEGEN_VERSION = 2
 
 #: Pseudo-filename under which generated code is compiled (shows up in
 #: tracebacks from generated code).
@@ -208,6 +231,8 @@ class CodegenStats:
 
     translations: int = 0
     fallbacks: int = 0
+    #: Translated functions whose CFG kept the ``_pc`` ladder.
+    ladders: int = 0
     exec_loads: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -217,6 +242,7 @@ class CodegenStats:
         return {
             "codegen.translations": self.translations,
             "codegen.fallbacks": self.fallbacks,
+            "codegen.ladders": self.ladders,
             "codegen.exec_loads": self.exec_loads,
             "codegen.cache_hits": self.cache_hits,
             "codegen.cache_misses": self.cache_misses,
@@ -295,9 +321,9 @@ def _infer_reg_types(function: IRFunction) -> dict[int, str]:
                 changed |= join(instr.dst, t)
             elif isinstance(instr, Load):
                 changed |= join(instr.dst, _FLT if instr.is_float else _INT)
-            elif isinstance(instr, (Extract, Insert, FrameAddr, GlobalAddr)):
-                changed |= join(instr.dst, _INT)
-            elif isinstance(instr, OffloadLaunch):
+            elif isinstance(
+                instr, (Extract, Insert, FrameAddr, GlobalAddr, OffloadLaunch)
+            ):
                 changed |= join(instr.dst, _INT)
             elif isinstance(instr, (Call, ICall, DomainCall)):
                 changed |= join(instr.dst, _ANY)
@@ -310,6 +336,33 @@ def _infer_reg_types(function: IRFunction) -> dict[int, str]:
 
 #: One emitted statement line: (relative indent, text).
 _Lines = list[tuple[int, str]]
+
+
+class _Unstructured(Exception):
+    """The CFG does not fit ``while`` / ``if`` / ``break``; the function
+    keeps the ``_pc`` ladder."""
+
+
+#: Pseudo successor: control runs off the end of the function.
+_EXIT = -1
+
+#: Deepest loop nest emitted as real ``while`` statements (CPython
+#: refuses more than 20 statically nested blocks).
+_MAX_LOOP_DEPTH = 16
+
+#: Longest expression forwarded into its single use rather than stored.
+_MAX_FORWARD_CHARS = 160
+
+#: First statement of a ``_pc`` ladder, as it sits in a function's text
+#: (string literals cannot hold a raw newline, so nothing else matches).
+LADDER_MARK = "\n        _pc = 0\n"
+
+_SYNC_OUT = (0, "eng._instructions, ctx.now = _ic, _now")
+_SYNC_IN = (0, "_ic, _now = eng._instructions, ctx.now")
+
+
+def _indent(lines: _Lines, by: int = 1) -> _Lines:
+    return [(ind + by, text) for ind, text in lines]
 
 
 class _FunctionEmitter:
@@ -339,20 +392,42 @@ class _FunctionEmitter:
         self.uses_ls = False
         self.uses_chk = False
         self.uses_mm = False
+        #: Block-local values not stored yet: register -> [text,
+        #: registers the text reads, uses left, live at block end].
+        self.env: dict[int, list] = {}
+        self._deps: set[int] = set()
+        self._coerced = False
 
     # ------------------------------------------------------------ helpers
+
+    def rv(self, reg: int) -> str:
+        """Register as an expression: its pending block-local value
+        (constant, copy source or forwarded expression) when there is
+        one, else the local ``r{reg}``."""
+        entry = self.env.get(reg)
+        if entry is None:
+            self._deps.add(reg)
+            return f"r{reg}"
+        entry[2] -= 1
+        self._deps |= entry[1]
+        return entry[0]
 
     def iv(self, reg: int) -> str:
         """Register as an int expression (coercion elided when proven)."""
         if self.types.get(reg, _INT) == _INT:
-            return f"r{reg}"
-        return f"int(r{reg})"
+            return self.rv(reg)
+        self._coerced = True
+        return f"int({self.rv(reg)})"
 
     def fv(self, reg: int) -> str:
         """Register as a float expression."""
         if self.types.get(reg) == _FLT:
-            return f"r{reg}"
-        return f"float(r{reg})"
+            return self.rv(reg)
+        self._coerced = True
+        return f"float({self.rv(reg)})"
+
+    def _args(self, regs: list[int]) -> str:
+        return ", ".join(self.rv(a) for a in regs)
 
     def _codec_name(self, kind: str, key: tuple[int, bool, bool]) -> str:
         self.needs.add(("codec", key))
@@ -362,98 +437,79 @@ class _FunctionEmitter:
 
     def emit(self) -> str:
         fn = self.fn
-        code = fn.code
-        n = len(code)
         nparams = len(fn.params)
-        pyname = self.func_names[fn.name]
-
-        blocks = self._collect_blocks()
-        loop_mode = any(isinstance(i, (Jump, CJump)) for i in code)
-
-        body: _Lines = []
-        if loop_mode:
-            body.append((0, "_pc = 0"))
-            body.append((0, "while True:"))
-            first = True
-            for leader, end, span in blocks:
-                body.append((1, f"{'if' if first else 'elif'} _pc == {leader}:"))
-                first = False
-                block_lines = self._emit_block(leader, end, span, loop_mode=True)
-                body.extend((ind + 2, text) for ind, text in block_lines)
-            body.append((1, "else:"))
-            body.append((2, "break"))
-            body.extend(self._exit_lines())
-        elif n:
-            leader, end, span = blocks[0]
-            block_lines = self._emit_block(leader, end, span, loop_mode=False)
-            body.extend(block_lines)
-            last = code[end - 1] if end else None
-            if not isinstance(last, (Ret, Trap)):
-                body.extend(self._exit_lines())
+        self.blocks = self._collect_blocks()
+        self._analyse()
+        self._bodies: dict[int, _Lines] = {}
+        #: CJump condition of each emitted block, as an ``if`` test.
+        self.conds: dict[int, str] = {}
+        if not self.blocks:
+            body = self._exit_lines()
         else:
-            body.extend(self._exit_lines())
+            try:
+                body = self._structured()
+                if max(body)[0] > 60:  # lines sort by indent first
+                    raise _Unstructured("nesting too deep for the parser")
+            except _Unstructured:
+                body = self._ladder()
 
         # Prologue (after the body so the uses_* flags are known).
         params = "".join(f", r{i}" for i in range(nparams))
-        lines: _Lines = [(0, f"def {pyname}(eng, ctx{params}):")]
-        used = self._used_regs()
-        init = sorted(r for r in used if r >= nparams)
+        lines: _Lines = [(0, f"def {self.func_names[fn.name]}(eng, ctx{params}):")]
+        entry_live = self.live_in[0] >> nparams if self.blocks else 0
+        init = [
+            f"r{nparams + i}" for i in range(entry_live.bit_length())
+            if entry_live >> i & 1
+        ]
         if init:
-            lines.append((1, " = ".join(f"r{r}" for r in init) + " = 0"))
+            lines.append((1, " = ".join(init) + " = 0"))
         if fn.frame_size:
             lines.append((1, "_stk = ctx.stack"))
             lines.append((1, "_sp0 = _stk.sp"))
             lines.append((1, f"_fb = _stk.push({fn.frame_size})"))
         elif self.uses_fb:
             lines.append((1, "_fb = ctx.stack.sp"))
-        lines.append((1, f"ctx.now += {self.cost.call}"))
+        lines.append((1, "_ic = eng._instructions"))
+        lines.append((1, "_bud = eng._budget"))
+        lines.append((1, f"_now = ctx.now + {self.cost.call}"))
         lines.append((1, "eng._sc_calls.count += 1"))
         lines.append((1, "_tr = eng._trace"))
         lines.append((1, "if _tr.enabled:"))
+        lines.append((2, "ctx.now = _now"))
         lines.append((2, f"eng._emit_enter(ctx, {fn.name!r})"))
         if self.uses_ls:
+            # No local store: size -1 fails every bounds test, and the
+            # slow path under it raises the "has none" trap.
             lines.append((1, "_ls = ctx.local_store"))
+            lines.append((1, "_ld, _lz = (None, -1) if _ls is None else (_ls._data, _ls.size)"))
         if self.uses_chk:
-            lines.append((
-                1,
-                "_chk = eng._chk_discipline and ctx.is_accel"
-                " and ctx.core.dma is not None",
-            ))
+            lines.append((1, "_chk = None"))
+            lines.append((1, "if eng._chk_discipline and ctx.is_accel and _ls is not None:"))
+            lines.append((2, "_chk = ctx.core.dma"))
         if self.uses_mm:
             lines.append((1, "_mm = ctx.main_memory"))
+            lines.append((1, "_md = _mm._data"))
+            lines.append((1, "_mz = _mm.size"))
+        lines.append((1, "try:"))
+        lines.extend(_indent(body, 2))
+        # Both only ever grow, so the larger is the live one whether the
+        # exception rose here or in a callee (which restored its own).
+        lines.append((1, "except BaseException:"))
+        lines.append((2, "eng._instructions = max(_ic, eng._instructions)"))
+        lines.append((2, "ctx.now = max(_now, ctx.now)"))
+        lines.append((2, "raise"))
         if fn.frame_size:
-            lines.append((1, "try:"))
-            lines.extend((ind + 2, text) for ind, text in body)
             lines.append((1, "finally:"))
             lines.append((2, "_stk.pop(_sp0)"))
-        else:
-            lines.extend((ind + 1, text) for ind, text in body)
-
         return "\n".join("    " * ind + text for ind, text in lines) + "\n"
 
-    def _used_regs(self) -> set[int]:
-        used: set[int] = set(range(len(self.fn.params)))
-        for instr in self.fn.code:
-            for field_name in (
-                "dst", "src", "a", "b", "addr", "cond", "word", "value",
-                "offset", "func_id", "handle", "src_addr", "dst_addr",
-                "size_reg",
-            ):
-                reg = getattr(instr, field_name, None)
-                if isinstance(reg, int) and not isinstance(reg, bool):
-                    # Extract/Insert const_offset path leaves offset None;
-                    # every register field is a plain int index.
-                    used.add(reg)
-            args = getattr(instr, "args", None)
-            if args:
-                used.update(args)
-        return used
-
-    def _exit_lines(self) -> _Lines:
+    def _exit_lines(self, charge: int = 0, value: str = "0") -> _Lines:
+        now = f"_now + {charge}" if charge else "_now"
         return [
+            (0, f"eng._instructions, ctx.now = _ic, {now}"),
             (0, "if _tr.enabled:"),
             (1, f"eng._emit_exit(ctx, {self.fn.name!r})"),
-            (0, "return 0"),
+            (0, f"return {value}"),
         ]
 
     # ------------------------------------------------------------- blocks
@@ -471,14 +527,13 @@ class _FunctionEmitter:
         targets: set[int] = set()
         for instr in code:
             if isinstance(instr, Jump):
-                t = fn.labels.get(instr.label)
-                if t is not None and 0 <= t < n:
-                    targets.add(t)
+                labels: tuple = (instr.label,)
             elif isinstance(instr, CJump):
-                for label in (instr.then_label, instr.else_label):
-                    t = fn.labels.get(label)
-                    if t is not None and 0 <= t < n:
-                        targets.add(t)
+                labels = (instr.then_label, instr.else_label)
+            else:
+                continue
+            targets.update(fn.labels.get(label, -1) for label in labels)
+        targets = {t for t in targets if 0 <= t < n}
         leaders = sorted({0, *targets})
         blocks = []
         for pos, leader in enumerate(leaders):
@@ -491,125 +546,368 @@ class _FunctionEmitter:
             blocks.append((leader, end, end - leader))
         return blocks
 
-    def _emit_block(
-        self, leader: int, end: int, span: int, loop_mode: bool
-    ) -> _Lines:
+    def _analyse(self) -> None:
+        """Successors of every block and one backward liveness pass:
+        ``live_in`` / ``live_out`` are register bit masks per block."""
+        fn = self.fn
+        code = fn.code
+        n = len(code)
+        blocks = self.blocks
+        index_of = {leader: i for i, (leader, _, _) in enumerate(blocks)}
+
+        def target(label: str):
+            t = fn.labels.get(label)
+            if t is None:
+                return label  # KeyError at run time, as on the decode loop
+            return index_of[t] if 0 <= t < n else _EXIT
+
+        #: Per block: () after Ret/Trap, (t,) for a jump or fall-through,
+        #: (then, else) for a CJump; a target is a block index, _EXIT or
+        #: the name of a label that does not exist.
+        self.succ: list[tuple] = []
+        self.uses = [instr_uses(instr) for instr in code]
+        self.defs = [instr_def(instr) for instr in code]
+        use_masks, def_masks = [], []
+        for leader, end, _ in blocks:
+            last = code[end - 1]
+            if isinstance(last, Jump):
+                self.succ.append((target(last.label),))
+            elif isinstance(last, CJump):
+                self.succ.append(
+                    (target(last.then_label), target(last.else_label))
+                )
+            elif isinstance(last, (Ret, Trap)):
+                self.succ.append(())
+            else:
+                self.succ.append((index_of[end] if end < n else _EXIT,))
+            used = defined = 0
+            for j in range(leader, end):
+                for reg in self.uses[j]:
+                    if not defined >> reg & 1:
+                        used |= 1 << reg
+                if self.defs[j] is not None:
+                    defined |= 1 << self.defs[j]
+            use_masks.append(used)
+            def_masks.append(defined)
+        #: The successors that are blocks, as the CFG's edges.
+        self.edges = [
+            sorted({t for t in succ if type(t) is int and t >= 0})
+            for succ in self.succ
+        ]
+        self.live_in = [0] * len(blocks)
+        self.live_out = [0] * len(blocks)
+        changed = True
+        while changed:
+            changed = False
+            for i in range(len(blocks) - 1, -1, -1):
+                out = 0
+                for s in self.edges[i]:
+                    out |= self.live_in[s]
+                self.live_out[i] = out
+                live = use_masks[i] | (out & ~def_masks[i])
+                if live != self.live_in[i]:
+                    self.live_in[i] = live
+                    changed = True
+
+    def _kill(self, reg: int, out: _Lines) -> None:
+        """``reg`` is about to be redefined: forget its pending value and
+        store every pending value that reads it and is still wanted."""
+        env = self.env
+        env.pop(reg, None)
+        if reg in self._read:
+            for other in [k for k, entry in env.items() if reg in entry[1]]:
+                text, _, left, live = env.pop(other)
+                if left or live:
+                    out.append((0, f"r{other} = {text}"))
+
+    def _body(self, index: int) -> _Lines:
+        """One block up to (and charging for) its terminator: the budget
+        test, then the clock-blind segments with pure values propagated,
+        forwarded or dropped.  A CJump leaves its test in ``self.conds``;
+        the transfer itself is the caller's."""
+        cached = self._bodies.get(index)
+        if cached is not None:
+            return cached
+        leader, end, span = self.blocks[index]
         code = self.fn.code
         out: _Lines = [
-            (0, f"eng._instructions += {span}"),
-            (0, "if eng._instructions > eng._budget:"),
-            (
-                1,
-                'raise RuntimeTrap(f"instruction budget exceeded'
-                ' ({eng._budget})")',
-            ),
+            (0, f"_ic += {span}"),
+            (0, "if _ic > _bud:"),
+            (1, 'raise RuntimeTrap(f"instruction budget exceeded ({_bud})")'),
         ]
+        # Backward: per definition, how many reads it reaches inside the
+        # block and whether it is the value live out of the block.
+        reach: dict[int, tuple[int, bool]] = {}
+        reads: dict[int, int] = {}
+        live = self.live_out[index]
+        for j in range(end - 1, leader - 1, -1):
+            reg = self.defs[j]
+            if reg is not None:
+                reach[j] = (reads.pop(reg, 0), bool(live >> reg & 1))
+                live &= ~(1 << reg)
+            for reg in self.uses[j]:
+                reads[reg] = reads.get(reg, 0) + 1
+        env = self.env
+        env.clear()
+        self._read: set[int] = set()  # every register a pending text read
         pending_charge = 0
         pending_lines: _Lines = []
+        can_raise = False  # anything but pure stores in pending_lines?
 
         def flush() -> None:
-            nonlocal pending_charge
+            nonlocal pending_charge, can_raise
             if pending_charge:
-                out.append((0, f"ctx.now += {pending_charge}"))
+                out.append((0, f"_now += {pending_charge}"))
                 pending_charge = 0
             out.extend(pending_lines)
             pending_lines.clear()
+            can_raise = False
 
-        for index in range(leader, end):
-            instr = code[index]
+        def store_live() -> None:
+            for reg, (text, _, _, wanted) in env.items():
+                if wanted:
+                    pending_lines.append((0, f"r{reg} = {text}"))
+
+        for j in range(leader, end):
+            instr = code[j]
             if isinstance(instr, _TERMINATORS):
-                flush()
-                out.extend(self._emit_terminator(instr, loop_mode))
-                return out
-            lines, charge = self._translate(instr)
+                tail = self._emit_terminator(index, instr)
+                store_live()
+                if not tail and not can_raise:
+                    # Nothing in the last segment can observe the clock
+                    # or trap, so the branch is charged with it.
+                    pending_charge += self.cost.branch
+                    flush()
+                else:
+                    flush()
+                    out.extend(tail or [(0, f"_now += {self.cost.branch}")])
+                break
+            self._deps = set()
+            self._coerced = False
+            result, charge = self._translate(instr)
+            reg = self.defs[j]
+            if reg is not None:
+                self._kill(reg, pending_lines)
+            pure = isinstance(result, str)
+            if pure:
+                reads_left, wanted = reach[j]
+                if result[0] != "(" or (
+                    reads_left == 1 and not wanted and not self._coerced
+                    and len(result) < _MAX_FORWARD_CHARS
+                ):
+                    env[reg] = [result, self._deps, reads_left, wanted]
+                    self._read |= self._deps
+                    result = []
+                elif reads_left or wanted or self._coerced:
+                    result = [(0, f"r{reg} = {result}")]
+                else:
+                    result = []
             if charge is None:
                 flush()
-                out.extend(lines)
+                out.extend(result)
             else:
                 pending_charge += charge
-                pending_lines.extend(lines)
-        flush()
-        # Fall-through into the next leader (or off the end).
-        if loop_mode:
-            if end < len(code):
-                out.append((0, f"_pc = {end}"))
-                out.append((0, "continue"))
-            else:
-                out.append((0, "break"))
+                pending_lines.extend(result)
+                can_raise = can_raise or not pure
+        else:
+            store_live()
+            flush()
+        self._bodies[index] = out
         return out
 
-    # -------------------------------------------------------- terminators
-
-    def _branch_lines(self, label: str) -> _Lines:
-        """Transfer control to ``label`` (charge already emitted)."""
-        target = self.fn.labels.get(label)
-        n = len(self.fn.code)
-        if target is None:
-            return [(0, f"raise KeyError({label!r})")]
-        if target >= n:
-            return [(0, "break")]
-        return [(0, f"_pc = {target}"), (0, "continue")]
-
-    def _emit_terminator(self, instr: Instr, loop_mode: bool) -> _Lines:
-        cost = self.cost
+    def _emit_terminator(self, index: int, instr: Instr) -> _Lines:
         if isinstance(instr, Ret):
-            value = f"r{instr.src}" if instr.src is not None else "0"
-            return [
-                (0, f"ctx.now += {cost.ret}"),
-                (0, "if _tr.enabled:"),
-                (1, f"eng._emit_exit(ctx, {self.fn.name!r})"),
-                (0, f"return {value}"),
-            ]
+            value = self.rv(instr.src) if instr.src is not None else "0"
+            return self._exit_lines(self.cost.ret, value)
         if isinstance(instr, Trap):
             return [(0, f"raise RuntimeTrap({instr.message!r})")]
-        if isinstance(instr, Jump):
-            out: _Lines = [(0, f"ctx.now += {cost.branch}")]
-            if not loop_mode:
-                # Only reachable for a jump straight to the exit (any
-                # other target would have forced loop mode).
-                target = self.fn.labels.get(instr.label)
-                if target is None:
-                    out.append((0, f"raise KeyError({instr.label!r})"))
-                return out
-            out.extend(self._branch_lines(instr.label))
-            return out
-        assert isinstance(instr, CJump)
-        out = [(0, f"ctx.now += {cost.branch}")]
-        then_t = self.fn.labels.get(instr.then_label)
-        else_t = self.fn.labels.get(instr.else_label)
-        n = len(self.fn.code)
-        plain = (
-            then_t is not None and 0 <= then_t < n
-            and else_t is not None and 0 <= else_t < n
-        )
-        if plain and loop_mode:
-            out.append((0, f"_pc = {then_t} if r{instr.cond} else {else_t}"))
-            out.append((0, "continue"))
-            return out
-        if not loop_mode:
-            raise _Unsupported("CJump outside loop mode")
-        out.append((0, f"if r{instr.cond}:"))
-        out.extend((ind + 1, text) for ind, text in
-                   self._branch_lines(instr.then_label))
-        out.append((0, "else:"))
-        out.extend((ind + 1, text) for ind, text in
-                   self._branch_lines(instr.else_label))
-        return out
+        if isinstance(instr, CJump):
+            cond = self.rv(instr.cond)
+            if cond.startswith("(1 if ") and cond.endswith(" else 0)"):
+                cond = cond[6:-8]
+            self.conds[index] = cond
+        return []  # a branch: only its charge, which ``_body`` places
+
+    # ------------------------------------------------- structured control
+
+    def _cfg(self) -> ControlFlowGraph:
+        """The fused blocks as a :mod:`repro.analysis.dataflow` CFG, for
+        its dominators and natural loops."""
+        cfg_blocks = [
+            BasicBlock(index=i, start=leader, end=end, succs=self.edges[i])
+            for i, (leader, end, _) in enumerate(self.blocks)
+        ]
+        for block in cfg_blocks:
+            for s in block.succs:
+                cfg_blocks[s].preds.append(block.index)
+        return ControlFlowGraph(self.fn, cfg_blocks)
+
+    def _structured(self) -> _Lines:
+        """The body as ``while`` / ``if`` / ``break`` / ``continue``.  A
+        block is placed once every forward edge into it has been
+        emitted, right after the construct those edges fall out of;
+        what cannot be placed that way raises :class:`_Unstructured`."""
+        #: Joins a then-arm fell into: they go after that ``if``, so
+        #: nothing nested in its else-arm may place them.
+        self.stops: list[int] = []
+        if not self.edges[0]:  # one block, not looping on itself
+            return self._block(0, None, 0)[0]
+        cfg = self.cfg = self._cfg()
+        self.loops = {loop.header: loop.body for loop in cfg.natural_loops()}
+        self.back = set(cfg.back_edges())
+        self.pending = [0] * len(self.blocks)
+        for i in cfg.reverse_postorder():
+            for s in self.edges[i]:
+                if (i, s) not in self.back:
+                    self.pending[s] += 1
+        self.placed: set[int] = set()
+        lines, left = self._seq(0, None, 0)
+        if left is not None:
+            raise _Unstructured(f"block {left} has no place")
+        return lines
+
+    def _seq(self, b, loop, depth: int, opening: bool = False):
+        """Blocks from ``b`` on, for as long as each next one is ready to
+        be placed.  Returns the lines and the block control falls into
+        off their end (None: every path left by return / continue /
+        break / raise).  ``loop`` is the innermost open loop as
+        [header, exit, broke]."""
+        out: _Lines = []
+        while b is not None and (
+            opening or not (self.pending[b] or b in self.stops)
+        ):
+            if b in self.placed:
+                raise _Unstructured(f"block {b} reached twice")
+            if b in self.loops and not opening:
+                if depth >= _MAX_LOOP_DEPTH:
+                    raise _Unstructured("loop nest too deep")
+                body = self.loops[b]
+                # Of the blocks the loop can leave to, the one laid out
+                # last is where structured lowering puts the join.
+                exits = [
+                    t for i in body for t in self.edges[i]
+                    if t not in body
+                ]
+                inner = [b, max(exits, default=None), False]
+                lines, left = self._seq(b, inner, depth + 1, opening=True)
+                if left is not None:
+                    raise _Unstructured(f"loop {b} falls into block {left}")
+                if lines[-1] == (0, "continue"):
+                    lines.pop()  # the bottom of the body loops anyway
+                out += [(0, "while True:"), *_indent(lines)]
+                if not inner[2]:
+                    return out, None
+                lines, b = self._land(inner[1], loop)
+            else:
+                opening = False
+                self.placed.add(b)
+                lines, b = self._block(b, loop, depth)
+            out.extend(lines)
+        return out, b
+
+    def _land(self, t: int, loop):
+        """Control arrives at block ``t`` from inside ``loop``."""
+        if loop is not None:
+            if t == loop[0]:
+                return [(0, "continue")], None
+            if t == loop[1]:
+                loop[2] = True
+                return [(0, "break")], None
+        return [], t
+
+    def _arm(self, src: int, t, loop, depth: int):
+        """Everything one out-edge of ``src`` leads to that can be
+        placed under it."""
+        if isinstance(t, str):
+            return [(0, f"raise KeyError({t!r})")], None
+        if t == _EXIT:
+            return self._exit_lines(), None
+        if (src, t) not in self.back:
+            self.pending[t] -= 1
+        lines, t = self._land(t, loop)
+        if t is not None:
+            lines, t = self._seq(t, loop, depth)
+        return lines, t
+
+    def _block(self, b: int, loop, depth: int):
+        lines = list(self._body(b))
+        succ = self.succ[b]
+        if not succ:
+            return lines, None
+        if len(succ) == 1 or succ[0] == succ[1]:
+            arm, left = self._arm(b, succ[0], loop, depth)
+            return lines + arm, left
+        cond = self.conds[b]
+        then, then_left = self._arm(b, succ[0], loop, depth)
+        self.stops.append(then_left)
+        other, other_left = self._arm(b, succ[1], loop, depth)
+        self.stops.pop()
+        if then_left is not None and other_left not in (None, then_left):
+            raise _Unstructured(f"arms of block {b} do not rejoin")
+        if other_left is None and (then_left is not None or len(other) < len(then)):
+            # The arm that leaves goes under the ``if``; the other one
+            # follows it un-nested.
+            lines += [(0, f"if not ({cond}):"), *_indent(other), *then]
+        elif then_left is None:
+            lines += [(0, f"if {cond}:"), *_indent(then), *other]
+        elif then:
+            lines += [(0, f"if {cond}:"), *_indent(then)]
+            if other:
+                lines += [(0, "else:"), *_indent(other)]
+        elif other:
+            lines += [(0, f"if not ({cond}):"), *_indent(other)]
+        return lines, then_left if then_left is not None else other_left
+
+    # ------------------------------------------------------------- ladder
+
+    def _ladder(self) -> _Lines:
+        """Fallback control flow: a ``while True`` around one ``if _pc ==
+        leader`` arm per block, deepest loops first so the hottest
+        blocks are tested first."""
+        depth = [0] * len(self.blocks)
+        for loop in self.cfg.natural_loops():
+            for i in loop.body:
+                depth[i] += 1
+
+        def goto(t) -> _Lines:
+            if isinstance(t, str):
+                return [(0, f"raise KeyError({t!r})")]
+            if t == _EXIT:
+                return self._exit_lines()
+            return [(0, f"_pc = {self.blocks[t][0]}"), (0, "continue")]
+
+        body: _Lines = [(0, LADDER_MARK.strip()), (0, "while True:")]
+        order = sorted(range(len(self.blocks)), key=lambda i: (-depth[i], i))
+        for pos, i in enumerate(order):
+            body.append(
+                (1, f"{'elif' if pos else 'if'} _pc == {self.blocks[i][0]}:")
+            )
+            lines = list(self._body(i))
+            succ = self.succ[i]
+            if len(succ) == 1 or (len(succ) == 2 and succ[0] == succ[1]):
+                lines.extend(goto(succ[0]))
+            elif succ:
+                lines += [(0, f"if {self.conds[i]}:"), *_indent(goto(succ[0]))]
+                lines.extend(goto(succ[1]))
+            body.extend(_indent(lines, 2))
+        return body
 
     # ----------------------------------------------------- instructions
 
-    def _translate(self, instr: Instr) -> tuple[_Lines, Optional[int]]:
+    def _translate(self, instr: Instr) -> "tuple[_Lines | str, Optional[int]]":
         """One straight-line instruction -> source lines + static cycle
         charge (None for clock-observing instructions, which charge
-        ``ctx.now`` in their own lines)."""
+        ``_now`` themselves).  A pure, trap-free definition comes back as
+        the *expression* for its destination — an atom, or anything else
+        in parentheses — for ``_body`` to store, forward or drop."""
         cost = self.cost
         alu = cost.alu
 
         if isinstance(instr, Const):
-            return [(0, f"r{instr.dst} = {_literal(instr.value)}")], alu
+            return _literal(instr.value), alu
 
         if isinstance(instr, Move):
-            return [(0, f"r{instr.dst} = r{instr.src}")], alu
+            return self.rv(instr.src), alu
 
         if isinstance(instr, BinOp):
             return self._emit_binop(instr), alu
@@ -631,12 +929,12 @@ class _FunctionEmitter:
             )
             src_sp = _SPACE_NAMES[instr.src_space]
             dst_sp = _SPACE_NAMES[instr.dst_space]
-            return [(
+            return [_SYNC_OUT, (
                 0,
                 f"eng._copy_values({src_sp}, {dst_sp}, "
                 f"{self.iv(instr.src_addr)}, {self.iv(instr.dst_addr)}, "
                 f"{size}, ctx)",
-            )], None
+            ), _SYNC_IN], None
 
         if isinstance(instr, Extract):
             return self._emit_extract(instr)
@@ -646,18 +944,18 @@ class _FunctionEmitter:
 
         if isinstance(instr, FrameAddr):
             self.uses_fb = True
-            expr = f"_fb + {instr.offset}" if instr.offset else "_fb"
-            return [(0, f"r{instr.dst} = {expr}")], alu
+            return (f"(_fb + {instr.offset})" if instr.offset else "_fb"), alu
 
         if isinstance(instr, GlobalAddr):
             slot = self.program.globals.get(instr.name)
-            if slot is None:
-                # Unknown global: surface the reference engine's KeyError
-                # at execution time, not at codegen time.
-                expr = f"eng.program.globals[{instr.name!r}].address"
-            else:
-                expr = str(slot.address)
-            return [(0, f"r{instr.dst} = {expr}")], alu
+            if slot is not None:
+                return str(slot.address), alu
+            # Unknown global: surface the reference engine's KeyError
+            # at execution time, not at codegen time.
+            return [(
+                0,
+                f"r{instr.dst} = eng.program.globals[{instr.name!r}].address",
+            )], alu
 
         if isinstance(instr, Call):
             return self._emit_call(instr), None
@@ -666,31 +964,29 @@ class _FunctionEmitter:
             return self._emit_icall(instr), None
 
         if isinstance(instr, DomainCall):
-            args = ", ".join(f"r{a}" for a in instr.args)
             call = (
                 f"eng._domain_call_values({instr.offload_id}, "
                 f"{instr.duplicate_id!r}, {self.iv(instr.func_id)}, "
-                f"[{args}], ctx)"
+                f"[{self._args(instr.args)}], ctx)"
             )
             if instr.dst is not None:
                 call = f"r{instr.dst} = {call}"
-            return [(0, call)], None
+            return [_SYNC_OUT, (0, call), _SYNC_IN], None
 
         if isinstance(instr, Intrinsic):
             return self._emit_intrinsic(instr)
 
         if isinstance(instr, OffloadLaunch):
-            args = ", ".join(f"r{a}" for a in instr.args)
-            return [(
+            return [_SYNC_OUT, (
                 0,
                 f"r{instr.dst} = eng._run_offload({instr.offload_id}, "
-                f"{instr.entry!r}, [{args}], ctx)",
-            )], None
+                f"{instr.entry!r}, [{self._args(instr.args)}], ctx)",
+            ), _SYNC_IN], None
 
         if isinstance(instr, OffloadJoin):
-            return [(
+            return [_SYNC_OUT, (
                 0, f"eng._join_offload({self.iv(instr.handle)}, ctx)"
-            )], None
+            ), _SYNC_IN], None
 
         # Unknown instruction class: fail at execution time exactly like
         # the reference loop does.
@@ -699,10 +995,10 @@ class _FunctionEmitter:
 
     # --------------------------------------------------------- arithmetic
 
-    def _emit_binop(self, instr: BinOp) -> _Lines:
+    def _emit_binop(self, instr: BinOp) -> "_Lines | str":
         d, a, b, op = instr.dst, instr.a, instr.b, instr.op
         if instr.is_compare:
-            return [(0, f"r{d} = 1 if r{a} {op} r{b} else 0")]
+            return f"(1 if {self.rv(a)} {op} {self.rv(b)} else 0)"
         if instr.float_op:
             fa, fb = self.fv(a), self.fv(b)
             if op == "/":
@@ -719,15 +1015,24 @@ class _FunctionEmitter:
                     (1, f"r{d} = _x / _y"),
                 ]
             if op in ("+", "-", "*"):
-                return [(0, f"r{d} = {fa} {op} {fb}")]
+                return f"({fa} {op} {fb})"
             raise _Unsupported(f"float op {op}")
         ia, ib = self.iv(a), self.iv(b)
+        if (
+            ib == "0" and op in ("+", "-", "|", "^") and not instr.signed
+            and ia.endswith("& 0xFFFFFFFF)")
+        ):
+            return ia  # field at offset 0 of an already-wrapped address
         if op in ("+", "-", "*", "&", "|", "^"):
             core = f"{ia} {op} {ib}"
-        elif op == "/":
-            core = f"_int_div({ia}, {ib})"
-        elif op == "%":
-            core = f"_int_rem({ia}, {ib})"
+        elif op in ("/", "%"):
+            # May trap: a statement, never forwarded or dropped.
+            core = f"_int_{'div' if op == '/' else 'rem'}({ia}, {ib})"
+            if instr.signed:
+                core = f"({core} + 0x80000000 & 0xFFFFFFFF) - 0x80000000"
+            else:
+                core = f"{core} & 0xFFFFFFFF"
+            return [(0, f"r{d} = {core}")]
         elif op == "<<":
             core = f"{ia} << ({ib} & 31)"
         elif op == ">>":
@@ -738,32 +1043,21 @@ class _FunctionEmitter:
         else:
             raise _Unsupported(f"int op {op}")
         if instr.signed:
-            return [(
-                0,
-                f"r{d} = (({core}) + 0x80000000 & 0xFFFFFFFF) - 0x80000000",
-            )]
-        return [(0, f"r{d} = ({core}) & 0xFFFFFFFF")]
+            return f"((({core}) + 0x80000000 & 0xFFFFFFFF) - 0x80000000)"
+        return f"(({core}) & 0xFFFFFFFF)"
 
-    def _emit_unop(self, instr: UnOp) -> _Lines:
+    def _emit_unop(self, instr: UnOp) -> "_Lines | str":
         d, a, op = instr.dst, instr.a, instr.op
         if op == "-":
             if instr.float_op:
-                return [(0, f"r{d} = -{self.fv(a)}")]
-            return [(
-                0,
-                f"r{d} = (-{self.iv(a)} + 0x80000000 & 0xFFFFFFFF)"
-                " - 0x80000000",
-            )]
+                return f"(-{self.fv(a)})"
+            return f"((-{self.iv(a)} + 0x80000000 & 0xFFFFFFFF) - 0x80000000)"
         if op == "!":
-            return [(0, f"r{d} = 0 if r{a} else 1")]
+            return f"(0 if {self.rv(a)} else 1)"
         if op == "~":
-            return [(
-                0,
-                f"r{d} = (~{self.iv(a)} + 0x80000000 & 0xFFFFFFFF)"
-                " - 0x80000000",
-            )]
+            return f"((~{self.iv(a)} + 0x80000000 & 0xFFFFFFFF) - 0x80000000)"
         if op == "itof":
-            return [(0, f"r{d} = float({self.iv(a)})")]
+            return f"(float({self.iv(a)}))"
         if op == "ftoi":
             return [
                 (0, f"_x = {self.fv(a)}"),
@@ -780,7 +1074,7 @@ class _FunctionEmitter:
             bits = 8 if op.endswith("8") else 16
             mask = (1 << bits) - 1
             if op.startswith("zext"):
-                return [(0, f"r{d} = {self.iv(a)} & {mask:#x}")]
+                return f"({self.iv(a)} & {mask:#x})"
             sign_bit = 1 << (bits - 1)
             modulus = 1 << bits
             return [
@@ -802,7 +1096,7 @@ class _FunctionEmitter:
             lines: _Lines = [
                 (0, "_s = ctx.strategy"),
                 (0, "assert _s is not None"),
-                (0, f"_data, ctx.now = _s.load({addr}, {size}, ctx.now)"),
+                (0, f"_data, _now = _s.load({addr}, {size}, _now)"),
                 (0, "eng._sc_outer_loads.count += 1"),
                 (0, f"eng._sc_outer_read.count += {size}"),
             ]
@@ -822,7 +1116,9 @@ class _FunctionEmitter:
             # (which charge the clock themselves).
             sp = _SPACE_NAMES[instr.space]
             return [
+                _SYNC_OUT,
                 (0, f"_data = eng._read_mem({sp}, {addr}, {size}, ctx)"),
+                _SYNC_IN,
                 (
                     0,
                     f"r{d} = eng._decode(_data, {instr.signed},"
@@ -835,35 +1131,38 @@ class _FunctionEmitter:
             self.uses_mm = True
             return [
                 (0, f"_a = {addr}"),
-                (0, f"if _a < 0 or _a + {size} > _mm.size:"),
+                (0, f"if _a < 0 or _a + {size} > _mz:"),
                 (1, f"_mm.check_bounds(_a, {size})"),
-                (0, f"r{d} = {upf}(_mm._data, _a)[0]"),
+                (0, f"r{d} = {upf}(_md, _a)[0]"),
             ], self.cost.host_mem_access
 
         self.uses_ls = True
         self.uses_chk = True
         return [
-            (0, "if _ls is None:"),
-            (
-                1,
-                'raise RuntimeTrap(f"local-store access on core'
-                ' {ctx.name} which has none")',
-            ),
             (0, f"_a = {addr}"),
-            (0, "if _chk:"),
-            (1, "_dma = ctx.core.dma"),
-            (1, "if _dma._in_flight:"),
-            (2, f"_cf = _dma.pending_local_conflict(_a, {size})"),
-            (2, "if _cf is not None:"),
+            (0, "if _chk is not None and _chk._in_flight:"),
+            (1, f"_cf = _chk.pending_local_conflict(_a, {size})"),
+            (1, "if _cf is not None:"),
             (
-                3,
+                2,
                 'raise RuntimeTrap(f"local store read at {_a:#x} overlaps'
                 ' in-flight {_cf.describe()}; missing dma_wait")',
             ),
-            (0, f"if _a < 0 or _a + {size} > _ls.size:"),
-            (1, f"_ls.check_bounds(_a, {size})"),
-            (0, f"r{d} = {upf}(_ls._data, _a)[0]"),
+            *self._local_bounds(size),
+            (0, f"r{d} = {upf}(_ld, _a)[0]"),
         ], self.cost.local_access
+
+    def _local_bounds(self, size: int) -> _Lines:
+        return [
+            (0, f"if _a < 0 or _a + {size} > _lz:"),
+            (1, "if _ls is None:"),
+            (
+                2,
+                'raise RuntimeTrap(f"local-store access on core'
+                ' {ctx.name} which has none")',
+            ),
+            (1, f"_ls.check_bounds(_a, {size})"),
+        ]
 
     def _emit_store(self, instr: Store) -> tuple[_Lines, Optional[int]]:
         src, size = instr.src, instr.size
@@ -878,7 +1177,7 @@ class _FunctionEmitter:
                     pk = self._codec_name("pk", key)
                     enc = f"_data = {pk}({self.fv(src)})"
                 else:
-                    enc = f"_data = _I._encode(r{src}, {size}, True)"
+                    enc = f"_data = _I._encode({self.rv(src)}, {size}, True)"
             else:
                 enc = (
                     f"_data = ({self.iv(src)} & {instr.mask:#x})"
@@ -888,7 +1187,7 @@ class _FunctionEmitter:
                 (0, enc),
                 (0, "_s = ctx.strategy"),
                 (0, "assert _s is not None"),
-                (0, f"ctx.now = _s.store({addr}, _data, ctx.now)"),
+                (0, f"_now = _s.store({addr}, _data, _now)"),
                 (0, "eng._sc_outer_stores.count += 1"),
                 (0, f"eng._sc_outer_written.count += {size}"),
             ], None
@@ -896,8 +1195,10 @@ class _FunctionEmitter:
         if codec is None:
             sp = _SPACE_NAMES[instr.space]
             return [
-                (0, f"_data = eng._encode(r{src}, {size}, {is_float})"),
+                (0, f"_data = eng._encode({self.rv(src)}, {size}, {is_float})"),
+                _SYNC_OUT,
                 (0, f"eng._write_mem({sp}, {addr}, _data, ctx)"),
+                _SYNC_IN,
             ], None
 
         pki = self._codec_name("pki", key)
@@ -911,24 +1212,17 @@ class _FunctionEmitter:
             return [
                 (0, value),
                 (0, f"_a = {addr}"),
-                (0, f"if _a < 0 or _a + {size} > _mm.size:"),
+                (0, f"if _a < 0 or _a + {size} > _mz:"),
                 (1, f"_mm.check_bounds(_a, {size})"),
-                (0, f"{pki}(_mm._data, _a, _v)"),
+                (0, f"{pki}(_md, _a, _v)"),
             ], self.cost.host_mem_access
 
         self.uses_ls = True
         return [
             (0, value),
-            (0, "if _ls is None:"),
-            (
-                1,
-                'raise RuntimeTrap(f"local-store access on core'
-                ' {ctx.name} which has none")',
-            ),
             (0, f"_a = {addr}"),
-            (0, f"if _a < 0 or _a + {size} > _ls.size:"),
-            (1, f"_ls.check_bounds(_a, {size})"),
-            (0, f"{pki}(_ls._data, _a, _v)"),
+            *self._local_bounds(size),
+            (0, f"{pki}(_ld, _a, _v)"),
         ], self.cost.local_access
 
     # ----------------------------------------------------------- sub-word
@@ -988,7 +1282,7 @@ class _FunctionEmitter:
     # -------------------------------------------------------------- calls
 
     def _emit_call(self, instr: Call) -> _Lines:
-        args = ", ".join(f"r{a}" for a in instr.args)
+        args = self._args(instr.args)
         if instr.callee in self.generated:
             sep = ", " if args else ""
             call = f"{self.func_names[instr.callee]}(eng, ctx{sep}{args})"
@@ -1001,12 +1295,11 @@ class _FunctionEmitter:
             )
         if instr.dst is not None:
             call = f"r{instr.dst} = {call}"
-        return [(0, call)]
+        return [_SYNC_OUT, (0, call), _SYNC_IN]
 
     def _emit_icall(self, instr: ICall) -> _Lines:
         self.needs.add(("func_ids", None))
-        args = ", ".join(f"r{a}" for a in instr.args)
-        call = f"eng._call_by_name(_nm, [{args}], ctx)"
+        call = f"eng._call_by_name(_nm, [{self._args(instr.args)}], ctx)"
         if instr.dst is not None:
             call = f"r{instr.dst} = {call}"
         return [
@@ -1018,8 +1311,10 @@ class _FunctionEmitter:
                 'raise RuntimeTrap(f"indirect call through bad function'
                 ' id {_fid:#x}")',
             ),
-            (0, f"ctx.now += {self.cost.vtable_load}"),
+            (0, f"_now += {self.cost.vtable_load}"),
+            _SYNC_OUT,
             (0, call),
+            _SYNC_IN,
         ]
 
     # --------------------------------------------------------- intrinsics
@@ -1091,7 +1386,7 @@ class _FunctionEmitter:
                     ' size {_n}")',
                 ),
                 (0, f"eng._check_dma_tag({name!r}, _t)"),
-                (0, f"ctx.now = _dma.{verb}(_t, _l, _o, _n, ctx.now)"),
+                (0, f"_now = _dma.{verb}(_t, _l, _o, _n, _now)"),
             ]
             lines.extend(assign("0"))
             return lines, None
@@ -1101,7 +1396,7 @@ class _FunctionEmitter:
                 (0, "_dma = eng._require_dma(ctx)"),
                 (0, f"_t = {self.iv(args[0])}"),
                 (0, 'eng._check_dma_tag("dma_wait", _t)'),
-                (0, "ctx.now = _dma.wait(_t, ctx.now)"),
+                (0, "_now = _dma.wait(_t, _now)"),
             ]
             lines.extend(assign("0"))
             return lines, None
@@ -1118,8 +1413,8 @@ class _FunctionEmitter:
                 (0, f"_l = {self.iv(args[0])}"),
                 (0, f"_o = {self.iv(args[1])}"),
                 (0, f"_n = {self.iv(args[2])}"),
-                (0, f"ctx.now = _dma.{verb}(_ACC_TAG, _l, _o, _n, ctx.now)"),
-                (0, "ctx.now = _dma.wait(_ACC_TAG, ctx.now)"),
+                (0, f"_now = _dma.{verb}(_ACC_TAG, _l, _o, _n, _now)"),
+                (0, "_now = _dma.wait(_ACC_TAG, _now)"),
                 (0, f'ctx.core.perf.add("{counters[0]}")'),
                 (0, f'ctx.core.perf.add("{counters[1]}", _n)'),
             ]
@@ -1413,6 +1708,7 @@ class CodegenInterpreter(Interpreter):
             )
             stats.translations += generated
             stats.fallbacks += fallbacks
+            stats.ladders += sum(LADDER_MARK in source for source in sources)
             stats.source_chars = sum(map(len, sources))
             units = tuple(
                 compile(source, MODULE_FILENAME, "exec") for source in sources

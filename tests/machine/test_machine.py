@@ -1,9 +1,18 @@
 """Unit tests for machine assembly and configurations."""
 
+import os
+
 import pytest
 
 from repro.errors import MachineError
-from repro.machine.config import CELL_LIKE, DSP_WORD, SMP_UNIFORM, CostModel, MachineConfig
+from repro.machine.config import (
+    CELL_LIKE,
+    DSP_WORD,
+    MANYCORE_GRID,
+    SMP_UNIFORM,
+    CostModel,
+    MachineConfig,
+)
 from repro.machine.machine import Machine
 
 
@@ -63,14 +72,37 @@ class TestMachine:
         b = machine.heap.allocate(1000)
         assert abs(b - a) >= 1000
 
-    def test_reset_restores_power_on_state(self):
-        machine = Machine(CELL_LIKE)
-        machine.host.clock.advance(100)
-        machine.main_memory.write_unchecked(0, b"\xff")
-        machine.perf.add("x")
-        heap_first = machine.heap.allocate(64)
-        machine.reset()
-        assert machine.host.clock.now == 0
-        assert machine.main_memory.read_unchecked(0, 1) == b"\x00"
-        assert machine.perf.get("x") == 0
-        assert machine.heap.allocate(64) == heap_first
+
+def _spaces(machine):
+    yield machine.main_memory
+    for acc in machine.accelerators:
+        if acc.local_store is not None:
+            yield acc.local_store
+
+
+class TestOsZeroedMemory:
+    def test_fresh_spaces_read_zero_at_first_middle_last_byte(self):
+        for space in _spaces(Machine(CELL_LIKE)):
+            for address in (0, space.size // 2, space.size - 1):
+                assert space.read_unchecked(address, 1) == b"\x00"
+
+    def test_two_machines_never_alias(self):
+        first, second = Machine(CELL_LIKE), Machine(CELL_LIKE)
+        for space in _spaces(first):
+            space.write_unchecked(space.size - 4, b"\xde\xad\xbe\xef")
+        for space in _spaces(second):
+            assert space.read_unchecked(space.size - 4, 4) == bytes(4)
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps"
+    )
+    def test_build_and_drop_leaves_map_count_flat(self):
+        def map_count():
+            with open("/proc/self/maps") as maps:
+                return sum(1 for _ in maps)
+
+        Machine(MANYCORE_GRID)  # warm allocator arenas before counting
+        before = map_count()
+        for _ in range(2000):
+            Machine(MANYCORE_GRID).main_memory.write_unchecked(0, b"\x01")
+        assert map_count() <= before + 8

@@ -314,6 +314,31 @@ class TestCacheKey:
         assert cache.stats.aux_stores == 2
         assert len(glob.glob(str(tmp_path / "*" / f"*{AUX_SUFFIX}"))) == 2
 
+    def test_version_1_entry_is_a_miss_translated_never_executed(
+        self, tmp_path, monkeypatch
+    ):
+        """A cache directory left by the previous translation scheme
+        holds an entry that would crash (or, worse, miscount) if it ran:
+        version 2 neither finds nor ``exec``s it."""
+        assert codegen_module.CODEGEN_VERSION == 2
+        cache = CompileCache(str(tmp_path))
+        program = _fresh_program()
+        poison = marshal.dumps((
+            compile("raise SystemExit('v1 ran')\n", MODULE_FILENAME, "exec"),
+        ))
+        with monkeypatch.context() as patch:
+            patch.setattr(codegen_module, "CODEGEN_VERSION", 1)
+            cache.store_bytes(
+                codegen_cache_key(program, CELL_LIKE.cost),
+                poison, codegen_cache_kind(),
+            )
+        engine = CodegenInterpreter(program, Machine(CELL_LIKE), RunOptions())
+        engine._ensure_module(cache=cache)
+        stats = engine.codegen_stats
+        assert (stats.cache_hits, stats.cache_misses) == (0, 1)
+        assert stats.translations == len(program.functions)
+        assert len(glob.glob(str(tmp_path / "*" / f"*{AUX_SUFFIX}"))) == 2
+
 
 def _one_code_object():
     return compile("x = 1\n", MODULE_FILENAME, "exec")
@@ -397,6 +422,24 @@ class TestNoFallbacksOnTheCorpus:
             stats = engine.codegen_stats
             assert stats.fallbacks == 0, (name, target)
             assert stats.translations == len(program.functions), name
+
+
+class TestLaddersOnTheCorpus:
+    """Functions whose CFG the structurer could not express keep the
+    ``_pc`` ladder; how many is reported per program (and is 0 on every
+    corpus program today), never a fallback."""
+
+    @pytest.mark.parametrize("target", target_names())
+    def test_ladders_reported_over_the_corpus(self, target, record_property):
+        config = resolve_target(target)
+        for name, source in _corpus_sources():
+            program = compile_program(source, config)
+            engine = CodegenInterpreter(program, Machine(config), RunOptions())
+            engine._ensure_module()
+            stats = engine.codegen_stats
+            assert stats.fallbacks == 0, (name, target)
+            assert 0 <= stats.ladders <= stats.translations
+            record_property(f"ladders[{name}]", stats.ladders)
 
 
 class TestFallback:
