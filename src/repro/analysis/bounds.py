@@ -47,8 +47,8 @@ from repro.analysis.intervals import (
     AbsInt,
     Congruence,
     SolvedFunction,
-    analyze_function,
     compute_summaries,
+    solved_function,
 )
 from repro.ir.instructions import Call, Intrinsic
 from repro.ir.module import IRFunction, IRProgram
@@ -182,7 +182,7 @@ def check_function(
     file: str = "<input>",
 ) -> list[Finding]:
     """Bounds/alignment findings for one accelerator function."""
-    solved = analyze_function(function, summaries)
+    solved = solved_function(function, summaries)
     findings: list[Finding] = []
     align = config.dma_align
     for index, instr in enumerate(function.code):

@@ -39,15 +39,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analysis.dataflow import build_cfg
 from repro.analysis.diagnostics import Finding, RelatedLocation
 from repro.analysis.intervals import (
     AbsInt,
     Interval,
     SolvedFunction,
-    analyze_function,
     compute_summaries,
     loop_trips,
+    solved_function,
 )
 from repro.ir.instructions import (
     AccSpace,
@@ -270,7 +269,7 @@ class _OffloadCostBuilder:
         return result
 
     def _cost_of(self, function: IRFunction) -> FunctionCost:
-        solved = analyze_function(function, self.summaries)
+        solved = solved_function(function, self.summaries)
         counts, loop_sites = _block_counts(solved)
         cost = self.config.cost
         cycles: _Bounds = _ZERO
@@ -459,12 +458,14 @@ def estimate_offload(
 
 
 def estimate_program(
-    program: IRProgram, config: MachineConfig
+    program: IRProgram, config: MachineConfig, *, summaries=None
 ) -> dict[int, OffloadCost]:
-    """Static cost intervals for every offload, keyed by offload id."""
-    summaries = compute_summaries(
-        sorted(program.accel_functions(), key=lambda f: f.name)
-    )
+    """Static cost intervals for every offload, keyed by offload id;
+    ``summaries``: the accel functions' interval summaries, if held."""
+    if summaries is None:
+        summaries = compute_summaries(
+            sorted(program.accel_functions(), key=lambda f: f.name)
+        )
     return {
         offload_id: estimate_offload(
             program, meta, config, summaries=summaries
@@ -492,13 +493,15 @@ def check_program(
     program: IRProgram,
     config: MachineConfig,
     *,
+    summaries=None,
     file: str = "<input>",
 ) -> list[Finding]:
     """``W-cost-unbounded`` findings: loops in offloaded code whose trip
     counts the interval analysis could not bound."""
     findings: list[Finding] = []
     seen: set[tuple[str, int]] = set()
-    for offload_id, oc in estimate_program(program, config).items():
+    estimates = estimate_program(program, config, summaries=summaries)
+    for offload_id, oc in estimates.items():
         for function_name, header_index in oc.unbounded_loops:
             if (function_name, header_index) in seen:
                 continue

@@ -8,7 +8,7 @@ and a forward worklist fixpoint engine with pluggable join/transfer
 functions, in the spirit of the Scratch (TACAS 2010) static DMA analyser
 the paper cites.
 
-Three layers:
+Four layers:
 
 * :func:`build_cfg` — basic blocks, successor/predecessor edges,
   reverse postorder, dominators, back edges and natural loops.
@@ -18,6 +18,9 @@ Three layers:
   block-out states stop changing.  A ``widen`` hook is applied after a
   block has been revisited ``widen_after`` times, bounding loop-carried
   state growth.
+* :func:`solve_call_graph` — the interprocedural driver: per-function
+  summaries to a fixpoint over the call graph, re-solving a function
+  only when something it reads changed, and keeping the solves.
 * A shared symbolic-value domain (:class:`SymAddr`,
   :func:`eval_value_instr`, :func:`join_values`) used by the DMA
   discipline checker and the outer-traffic analysis alike: registers map
@@ -35,6 +38,7 @@ from typing import Callable, Optional
 
 from repro.ir.instructions import (
     BinOp,
+    Call,
     CJump,
     Const,
     FrameAddr,
@@ -375,6 +379,70 @@ def solve_forward(
                 queued.add(s)
                 heapq.heappush(heap, (rpo_pos[s], s))
     return FixpointResult(block_in, block_out, iterations, converged)
+
+
+# ------------------------------------------------ call-graph fixpoint
+
+
+def call_targets(function: IRFunction) -> tuple[str, ...]:
+    """Names of the functions ``function`` calls directly, in code order."""
+    return tuple(
+        dict.fromkeys(i.callee for i in function.code if isinstance(i, Call))
+    )
+
+
+class Summaries(dict):
+    """Function name → summary, plus ``solved[name]``: that function's
+    dataflow solved against exactly these summaries, for consumers to
+    read instead of solving again (empty unless ``converged``)."""
+
+    def __init__(self, summaries: dict, solved: dict, converged: bool):
+        super().__init__(summaries)
+        self.solved = solved
+        self.converged = converged
+
+
+def solve_call_graph(
+    functions: list[IRFunction],
+    inputs: Callable[[IRFunction, dict], object],
+    solve: Callable[[IRFunction, dict], tuple],
+    *,
+    max_rounds: int,
+    end_round: Optional[Callable[[dict], bool]] = None,
+) -> Summaries:
+    """Round-robin fixpoint of per-function summaries over a call graph.
+
+    ``solve(function, summaries)`` returns ``(solved, summary)``;
+    ``inputs(function, summaries)`` is everything that solve reads from
+    outside the function's own body.  A function is solved in the first
+    round and afterwards only when its inputs differ from what its last
+    solve saw.  ``end_round(solved)`` runs after each round and returns
+    True when it changed something ``inputs`` reads.  Rounds stop when
+    one changes nothing, or after ``max_rounds`` — the solves, made
+    against partial summaries, are then dropped.
+    """
+    # A plain dict while solving: every solve keeps a reference to it, and
+    # one to the object that holds the solves would be a reference cycle.
+    summaries: dict = {}
+    solved: dict = {}
+    seen: dict = {}
+    for _ in range(max_rounds):
+        changed = False
+        for function in functions:
+            name = function.name
+            key = inputs(function, summaries)
+            if seen.get(name) == key:
+                continue
+            seen[name] = key
+            solved[name], summary = solve(function, summaries)
+            if summaries.get(name) != summary:
+                summaries[name] = summary
+                changed = True
+        if end_round is not None and end_round(solved):
+            changed = True
+        if not changed:
+            return Summaries(summaries, solved, True)
+    return Summaries(summaries, {}, False)
 
 
 # ------------------------------------------------- symbolic value domain

@@ -225,6 +225,17 @@ def fingerprint(finding: Finding) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
+def dedupe_findings(findings: Iterable[Finding]) -> list[Finding]:
+    """Sorted findings, one per fingerprint.  Per-duplicate specialized
+    functions re-derive the same source site; fingerprints normalize the
+    duplicate mangling away, so one source-level problem keeps exactly
+    one (deterministically first in sorted order) finding."""
+    kept: dict[str, Finding] = {}
+    for finding in sort_findings(findings):
+        kept.setdefault(fingerprint(finding), finding)
+    return list(kept.values())
+
+
 def load_baseline(path: str) -> set[str]:
     """Read a baseline file; returns the suppressed fingerprints."""
     with open(path, "r", encoding="utf-8") as handle:

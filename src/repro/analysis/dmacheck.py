@@ -38,17 +38,21 @@ Diagnostic codes (see :mod:`repro.analysis.diagnostics`):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.dataflow import (
     BasicBlock,
     ForwardAnalysis,
+    Summaries,
     SymAddr,
     build_cfg,
+    call_targets,
     eval_value_instr,
     freeze_values,
     join_values,
+    solve_call_graph,
     solve_forward,
     thaw_values,
 )
@@ -396,12 +400,13 @@ def _export_transfer(t: PendingTransfer) -> PendingTransfer:
     )
 
 
-def _summarise(
+def _solve(
     function: IRFunction,
     summaries: dict[str, FunctionSummary],
     accel_names: frozenset,
-) -> FunctionSummary:
-    """One summary from the function's solved dataflow: states at Ret."""
+) -> tuple[tuple, FunctionSummary]:
+    """The function's solved dataflow as ``(cfg, result)``, and the
+    summary read off it: the states at ``Ret``."""
     cfg = build_cfg(function)
     analysis = DmaDisciplineAnalysis(function, summaries, accel_names)
     result = solve_forward(cfg, analysis)
@@ -410,19 +415,11 @@ def _summarise(
         block = cfg.blocks[block_index]
         if block.end > 0 and isinstance(function.code[block.end - 1], Ret):
             ret_states.append(out_state)
-    if not ret_states:
-        return FunctionSummary(
-            issued_tags=frozenset(),
-            unknown_issue=False,
-            leaked=(),
-            must_wait_tags=frozenset(),
-            waits_all=False,
-        )
     issued: set = set()
     unknown = False
     leaked: set = set()
     must_wait = None
-    waits_all = True
+    waits_all = bool(ret_states)
     for state in ret_states:
         issued |= state.issued
         unknown = unknown or state.unknown_issue
@@ -433,7 +430,7 @@ def _summarise(
             else must_wait & state.waited
         )
         waits_all = waits_all and state.waits_all
-    return FunctionSummary(
+    return (cfg, result), FunctionSummary(
         issued_tags=frozenset(issued),
         unknown_issue=unknown,
         leaked=tuple(
@@ -446,25 +443,25 @@ def _summarise(
 
 def compute_summaries(
     functions: list[IRFunction], *, max_rounds: int = 8
-) -> dict[str, FunctionSummary]:
+) -> Summaries:
     """Fixpoint of per-function summaries over the accel call graph.
 
     Starts every function at :data:`UNKNOWN_SUMMARY` (sound for cycles)
     and re-summarises until nothing changes; ``max_rounds`` bounds the
-    work on pathological graphs.
+    work on pathological graphs.  The result keeps the converged solves
+    for :func:`check_function` to report from.
     """
     accel_names = frozenset(f.name for f in functions)
-    summaries: dict[str, FunctionSummary] = {}
-    for _ in range(max_rounds):
-        changed = False
-        for function in functions:
-            new = _summarise(function, summaries, accel_names)
-            if summaries.get(function.name) != new:
-                summaries[function.name] = new
-                changed = True
-        if not changed:
-            break
-    return summaries
+    callees = {f.name: call_targets(f) for f in functions}
+
+    def inputs(function: IRFunction, summaries: dict) -> list:
+        return [
+            summaries.get(callee, UNKNOWN_SUMMARY)
+            for callee in callees[function.name]
+        ]
+
+    solve = functools.partial(_solve, accel_names=accel_names)
+    return solve_call_graph(functions, inputs, solve, max_rounds=max_rounds)
 
 
 # -------------------------------------------------------------- reporting
@@ -482,9 +479,12 @@ def check_function(
     file: str = "<input>",
 ) -> list[Finding]:
     """Report DMA-discipline findings for one accelerator function."""
-    cfg = build_cfg(function)
+    # Replay the solve compute_summaries kept for it, if there is one.
+    held = getattr(summaries, "solved", {}).get(function.name)
+    if held is None or held[0].function is not function:
+        held, _ = _solve(function, summaries, accel_names)
+    cfg, result = held
     analysis = DmaDisciplineAnalysis(function, summaries, accel_names)
-    result = solve_forward(cfg, analysis)
     raw: list = []
     analysis.report = raw
     for block_index, in_state in result.block_in.items():

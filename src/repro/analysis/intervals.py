@@ -57,7 +57,10 @@ from repro.analysis.dataflow import (
     FixpointResult,
     ForwardAnalysis,
     Loop,
+    Summaries,
     build_cfg,
+    call_targets,
+    solve_call_graph,
     solve_forward,
 )
 from repro.ir.instructions import (
@@ -791,12 +794,24 @@ def _return_value(solved: SolvedFunction) -> Optional[AbsVal]:
     return None if ret == "unset" else ret
 
 
+def solved_function(
+    function: IRFunction, summaries: Optional[dict[str, FunctionSummary]]
+) -> SolvedFunction:
+    """``function`` solved against ``summaries``: the solve
+    :func:`compute_summaries` kept for it, or a fresh one (``summaries``
+    a plain dict, the function outside the analysed set)."""
+    held = getattr(summaries, "solved", {}).get(function.name)
+    if held is not None and held.function is function:
+        return held
+    return analyze_function(function, summaries)
+
+
 def compute_summaries(
     functions: list[IRFunction],
     *,
     entry_names: Optional[frozenset] = None,
     max_rounds: int = 8,
-) -> dict[str, FunctionSummary]:
+) -> Summaries:
     """Global fixpoint of interval summaries over the accel call graph.
 
     ``entry_names`` — functions whose arguments come from outside the
@@ -804,7 +819,8 @@ def compute_summaries(
     ⊤ parameters.  Everything else gets the join of the argument values
     at every analysed call site.  When the final round still changed
     (pathological graphs), parameter knowledge is discarded — ⊤ params
-    are always sound.
+    are always sound.  The result keeps the converged solves for
+    :func:`solved_function`.
     """
     if entry_names is None:
         entry_names = frozenset(
@@ -813,26 +829,33 @@ def compute_summaries(
             if f.source_name.startswith("__offload_")
         )
     names = frozenset(f.name for f in functions)
-    summaries: dict[str, FunctionSummary] = {}
+    callees = {f.name: call_targets(f) for f in functions}
     boundaries: dict[str, dict[int, AbsVal]] = {}
-    converged = False
-    for _ in range(max_rounds):
-        changed = False
+
+    def inputs(function: IRFunction, summaries: dict) -> tuple:
+        boundary = boundaries.get(function.name)
+        own = summaries.get(function.name)
+        # With no boundary of its own this round, analyze_function falls
+        # back to the parameters of the previous round's summary.
+        stale = own.params if boundary is None and own is not None else ()
+        rets = [
+            getattr(summaries.get(callee), "ret", None)
+            for callee in callees[function.name]
+        ]
+        return boundary, stale, rets
+
+    def solve(function: IRFunction, summaries: dict) -> tuple:
+        boundary = boundaries.get(function.name)
+        solved = analyze_function(function, summaries, boundary)
+        params = tuple(sorted((boundary or {}).items()))
+        return solved, FunctionSummary(params, _return_value(solved))
+
+    def rejoin_boundaries(solved: dict[str, SolvedFunction]) -> bool:
+        nonlocal boundaries
         call_joins: dict[str, list[Optional[AbsVal]]] = {}
         for function in functions:
-            solved = analyze_function(
-                function, summaries, boundaries.get(function.name)
-            )
-            new = FunctionSummary(
-                params=tuple(
-                    sorted(boundaries.get(function.name, {}).items())
-                ),
-                ret=_return_value(solved),
-            )
-            if summaries.get(function.name) != new:
-                summaries[function.name] = new
-                changed = True
-            for callee, args in solved.analysis.call_args.items():
+            call_args = solved[function.name].analysis.call_args
+            for callee, args in call_args.items():
                 if callee not in names:
                     continue
                 held = call_joins.setdefault(callee, list(args))
@@ -858,21 +881,19 @@ def compute_summaries(
             }
             if params:
                 new_boundaries[name] = params
-        if new_boundaries != boundaries:
-            boundaries = new_boundaries
-            changed = True
-        if not changed:
-            converged = True
-            break
-    if not converged:
-        # Re-solve without parameter knowledge: unconditionally sound.
-        summaries = {}
-        for function in functions:
-            solved = analyze_function(function, summaries)
-            summaries[function.name] = FunctionSummary(
-                params=(), ret=_return_value(solved)
-            )
-    return summaries
+        changed = new_boundaries != boundaries
+        boundaries = new_boundaries
+        return changed
+
+    result = solve_call_graph(
+        functions, inputs, solve,
+        max_rounds=max_rounds, end_round=rejoin_boundaries,
+    )
+    if not result.converged:
+        # Start over without parameter knowledge: unconditionally sound.
+        boundaries = {}
+        result = solve_call_graph(functions, inputs, solve, max_rounds=1)
+    return result
 
 
 # ------------------------------------------------------------ trip counts

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from repro.analysis import bounds, cost, dmacheck, footprint, offloads, traffic
 from repro.analysis.annotations import report_for_program
-from repro.analysis.diagnostics import Finding, fingerprint, sort_findings
+from repro.analysis.diagnostics import Finding, dedupe_findings
 from repro.analysis.intervals import compute_summaries as interval_summaries
 from repro.ir.instructions import OffloadLaunch
 from repro.ir.module import IRProgram
@@ -165,7 +165,9 @@ def run_analyses(
         meter.run(
             "cost",
             "(offloads)",
-            lambda: cost.check_program(program, config, file=file),
+            lambda: cost.check_program(
+                program, config, summaries=ivals, file=file
+            ),
         )
     )
 
@@ -196,19 +198,7 @@ def run_analyses(
                 )
             )
 
-    # Per-duplicate specialized functions re-derive the same source
-    # site; fingerprints normalize the duplicate mangling away, so one
-    # source-level problem keeps exactly one (deterministically first
-    # in sorted order) finding.
-    deduped: list[Finding] = []
-    seen: set[str] = set()
-    for finding in sort_findings(findings):
-        print_ = fingerprint(finding)
-        if print_ in seen:
-            continue
-        seen.add(print_)
-        deduped.append(finding)
-    result.findings = deduped
+    result.findings = dedupe_findings(findings)
     return result
 
 

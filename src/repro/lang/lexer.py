@@ -1,60 +1,53 @@
-"""Hand-written lexer for OffloadMini."""
+"""Lexer for OffloadMini: one compiled master pattern, one match per token."""
 
 from __future__ import annotations
 
-from repro.errors import Diagnostic, LexError
+import re
+
+from repro.errors import Diagnostic, LexError, SourceLocation, SourceSpan
 from repro.lang.source import SourceFile
 from repro.lang.tokens import KEYWORDS, Token, TokenKind
 
-_PUNCT3: dict[str, TokenKind] = {}
-
-_PUNCT2 = {
-    "->": TokenKind.ARROW,
-    "::": TokenKind.COLONCOLON,
-    "&&": TokenKind.AMPAMP,
-    "||": TokenKind.PIPEPIPE,
-    "<<": TokenKind.LSHIFT,
-    ">>": TokenKind.RSHIFT,
-    "<=": TokenKind.LE,
-    ">=": TokenKind.GE,
-    "==": TokenKind.EQEQ,
-    "!=": TokenKind.NOTEQ,
-    "+=": TokenKind.PLUS_ASSIGN,
-    "-=": TokenKind.MINUS_ASSIGN,
-    "*=": TokenKind.STAR_ASSIGN,
-    "/=": TokenKind.SLASH_ASSIGN,
-    "++": TokenKind.PLUSPLUS,
-    "--": TokenKind.MINUSMINUS,
-}
-
-_PUNCT1 = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    ";": TokenKind.SEMI,
-    ",": TokenKind.COMMA,
-    ".": TokenKind.DOT,
-    "&": TokenKind.AMP,
-    "|": TokenKind.PIPE,
-    "^": TokenKind.CARET,
-    "~": TokenKind.TILDE,
-    "!": TokenKind.BANG,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "%": TokenKind.PERCENT,
-    "<": TokenKind.LT,
-    ">": TokenKind.GT,
-    "=": TokenKind.ASSIGN,
-    "@": TokenKind.AT,
-    ":": TokenKind.COLON,
+#: Every operator and punctuation kind is named by its own spelling.
+_PUNCT = {
+    kind.value: kind
+    for kind in TokenKind
+    if not (kind.value[0].isalpha() or kind.value[0] == "_")
 }
 
 _ESCAPES = {"n": "\n", "t": "\t", "0": "\0", "\\": "\\", "'": "'", '"': '"'}
+
+_EXPONENT = r"[eE][+-]?[0-9]+"
+_FLOAT = rf"[0-9]+(?:\.[0-9]+(?:{_EXPONENT})?[fF]?|{_EXPONENT}[fF]?|[fF])"
+_CHAR = rf"'(?:[^\\\n]|\\[{''.join(map(re.escape, _ESCAPES))}])'"
+_PUNCTUATION = "|".join(
+    re.escape(spelling) for spelling in sorted(_PUNCT, key=len, reverse=True)
+)
+
+# Alternatives are tried in order, and the group that matched names the
+# token class.  Digits are ASCII on purpose: ``str.isdigit`` accepts
+# characters ``int()`` does not.  ``open_comment``, ``bad_hex``,
+# ``bad_char`` and ``unexpected`` only ever match malformed input, each
+# right after the well-formed alternative it is the remainder of.
+_MASTER = re.compile(
+    "|".join(
+        f"(?P<{name}>{pattern})"
+        for name, pattern in (
+            ("trivia", r"[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/"),
+            ("open_comment", r"/\*"),
+            ("ident", r"[A-Za-z_]\w*"),
+            ("hex", r"0[xX][0-9a-fA-F]+"),
+            ("bad_hex", r"0[xX]"),
+            ("float", _FLOAT),
+            ("int", r"[0-9]+"),
+            ("char", _CHAR),
+            ("bad_char", r"'"),
+            ("punct", _PUNCTUATION),
+            ("wide_ident", r"[^\x00-\x7f]\w*"),
+            ("unexpected", r"[\s\S]"),
+        )
+    )
+)
 
 
 class Lexer:
@@ -62,142 +55,75 @@ class Lexer:
 
     def __init__(self, source: SourceFile):
         self.source = source
-        self._text = source.text
-        self._pos = 0
 
-    # ------------------------------------------------------------- helpers
-
-    def _peek(self, ahead: int = 0) -> str:
-        index = self._pos + ahead
-        return self._text[index] if index < len(self._text) else ""
-
-    def _error(self, message: str, start: int) -> LexError:
-        span = self.source.span(start, self._pos)
+    def _error(self, message: str, start: int, end: int) -> LexError:
+        span = self.source.span(start, end)
         return LexError([Diagnostic("E-lex", message, span)])
 
-    def _skip_trivia(self) -> None:
-        while self._pos < len(self._text):
-            char = self._text[self._pos]
-            if char in " \t\r\n":
-                self._pos += 1
-            elif char == "/" and self._peek(1) == "/":
-                while self._pos < len(self._text) and self._text[self._pos] != "\n":
-                    self._pos += 1
-            elif char == "/" and self._peek(1) == "*":
-                start = self._pos
-                self._pos += 2
-                while self._pos < len(self._text) and not (
-                    self._text[self._pos] == "*" and self._peek(1) == "/"
-                ):
-                    self._pos += 1
-                if self._pos >= len(self._text):
-                    raise self._error("unterminated block comment", start)
-                self._pos += 2
-            else:
-                return
-
-    def _make(self, kind: TokenKind, start: int, value: object = None) -> Token:
-        text = self._text[start : self._pos]
-        return Token(kind, text, self.source.span(start, self._pos), value)
-
-    # ------------------------------------------------------------ scanning
-
-    def _scan_number(self, start: int) -> Token:
-        # NOTE: character-class checks must reject the empty string that
-        # _peek returns at end of input ("" is a substring of anything).
-        text = self._text
-        hex_digits = "0123456789abcdef"
-        if text[start] == "0" and self._peek(1) in ("x", "X"):
-            self._pos += 2
-            digits_start = self._pos
-            while self._peek() and self._peek().lower() in hex_digits:
-                self._pos += 1
-            if self._pos == digits_start:
-                raise self._error("hex literal needs digits", start)
-            value = int(text[start : self._pos], 16)
-            return self._make(TokenKind.INT_LIT, start, value)
-        while self._peek().isdigit():
-            self._pos += 1
-        is_float = False
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._pos += 1
-            while self._peek().isdigit():
-                self._pos += 1
-        if self._peek() in ("e", "E") and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in ("+", "-") and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._pos += 1
-            if self._peek() in ("+", "-"):
-                self._pos += 1
-            while self._peek().isdigit():
-                self._pos += 1
-        if self._peek() in ("f", "F"):
-            is_float = True
-            literal = text[start : self._pos]
-            self._pos += 1
-            return self._make(TokenKind.FLOAT_LIT, start, float(literal))
-        literal = text[start : self._pos]
-        if is_float:
-            return self._make(TokenKind.FLOAT_LIT, start, float(literal))
-        return self._make(TokenKind.INT_LIT, start, int(literal))
-
-    def _scan_char(self, start: int) -> Token:
-        self._pos += 1  # opening quote
-        char = self._peek()
-        if not char or char == "\n":
-            raise self._error("unterminated character literal", start)
-        if char == "\\":
-            escape = self._peek(1)
-            if escape not in _ESCAPES:
-                raise self._error(f"unknown escape '\\{escape}'", start)
-            value = _ESCAPES[escape]
-            self._pos += 2
-        else:
-            value = char
-            self._pos += 1
-        if self._peek() != "'":
-            raise self._error("unterminated character literal", start)
-        self._pos += 1
-        return self._make(TokenKind.CHAR_LIT, start, ord(value))
-
-    def next_token(self) -> Token:
-        """Scan and return the next token (EOF token at end of input)."""
-        self._skip_trivia()
-        start = self._pos
-        if self._pos >= len(self._text):
-            return self._make(TokenKind.EOF, start)
-        char = self._text[self._pos]
-        if char.isalpha() or char == "_":
-            while self._peek().isalnum() or self._peek() == "_":
-                self._pos += 1
-            text = self._text[start : self._pos]
-            kind = KEYWORDS.get(text, TokenKind.IDENT)
-            return self._make(kind, start, text)
-        if char.isdigit():
-            return self._scan_number(start)
-        if char == "'":
-            return self._scan_char(start)
-        pair = self._text[self._pos : self._pos + 2]
-        if pair in _PUNCT2:
-            self._pos += 2
-            return self._make(_PUNCT2[pair], start)
-        if char in _PUNCT1:
-            self._pos += 1
-            return self._make(_PUNCT1[char], start)
-        self._pos += 1
-        raise self._error(f"unexpected character {char!r}", start)
+    def _malformed(self, group: str, start: int) -> LexError:
+        """The diagnostic for input only an error group matched."""
+        text = self.source.text
+        if group == "open_comment":
+            return self._error("unterminated block comment", start, len(text))
+        if group == "bad_hex":
+            return self._error("hex literal needs digits", start, start + 2)
+        if group == "bad_char":
+            first = text[start + 1 : start + 2]
+            escape = text[start + 2 : start + 3]
+            if first == "\\" and escape not in _ESCAPES:
+                message = f"unknown escape '\\{escape}'"
+                return self._error(message, start, start + 1)
+            # The span ends where the body did: nothing, `c` or `\c`.
+            body = 0 if first in ("", "\n") else 2 if first == "\\" else 1
+            message = "unterminated character literal"
+            return self._error(message, start, start + 1 + body)
+        message = f"unexpected character {text[start]!r}"
+        return self._error(message, start, start + 1)
 
     def tokens(self) -> list[Token]:
         """Scan the whole buffer; the final element is the EOF token."""
-        result = []
-        while True:
-            token = self.next_token()
-            result.append(token)
-            if token.kind is TokenKind.EOF:
-                return result
+        text = self.source.text
+        filename = self.source.filename
+        result: list[Token] = []
+        # Tokens never span lines, so line and column advance with the
+        # trivia between them instead of being searched for per token.
+        line, line_start = 1, 0
+        for match in _MASTER.finditer(text):
+            group = match.lastgroup
+            start, end = match.span()
+            if group == "trivia":
+                newlines = text.count("\n", start, end)
+                if newlines:
+                    line += newlines
+                    line_start = text.rfind("\n", start, end) + 1
+                continue
+            lexeme = match.group()
+            value: object = None
+            if group == "ident" or (
+                group == "wide_ident" and lexeme[0].isalpha()
+            ):
+                kind = KEYWORDS.get(lexeme, TokenKind.IDENT)
+                value = lexeme
+            elif group == "punct":
+                kind = _PUNCT[lexeme]
+            elif group == "int":
+                kind, value = TokenKind.INT_LIT, int(lexeme)
+            elif group == "hex":
+                kind, value = TokenKind.INT_LIT, int(lexeme, 16)
+            elif group == "float":
+                kind, value = TokenKind.FLOAT_LIT, float(lexeme.rstrip("fF"))
+            elif group == "char":
+                body = lexeme[1:-1]
+                kind = TokenKind.CHAR_LIT
+                value = ord(_ESCAPES[body[1]] if len(body) == 2 else body)
+            else:
+                raise self._malformed(group, start)
+            begin = SourceLocation(filename, line, start - line_start + 1)
+            stop = SourceLocation(filename, line, end - line_start + 1)
+            result.append(Token(kind, lexeme, SourceSpan(begin, stop), value))
+        here = SourceLocation(filename, line, len(text) - line_start + 1)
+        result.append(Token(TokenKind.EOF, "", SourceSpan(here, here)))
+        return result
 
 
 def tokenize(text: str, filename: str = "<input>") -> list[Token]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 from repro.errors import SourceLocation, SourceSpan
 
@@ -28,9 +29,7 @@ class SourceFile:
         self.text = text
         self.filename = filename
         self._line_starts = [0]
-        for index, char in enumerate(text):
-            if char == "\n":
-                self._line_starts.append(index + 1)
+        self._line_starts.extend(m.end() for m in re.finditer("\n", text))
 
     def location(self, offset: int) -> SourceLocation:
         """Translate a character offset into a 1-based line/column."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from repro.compiler.driver import CompileOptions, compile_program
@@ -20,6 +22,19 @@ else:
     # random exploration with ``pytest --hypothesis-profile=default``.
     settings.register_profile("tier1", derandomize=True)
     settings.load_profile("tier1")
+
+
+def corpus_sources() -> list[tuple[str, str]]:
+    """(name, source) for every ``repro.tools.check`` corpus generator
+    and every ``perfbench/sources/*.om`` — the programs the lexer and
+    checker are pinned on."""
+    from repro.tools.check import _game_corpus
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    sources = list(_game_corpus())
+    for path in sorted((root / "perfbench" / "sources").glob("*.om")):
+        sources.append((f"perfbench:{path.name}", path.read_text()))
+    return sources
 
 
 @pytest.fixture

@@ -1,6 +1,9 @@
 """Tests for the command-line tools."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -220,6 +223,29 @@ class TestCheckTool:
     def test_compile_error_exits_1(self, source_file, capsys):
         assert check_tool.main([source_file(BROKEN)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tool", ["check", "run"])
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+    def test_non_ascii_digit_is_a_lex_error_not_a_traceback(
+        self, tmp_path, tool, digit
+    ):
+        # str.isdigit() accepts both; int() raises on the first and
+        # reads the second as 3.  Through a real process: the traceback
+        # used to escape main().
+        path = tmp_path / "program.om"
+        path.write_text(f"void main() {{ int x = {digit}; }}", encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-m", f"repro.tools.{tool}", str(path)],
+            env=env, capture_output=True, text=True, encoding="utf-8",
+            timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        assert (
+            f"{path}:1:23: error[E-lex]: unexpected character {digit!r}"
+            in done.stderr
+        )
 
     def test_findings_exit_3(self, source_file, capsys):
         status = check_tool.main([source_file(RACY)])
