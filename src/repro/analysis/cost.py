@@ -48,6 +48,7 @@ from repro.analysis.intervals import (
     loop_trips,
     solved_function,
 )
+from repro.ir import ops
 from repro.ir.instructions import (
     AccSpace,
     BinOp,
@@ -423,10 +424,9 @@ class _OffloadCostBuilder:
         if name == "dma_wait":
             # Worst case the transfer just issued: full latency remains.
             return (0, cost.dma_latency), _ZERO, _ZERO, []
-        if name == "sqrtf":
-            w = 4 * cost.alu
-            return (w, w), _ZERO, _ZERO, []
-        return (cost.alu, cost.alu), _ZERO, _ZERO, []
+        pure = ops.INTRINSICS.get(name)
+        w = (pure.weight if pure else 1) * cost.alu
+        return (w, w), _ZERO, _ZERO, []
 
 
 def _as_bounds(interval: Interval) -> _Bounds:

@@ -63,6 +63,7 @@ from repro.analysis.dataflow import (
     solve_call_graph,
     solve_forward,
 )
+from repro.ir import ops
 from repro.ir.instructions import (
     BinOp,
     Call,
@@ -290,48 +291,59 @@ class AbsInt:
 TOP_INT = AbsInt()
 
 
-def _wrap_sound(interval: Interval, cong: Congruence) -> AbsInt:
+def _wrap_sound(
+    interval: Interval, cong: Congruence, signed: bool = True
+) -> AbsInt:
     """Pair the interval and congruence of one ``+``/``-``/``*`` result.
 
     ``cong`` describes the exact (bignum) result.  When ``interval`` —
-    already through :func:`_clamp32` — is unbounded, the machine value
-    may be that result plus a multiple of 2**32, which preserves only
-    the power-of-two part of the modulus; an exact constant just wraps.
+    already through :func:`_clamp32` — is unbounded, or dips below zero
+    under an unsigned op (whose result is masked, not sign-wrapped), the
+    machine value may be that result plus a multiple of 2**32, which
+    preserves only the power-of-two part of the modulus; an exact
+    constant just wraps, by the operator table's own wrap.
     """
-    if interval.bounded:
+    if interval.bounded and (signed or interval.lo >= 0):
         return AbsInt(interval, cong)
     if cong.mod == 0:
-        return AbsInt.const((cong.rem - INT32_MIN) % 2**32 + INT32_MIN)
-    return AbsInt(interval, Congruence(math.gcd(cong.mod, 2**32), cong.rem))
+        return AbsInt.const(ops.WRAPS[signed].fn(cong.rem))
+    return AbsInt(TOP_INTERVAL, Congruence(math.gcd(cong.mod, 2**32), cong.rem))
 
 
-def _arith(op: str, a: AbsInt, b: AbsInt) -> AbsInt:
+def _arith(op: str, a: AbsInt, b: AbsInt, signed: bool = True) -> AbsInt:
     if op == "+":
         return _wrap_sound(
-            _iv_add(a.interval, b.interval), a.cong.add(b.cong)
+            _iv_add(a.interval, b.interval), a.cong.add(b.cong), signed
         )
     if op == "-":
         return _wrap_sound(
-            _iv_sub(a.interval, b.interval), a.cong.sub(b.cong)
+            _iv_sub(a.interval, b.interval), a.cong.sub(b.cong), signed
         )
     if op == "*":
         return _wrap_sound(
-            _iv_mul(a.interval, b.interval), a.cong.mul(b.cong)
+            _iv_mul(a.interval, b.interval), a.cong.mul(b.cong), signed
         )
     if op in ("/", "%"):
+        # Both truncate toward zero like C, so the remainder of a
+        # negative dividend lies in (-d, 0] — and unsigned, is masked
+        # to something huge.  That, and ``/`` of one, is not refined.
         divisor = b.const_value
-        if op == "%" and divisor is not None and divisor > 0:
-            lo, hi = a.interval.lo, a.interval.hi
-            if lo is not None and lo >= 0 and hi is not None and hi < divisor:
-                return a  # already reduced
-            return AbsInt(Interval(0, divisor - 1), TOP_CONGRUENCE)
-        if op == "/" and divisor is not None and divisor > 0:
-            lo, hi = a.interval.lo, a.interval.hi
-            if lo is not None and hi is not None and lo >= 0:
-                return AbsInt(
-                    Interval(lo // divisor, hi // divisor), TOP_CONGRUENCE
-                )
-        return TOP_INT
+        lo, hi = a.interval.lo, a.interval.hi
+        if divisor is None or divisor <= 0:
+            return TOP_INT
+        negative = lo is None or lo < 0
+        if (negative and (op == "/" or not signed)) or hi is None:
+            return TOP_INT
+        if op == "/":
+            result = Interval(lo // divisor, hi // divisor)
+        elif lo is not None and -divisor < lo and hi < divisor and (
+            not signed or _clamp32(a.interval) is a.interval
+        ):
+            return a  # |x| < d: already reduced
+        else:
+            result = Interval(1 - divisor if negative else 0, divisor - 1)
+        # A signed result is sign-wrapped: out of range, it is anything.
+        return AbsInt(_clamp32(result) if signed else result, TOP_CONGRUENCE)
     return TOP_INT
 
 
@@ -673,10 +685,11 @@ class IntervalAnalysis(ForwardAnalysis):
                 return _wrap_sound(
                     _iv_sub(a.offset.interval, b.offset.interval),
                     a.offset.cong.sub(b.offset.cong),
+                    instr.signed,
                 )
             return None
         if isinstance(a, AbsInt) and isinstance(b, AbsInt):
-            return _arith(instr.op, a, b)
+            return _arith(instr.op, a, b, instr.signed)
         return None
 
     # ------------------------------------------------------- branch edges

@@ -20,89 +20,24 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.ir import ops
 from repro.ir.instructions import (
     BinOp,
     CJump,
-    Call,
     Const,
-    Copy,
-    DomainCall,
     Extract,
     FrameAddr,
     GlobalAddr,
-    ICall,
-    Insert,
     Instr,
-    Intrinsic,
     Jump,
     Load,
     Move,
-    OffloadJoin,
-    OffloadLaunch,
-    Ret,
-    Store,
     UnOp,
+    instr_def,
+    instr_uses,
+    rewrite_uses,
 )
 from repro.ir.module import IRFunction
-
-_U32 = 0xFFFFFFFF
-
-
-def _wrap_signed(value: int) -> int:
-    return ((value + 0x80000000) & _U32) - 0x80000000
-
-
-# ---------------------------------------------------------------------------
-# Instruction introspection
-# ---------------------------------------------------------------------------
-
-
-def instr_uses(instr: Instr) -> list[int]:
-    """Registers read by the instruction."""
-    if isinstance(instr, Move):
-        return [instr.src]
-    if isinstance(instr, BinOp):
-        return [instr.a, instr.b]
-    if isinstance(instr, UnOp):
-        return [instr.a]
-    if isinstance(instr, Load):
-        return [instr.addr]
-    if isinstance(instr, Store):
-        return [instr.addr, instr.src]
-    if isinstance(instr, Copy):
-        regs = [instr.dst_addr, instr.src_addr]
-        if instr.size_reg is not None:
-            regs.append(instr.size_reg)
-        return regs
-    if isinstance(instr, Extract):
-        regs = [instr.word]
-        if instr.const_offset is None:
-            regs.append(instr.offset)
-        return regs
-    if isinstance(instr, Insert):
-        regs = [instr.word, instr.value]
-        if instr.const_offset is None:
-            regs.append(instr.offset)
-        return regs
-    if isinstance(instr, CJump):
-        return [instr.cond]
-    if isinstance(instr, (Call, Intrinsic, OffloadLaunch)):
-        return list(instr.args)
-    if isinstance(instr, ICall):
-        return [instr.func_id, *instr.args]
-    if isinstance(instr, DomainCall):
-        return [instr.func_id, *instr.args]
-    if isinstance(instr, OffloadJoin):
-        return [instr.handle]
-    if isinstance(instr, Ret):
-        return [instr.src] if instr.src is not None else []
-    return []
-
-
-def instr_def(instr: Instr) -> Optional[int]:
-    """The register written by the instruction, if any."""
-    dst = getattr(instr, "dst", None)
-    return dst if isinstance(dst, int) else None
 
 
 def is_pure(instr: Instr) -> bool:
@@ -122,44 +57,24 @@ def is_pure(instr: Instr) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _fold_binop(instr: BinOp, a: object, b: object) -> Optional[object]:
-    """Evaluate a BinOp over known constants; None if not foldable."""
+def _fold(instr: "BinOp | UnOp", values: list[object]) -> Optional[object]:
+    """Evaluate an ALU instruction over known constants, by the operator
+    table; None if not foldable.  Integer division and right shifts,
+    float division by zero and every unary op but ``- ! ~`` are left to
+    run time."""
     try:
-        if instr.op in ("==", "!=", "<", "<=", ">", ">="):
-            table = {
-                "==": a == b, "!=": a != b, "<": a < b,  # type: ignore[operator]
-                "<=": a <= b, ">": a > b, ">=": a >= b,  # type: ignore[operator]
-            }
-            return 1 if table[instr.op] else 0
-        if instr.float_op:
-            fa, fb = float(a), float(b)  # type: ignore[arg-type]
-            ops = {"+": fa + fb, "-": fa - fb, "*": fa * fb}
-            if instr.op == "/":
-                if fb == 0.0:
-                    return None
-                return fa / fb
-            return ops.get(instr.op)
-        ia, ib = int(a), int(b)  # type: ignore[arg-type]
-        if instr.op == "+":
-            result = ia + ib
-        elif instr.op == "-":
-            result = ia - ib
-        elif instr.op == "*":
-            result = ia * ib
-        elif instr.op == "&":
-            result = ia & ib
-        elif instr.op == "|":
-            result = ia | ib
-        elif instr.op == "^":
-            result = ia ^ ib
-        elif instr.op == "<<":
-            result = ia << (ib & 31)
+        if isinstance(instr, UnOp):
+            if instr.op not in ("-", "!", "~"):
+                return None
+            op = ops.UNOPS[instr.op, instr.float_op]
+        elif instr.op in ("/", "%", ">>") and (
+            not instr.float_op or float(values[1]) == 0.0  # type: ignore[arg-type]
+        ):
+            return None
         else:
-            return None  # division and shifts right: leave to runtime
-        if instr.signed:
-            return _wrap_signed(result)
-        return result & _U32
-    except TypeError:
+            op = ops.BINOPS[instr.op, instr.float_op, instr.signed]
+        return op.fn(*values)
+    except (KeyError, TypeError):
         return None
 
 
@@ -188,102 +103,27 @@ def fold_constants(function: IRFunction) -> int:
         if index in block_starts:
             constants.clear()
             copies.clear()
-        # Rewrite register operands through known copies.
-        if isinstance(instr, Move):
-            source = canonical(instr.src)
-            if source != instr.src:
-                instr.src = source
-                changed += 1
-        elif isinstance(instr, BinOp):
-            a, b = canonical(instr.a), canonical(instr.b)
-            if (a, b) != (instr.a, instr.b):
-                instr.a, instr.b = a, b
-                changed += 1
-            if a in constants and b in constants:
-                folded = _fold_binop(instr, constants[a], constants[b])
+        changed += rewrite_uses(instr, canonical)
+        if isinstance(instr, (BinOp, UnOp)) and instr.a in constants:
+            operands = instr_uses(instr)
+            if all(reg in constants for reg in operands):
+                folded = _fold(instr, [constants[reg] for reg in operands])
                 if folded is not None:
                     function.code[index] = Const(
                         dst=instr.dst, value=folded, comment="folded"
                     )
                     instr = function.code[index]
                     changed += 1
-        elif isinstance(instr, UnOp):
-            a = canonical(instr.a)
-            if a != instr.a:
-                instr.a = a
-                changed += 1
-            if a in constants and instr.op in ("-", "!", "~"):
-                value = constants[a]
-                try:
-                    if instr.op == "-":
-                        folded: object = (
-                            -float(value) if instr.float_op  # type: ignore[arg-type]
-                            else _wrap_signed(-int(value))  # type: ignore[arg-type]
-                        )
-                    elif instr.op == "!":
-                        folded = 0 if value else 1
-                    else:
-                        folded = _wrap_signed(~int(value))  # type: ignore[arg-type]
-                    function.code[index] = Const(
-                        dst=instr.dst, value=folded, comment="folded"
-                    )
-                    instr = function.code[index]
-                    changed += 1
-                except TypeError:
-                    pass
         elif isinstance(instr, CJump):
-            cond = canonical(instr.cond)
-            if cond != instr.cond:
-                instr.cond = cond
-                changed += 1
-            if cond in constants:
+            if instr.cond in constants:
                 target = (
-                    instr.then_label if constants[cond] else instr.else_label
+                    instr.then_label
+                    if constants[instr.cond]
+                    else instr.else_label
                 )
                 function.code[index] = Jump(label=target, comment="folded cjump")
                 instr = function.code[index]
                 changed += 1
-        else:
-            # Explicit per-type operand rewrite: only fields that hold
-            # register numbers may be redirected through known copies.
-            register_fields: tuple[str, ...] = ()
-            if isinstance(instr, Load):
-                register_fields = ("addr",)
-            elif isinstance(instr, Store):
-                register_fields = ("addr", "src")
-            elif isinstance(instr, Copy):
-                register_fields = ("dst_addr", "src_addr")
-                if instr.size_reg is not None:
-                    register_fields += ("size_reg",)
-            elif isinstance(instr, Extract):
-                register_fields = ("word",)
-                if instr.const_offset is None:
-                    register_fields += ("offset",)
-            elif isinstance(instr, Insert):
-                register_fields = ("word", "value")
-                if instr.const_offset is None:
-                    register_fields += ("offset",)
-            elif isinstance(instr, (ICall, DomainCall)):
-                register_fields = ("func_id",)
-            elif isinstance(instr, OffloadJoin):
-                register_fields = ("handle",)
-            elif isinstance(instr, Ret):
-                if instr.src is not None:
-                    register_fields = ("src",)
-            for field_name in register_fields:
-                current = getattr(instr, field_name)
-                new = canonical(current)
-                if new != current:
-                    setattr(instr, field_name, new)
-                    changed += 1
-            if isinstance(
-                instr, (Call, ICall, DomainCall, Intrinsic, OffloadLaunch)
-            ):
-                for position, reg in enumerate(instr.args):
-                    new = canonical(reg)
-                    if new != reg:
-                        instr.args[position] = new
-                        changed += 1
         # Update the abstract state.
         defined = instr_def(instr)
         if defined is not None:

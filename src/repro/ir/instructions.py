@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 
 class AccSpace(enum.Enum):
@@ -37,6 +37,13 @@ class Instr:
 
     comment: str = field(default="", kw_only=True)
 
+    #: The fields that hold a register the instruction reads, in operand
+    #: order (``args`` lists aside) — the one declaration behind
+    #: :func:`instr_uses` and :func:`rewrite_uses` — and, after them,
+    #: those an instance may lack (see :func:`_optional_reads`).
+    REG_FIELDS = ()
+    OPT_REG_FIELDS = ()
+
     def describe(self) -> str:
         return type(self).__name__.lower()
 
@@ -52,6 +59,8 @@ class Const(Instr):
 
 @dataclass
 class Move(Instr):
+    REG_FIELDS = ("src",)
+
     dst: int = 0
     src: int = 0
 
@@ -66,6 +75,8 @@ class BinOp(Instr):
     ``float_op`` selects float semantics; integer results are wrapped to
     32 bits (signed or unsigned per ``signed``) by the interpreter.
     """
+
+    REG_FIELDS = ("a", "b")
 
     op: str = "+"
     dst: int = 0
@@ -87,6 +98,8 @@ class BinOp(Instr):
 
 @dataclass
 class UnOp(Instr):
+    REG_FIELDS = ("a",)
+
     op: str = "-"
     dst: int = 0
     a: int = 0
@@ -98,6 +111,8 @@ class UnOp(Instr):
 
 @dataclass
 class Load(Instr):
+    REG_FIELDS = ("addr",)
+
     dst: int = 0
     addr: int = 0  # register holding a byte address
     size: int = 4
@@ -120,6 +135,8 @@ class Load(Instr):
 
 @dataclass
 class Store(Instr):
+    REG_FIELDS = ("addr", "src")
+
     addr: int = 0
     src: int = 0
     size: int = 4
@@ -145,6 +162,9 @@ class Copy(Instr):
     otherwise the static ``size`` applies.
     """
 
+    REG_FIELDS = ("dst_addr", "src_addr")
+    OPT_REG_FIELDS = ("size_reg",)
+
     dst_addr: int = 0
     src_addr: int = 0
     size: int = 0
@@ -168,6 +188,9 @@ class Extract(Instr):
     Charged at the ``word_extract`` cost (constant offsets) or twice
     that (variable offsets — extra shift computation).
     """
+
+    REG_FIELDS = ("word",)
+    OPT_REG_FIELDS = ("offset",)
 
     dst: int = 0
     word: int = 0
@@ -196,6 +219,9 @@ class Extract(Instr):
 @dataclass
 class Insert(Instr):
     """Insert a sub-word scalar into a word (read-modify-write half)."""
+
+    REG_FIELDS = ("word", "value")
+    OPT_REG_FIELDS = ("offset",)
 
     dst: int = 0
     word: int = 0
@@ -256,6 +282,8 @@ class Call(Instr):
 class ICall(Instr):
     """Host-side indirect call through a host function id (vtable slot)."""
 
+    REG_FIELDS = ("func_id",)
+
     dst: Optional[int] = None
     func_id: int = 0  # register holding the id
     args: list[int] = field(default_factory=list)
@@ -271,6 +299,8 @@ class DomainCall(Instr):
     """Accelerator-side dynamic dispatch through the offload's domain
     (Figure 3): outer-domain search on the host function id, inner-domain
     search on the duplicate signature."""
+
+    REG_FIELDS = ("func_id",)
 
     dst: Optional[int] = None
     func_id: int = 0  # register holding the host function id
@@ -311,6 +341,8 @@ class Jump(Instr):
 
 @dataclass
 class CJump(Instr):
+    REG_FIELDS = ("cond",)
+
     cond: int = 0
     then_label: str = ""
     else_label: str = ""
@@ -321,6 +353,8 @@ class CJump(Instr):
 
 @dataclass
 class Ret(Instr):
+    OPT_REG_FIELDS = ("src",)
+
     src: Optional[int] = None
 
     def describe(self) -> str:
@@ -343,6 +377,8 @@ class OffloadLaunch(Instr):
 
 @dataclass
 class OffloadJoin(Instr):
+    REG_FIELDS = ("handle",)
+
     handle: int = 0
 
     def describe(self) -> str:
@@ -355,3 +391,61 @@ class Trap(Instr):
 
     def describe(self) -> str:
         return f"trap {self.message!r}"
+
+
+# ---------------------------------------------------------------------------
+# Register operands
+# ---------------------------------------------------------------------------
+
+
+def _optional_reads(instr: Instr) -> list[tuple[str, int]]:
+    """(field, register) for each ``OPT_REG_FIELDS`` operand this
+    instance has: a register not left None, and ``offset`` only where no
+    ``const_offset`` stands in for it."""
+    return [
+        (name, reg)
+        for name in instr.OPT_REG_FIELDS
+        if (reg := getattr(instr, name)) is not None
+        and (name != "offset" or instr.const_offset is None)  # type: ignore[attr-defined]
+    ]
+
+
+def instr_uses(instr: Instr) -> list[int]:
+    """Registers read by the instruction."""
+    regs = []
+    for name in instr.REG_FIELDS:  # a plain loop: this is translation's hot path
+        regs.append(getattr(instr, name))
+    if instr.OPT_REG_FIELDS:
+        regs.extend(reg for _, reg in _optional_reads(instr))
+    args = getattr(instr, "args", None)
+    if args:
+        regs.extend(args)
+    return regs
+
+
+def instr_def(instr: Instr) -> Optional[int]:
+    """The register written by the instruction, if any."""
+    dst = getattr(instr, "dst", None)
+    return dst if isinstance(dst, int) else None
+
+
+def rewrite_uses(instr: Instr, rename: Callable[[int], int]) -> int:
+    """Pass every register the instruction reads through ``rename``, in
+    place; returns how many operands changed."""
+    changed = 0
+    names = instr.REG_FIELDS
+    if instr.OPT_REG_FIELDS:
+        names += tuple(name for name, _ in _optional_reads(instr))
+    for name in names:
+        old = getattr(instr, name)
+        new = rename(old)
+        if new != old:
+            setattr(instr, name, new)
+            changed += 1
+    args = getattr(instr, "args", ())
+    for position, old in enumerate(args):
+        new = rename(old)
+        if new != old:
+            args[position] = new
+            changed += 1
+    return changed

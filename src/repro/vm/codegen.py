@@ -73,7 +73,10 @@ Translation scheme
   IR functions (``IRFunction.duplicate_id``), so each duplicate gets
   its own specialized generated function — memory-space operands and
   codecs are baked per duplicate, never re-dispatched.
-* **Single source of truth.**  Stateful machinery — offload scheduling
+* **Single source of truth.**  Arithmetic is not written here: every
+  BinOp / UnOp / pure intrinsic is its :mod:`repro.ir.ops` template
+  with operand text substituted, the same text the reference engine
+  runs compiled.  Stateful machinery — offload scheduling
   through :mod:`repro.sched`, domain dispatch, DMA engines, bulk
   copies, race checking — is *called into* the reference
   implementation (``eng._run_offload``, ``eng._domain_call_values``,
@@ -134,7 +137,7 @@ from types import CodeType
 from typing import Callable, Optional
 
 from repro.analysis.dataflow import BasicBlock, ControlFlowGraph
-from repro.compiler.optimize import instr_def, instr_uses
+from repro.ir import ops
 from repro.ir.instructions import (
     AccSpace,
     BinOp,
@@ -159,6 +162,8 @@ from repro.ir.instructions import (
     Store,
     Trap,
     UnOp,
+    instr_def,
+    instr_uses,
 )
 from repro.ir.module import IRFunction, IRProgram
 from repro.ir.serialize import (
@@ -193,25 +198,6 @@ _SPACE_NAMES = {
     AccSpace.MAIN: "_SP_MAIN",
     AccSpace.LOCAL: "_SP_LOCAL",
     AccSpace.OUTER: "_SP_OUTER",
-}
-
-#: Value class of each intrinsic's destination register.
-_INTRINSIC_TYPES = {
-    "print_int": _INT,
-    "print_float": _INT,
-    "print_char": _INT,
-    "sqrtf": _FLT,
-    "fabsf": _FLT,
-    "fminf": _FLT,
-    "fmaxf": _FLT,
-    "iabs": _INT,
-    "imin": _INT,
-    "imax": _INT,
-    "dma_get": _INT,
-    "dma_put": _INT,
-    "dma_wait": _INT,
-    "acc_bulk_get": _INT,
-    "acc_bulk_put": _INT,
 }
 
 
@@ -273,6 +259,15 @@ def _codec_suffix(key: tuple[int, bool, bool]) -> str:
     return f"{size}{'s' if signed else 'u'}{'f' if is_float else 'i'}"
 
 
+def _table_op(instr: Instr) -> Optional[ops.Op]:
+    """The :mod:`repro.ir.ops` entry of a BinOp, UnOp or Intrinsic."""
+    if isinstance(instr, BinOp):
+        return ops.BINOPS.get((instr.op, instr.float_op, instr.signed))
+    if isinstance(instr, UnOp):
+        return ops.UNOPS.get((instr.op, instr.float_op))
+    return ops.INTRINSICS.get(instr.name)
+
+
 def _infer_reg_types(function: IRFunction) -> dict[int, str]:
     """Flow-insensitive fixpoint classifying registers as int / float /
     unknown.  Unwritten registers read as their 0 initializer, so a
@@ -291,46 +286,34 @@ def _infer_reg_types(function: IRFunction) -> dict[int, str]:
         types[reg] = _ANY
         return True
 
+    # Every class but a copy's is fixed by its own instruction: one pass,
+    # then the copies to a fixpoint.
+    moves = []
+    for instr in function.code:
+        if isinstance(instr, Move):
+            moves.append(instr)
+        elif isinstance(instr, Const):
+            join(instr.dst, _FLT if isinstance(instr.value, float) else _INT)
+        elif isinstance(instr, (BinOp, UnOp, Intrinsic)):
+            # Outside the table: an intrinsic that acts on the machine
+            # and returns 0 (or an op ``emit`` will refuse).
+            op = _table_op(instr)
+            join(instr.dst, op.result if op else _INT)
+        elif isinstance(instr, Load):
+            join(instr.dst, _FLT if instr.is_float else _INT)
+        elif isinstance(
+            instr, (Extract, Insert, FrameAddr, GlobalAddr, OffloadLaunch)
+        ):
+            join(instr.dst, _INT)
+        elif isinstance(instr, (Call, ICall, DomainCall)):
+            join(instr.dst, _ANY)
     changed = True
     while changed:
         changed = False
-        for instr in function.code:
-            if isinstance(instr, Const):
-                t = _FLT if isinstance(instr.value, float) else _INT
-                changed |= join(instr.dst, t)
-            elif isinstance(instr, Move):
-                src_t = types.get(instr.src)
-                if src_t is not None:
-                    changed |= join(instr.dst, src_t)
-            elif isinstance(instr, BinOp):
-                if instr.is_compare:
-                    t = _INT
-                else:
-                    t = _FLT if instr.float_op else _INT
-                changed |= join(instr.dst, t)
-            elif isinstance(instr, UnOp):
-                op = instr.op
-                if op == "-":
-                    t = _FLT if instr.float_op else _INT
-                elif op == "itof":
-                    t = _FLT
-                elif op in ("!", "~", "ftoi") or op.startswith(("sext", "zext")):
-                    t = _INT
-                else:
-                    t = _ANY
-                changed |= join(instr.dst, t)
-            elif isinstance(instr, Load):
-                changed |= join(instr.dst, _FLT if instr.is_float else _INT)
-            elif isinstance(
-                instr, (Extract, Insert, FrameAddr, GlobalAddr, OffloadLaunch)
-            ):
-                changed |= join(instr.dst, _INT)
-            elif isinstance(instr, (Call, ICall, DomainCall)):
-                changed |= join(instr.dst, _ANY)
-            elif isinstance(instr, Intrinsic):
-                changed |= join(
-                    instr.dst, _INTRINSIC_TYPES.get(instr.name, _ANY)
-                )
+        for move in moves:
+            src_t = types.get(move.src)
+            if src_t is not None:
+                changed |= join(move.dst, src_t)
     return types
 
 
@@ -397,6 +380,8 @@ class _FunctionEmitter:
         self.env: dict[int, list] = {}
         self._deps: set[int] = set()
         self._coerced = False
+        #: How to read an operand of each :class:`repro.ir.ops.Op` kind.
+        self._read_as = {"i": self.iv, "f": self.fv, "r": self.rv}
 
     # ------------------------------------------------------------ helpers
 
@@ -910,10 +895,10 @@ class _FunctionEmitter:
             return self.rv(instr.src), alu
 
         if isinstance(instr, BinOp):
-            return self._emit_binop(instr), alu
+            return self._emit_alu(instr, instr.a, instr.b), alu
 
         if isinstance(instr, UnOp):
-            return self._emit_unop(instr), alu
+            return self._emit_alu(instr, instr.a), alu
 
         if isinstance(instr, Load):
             return self._emit_load(instr)
@@ -995,95 +980,32 @@ class _FunctionEmitter:
 
     # --------------------------------------------------------- arithmetic
 
-    def _emit_binop(self, instr: BinOp) -> "_Lines | str":
-        d, a, b, op = instr.dst, instr.a, instr.b, instr.op
-        if instr.is_compare:
-            return f"(1 if {self.rv(a)} {op} {self.rv(b)} else 0)"
-        if instr.float_op:
-            fa, fb = self.fv(a), self.fv(b)
-            if op == "/":
-                return [
-                    (0, f"_x = {fa}"),
-                    (0, f"_y = {fb}"),
-                    (0, "if _y == 0.0:"),
-                    (
-                        1,
-                        f"r{d} = math.inf if _x > 0"
-                        " else (-math.inf if _x < 0 else math.nan)",
-                    ),
-                    (0, "else:"),
-                    (1, f"r{d} = _x / _y"),
-                ]
-            if op in ("+", "-", "*"):
-                return f"({fa} {op} {fb})"
-            raise _Unsupported(f"float op {op}")
-        ia, ib = self.iv(a), self.iv(b)
-        if (
-            ib == "0" and op in ("+", "-", "|", "^") and not instr.signed
-            and ia.endswith("& 0xFFFFFFFF)")
-        ):
-            return ia  # field at offset 0 of an already-wrapped address
-        if op in ("+", "-", "*", "&", "|", "^"):
-            core = f"{ia} {op} {ib}"
-        elif op in ("/", "%"):
-            # May trap: a statement, never forwarded or dropped.
-            core = f"_int_{'div' if op == '/' else 'rem'}({ia}, {ib})"
-            if instr.signed:
-                core = f"({core} + 0x80000000 & 0xFFFFFFFF) - 0x80000000"
-            else:
-                core = f"{core} & 0xFFFFFFFF"
-            return [(0, f"r{d} = {core}")]
-        elif op == "<<":
-            core = f"{ia} << ({ib} & 31)"
-        elif op == ">>":
-            if instr.signed:
-                core = f"{ia} >> ({ib} & 31)"
-            else:
-                core = f"({ia} & 0xFFFFFFFF) >> ({ib} & 31)"
-        else:
-            raise _Unsupported(f"int op {op}")
-        if instr.signed:
-            return f"((({core}) + 0x80000000 & 0xFFFFFFFF) - 0x80000000)"
-        return f"(({core}) & 0xFFFFFFFF)"
+    def _operands(self, op: ops.Op, regs: list[int]) -> list[str]:
+        """Each operand as the text the table says it is read as."""
+        read = self._read_as
+        return [read[kind](reg) for kind, reg in zip(op.kinds, regs)]
 
-    def _emit_unop(self, instr: UnOp) -> "_Lines | str":
-        d, a, op = instr.dst, instr.a, instr.op
-        if op == "-":
-            if instr.float_op:
-                return f"(-{self.fv(a)})"
-            return f"((-{self.iv(a)} + 0x80000000 & 0xFFFFFFFF) - 0x80000000)"
-        if op == "!":
-            return f"(0 if {self.rv(a)} else 1)"
-        if op == "~":
-            return f"((~{self.iv(a)} + 0x80000000 & 0xFFFFFFFF) - 0x80000000)"
-        if op == "itof":
-            return f"(float({self.iv(a)}))"
-        if op == "ftoi":
-            return [
-                (0, f"_x = {self.fv(a)}"),
-                (0, "if math.isnan(_x) or math.isinf(_x):"),
-                (1, f"r{d} = 0"),
-                (0, "else:"),
-                (
-                    1,
-                    f"r{d} = (math.trunc(_x) + 0x80000000 & 0xFFFFFFFF)"
-                    " - 0x80000000",
-                ),
-            ]
-        if op in ("sext8", "sext16", "zext8", "zext16"):
-            bits = 8 if op.endswith("8") else 16
-            mask = (1 << bits) - 1
-            if op.startswith("zext"):
-                return f"({self.iv(a)} & {mask:#x})"
-            sign_bit = 1 << (bits - 1)
-            modulus = 1 << bits
-            return [
-                (0, f"_v = {self.iv(a)} & {mask:#x}"),
-                (0, f"if _v >= {sign_bit}:"),
-                (1, f"_v -= {modulus}"),
-                (0, f"r{d} = _v"),
-            ]
-        raise _Unsupported(f"unary op {op}")
+    def _emit_alu(self, instr: "BinOp | UnOp", *regs: int) -> "_Lines | str":
+        """Operand text substituted into the instruction's
+        :mod:`repro.ir.ops` template: an expression in parentheses, or
+        the statements of an op that branches or may trap (never
+        forwarded or dropped)."""
+        op = _table_op(instr)
+        if op is None:
+            raise _Unsupported(f"{type(instr).__name__} {instr.op}")
+        read, kinds = self._read_as, op.kinds
+        a = b = read[kinds[0]](regs[0])
+        if len(regs) == 2:
+            b = read[kinds[1]](regs[1])
+            if (
+                b == "0" and instr.op in ("+", "-", "|", "^")
+                and not (instr.signed or instr.float_op)
+                and a.endswith("& 0xFFFFFFFF)")
+            ):
+                return a  # field at offset 0 of an already-wrapped address
+        if "{d}" in op.text:
+            return ops.statements(op.text, f"r{instr.dst}", a, b)
+        return "(" + op.text.format(a=a, b=b) + ")"
 
     # ------------------------------------------------------------- memory
 
@@ -1343,33 +1265,12 @@ class _FunctionEmitter:
             lines.extend(assign("0"))
             return lines, alu
 
-        if name == "sqrtf":
-            lines = [(0, f"_x = {self.fv(args[0])}")]
-            lines.extend(
-                assign("math.sqrt(_x) if _x >= 0 else math.nan")
-            )
-            return lines, 4 * alu
-
-        if name == "fabsf":
-            return assign(f"abs({self.fv(args[0])})"), alu
-
-        if name == "iabs":
-            return assign(
-                f"(abs({self.iv(args[0])}) + 0x80000000 & 0xFFFFFFFF)"
-                " - 0x80000000"
-            ), alu
-
-        if name in ("imin", "imax"):
-            pick = "min" if name == "imin" else "max"
-            return assign(
-                f"{pick}({self.iv(args[0])}, {self.iv(args[1])})"
-            ), alu
-
-        if name in ("fminf", "fmaxf"):
-            pick = "min" if name == "fminf" else "max"
-            return assign(
-                f"{pick}({self.fv(args[0])}, {self.fv(args[1])})"
-            ), alu
+        pure = ops.INTRINSICS.get(name)
+        if pure is not None:
+            return ops.statements(
+                pure.text, None if d is None else f"r{d}",
+                *self._operands(pure, args),
+            ), pure.weight * alu
 
         if name in ("dma_get", "dma_put"):
             verb = "get" if name == "dma_get" else "put"

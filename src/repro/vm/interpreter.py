@@ -12,7 +12,6 @@ concurrency — while clock arithmetic models the overlap, so joins see
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -45,6 +44,10 @@ from repro.ir.instructions import (
     UnOp,
 )
 from repro.ir.module import IRFunction, IRProgram
+
+# Generated modules, the ones in disk caches included, import
+# ``_int_div`` / ``_int_rem`` from this module.
+from repro.ir.ops import BINOPS, INTRINSICS, UNOPS, _int_div, _int_rem  # noqa: F401
 from repro.machine.config import MachineConfig, resolve_target
 from repro.machine.cores import AcceleratorCore
 from repro.machine.dma import NUM_TAGS
@@ -102,26 +105,6 @@ def validate_engine(engine: str, source: str = "engine") -> str:
             f"known engines: {known}"
         )
     return engine
-
-
-def _wrap_signed(value: int) -> int:
-    return ((value + 0x80000000) & _U32) - 0x80000000
-
-def _wrap_unsigned(value: int) -> int:
-    return value & _U32
-
-
-def _int_div(a: int, b: int) -> int:
-    if b == 0:
-        raise RuntimeTrap("integer division by zero")
-    quotient = abs(a) // abs(b)
-    return -quotient if (a < 0) != (b < 0) else quotient
-
-
-def _int_rem(a: int, b: int) -> int:
-    if b == 0:
-        raise RuntimeTrap("integer remainder by zero")
-    return a - _int_div(a, b) * b
 
 
 @dataclass
@@ -416,87 +399,6 @@ class Interpreter:
         mask = (1 << (8 * size)) - 1
         return (int(value) & mask).to_bytes(size, "little")  # type: ignore[arg-type]
 
-    # ------------------------------------------------------------ arithmetic
-
-    def _binop(self, instr: BinOp, a: object, b: object) -> object:
-        op = instr.op
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            table = {
-                "==": a == b,
-                "!=": a != b,
-                "<": a < b,  # type: ignore[operator]
-                "<=": a <= b,  # type: ignore[operator]
-                ">": a > b,  # type: ignore[operator]
-                ">=": a >= b,  # type: ignore[operator]
-            }
-            return 1 if table[op] else 0
-        if instr.float_op:
-            fa, fb = float(a), float(b)  # type: ignore[arg-type]
-            if op == "+":
-                return fa + fb
-            if op == "-":
-                return fa - fb
-            if op == "*":
-                return fa * fb
-            if op == "/":
-                if fb == 0.0:
-                    return math.inf if fa > 0 else (-math.inf if fa < 0 else math.nan)
-                return fa / fb
-            raise AssertionError(f"float op {op}")
-        ia, ib = int(a), int(b)  # type: ignore[arg-type]
-        if op == "+":
-            result = ia + ib
-        elif op == "-":
-            result = ia - ib
-        elif op == "*":
-            result = ia * ib
-        elif op == "/":
-            result = _int_div(ia, ib)
-        elif op == "%":
-            result = _int_rem(ia, ib)
-        elif op == "&":
-            result = ia & ib
-        elif op == "|":
-            result = ia | ib
-        elif op == "^":
-            result = ia ^ ib
-        elif op == "<<":
-            result = ia << (ib & 31)
-        elif op == ">>":
-            if instr.signed:
-                result = ia >> (ib & 31)
-            else:
-                result = (ia & _U32) >> (ib & 31)
-        else:
-            raise AssertionError(f"int op {op}")
-        return _wrap_signed(result) if instr.signed else _wrap_unsigned(result)
-
-    def _unop(self, instr: UnOp, a: object) -> object:
-        op = instr.op
-        if op == "-":
-            if instr.float_op:
-                return -float(a)  # type: ignore[arg-type]
-            return _wrap_signed(-int(a))  # type: ignore[arg-type]
-        if op == "!":
-            return 0 if a else 1
-        if op == "~":
-            return _wrap_signed(~int(a))  # type: ignore[arg-type]
-        if op == "itof":
-            return float(int(a))  # type: ignore[arg-type]
-        if op == "ftoi":
-            f = float(a)  # type: ignore[arg-type]
-            if math.isnan(f) or math.isinf(f):
-                return 0
-            return _wrap_signed(math.trunc(f))
-        if op in ("sext8", "sext16", "zext8", "zext16"):
-            bits = 8 if op.endswith("8") else 16
-            mask = (1 << bits) - 1
-            value = int(a) & mask  # type: ignore[arg-type]
-            if op.startswith("sext") and value >= 1 << (bits - 1):
-                value -= 1 << bits
-            return value
-        raise AssertionError(f"unary op {op}")
-
     # -------------------------------------------------------------- calls
 
     def _exec_function(
@@ -539,12 +441,14 @@ class Interpreter:
                     regs[instr.dst] = regs[instr.src]
                 elif isinstance(instr, BinOp):
                     ctx.now += cost.alu
-                    regs[instr.dst] = self._binop(
-                        instr, regs[instr.a], regs[instr.b]
-                    )
+                    regs[instr.dst] = BINOPS[
+                        instr.op, instr.float_op, instr.signed
+                    ].fn(regs[instr.a], regs[instr.b])
                 elif isinstance(instr, UnOp):
                     ctx.now += cost.alu
-                    regs[instr.dst] = self._unop(instr, regs[instr.a])
+                    regs[instr.dst] = UNOPS[instr.op, instr.float_op].fn(
+                        regs[instr.a]
+                    )
                 elif isinstance(instr, Load):
                     data = self._read_mem(
                         instr.space, int(regs[instr.addr]), instr.size, ctx  # type: ignore[arg-type]
@@ -796,24 +700,10 @@ class Interpreter:
             ctx.now += cost.alu
             self.output.append((ctx.name, chr(int(args[0]) & 0xFF)))  # type: ignore[arg-type]
             return 0
-        if name == "sqrtf":
-            ctx.now += 4 * cost.alu
-            value = float(args[0])  # type: ignore[arg-type]
-            return math.sqrt(value) if value >= 0 else math.nan
-        if name == "fabsf":
-            ctx.now += cost.alu
-            return abs(float(args[0]))  # type: ignore[arg-type]
-        if name == "iabs":
-            ctx.now += cost.alu
-            return _wrap_signed(abs(int(args[0])))  # type: ignore[arg-type]
-        if name in ("imin", "imax"):
-            ctx.now += cost.alu
-            fn = min if name == "imin" else max
-            return fn(int(args[0]), int(args[1]))  # type: ignore[arg-type]
-        if name in ("fminf", "fmaxf"):
-            ctx.now += cost.alu
-            fn = min if name == "fminf" else max
-            return fn(float(args[0]), float(args[1]))  # type: ignore[arg-type]
+        pure = INTRINSICS.get(name)
+        if pure is not None:
+            ctx.now += pure.weight * cost.alu
+            return pure.fn(*args)
         if name in ("dma_get", "dma_put"):
             return self._exec_dma(name, args, ctx)
         if name == "dma_wait":

@@ -6,6 +6,8 @@ PR 4 checker provably misses is caught as ``E-dma-oob``, with zero
 false positives on every shipped example under every registry target.
 """
 
+import pathlib
+
 from repro.analysis import bounds, cost, dmacheck
 from repro.analysis.runner import run_analyses
 from repro.compiler.driver import compile_program
@@ -69,6 +71,35 @@ class TestLoopComputedOOB:
         (oob,) = [f for f in findings if f.code == "E-dma-oob"]
         assert oob.related
         assert any("back edge" in rel.message for rel in oob.related)
+
+
+class TestRingIndexGoesNegative:
+    """``ring_index_bad.om``: ``(i - 3) % 8`` is -3, -2, -1 on the
+    first three iterations (``%`` truncates toward zero), so the
+    transfer starts 12 bytes before ``g_ring``.  While the interval
+    domain read ``x % n`` as ``[0, n-1]`` for any ``x`` this was
+    "proved" in range; it runs without a trap either way."""
+
+    SOURCE = (
+        pathlib.Path(__file__).with_name("ring_index_bad.om").read_text()
+    )
+
+    def test_the_negative_index_is_flagged(self):
+        program = compile_program(self.SOURCE, CELL_LIKE)
+        (oob,) = [
+            f for f in bounds.check_program(program, CELL_LIKE)
+            if f.code == "E-dma-oob"
+        ]
+        assert "byte -12 of global 'g_ring'" in oob.message
+        assert not run_program(program, Machine(CELL_LIKE)).diagnostics
+
+    def test_the_non_negative_spelling_is_clean(self):
+        fixed = self.SOURCE.replace("(i - 3) % 8", "(i + 5) % 8")
+        program = compile_program(fixed, CELL_LIKE)
+        assert not [
+            f for f in bounds.check_program(program, CELL_LIKE)
+            if f.code == "E-dma-oob"
+        ]
 
 
 class TestInterproceduralOOB:

@@ -17,6 +17,8 @@ from repro.analysis.intervals import (
 from repro.compiler.driver import compile_program
 from repro.ir.instructions import Intrinsic
 from repro.machine.config import CELL_LIKE
+from repro.machine.machine import Machine
+from repro.vm.interpreter import run_program
 
 
 class TestInterval:
@@ -141,6 +143,46 @@ def _dma_site(function, name="dma_get"):
         for i, instr in enumerate(function.code)
         if isinstance(instr, Intrinsic) and instr.name == name
     )
+
+
+class TestRemainderTruncatesTowardZero:
+    """``%`` is C's: the remainder takes the dividend's sign.  The
+    transfer function used to answer ``[0, d-1]`` for any dividend, so
+    the VM printed a value outside its predicted interval."""
+
+    SOURCE = """
+    void main() {
+        __offload {
+            int x = 0 - 7;
+            int y = x % 4;
+            print_int(y);
+        };
+    }
+    """
+
+    def test_printed_value_lies_in_the_predicted_interval(self):
+        program = compile_program(self.SOURCE, CELL_LIKE)
+        entry = _offload_entry(program)
+        site = _dma_site(entry, "print_int")
+        predicted = analyze_function(entry).values_before(site)[
+            entry.code[site].args[0]
+        ]
+        ((_, printed),) = run_program(program, Machine(CELL_LIKE)).output
+        assert printed == -3
+        assert predicted.contains(printed)
+
+    def test_the_sign_of_the_dividend_decides_the_range(self):
+        four = AbsInt.const(4)
+        spans_zero = AbsInt(Interval(-9, 9), Congruence(1, 0))
+        assert _arith("%", spans_zero, four).interval == Interval(-3, 3)
+        assert _arith(
+            "%", AbsInt(Interval(0, 9), Congruence(1, 0)), four
+        ).interval == Interval(0, 3)
+        # |x| < d: the remainder is x itself, negative or not.
+        small = AbsInt(Interval(-3, 2), Congruence(1, 0))
+        assert _arith("%", small, four) is small
+        # Unsigned, a negative remainder is masked to something huge.
+        assert _arith("%", spans_zero, four, signed=False) == TOP_INT
 
 
 class TestLoopAnalysis:

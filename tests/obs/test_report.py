@@ -73,7 +73,7 @@ def make_report(workload: str, engine: str = DEFAULT_ENGINE,
 
 class TestByteIdentity:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    def test_identical_across_all_three_engines(self, workload):
+    def test_identical_across_engines(self, workload):
         texts = {
             engine: report_json(make_report(workload, engine=engine))
             for engine in ENGINE_NAMES

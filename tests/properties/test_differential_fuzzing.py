@@ -147,7 +147,7 @@ def test_all_targets_and_optimiser_settings_agree(seed, statements, offloaded):
     target=st.sampled_from(TARGET_NAMES),
 )
 @settings(max_examples=25, deadline=None)
-def test_three_engines_agree(seed, offloaded, optimize, target):
+def test_engines_agree(seed, offloaded, optimize, target):
     """Reference and codegen engines observe identical
     results — output, cycles, perf counters, and the exported trace
     down to the byte — on generated programs, on every target the

@@ -1,20 +1,22 @@
 """Soundness property for the interval × congruence analysis.
 
 Hypothesis generates small arithmetic programs (straight-line code,
-``if``/``else``, nested constant-bound ``for`` loops), each compiled
-offload is run *concretely* by a tiny IR evaluator with 32-bit signed
-wrap-around, and every register value observed on entry to a basic
-block must lie inside the abstract value the analysis predicts there
-(absent registers are ⊤ — trivially sound).
+``if``/``else``, nested constant-bound ``for`` loops) over every
+integer operator of the language, each compiled offload is run
+*concretely* by a tiny IR evaluator whose arithmetic is the operator
+table's own (:mod:`repro.ir.ops` — the functions both engines run), and
+every register value observed before every executed instruction must
+lie inside the abstract value the analysis predicts there (absent
+registers are ⊤ — trivially sound).
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.dataflow import build_cfg
 from repro.analysis.intervals import AbsInt, analyze_function
 from repro.compiler.driver import compile_program
+from repro.ir import ops
 from repro.ir.instructions import BinOp, CJump, Const, Jump, Move, Ret, UnOp
 from repro.machine.config import CELL_LIKE
 
@@ -25,8 +27,14 @@ _exprs = st.one_of(
     st.sampled_from(VARS),
     st.tuples(
         st.sampled_from(VARS),
-        st.sampled_from(("+", "-", "*")),
+        st.sampled_from(("+", "-", "*", "&", "|", "^", "<<", ">>")),
         st.one_of(st.integers(-9, 9).map(str), st.sampled_from(VARS)),
+    ).map(lambda t: f"{t[0]} {t[1]} {t[2]}"),
+    # Division traps on zero, so only by constants that are not.
+    st.tuples(
+        st.sampled_from(VARS),
+        st.sampled_from(("/", "%")),
+        st.integers(-9, 9).filter(bool),
     ).map(lambda t: f"{t[0]} {t[1]} {t[2]}"),
 )
 
@@ -95,45 +103,28 @@ def render_program(inits, statements) -> str:
     """
 
 
-def _wrap32(value: int) -> int:
-    return ((value + 2**31) % 2**32) - 2**31
-
-
-_BINOPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "<": lambda a, b: int(a < b),
-    "<=": lambda a, b: int(a <= b),
-    ">": lambda a, b: int(a > b),
-    ">=": lambda a, b: int(a >= b),
-    "==": lambda a, b: int(a == b),
-    "!=": lambda a, b: int(a != b),
-}
-
-
-def evaluate(function, block_starts, fuel=20000):
-    """Run the IR concretely; register snapshots at block entries."""
+def evaluate(function, fuel=20000):
+    """Run the IR concretely; a register snapshot before every step."""
     labels = function.labels
     regs: dict[int, int] = {}
     observed: list[tuple[int, dict[int, int]]] = []
     pc = 0
     while fuel > 0:
         fuel -= 1
-        if pc in block_starts:
-            observed.append((pc, dict(regs)))
+        observed.append((pc, dict(regs)))
         instr = function.code[pc]
         if isinstance(instr, Const):
-            regs[instr.dst] = _wrap32(instr.value)
+            regs[instr.dst] = instr.value
         elif isinstance(instr, Move):
             regs[instr.dst] = regs[instr.src]
         elif isinstance(instr, BinOp):
-            regs[instr.dst] = _wrap32(
-                _BINOPS[instr.op](regs[instr.a], regs[instr.b])
-            )
+            regs[instr.dst] = ops.BINOPS[
+                instr.op, instr.float_op, instr.signed
+            ].fn(regs[instr.a], regs[instr.b])
         elif isinstance(instr, UnOp):
-            assert instr.op == "-"
-            regs[instr.dst] = _wrap32(-regs[instr.a])
+            regs[instr.dst] = ops.UNOPS[instr.op, instr.float_op].fn(
+                regs[instr.a]
+            )
         elif isinstance(instr, Jump):
             pc = labels[instr.label]
             continue
@@ -153,12 +144,13 @@ def evaluate(function, block_starts, fuel=20000):
 def assert_sound(inits, statements):
     program = compile_program(render_program(inits, statements), CELL_LIKE)
     (entry,) = program.accel_functions()
-    cfg = build_cfg(entry)
     solved = analyze_function(entry)
-    start_to_block = {b.start: b.index for b in cfg.blocks}
+    predicted: dict[int, dict] = {}
 
-    for pc, snapshot in evaluate(entry, set(start_to_block)):
-        abstract = solved.values_at(start_to_block[pc])
+    for pc, snapshot in evaluate(entry):
+        abstract = predicted.get(pc)
+        if abstract is None:
+            abstract = predicted[pc] = solved.values_before(pc)
         for reg, value in abstract.items():
             if reg not in snapshot or not isinstance(value, AbsInt):
                 continue  # undefined yet / non-integer: nothing to check
@@ -167,7 +159,7 @@ def assert_sound(inits, statements):
             )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     st.tuples(*[st.integers(-50, 50) for _ in VARS]),
     _statements,
