@@ -180,7 +180,8 @@ class CompileCache:
         if text is None:
             path = self.path_for(key)
             try:
-                with open(path, "r", encoding="utf-8") as handle:
+                # Undecodable bytes become U+FFFD and fail as bad JSON.
+                with open(path, encoding="utf-8", errors="replace") as handle:
                     # Without store()'s trailing newline, so
                     # artifact_digest() is the same after either.
                     text = handle.read().rstrip("\n")
@@ -188,9 +189,8 @@ class CompileCache:
                 self.stats.misses += 1
                 return None
         try:
-            program = program_from_json(text)
-            program.validate()
-        except (ArtifactError, ValueError, KeyError, TypeError):
+            program = program_from_json(text)  # validated
+        except ArtifactError:
             # Corrupt, truncated or version-skewed entry: drop it and
             # recompile rather than surfacing a broken program.
             self._text.pop(key, None)

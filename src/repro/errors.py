@@ -24,12 +24,30 @@ class SourceLocation:
         return f"{self.filename}:{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """A half-open range of source text, used to anchor diagnostics."""
+class SourceSpan(tuple):
+    """A half-open range of source text, used to anchor diagnostics:
+    an immutable, hashable tuple of both locations' fields, so a span is
+    one object; ``start`` and ``end`` are made on access."""
 
-    start: SourceLocation
-    end: SourceLocation
+    __slots__ = ()
+
+    def __new__(cls, start: SourceLocation, end: SourceLocation) -> "SourceSpan":
+        return tuple.__new__(cls, (start.filename, start.line, start.column,
+                                   end.filename, end.line, end.column))
+
+    @property
+    def start(self) -> SourceLocation:
+        return SourceLocation(self[0], self[1], self[2])
+
+    @property
+    def end(self) -> SourceLocation:
+        return SourceLocation(self[3], self[4], self[5])
+
+    def __getnewargs__(self) -> tuple[SourceLocation, SourceLocation]:
+        return self.start, self.end
+
+    def __repr__(self) -> str:
+        return f"SourceSpan(start={self.start!r}, end={self.end!r})"
 
     def __str__(self) -> str:
         return str(self.start)

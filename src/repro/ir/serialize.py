@@ -16,9 +16,12 @@ Design constraints:
   (domain tables, cache kinds, captures) all round-trip, so a
   ``from_dict`` program runs cycle-for-cycle identically to the fresh
   compile on every execution engine.
-* **Self-describing**: artifacts carry a format tag and version; version
-  mismatches are rejected rather than misread (the cache treats them as
-  misses).
+* **Self-describing**: artifacts carry a format tag, a version and a
+  digest of the instruction field layout; a mismatch is rejected rather
+  than misread (the cache treats it as a miss).
+* **Compact and strict**: an instruction is a positional record,
+  ``[class name, comment, field…]``; every malformed artifact raises
+  :class:`ArtifactError`, never another exception or default values.
 
 Derived dataclass fields (``init=False`` — scalar-codec keys, masks,
 compare flags) are *not* stored; they are recomputed by each
@@ -29,8 +32,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
-from typing import Any
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple
 
 from repro.ir import instructions as instr_mod
 from repro.ir.instructions import AccSpace, Instr
@@ -39,7 +44,7 @@ from repro.runtime.dispatch import DomainTable, InnerEntry
 
 #: Bump when the artifact layout changes incompatibly; old artifacts are
 #: then treated as cache misses, never misread.
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 #: Format tag stored in every artifact header.
 ARTIFACT_FORMAT = "repro-ir-artifact"
@@ -49,30 +54,58 @@ ARTIFACT_FORMAT = "repro-ir-artifact"
 INSTR_CLASSES: dict[str, type] = {
     cls.__name__: cls
     for cls in vars(instr_mod).values()
-    if isinstance(cls, type) and issubclass(cls, Instr)
+    if isinstance(cls, type) and issubclass(cls, Instr) and cls is not Instr
 }
 
-#: Per-class stored fields (init-able only; derived fields recompute).
+#: Per-class stored fields (init-able only; derived fields recompute), in
+#: record order: the base class's keyword-only ``comment``, then the
+#: constructor's positional parameters.
 _INSTR_FIELDS: dict[str, tuple[dataclasses.Field, ...]] = {
     name: tuple(f for f in dataclasses.fields(cls) if f.init)
     for name, cls in INSTR_CLASSES.items()
 }
 
-#: Decode spec per class, precomputed once: (class, stored field names,
-#: the subset holding AccSpace values, whether an ``args`` list exists).
-#: ``instr_from_dict`` is the compile cache's warm-path hot loop.
-_INSTR_SPEC: dict[str, tuple[type, tuple[str, ...], tuple[str, ...], bool]] = {
-    name: (
+#: The JSON types a stored field may hold, by annotation (a new
+#: annotation fails here at import, not in a misread artifact).
+_JSON_TYPES: dict[str, tuple[type, ...]] = {
+    "int": (int,), "bool": (bool,), "str": (str,), "AccSpace": (str,),
+    "object": (int, float), "Optional[int]": (int, type(None)),
+    "list[int]": (list,),
+}
+
+#: sha256 of every class's field names and annotations in record order:
+#: records laid out for other fields are rejected, never misread.
+SCHEMA_DIGEST = hashlib.sha256(json.dumps(
+    {name: [[f.name, f.type] for f in fields]
+     for name, fields in _INSTR_FIELDS.items()},
+    sort_keys=True,
+).encode("utf-8")).hexdigest()
+
+
+class _Spec(NamedTuple):
+    """What the codec needs about one class, computed once."""
+    cls: type
+    values: Callable[[Instr], tuple]  # stored field values, record order
+    signatures: frozenset[tuple[type, ...]]  # every allowed type(element)
+    spaces: tuple[int, ...]  # record positions of AccSpace fields
+    lists: tuple[int, ...]  # ... and of register lists
+
+
+def _spec(name: str, fields: tuple[dataclasses.Field, ...]) -> _Spec:
+    positions = {f.name: 1 + index for index, f in enumerate(fields)}
+    return _Spec(
         INSTR_CLASSES[name],
-        tuple(f.name for f in fields),
-        tuple(
-            f.name
-            for f in fields
-            if f.name == "space" or f.name.endswith("_space")
+        attrgetter(*positions),
+        frozenset(
+            itertools.product((str,), *(_JSON_TYPES[f.type] for f in fields))
         ),
-        any(f.name == "args" for f in fields),
+        tuple(positions[f.name] for f in fields if f.type == "AccSpace"),
+        tuple(positions[f.name] for f in fields if f.type == "list[int]"),
     )
-    for name, fields in _INSTR_FIELDS.items()
+
+
+_INSTR_SPEC: dict[str, _Spec] = {
+    name: _spec(name, fields) for name, fields in _INSTR_FIELDS.items()
 }
 
 _SPACE_BY_VALUE: dict[str, AccSpace] = {
@@ -84,44 +117,54 @@ class ArtifactError(ValueError):
     """A malformed or incompatible artifact dict."""
 
 
+def _check(value: Any, what: str, *kinds: type) -> Any:
+    """``value``, which must be exactly of one of the JSON ``kinds``."""
+    if type(value) not in kinds:
+        raise ArtifactError(f"{what} holds {value!r:.60}")
+    return value
+
+
+def _list(values: Any, what: str, kind: type) -> list:  # a checked copy
+    if type(values) is not list or any(type(v) is not kind for v in values):
+        raise ArtifactError(f"{what} holds {values!r:.60}")
+    return list(values)
+
+
 # ----------------------------------------------------------- instructions
 
 
-def instr_to_dict(instr: Instr) -> dict[str, Any]:
-    """One instruction -> a JSON-safe dict tagged with its class name."""
+def instr_to_record(instr: Instr) -> list:
+    """One instruction -> ``[class name, comment, field…]``."""
     name = type(instr).__name__
-    fields = _INSTR_FIELDS.get(name)
-    if fields is None:
-        raise ArtifactError(f"unregistered instruction class {name!r}")
-    out: dict[str, Any] = {"k": name}
-    for f in fields:
-        value = getattr(instr, f.name)
-        if f.name == "comment" and not value:
-            continue
-        if isinstance(value, AccSpace):
-            value = value.value
-        out[f.name] = value
-    return out
-
-
-def instr_from_dict(data: dict[str, Any]) -> Instr:
-    """Inverse of :func:`instr_to_dict`."""
-    spec = _INSTR_SPEC.get(data.get("k"))  # type: ignore[arg-type]
+    spec = _INSTR_SPEC.get(name)
     if spec is None:
-        raise ArtifactError(f"unknown instruction kind {data.get('k')!r}")
-    cls, field_names, space_fields, has_args = spec
-    kwargs = {name: data[name] for name in field_names if name in data}
-    for name in space_fields:
-        if name in kwargs:
-            try:
-                kwargs[name] = _SPACE_BY_VALUE[kwargs[name]]
-            except KeyError:
-                raise ArtifactError(
-                    f"unknown access space {kwargs[name]!r}"
-                ) from None
-    if has_args and "args" in kwargs:
-        kwargs["args"] = list(kwargs["args"])
-    return cls(**kwargs)
+        raise ArtifactError(f"unregistered instruction class {name!r}")
+    record = [name, *spec.values(instr)]
+    for position in spec.spaces:
+        record[position] = record[position].value
+    return record
+
+
+def instr_from_record(record: list) -> Instr:
+    """Inverse of :func:`instr_to_record`, the compile cache's warm-path
+    hot loop: one set lookup checks the length and every field's type."""
+    try:
+        spec = _INSTR_SPEC[record[0]]
+    except (KeyError, IndexError, TypeError):
+        raise ArtifactError(f"unknown instruction {record!r:.60}") from None
+    if tuple(map(type, record)) not in spec.signatures:
+        raise ArtifactError(f"malformed instruction {record!r:.80}")
+    if spec.spaces or spec.lists:
+        record = list(record)  # the caller's data is left as it was
+        for position in spec.spaces:
+            record[position] = _SPACE_BY_VALUE.get(record[position])
+            if record[position] is None:
+                raise ArtifactError(f"unknown access space in {record!r:.80}")
+        for position in spec.lists:
+            record[position] = _list(record[position], "args", int)
+    if record[1]:
+        return spec.cls(*record[2:], comment=record[1])
+    return spec.cls(*record[2:])  # most have no comment: no keyword call
 
 
 # -------------------------------------------------------------- functions
@@ -136,22 +179,27 @@ def function_to_dict(function: IRFunction) -> dict[str, Any]:
         "duplicate_id": function.duplicate_id,
         "num_regs": function.num_regs,
         "frame_size": function.frame_size,
-        "code": [instr_to_dict(i) for i in function.code],
+        "code": [instr_to_record(i) for i in function.code],
         "labels": dict(function.labels),
     }
 
 
 def function_from_dict(data: dict[str, Any]) -> IRFunction:
+    code = [instr_from_record(i) for i in _check(data["code"], "code", list)]
+    labels = data["labels"]
+    for label, index in labels.items():
+        if type(index) is not int or not 0 <= index <= len(code):
+            raise ArtifactError(f"label {label!r} at {index!r:.60}")
     return IRFunction(
-        name=data["name"],
-        params=list(data["params"]),
-        space=data["space"],
-        source_name=data.get("source_name", ""),
-        duplicate_id=data.get("duplicate_id", ""),
-        num_regs=data["num_regs"],
-        frame_size=data["frame_size"],
-        code=[instr_from_dict(i) for i in data["code"]],
-        labels={str(k): int(v) for k, v in data["labels"].items()},
+        name=_check(data["name"], "name", str),
+        params=_list(data["params"], "params", str),
+        space=_check(data["space"], "space", str),
+        source_name=_check(data["source_name"], "source_name", str),
+        duplicate_id=_check(data["duplicate_id"], "duplicate_id", str),
+        num_regs=_check(data["num_regs"], "num_regs", int),
+        frame_size=_check(data["frame_size"], "frame_size", int),
+        code=code,
+        labels=dict(labels),
     )
 
 
@@ -174,18 +222,18 @@ def _domain_to_dict(table: DomainTable) -> dict[str, Any]:
 
 def _domain_from_dict(data: dict[str, Any]) -> DomainTable:
     table = DomainTable()
-    table.outer = [int(a) for a in data["outer"]]
-    table.method_names = list(data["method_names"])
+    table.outer = _list(data["outer"], "outer", int)
+    table.method_names = _list(data["method_names"], "method_names", str)
     table.inner = [
         [
             InnerEntry(
-                duplicate_id=e["id"],
-                target=e["target"],
-                demand=bool(e.get("demand", False)),
+                duplicate_id=_check(e["id"], "id", str),
+                target=_check(e["target"], "target", str),
+                demand=_check(e["demand"], "demand", bool),
             )
-            for e in row
+            for e in _list(row, "inner row", dict)
         ]
-        for row in data["inner"]
+        for row in _list(data["inner"], "inner", list)
     ]
     return table
 
@@ -203,12 +251,12 @@ def _meta_to_dict(meta: OffloadMeta) -> dict[str, Any]:
 
 def _meta_from_dict(data: dict[str, Any]) -> OffloadMeta:
     return OffloadMeta(
-        offload_id=int(data["offload_id"]),
-        entry=data["entry"],
-        cache_kind=data["cache_kind"],
+        offload_id=_check(data["offload_id"], "offload_id", int),
+        entry=_check(data["entry"], "entry", str),
+        cache_kind=_check(data["cache_kind"], "cache_kind", str, type(None)),
         domain=_domain_from_dict(data["domain"]),
-        annotation_count=int(data["annotation_count"]),
-        capture_names=list(data["capture_names"]),
+        annotation_count=_check(data["annotation_count"], "count", int),
+        capture_names=_list(data["capture_names"], "capture_names", str),
     )
 
 
@@ -220,6 +268,7 @@ def program_to_dict(program: IRProgram) -> dict[str, Any]:
     return {
         "format": ARTIFACT_FORMAT,
         "version": ARTIFACT_VERSION,
+        "schema": SCHEMA_DIGEST,
         "target_name": program.target_name,
         "entry": program.entry,
         "data_end": program.data_end,
@@ -246,45 +295,54 @@ def program_to_dict(program: IRProgram) -> dict[str, Any]:
 
 
 def program_from_dict(data: dict[str, Any]) -> IRProgram:
-    """Reconstruct a runnable :class:`IRProgram` from an artifact dict."""
-    if data.get("format") != ARTIFACT_FORMAT:
-        raise ArtifactError(
-            f"not a {ARTIFACT_FORMAT} artifact: format="
-            f"{data.get('format')!r}"
+    """Reconstruct a runnable, validated :class:`IRProgram` from an
+    artifact dict; anything else raises :class:`ArtifactError`."""
+    try:
+        for key, supported in (("format", ARTIFACT_FORMAT),
+                               ("version", ARTIFACT_VERSION),
+                               ("schema", SCHEMA_DIGEST)):
+            if data.get(key) != supported:
+                raise ArtifactError(
+                    f"artifact {key} {data.get(key)!r:.70} is not a "
+                    f"supported {key} ({supported})"
+                )
+        program = IRProgram(
+            entry=_check(data["entry"], "entry", str),
+            data_end=_check(data["data_end"], "data_end", int),
+            target_name=_check(data["target_name"], "target_name", str),
         )
-    if data.get("version") != ARTIFACT_VERSION:
-        raise ArtifactError(
-            f"artifact version {data.get('version')!r} is not the "
-            f"supported version {ARTIFACT_VERSION}"
-        )
-    program = IRProgram(
-        entry=data["entry"],
-        data_end=int(data["data_end"]),
-        target_name=data["target_name"],
-    )
-    program.functions = {
-        name: function_from_dict(fn)
-        for name, fn in data["functions"].items()
-    }
-    program.globals = {
-        name: GlobalSlot(name, int(g["address"]), int(g["size"]))
-        for name, g in data["globals"].items()
-    }
-    program.init_image = [
-        (int(address), bytes.fromhex(blob))
-        for address, blob in data["init_image"]
-    ]
-    program.function_ids = {
-        int(fid): name for fid, name in data["function_ids"].items()
-    }
-    program.vtables = {
-        name: int(address) for name, address in data["vtables"].items()
-    }
-    program.offload_meta = {
-        int(oid): _meta_from_dict(meta)
-        for oid, meta in data["offload_meta"].items()
-    }
-    return program
+        program.functions = {
+            name: function_from_dict(fn)
+            for name, fn in data["functions"].items()
+        }
+        program.globals = {
+            name: GlobalSlot(name, _check(g["address"], "address", int),
+                             _check(g["size"], "size", int))
+            for name, g in data["globals"].items()
+        }
+        program.init_image = [
+            (_check(address, "init_image", int), bytes.fromhex(blob))
+            for address, blob in _check(data["init_image"], "image", list)
+        ]
+        program.function_ids = {
+            int(fid): _check(name, "function_ids", str)
+            for fid, name in data["function_ids"].items()
+        }
+        program.vtables = {
+            name: _check(address, "vtables", int)
+            for name, address in data["vtables"].items()
+        }
+        program.offload_meta = {
+            int(oid): _meta_from_dict(meta)
+            for oid, meta in data["offload_meta"].items()
+        }
+        program.validate()
+        return program
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        # A missing key or container of the wrong type, bad hex, validate().
+        raise error if isinstance(error, ArtifactError) else ArtifactError(
+            f"malformed artifact: {type(error).__name__}: {error}"
+        ) from None
 
 
 # ------------------------------------------------------------------- JSON
@@ -306,7 +364,11 @@ def program_to_json(program: IRProgram) -> str:
 
 
 def program_from_json(text: str) -> IRProgram:
-    return program_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise ArtifactError(f"artifact is not JSON: {error}") from None
+    return program_from_dict(data)
 
 
 def artifact_digest(text: str) -> str:
@@ -326,8 +388,6 @@ def save_program(program: IRProgram, path: str) -> None:
 
 
 def load_program(path: str) -> IRProgram:
-    """Load an artifact written by :func:`save_program` and validate it."""
+    """Load and validate an artifact written by :func:`save_program`."""
     with open(path, "r", encoding="utf-8") as handle:
-        program = program_from_json(handle.read())
-    program.validate()
-    return program
+        return program_from_json(handle.read())

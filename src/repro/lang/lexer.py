@@ -85,6 +85,7 @@ class Lexer:
         text = self.source.text
         filename = self.source.filename
         result: list[Token] = []
+        new = tuple.__new__  # both records are tuples: skip their __new__
         # Tokens never span lines, so line and column advance with the
         # trivia between them instead of being searched for per token.
         line, line_start = 1, 0
@@ -99,13 +100,13 @@ class Lexer:
                 continue
             lexeme = match.group()
             value: object = None
-            if group == "ident" or (
+            if group == "punct":
+                kind = _PUNCT[lexeme]
+            elif group == "ident" or (
                 group == "wide_ident" and lexeme[0].isalpha()
             ):
                 kind = KEYWORDS.get(lexeme, TokenKind.IDENT)
                 value = lexeme
-            elif group == "punct":
-                kind = _PUNCT[lexeme]
             elif group == "int":
                 kind, value = TokenKind.INT_LIT, int(lexeme)
             elif group == "hex":
@@ -118,9 +119,10 @@ class Lexer:
                 value = ord(_ESCAPES[body[1]] if len(body) == 2 else body)
             else:
                 raise self._malformed(group, start)
-            begin = SourceLocation(filename, line, start - line_start + 1)
-            stop = SourceLocation(filename, line, end - line_start + 1)
-            result.append(Token(kind, lexeme, SourceSpan(begin, stop), value))
+            column = start - line_start + 1
+            span = new(SourceSpan, (filename, line, column,
+                                    filename, line, column + end - start))
+            result.append(new(Token, (kind, lexeme, span, value)))
         here = SourceLocation(filename, line, len(text) - line_start + 1)
         result.append(Token(TokenKind.EOF, "", SourceSpan(here, here)))
         return result

@@ -54,6 +54,20 @@ _BINARY_LEVELS: list[list[tuple[TokenKind, str]]] = [
     [(TokenKind.STAR, "*"), (TokenKind.SLASH, "/"), (TokenKind.PERCENT, "%")],
 ]
 
+#: Binary operator kind -> (its level in ``_BINARY_LEVELS``, spelling).
+_BINARY_OPS: dict[TokenKind, tuple[int, str]] = {
+    kind: (level, op) for level, ops in enumerate(_BINARY_LEVELS) for kind, op in ops
+}
+
+#: Prefix-operator and builtin-type keyword kinds, each spelt as its kind.
+_UNARY_OPS = {kind: kind.value for kind in (
+    TokenKind.MINUS, TokenKind.BANG, TokenKind.TILDE, TokenKind.STAR, TokenKind.AMP,
+)}
+_SIMPLE_TYPES = {kind: kind.value for kind in (
+    TokenKind.KW_VOID, TokenKind.KW_BOOL, TokenKind.KW_CHAR, TokenKind.KW_INT,
+    TokenKind.KW_UINT, TokenKind.KW_FLOAT,
+)}
+
 
 class Parser:
     """Parses a token stream into a :class:`repro.lang.ast.Program`."""
@@ -67,10 +81,14 @@ class Parser:
     # ------------------------------------------------------------- cursor
 
     def _peek(self, ahead: int = 0) -> Token:
-        index = min(self._pos + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
+        # The cursor never moves past EOF, so only lookahead clamps.
+        if not ahead:
+            return self._tokens[self._pos]
+        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
 
     def _at(self, kind: TokenKind, ahead: int = 0) -> bool:
+        if not ahead:
+            return self._tokens[self._pos].kind is kind
         return self._peek(ahead).kind is kind
 
     def _advance(self) -> Token:
@@ -110,17 +128,9 @@ class Parser:
 
     def _parse_base_type(self) -> ast.TypeRef:
         token = self._peek()
-        simple = {
-            TokenKind.KW_VOID: "void",
-            TokenKind.KW_BOOL: "bool",
-            TokenKind.KW_CHAR: "char",
-            TokenKind.KW_INT: "int",
-            TokenKind.KW_UINT: "uint",
-            TokenKind.KW_FLOAT: "float",
-        }
-        if token.kind in simple:
+        if token.kind in _SIMPLE_TYPES:
             self._advance()
-            return ast.NamedTypeRef(simple[token.kind], span=token.span)
+            return ast.NamedTypeRef(_SIMPLE_TYPES[token.kind], span=token.span)
         if token.kind is TokenKind.KW_HANDLE:
             self._advance()
             return ast.HandleTypeRef(span=token.span)
@@ -189,20 +199,15 @@ class Parser:
         return self._parse_binary(0)
 
     def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        lhs = self._parse_binary(level + 1)
+        """Precedence climbing over ``_BINARY_LEVELS[level:]``, left-assoc."""
+        lhs = self._parse_unary()
         while True:
-            matched = None
-            for kind, op in _BINARY_LEVELS[level]:
-                if self._at(kind):
-                    matched = (kind, op)
-                    break
-            if matched is None:
+            binary = _BINARY_OPS.get(self._tokens[self._pos].kind)
+            if binary is None or binary[0] < level:
                 return lhs
             token = self._advance()
-            rhs = self._parse_binary(level + 1)
-            lhs = ast.BinaryExpr(matched[1], lhs, rhs, span=token.span)
+            rhs = self._parse_binary(binary[0] + 1)
+            lhs = ast.BinaryExpr(binary[1], lhs, rhs, span=token.span)
 
     def _is_cast_ahead(self) -> bool:
         """After an '(' at the cursor, does a cast follow?"""
@@ -224,17 +229,10 @@ class Parser:
 
     def _parse_unary(self) -> ast.Expr:
         token = self._peek()
-        unary_ops = {
-            TokenKind.MINUS: "-",
-            TokenKind.BANG: "!",
-            TokenKind.TILDE: "~",
-            TokenKind.STAR: "*",
-            TokenKind.AMP: "&",
-        }
-        if token.kind in unary_ops:
+        if token.kind in _UNARY_OPS:
             self._advance()
             operand = self._parse_unary()
-            return ast.UnaryExpr(unary_ops[token.kind], operand, span=token.span)
+            return ast.UnaryExpr(_UNARY_OPS[token.kind], operand, span=token.span)
         if self._is_cast_ahead():
             lparen = self._advance()
             target = self._parse_type()
@@ -281,6 +279,13 @@ class Parser:
 
     def _parse_primary(self) -> ast.Expr:
         token = self._peek()
+        if token.kind is TokenKind.IDENT:
+            self._advance()
+            name = ast.NameExpr(str(token.value), span=token.span)
+            if self._at(TokenKind.LPAREN):
+                args = self._parse_call_args()
+                return ast.CallExpr(name, args, span=token.span)
+            return name
         if token.kind is TokenKind.INT_LIT:
             self._advance()
             return ast.IntLit(int(token.value), span=token.span)  # type: ignore[arg-type]
@@ -315,13 +320,6 @@ class Parser:
             inner = self._parse_expression()
             self._expect(TokenKind.RPAREN, "parenthesised expression")
             return inner
-        if token.kind is TokenKind.IDENT:
-            self._advance()
-            name = ast.NameExpr(str(token.value), span=token.span)
-            if self._at(TokenKind.LPAREN):
-                args = self._parse_call_args()
-                return ast.CallExpr(name, args, span=token.span)
-            return name
         raise self._error(
             f"expected an expression, found {token.kind.value!r}", token.span
         )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import SourceSpan
 
@@ -93,6 +93,9 @@ class TokenKind(enum.Enum):
 
     EOF = "end of input"
 
+    # Identity hash: keeps kind-keyed lookups out of ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
 
 KEYWORDS: dict[str, TokenKind] = {
     "bool": TokenKind.KW_BOOL,
@@ -128,9 +131,8 @@ KEYWORDS: dict[str, TokenKind] = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
-    """One lexed token.
+class Token(NamedTuple):
+    """One lexed token: an immutable, hashable record.
 
     ``value`` carries the decoded payload for literals (int/float/str)
     and the spelling for identifiers.

@@ -7,6 +7,7 @@ cycle-for-cycle, counter-for-counter identically to the fresh compile on
 both execution engines.
 """
 
+import copy
 import json
 
 import pytest
@@ -14,9 +15,11 @@ import pytest
 from repro.compiler.driver import CompileOptions, compile_program
 from repro.ir.instructions import AccSpace, BinOp, Copy, Load
 from repro.ir.serialize import (
+    ARTIFACT_VERSION,
+    SCHEMA_DIGEST,
     ArtifactError,
-    instr_from_dict,
-    instr_to_dict,
+    instr_from_record,
+    instr_to_record,
     program_from_dict,
     program_from_json,
     program_to_dict,
@@ -24,7 +27,12 @@ from repro.ir.serialize import (
 )
 from repro.machine.config import CELL_LIKE, DSP_WORD, SMP_UNIFORM
 from repro.machine.machine import Machine
-from repro.game.sources import ai_kernel_source, figure2_source, word_struct_source
+from repro.game.sources import (
+    ai_kernel_source,
+    figure2_source,
+    move_loop_source,
+    word_struct_source,
+)
 from repro.vm.interpreter import ENGINE_NAMES, RunOptions, run_program
 
 WORKLOADS = [
@@ -108,7 +116,7 @@ class TestJsonSafety:
 class TestInstructions:
     def test_space_enums_roundtrip(self):
         load = Load(dst=1, addr=2, size=4, space=AccSpace.OUTER, signed=False)
-        assert instr_from_dict(instr_to_dict(load)) == load
+        assert instr_from_record(instr_to_record(load)) == load
         copy = Copy(
             dst_addr=1,
             src_addr=2,
@@ -116,29 +124,59 @@ class TestInstructions:
             dst_space=AccSpace.LOCAL,
             src_space=AccSpace.MAIN,
         )
-        assert instr_from_dict(instr_to_dict(copy)) == copy
+        assert instr_from_record(instr_to_record(copy)) == copy
 
     def test_derived_fields_recomputed(self):
         binop = BinOp(op="==", dst=0, a=1, b=2)
-        clone = instr_from_dict(instr_to_dict(binop))
+        clone = instr_from_record(instr_to_record(binop))
         assert clone.is_compare
         load = Load(dst=0, addr=1, size=2, signed=False, is_float=False)
-        clone = instr_from_dict(instr_to_dict(load))
+        clone = instr_from_record(instr_to_record(load))
         assert clone.scalar_key == (2, False, False)
 
-    def test_comment_omitted_when_empty_preserved_when_set(self):
-        bare = instr_to_dict(BinOp(op="+", dst=0, a=1, b=2))
-        assert "comment" not in bare
+    def test_record_is_positional_in_field_order(self):
+        bare = BinOp(op="+", dst=0, a=1, b=2, signed=False)
+        assert instr_to_record(bare) == ["BinOp", "", "+", 0, 1, 2, False, False]
         commented = BinOp(op="+", dst=0, a=1, b=2, comment="sum")
-        clone = instr_from_dict(instr_to_dict(commented))
+        clone = instr_from_record(instr_to_record(commented))
         assert clone.comment == "sum"
 
     def test_unknown_instruction_kind_rejected(self):
         with pytest.raises(ArtifactError, match="unknown instruction"):
-            instr_from_dict({"k": "Quantum", "dst": 0})
+            instr_from_record(["Quantum", "", 0])
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            ["BinOp"],  # no fields: never filled in from defaults
+            ["BinOp", "", "+", 0, 1, 2, False],  # one field short
+            ["BinOp", "", "+", 0, 1, 2, False, True, 0],  # one too many
+            ["BinOp", "", "+", "0", 1, 2, False, True],  # retyped register
+            ["BinOp", "", "+", 0, 1, 2, 0, True],  # int for a bool
+            ["Const", "", 0, "1"],  # a string constant
+            ["Load", "", 0, 1, 4, "remote", True, False],  # unknown space
+            ["Call", "", None, "f", [0, "1"]],  # a non-register argument
+            {"k": "BinOp"},  # the version-1 shape
+            [], 7, None, [["BinOp"]],
+        ],
+    )
+    def test_malformed_record_rejected(self, record):
+        with pytest.raises(ArtifactError):
+            instr_from_record(record)
 
 
 class TestVersioning:
+    def test_header_names_version_and_schema(self):
+        data = compile_program(figure2_source(), CELL_LIKE).to_dict()
+        assert (data["version"], data["schema"]) == (ARTIFACT_VERSION, SCHEMA_DIGEST)
+
+    def test_schema_mismatch_rejected(self):
+        # A build whose instruction fields are laid out differently.
+        data = compile_program(figure2_source(), CELL_LIKE).to_dict()
+        data["schema"] = "0" * 64
+        with pytest.raises(ArtifactError, match="schema"):
+            program_from_dict(data)
+
     def test_version_mismatch_rejected(self):
         data = compile_program(figure2_source(), CELL_LIKE).to_dict()
         data["version"] = 999
@@ -149,4 +187,85 @@ class TestVersioning:
         data = compile_program(figure2_source(), CELL_LIKE).to_dict()
         data["format"] = "tarball"
         with pytest.raises(ArtifactError, match="not a"):
+            program_from_dict(data)
+
+
+#: A value of another JSON type, per type: what "retype" substitutes.
+_RETYPED = {int: "0", float: "0", bool: 0, str: 0, type(None): 0, list: {}, dict: []}
+
+
+def mutations(node):
+    """Mutate ``node`` in place, one way at a time, for every key and
+    list element below it — drop, duplicate, retype, truncate — and yield
+    while each mutation stands; each is undone before the next."""
+    slots = list(node) if isinstance(node, dict) else range(len(node))
+    for slot in slots:
+        value = node[slot]
+        if isinstance(node, dict):
+            del node[slot]
+            yield
+            node[slot] = value
+            node[f"{slot}~"] = value
+            yield
+            del node[f"{slot}~"]
+        else:
+            del node[slot]
+            yield
+            node.insert(slot, value)
+            node.insert(slot, value)
+            yield
+            del node[slot]
+        node[slot] = _RETYPED[type(value)]
+        yield
+        node[slot] = value
+        if isinstance(value, (list, str)) and value:
+            node[slot] = value[:-1]
+            yield
+            node[slot] = value
+        if isinstance(value, (dict, list)):
+            yield from mutations(value)
+
+
+class TestTrustBoundary:
+    """Every malformed artifact is an :class:`ArtifactError`: never
+    another exception, never a program filled in from defaults."""
+
+    def test_structure_aware_mutation(self):
+        data = compile_program(move_loop_source(), CELL_LIKE).to_dict()
+        pristine = copy.deepcopy(data)
+        rejected = loaded = 0
+        for _ in mutations(data):
+            try:
+                program_from_dict(data)
+            except ArtifactError:
+                rejected += 1
+            else:
+                loaded += 1
+        assert data == pristine  # every mutation was undone
+        # Renamed comments, duplicated instructions and extra keys still
+        # load; everything else in a record or header is rejected.
+        assert rejected > 4 * loaded > 0
+
+    @pytest.mark.parametrize(
+        "key", sorted(program_to_dict(compile_program(figure2_source(), CELL_LIKE)))
+    )
+    def test_every_top_level_key_is_required(self, key):
+        data = compile_program(figure2_source(), CELL_LIKE).to_dict()
+        del data[key]
+        with pytest.raises(ArtifactError):
+            program_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "text", ["", "[]", "7", '{"format": "repro-ir-artifact"', "{}"]
+    )
+    def test_not_an_artifact(self, text):
+        with pytest.raises(ArtifactError):
+            program_from_json(text)
+
+    def test_label_outside_its_function_rejected(self):
+        data = compile_program(figure2_source(), CELL_LIKE).to_dict()
+        function = next(f for f in data["functions"].values() if f["labels"])
+        label = next(iter(function["labels"]))
+        function["labels"][label] = len(function["code"]) + 1
+        with pytest.raises(ArtifactError, match="label"):
             program_from_dict(data)

@@ -1,14 +1,16 @@
 """Unit tests for the OffloadMini lexer."""
 
+import copy
 import hashlib
 import json
 import pathlib
+import pickle
 
 import pytest
 
 from repro.errors import LexError
 from repro.lang.lexer import tokenize
-from repro.lang.tokens import TokenKind
+from repro.lang.tokens import Token, TokenKind
 from tests.conftest import corpus_sources
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_tokens.json")
@@ -205,6 +207,15 @@ class TestPositions:
     def test_filename_propagated(self):
         tokens = tokenize("x", filename="game.om")
         assert tokens[0].span.start.filename == "game.om"
+
+    def test_tokens_are_immutable_values(self):
+        token = tokenize("x", filename="game.om")[0]
+        assert token == Token(TokenKind.IDENT, "x", token.span, "x")
+        assert hash(token) == hash(copy.deepcopy(token))
+        assert pickle.loads(pickle.dumps(token)) == token
+        assert str(token) == "IDENT('x')"
+        with pytest.raises(AttributeError):
+            token.kind = TokenKind.EOF
 
 
 def dump(text):

@@ -1,6 +1,9 @@
 """Unit tests for the diagnostics machinery, source mapping, IR
 containers and the IR printer."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import (
@@ -79,6 +82,20 @@ class TestSourceFile:
         span = source.span(0, 4)
         assert span.start.column == 1
         assert span.end.column == 5
+
+    def test_span_is_an_immutable_value(self):
+        span = SourceFile(self.TEXT, "f.om").span(9, 13)
+        twin = SourceSpan(SourceLocation("f.om", 2, 1), SourceLocation("f.om", 2, 5))
+        assert span == twin and hash(span) == hash(twin)
+        assert (span.start, span.end) == (twin.start, twin.end)
+        assert copy.deepcopy(span) == pickle.loads(pickle.dumps(span)) == span
+        assert repr(span) == (
+            "SourceSpan(start=SourceLocation(filename='f.om', line=2, column=1), "
+            "end=SourceLocation(filename='f.om', line=2, column=5))"
+        )
+        assert str(span) == "f.om:2:1"
+        with pytest.raises(AttributeError):
+            span.start = twin.end
 
 
 class TestIRContainers:

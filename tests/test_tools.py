@@ -179,6 +179,37 @@ class TestRunTool:
         assert status == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "breakage",
+        ["no globals", "code is 7", "version 1", "bare record", "truncated"],
+    )
+    def test_malformed_artifact_is_one_error_line(
+        self, source_file, tmp_path, capsys, breakage
+    ):
+        artifact = tmp_path / "program.json"
+        run_tool.main([source_file(CLEAN), "--emit-artifact", str(artifact)])
+        text = artifact.read_text()
+        data = json.loads(text)
+        function = next(iter(data["functions"].values()))
+        if breakage == "no globals":
+            del data["globals"]
+        elif breakage == "code is 7":
+            function["code"] = 7
+        elif breakage == "version 1":
+            data["version"] = 1
+        elif breakage == "bare record":
+            function["code"][0] = ["BinOp"]
+        artifact.write_text(
+            text[: len(text) // 2] if breakage == "truncated"
+            else json.dumps(data)
+        )
+        capsys.readouterr()
+        assert run_tool.main([str(artifact)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_cache_dir_cold_then_warm(self, source_file, tmp_path, capsys):
         cache_dir = str(tmp_path / "cc")
         argv = [source_file(CLEAN), "--cache-dir", cache_dir]
