@@ -42,18 +42,7 @@ _SECTIONS = (
     "workloads",
     "scheduler",
     "targets",
-    "compile_cache",
-    "farm",
     "summary",
-)
-
-#: Columns every farm scaling row (one per pool size) must carry.
-_FARM_FIELDS = (
-    "seconds",
-    "jobs_per_sec",
-    "ok",
-    "speedup",
-    "scaling_efficiency",
 )
 
 
@@ -96,25 +85,6 @@ def validate_bench_report(obj: object) -> list[str]:
         policies = scheduler.get("policies")
         if not isinstance(policies, dict) or not policies:
             problems.append("'scheduler.policies' must be a non-empty object")
-    farm = obj.get("farm")
-    if isinstance(farm, dict):
-        workers = farm.get("workers")
-        if not isinstance(workers, dict) or not workers:
-            problems.append("'farm.workers' must be a non-empty object")
-            workers = {}
-        for pool, row in workers.items():
-            where = f"farm.workers[{pool}]"
-            if not isinstance(row, dict):
-                problems.append(f"{where}: not an object")
-                continue
-            for column in _FARM_FIELDS:
-                if column not in row:
-                    problems.append(f"{where}: missing column {column!r}")
-            jobs = farm.get("jobs")
-            if isinstance(jobs, int) and row.get("ok") != jobs:
-                problems.append(
-                    f"{where}: only {row.get('ok')}/{jobs} jobs succeeded"
-                )
     summary = obj.get("summary")
     if isinstance(summary, dict):
         for key in ("geomean_codegen_speedup", "all_identical"):

@@ -131,13 +131,6 @@ class OffloadCost:
     def bounded(self) -> bool:
         return self.cycles.hi is not None
 
-    @property
-    def exact_traffic(self) -> bool:
-        """True when the DMA-byte prediction is a single point — the
-        static model commits to an exact figure the dynamic counters
-        must reproduce."""
-        return self.get_bytes.is_const and self.put_bytes.is_const
-
 
 def _block_counts(
     solved: SolvedFunction,

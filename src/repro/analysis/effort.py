@@ -45,10 +45,6 @@ class SourceDelta:
     added_lines: int
     removed_lines: int
 
-    @property
-    def net_additional(self) -> int:
-        return self.modified_loc - self.baseline_loc
-
 
 def source_delta(baseline: str, modified: str) -> SourceDelta:
     """Count lines added/removed between two sources (multiset diff).

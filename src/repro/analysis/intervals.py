@@ -740,14 +740,6 @@ class SolvedFunction:
     result: FixpointResult
     analysis: IntervalAnalysis
 
-    def values_at(self, block_index: int) -> dict[int, AbsVal]:
-        """The register map on entry to one block."""
-        state = self.result.block_in.get(block_index)
-        if state is None:
-            return {}
-        regs, _, _ = _thaw(state)
-        return regs
-
     def values_before(self, instr_index: int) -> dict[int, AbsVal]:
         """The register map immediately before one instruction."""
         block = self.cfg.block_at(instr_index)

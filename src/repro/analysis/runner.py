@@ -41,12 +41,6 @@ class AnalysisResult:
     findings: list[Finding] = field(default_factory=list)
     timings: list[AnalysisTiming] = field(default_factory=list)
 
-    def by_severity(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.severity] = counts.get(finding.severity, 0) + 1
-        return counts
-
 
 class _Meter:
     """Times one unit of analysis work and emits its trace span."""

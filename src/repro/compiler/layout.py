@@ -145,11 +145,3 @@ def apply_layout(program: IRProgram, layout: LayoutResult) -> None:
     program.function_ids = dict(layout.function_ids)
     program.init_image = list(layout.init_image)
     program.data_end = layout.data_end
-
-
-def vptr_writes_for(
-    address: int, value_type: Type, layout: LayoutResult
-) -> list[tuple[int, bytes]]:
-    """Public helper for tests/tools: vptr image for an object placed at
-    ``address`` (used by the game substrate when packing worlds)."""
-    return _vptr_writes(address, value_type, layout)

@@ -243,22 +243,7 @@ class FunctionLowerer:
         """The pointer space produced by taking an address in ``acc``."""
         return MemSpace.LOCAL if acc is AccSpace.LOCAL else MemSpace.HOST
 
-    def sig_space(self, index: int) -> MemSpace:
-        code = self.sig[index]
-        return MemSpace.LOCAL if code == "L" else MemSpace.HOST
-
     # ----------------------------------------------------------- prologue
-
-    def _ptr_param_indices(self) -> list[Optional[Symbol]]:
-        """Pointer-typed parameters in signature order (this first)."""
-        ordered: list[Optional[Symbol]] = []
-        if self.owner is not None:
-            ordered.append(self.this_symbol)
-        for param in self.decl.params:
-            assert param.symbol is not None
-            if isinstance(param.symbol.type, PointerType):
-                ordered.append(param.symbol)
-        return ordered
 
     def compile(self) -> IRFunction:
         """Lower the whole function body."""

@@ -9,9 +9,7 @@ replaces it with an explicit registry of named, ordered passes:
 Each pass is a plain function over a shared :class:`PassContext`; the
 :class:`PassManager` runs them in order, records per-pass wall-clock
 timings, and can capture a human-readable dump after any pass (the
-``--dump-after=<pass>`` hook in ``repro.tools.run``).  Future PRs extend
-the pipeline by registering passes before/after existing ones instead of
-editing the driver.
+``--dump-after=<pass>`` hook in ``repro.tools.run``).
 
 The per-offload work is deliberately split in two: ``domains`` builds
 the Figure 3 outer/inner tables (queueing accelerator duplicates on the
@@ -24,7 +22,7 @@ further duplicates — the paper's automatic call-graph duplication.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.lang.parser import parse_program
@@ -133,38 +131,6 @@ class PassManager:
                 return p
         raise KeyError(f"no pass named {name!r}; have {self.names()}")
 
-    def _index(self, name: str) -> int:
-        for index, p in enumerate(self._passes):
-            if p.name == name:
-                return index
-        raise KeyError(f"no pass named {name!r}; have {self.names()}")
-
-    def register(
-        self,
-        pass_: Pass,
-        *,
-        before: Optional[str] = None,
-        after: Optional[str] = None,
-    ) -> None:
-        """Insert a pass (at the end, or anchored to an existing one)."""
-        if before is not None and after is not None:
-            raise ValueError("give at most one of before/after")
-        if any(p.name == pass_.name for p in self._passes):
-            raise ValueError(f"pass {pass_.name!r} is already registered")
-        if before is not None:
-            self._passes.insert(self._index(before), pass_)
-        elif after is not None:
-            self._passes.insert(self._index(after) + 1, pass_)
-        else:
-            self._passes.append(pass_)
-
-    def replace(self, name: str, pass_: Pass) -> None:
-        """Swap the implementation of an existing pipeline slot."""
-        self._passes[self._index(name)] = pass_
-
-    def remove(self, name: str) -> Pass:
-        return self._passes.pop(self._index(name))
-
     # ---------------------------------------------------------- execution
 
     def run(
@@ -221,7 +187,7 @@ class PassManager:
 
     @classmethod
     def default(cls) -> "PassManager":
-        """The standard nine-pass pipeline (fresh, safely mutable)."""
+        """The standard nine-pass pipeline."""
         return cls(list(_DEFAULT_PASSES))
 
 

@@ -101,9 +101,6 @@ class CompileError(ReproError):
     ) -> "CompileError":
         return cls([Diagnostic(code, message, span, list(notes or []))])
 
-    def has_code(self, code: str) -> bool:
-        return any(d.code == code for d in self.diagnostics)
-
 
 class LexError(CompileError):
     """Raised on malformed input at the token level."""

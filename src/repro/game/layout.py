@@ -66,7 +66,6 @@ class StructLayout:
             align = max(align, field_align)
         self.align = align
         self.size = max(1, (offset + align - 1) // align * align)
-        self._by_name = {field.name: field for field in self.fields}
 
     # --------------------------------------------------------------- pack
 
@@ -112,23 +111,6 @@ class StructLayout:
 
     def read(self, memory: MemorySpace, address: int) -> dict[str, object]:
         return self.unpack(memory.read_unchecked(address, self.size))
-
-    def read_field(
-        self, memory: MemorySpace, address: int, name: str
-    ) -> object:
-        field = self._by_name[name]
-        fmt, size = _FORMATS[field.fmt]
-        data = memory.read_unchecked(address + self.offsets[name], size)
-        return struct.unpack(fmt, data)[0]
-
-    def write_field(
-        self, memory: MemorySpace, address: int, name: str, value: object
-    ) -> None:
-        field = self._by_name[name]
-        fmt, _ = _FORMATS[field.fmt]
-        memory.write_unchecked(
-            address + self.offsets[name], struct.pack(fmt, value)
-        )
 
 
 #: The paper's Figure 1 ``GameEntity``: position, velocity, health and

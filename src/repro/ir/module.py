@@ -109,33 +109,12 @@ class IRProgram:
             raise KeyError(f"no IR function named {name!r}")
         return self.functions[name]
 
-    def fid_of(self, function_name: str) -> int:
-        for fid, name in self.function_ids.items():
-            if name == function_name:
-                return fid
-        raise KeyError(f"no function id for {function_name!r}")
-
     def validate(self) -> None:
         """Structural sanity checks (jump targets, entry presence)."""
         if self.entry not in self.functions:
             raise ValueError(f"entry function {self.entry!r} missing")
         for function in self.functions.values():
             function.resolve_labels()
-
-    # ------------------------------------------------------- serialization
-
-    def to_dict(self) -> dict:
-        """JSON-safe artifact dict (see :mod:`repro.ir.serialize`)."""
-        from repro.ir.serialize import program_to_dict
-
-        return program_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IRProgram":
-        """Reconstruct a program from :meth:`to_dict` output."""
-        from repro.ir.serialize import program_from_dict
-
-        return program_from_dict(data)
 
     # ------------------------------------------------------------ metrics
 

@@ -48,15 +48,3 @@ class SourceFile:
     def span(self, start_offset: int, end_offset: int) -> SourceSpan:
         """Build a span from two character offsets."""
         return SourceSpan(self.location(start_offset), self.location(end_offset))
-
-    def line_text(self, line: int) -> str:
-        """The text of a 1-based line, without its newline."""
-        if not 1 <= line <= len(self._line_starts):
-            return ""
-        start = self._line_starts[line - 1]
-        end = (
-            self._line_starts[line] - 1
-            if line < len(self._line_starts)
-            else len(self.text)
-        )
-        return self.text[start:end]

@@ -71,6 +71,3 @@ class Scope:
                 return scope._names[name]
             scope = scope.parent
         return None
-
-    def lookup_here(self, name: str) -> Optional[Symbol]:
-        return self._names.get(name)

@@ -17,7 +17,7 @@ The two type-system extensions the paper describes both live on
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -49,14 +49,6 @@ class Type:
 
     def align(self) -> int:
         return self.size()
-
-    @property
-    def is_scalar(self) -> bool:
-        return False
-
-    @property
-    def is_pointer(self) -> bool:
-        return False
 
     @property
     def is_class(self) -> bool:
@@ -92,10 +84,6 @@ class ScalarType(Type):
     def size(self) -> int:
         return self.byte_size
 
-    @property
-    def is_scalar(self) -> bool:
-        return True
-
     def __str__(self) -> str:
         return self.name
 
@@ -130,20 +118,6 @@ class PointerType(Type):
 
     def size(self) -> int:
         return POINTER_SIZE
-
-    @property
-    def is_pointer(self) -> bool:
-        return True
-
-    def with_space(self, space: MemSpace) -> "PointerType":
-        return replace(self, space=space)
-
-    def with_addressing(
-        self, addressing: AddrUnit, const_sub_offset: Optional[int] = None
-    ) -> "PointerType":
-        return replace(
-            self, addressing=addressing, const_sub_offset=const_sub_offset
-        )
 
     def __str__(self) -> str:
         quals = []
@@ -398,15 +372,3 @@ def common_arithmetic_type(a: Type, b: Type) -> Optional[Type]:
     if a == UINT or b == UINT:
         return UINT
     return INT
-
-
-def spaces_compatible(dest: MemSpace, src: MemSpace) -> bool:
-    """May a pointer value in space ``src`` flow into space ``dest``?
-
-    GENERIC unifies with anything (it is instantiated per duplicate);
-    distinct concrete spaces never mix — the paper's "strong type
-    checking to refuse erroneous pointer manipulations".
-    """
-    if dest is MemSpace.GENERIC or src is MemSpace.GENERIC:
-        return True
-    return dest is src

@@ -25,13 +25,6 @@ class CoreClock:
         """Current simulated time, in cycles."""
         return self._now
 
-    def advance(self, cycles: int) -> int:
-        """Consume ``cycles`` of execution time; returns the new time."""
-        if cycles < 0:
-            raise ValueError(f"cannot advance by negative cycles: {cycles}")
-        self._now += cycles
-        return self._now
-
     def sync_to(self, time: int) -> int:
         """Wait until ``time`` if it is in the future; returns the new time.
 
@@ -41,12 +34,6 @@ class CoreClock:
         if time > self._now:
             self._now = time
         return self._now
-
-    def reset(self, time: int = 0) -> None:
-        """Rewind the clock (only used when resetting a whole machine)."""
-        if time < 0:
-            raise ValueError("clock cannot be reset to a negative time")
-        self._now = time
 
     def __repr__(self) -> str:
         return f"CoreClock(now={self._now})"

@@ -277,9 +277,3 @@ class DmaEngine:
             if lo < r_hi and r_lo < hi:
                 return request
         return None
-
-    def reset(self) -> None:
-        """Drop all in-flight state (used when resetting the machine)."""
-        self._in_flight = []
-        self._channel_free = 0
-        self._next_serial = 0

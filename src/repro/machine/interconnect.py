@@ -49,6 +49,3 @@ class Interconnect:
         self._channel_free = complete
         self.perf.add("interconnect.bytes", size)
         return complete
-
-    def reset(self) -> None:
-        self._channel_free = 0

@@ -125,80 +125,6 @@ class MemorySpace:
             self.check_bounds(address, len(data))
         self._data[address : address + len(data)] = data
 
-    # ------------------------------------------------------------- scalars
-
-    def load_uint(self, address: int, nbytes: int) -> int:
-        """Load an unsigned little-endian integer of ``nbytes`` bytes."""
-        return int.from_bytes(self.read(address, nbytes), "little")
-
-    def load_int(self, address: int, nbytes: int) -> int:
-        """Load a signed little-endian integer of ``nbytes`` bytes."""
-        return int.from_bytes(self.read(address, nbytes), "little", signed=True)
-
-    def store_uint(self, address: int, value: int, nbytes: int) -> None:
-        """Store the low ``nbytes`` bytes of ``value`` (two's complement)."""
-        mask = (1 << (8 * nbytes)) - 1
-        self.write(address, (value & mask).to_bytes(nbytes, "little"))
-
-    def load_f32(self, address: int) -> float:
-        return struct.unpack("<f", self.read(address, 4))[0]
-
-    def store_f32(self, address: int, value: float) -> None:
-        self.write(address, struct.pack("<f", value))
-
-    def load_f64(self, address: int) -> float:
-        return struct.unpack("<d", self.read(address, 8))[0]
-
-    def store_f64(self, address: int, value: float) -> None:
-        self.write(address, struct.pack("<d", value))
-
-    # ------------------------------------------------- scalar fast paths
-
-    def load_scalar(self, address: int, size: int, signed: bool, is_float: bool):
-        """Decode one scalar without materialising an intermediate bytes
-        object (granularity bypassed; bounds enforced)."""
-        if address < 0 or address + size > self.size:
-            self.check_bounds(address, size)
-        codec = _SCALAR_CODECS.get((size, signed, is_float))
-        if codec is not None:
-            return codec.unpack_from(self._data, address)[0]
-        return int.from_bytes(
-            self._data[address : address + size], "little", signed=signed
-        )
-
-    def store_scalar(
-        self, address: int, value, size: int, is_float: bool
-    ) -> None:
-        """Encode one scalar in place (granularity bypassed; bounds
-        enforced).  Integers are wrapped to ``size`` bytes, matching the
-        VM's two's-complement store semantics."""
-        if address < 0 or address + size > self.size:
-            self.check_bounds(address, size)
-        if is_float:
-            codec = _SCALAR_CODECS[(size, False, True)]
-            codec.pack_into(self._data, address, float(value))
-            return
-        mask = (1 << (8 * size)) - 1
-        codec = _SCALAR_CODECS.get((size, False, False))
-        if codec is not None:
-            codec.pack_into(self._data, address, int(value) & mask)
-            return
-        self._data[address : address + size] = (int(value) & mask).to_bytes(
-            size, "little"
-        )
-
-    # --------------------------------------------------------------- misc
-
-    def fill(self, value: int = 0) -> None:
-        """Set every byte of the space to ``value``."""
-        if not 0 <= value <= 0xFF:
-            raise ValueError(f"fill value must be a byte, got {value}")
-        self._data[:] = bytes([value]) * self.size
-
-    def snapshot(self) -> bytes:
-        """Return an immutable copy of the full contents."""
-        return self._data[:]
-
     def __repr__(self) -> str:
         return (
             f"MemorySpace(name={self.name!r}, size={self.size}, "
@@ -240,7 +166,3 @@ class BumpAllocator:
     def used(self) -> int:
         """Bytes consumed so far, from the region base."""
         return self._next - self.base
-
-    def reset(self) -> None:
-        """Release everything allocated so far."""
-        self._next = self.base

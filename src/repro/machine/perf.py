@@ -12,9 +12,9 @@ Two APIs share one set of totals:
   :class:`CounterSlot` is a named plain-int accumulator that callers
   bump with ``slot.count += 1`` (no method call, no hashing).  Slots are
   drained into the backing :class:`collections.Counter` lazily, on every
-  read (:meth:`get`, :meth:`as_dict`, :meth:`snapshot`, :meth:`ratio`,
-  iteration), so readers always observe exact totals regardless of which
-  path produced them.
+  read (:meth:`get`, :meth:`as_dict`, :meth:`ratio`, iteration), so
+  readers always observe exact totals regardless of which path
+  produced them.
 
 The counter bag holds its slots *weakly*: a slot whose owner dies (a
 software cache torn down with its offload thread, an execution engine
@@ -80,10 +80,6 @@ class PerfCounters:
         self._slots.append(weakref.ref(slot))
         return slot
 
-    def live_slots(self) -> list[CounterSlot]:
-        """The currently registered (live) slots, for inspection."""
-        return [slot for ref in self._slots if (slot := ref()) is not None]
-
     def flush(self) -> None:
         """Fold every live slot's pending count into the totals.
 
@@ -105,26 +101,10 @@ class PerfCounters:
         self.flush()
         return self._counts[name]
 
-    def reset(self) -> None:
-        """Zero every counter, including pending slot counts."""
-        live = []
-        for ref in self._slots:
-            slot = ref()
-            if slot is not None:
-                slot.count = 0
-                live.append(ref)
-        self._slots = live
-        self._counts.clear()
-
     def as_dict(self) -> dict[str, int]:
         """A plain-dict snapshot, sorted by counter name."""
         self.flush()
         return dict(sorted(self._counts.items()))
-
-    def snapshot(self) -> dict[str, int]:
-        """A plain-dict snapshot in insertion order (cheapest full read)."""
-        self.flush()
-        return dict(self._counts)
 
     def ratio(self, numerator: str, denominator: str) -> float:
         """``numerator / denominator`` as a float; 0.0 when undefined."""

@@ -133,11 +133,6 @@ def metric_key(family: str, label: Optional[str]) -> str:
     return family if label is None else f"{family}[{label}]"
 
 
-def family_of(key: str) -> str:
-    """Invert :func:`metric_key`: strip a ``[label]`` suffix if present."""
-    return key.split("[", 1)[0]
-
-
 class Histogram:
     """A fixed-bucket integer histogram.
 
@@ -194,10 +189,6 @@ class Histogram:
                     return self.max
                 return min(self.bounds[index], self.max)
         return self.max
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
 
     def as_dict(self) -> dict:
         """A JSON-ready snapshot.  Buckets are ``[bound, count]`` pairs
@@ -292,10 +283,6 @@ class MetricsHub:
                   label: Optional[str] = None) -> Optional[Histogram]:
         """The histogram for ``family`` (+ ``label``), or None."""
         return self._histograms.get(metric_key(family, label))
-
-    def gauge(self, family: str, label: Optional[str] = None) -> Optional[int]:
-        """The gauge value, or None when never set."""
-        return self._gauges.get(metric_key(family, label))
 
     def histograms_dict(self) -> dict:
         """All histograms as plain dicts, sorted by key."""

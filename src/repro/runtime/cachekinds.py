@@ -28,14 +28,3 @@ CACHE_KIND_CHOICES: tuple[str, ...] = (NO_CACHE, *SOFT_CACHE_KINDS)
 def is_cache_kind(kind: str) -> bool:
     """True when ``kind`` names a known cache choice (including "none")."""
     return kind in CACHE_KIND_CHOICES
-
-
-def validate_cache_kind(kind: str) -> str:
-    """Return ``kind`` unchanged, or raise ``ValueError`` naming the
-    accepted spellings."""
-    if kind not in CACHE_KIND_CHOICES:
-        raise ValueError(
-            f"unknown cache kind {kind!r}; choose from "
-            f"{', '.join(CACHE_KIND_CHOICES)}"
-        )
-    return kind

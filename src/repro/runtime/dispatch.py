@@ -150,14 +150,3 @@ class DomainTable:
         """Like :meth:`lookup_entry` but returns the target directly."""
         entry, now = self.lookup_entry(core, host_address, duplicate_id, now)
         return entry.target, now
-
-    def try_lookup(
-        self, core: Core, host_address: int, duplicate_id: str, now: int
-    ) -> tuple[object | None, int]:
-        """Like :meth:`lookup` but returns ``(None, time)`` on a miss."""
-        try:
-            return self.lookup(core, host_address, duplicate_id, now)
-        except MissingDuplicateError:
-            # Probe costs were charged before the raise; the caller
-            # decides what a miss means (e.g. fall back to host call).
-            return None, now

@@ -19,12 +19,14 @@ Usage::
         [--trace-format chrome|timeline|profile]
         [--policy greedy|least-loaded|locality|critical-path]
         [--target cell|smp|dsp|apu|manycore ...] [--reports DIR]
-        [--farm N ...]
 
-Only the loops that *time a single layer* (:func:`bench_workload`,
-:func:`bench_compile_cache`) call the compiler and VM directly; every
-untimed run is a :class:`repro.runspec.FarmJob` on the
-``prepare`` / ``simulate`` path ``repro.tools.run`` and the farm share.
+Only the loop that *times a single layer* (:func:`bench_workload`) calls
+the compiler and VM directly; every untimed run is a
+:class:`repro.runspec.FarmJob` on the ``prepare`` / ``simulate`` path
+``repro.tools.run`` and the farm share.  Compile-cache and farm
+throughput are measured elsewhere: ``tests/compiler/test_cache.py``
+asserts the warm-compile speedup, and perfbench's ``edit_cold`` and
+``farm_diskwarm`` workloads time the cache and the farm end to end.
 
 The headline numbers are on the Figure 2 game-frame workload: the
 acceptance target is >= 7x (aim 10x) for the codegen engine over the
@@ -40,17 +42,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import gc
 import json
 import os
 import platform
 import sys
-import tempfile
 import time
 
-from repro.compiler.cache import CACHE_ENV_VAR, CompileCache, compile_cache_key
-from repro.compiler.driver import CompileOptions, compile_program
-from repro.ir.serialize import program_to_json
+from repro.compiler.driver import compile_program
 from repro.machine.config import resolve_target
 from repro.machine.machine import Machine
 from repro.game.sources import (
@@ -73,15 +71,12 @@ BENCH_ENGINES = ("reference", "codegen")
 
 #: Layout version of ``BENCH_vm.json``; bump when fields are renamed
 #: or removed (``benchmarks/wallclock.py --validate`` checks it).
-BENCH_SCHEMA_VERSION = 4
+BENCH_SCHEMA_VERSION = 5
 
 #: Default targets for the per-target game-frame portability section:
 #: the paper's distributed-memory machine plus the two registry presets
 #: whose cost structures bracket it (unified memory / many accelerators).
 BENCH_TARGETS = ("cell", "apu", "manycore")
-
-#: Default pool sizes for the farm throughput-scaling section.
-BENCH_FARM_WORKERS = (1, 2, 4)
 
 
 def workloads(quick: bool) -> list[dict]:
@@ -283,122 +278,6 @@ def bench_targets(quick: bool, targets) -> dict:
     }
 
 
-def bench_compile_cache(repeats: int) -> dict:
-    """Cold vs warm ``compile_program`` on the Figure 2 game-frame program.
-
-    Cold runs the full pass pipeline; warm hits the content-addressed
-    compile cache and deserializes the stored artifact.  The acceptance
-    bar for the cache is a >= 5x warm speedup with a byte-identical
-    artifact.
-    """
-    source = figure2_source()
-    config = resolve_target("cell")
-    options = CompileOptions()
-    # Single compiles are milliseconds; take the min over a few extra
-    # reps so one scheduler hiccup doesn't skew the reported ratio.
-    reps = max(7, repeats)
-    # A process-wide REPRO_COMPILE_CACHE would make the "cold" runs
-    # secretly warm; shadow it for the duration of this benchmark.
-    saved_env = os.environ.pop(CACHE_ENV_VAR, None)
-    try:
-        return _bench_compile_cache(source, config, options, reps)
-    finally:
-        if saved_env is not None:
-            os.environ[CACHE_ENV_VAR] = saved_env
-
-
-def _bench_compile_cache(source, config, options, reps: int) -> dict:
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = CompileCache(tmp)
-        key = compile_cache_key(source, config, options)
-        cold_program = compile_program(source, config, options)
-        cache.store(key, cold_program)
-
-        # Single compiles are milliseconds; a generational GC pass
-        # triggered by the residue of earlier workloads would dwarf
-        # them, so collect before each timing loop.
-        gc.collect()
-        cold_times = []
-        for _ in range(reps):
-            start = time.perf_counter()
-            compile_program(source, config, options)
-            cold_times.append(time.perf_counter() - start)
-
-        gc.collect()
-        warm_times = []
-        warm_program = None
-        for _ in range(reps):
-            start = time.perf_counter()
-            warm_program = compile_program(source, config, options, cache=cache)
-            warm_times.append(time.perf_counter() - start)
-
-        identical = program_to_json(warm_program) == program_to_json(
-            cold_program
-        )
-    cold_s = min(cold_times)
-    warm_s = min(warm_times)
-    return {
-        "workload": "game-frame",
-        "cold_compile_seconds": round(cold_s, 6),
-        "warm_compile_seconds": round(warm_s, 6),
-        "compile_speedup": round(cold_s / warm_s, 3),
-        "artifact_identical": identical,
-    }
-
-
-def bench_farm(quick: bool, worker_counts=BENCH_FARM_WORKERS) -> dict:
-    """Warm-batch throughput of the simulation farm at each pool size.
-
-    Runs the ``figure2`` corpus (16 jobs, 8 in quick mode) through
-    :class:`repro.farm.Farm` at each requested worker count, sharing
-    one compile-cache directory.  Each pool first runs the batch once
-    to warm its workers (compile cache + in-process program memos),
-    then the timed batches measure steady-state simulation throughput
-    only — best of three, since a warm batch is milliseconds.  Rows
-    carry jobs/sec, the speedup over the smallest pool, and scaling
-    efficiency (speedup over worker count).  The ratios only mean
-    anything when the host has the cores: ``host_cpus`` is recorded so
-    a 1-core container's flat curve reads as a host limit, not a farm
-    regression — the CI farm job gates the >= 2.5x-at-4-workers bar on
-    hosts with >= 4 CPUs.
-    """
-    from repro.farm import Farm, figure2_batch
-
-    count = 8 if quick else 16
-    jobs = figure2_batch(count=count)
-    rows = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for workers in worker_counts:
-            with Farm(workers=workers, cache_dir=tmp) as farm:
-                farm.run_batch(jobs)  # warm-up: fills cache + worker memos
-                best = None
-                for _ in range(3):
-                    summary = farm.run_batch(jobs)
-                    if best is None or summary.wall_seconds < best.wall_seconds:
-                        best = summary
-            rows[str(workers)] = {
-                "seconds": round(best.wall_seconds, 6),
-                "jobs_per_sec": round(best.jobs_per_sec, 3),
-                "ok": best.ok,
-                "compiles": best.compiles,
-                "warm_jobs": best.warm_jobs,
-            }
-    base = rows[str(worker_counts[0])]["jobs_per_sec"]
-    for workers in worker_counts:
-        row = rows[str(workers)]
-        speedup = row["jobs_per_sec"] / base if base else 0.0
-        row["speedup"] = round(speedup, 3)
-        row["scaling_efficiency"] = round(speedup / workers, 3)
-    return {
-        "workload": "figure2-batch",
-        "jobs": count,
-        "engine": "codegen",
-        "policy": "locality",
-        "host_cpus": os.cpu_count() or 1,
-        "workers": rows,
-    }
-
-
 def emit_run_reports(
     quick: bool, targets, directory: str, policy=None
 ) -> list[str]:
@@ -467,13 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write one canonical run report per workload/target "
              "cell to DIR (diff them with repro.tools.report)",
     )
-    parser.add_argument(
-        "--farm", action="append", type=int, default=None,
-        dest="farm_workers", metavar="N",
-        help="pool size(s) for the farm throughput-scaling section; "
-             "repeat to add more (default: "
-             f"{', '.join(str(n) for n in BENCH_FARM_WORKERS)})",
-    )
     return parser
 
 
@@ -529,26 +401,6 @@ def main(argv: list[str] | None = None) -> int:
             f"uploads {row['uploads']:3d}"
         )
 
-    compile_cache = bench_compile_cache(repeats)
-    cache_status = "ok" if compile_cache["artifact_identical"] else "MISMATCH"
-    print(
-        f"{'compile-cache':24s} cold {compile_cache['cold_compile_seconds']:8.4f}s  "
-        f"warm     {compile_cache['warm_compile_seconds']:8.4f}s  "
-        f"speedup {compile_cache['compile_speedup']:5.2f}x  [{cache_status}]"
-    )
-
-    farm_counts = tuple(args.farm_workers or BENCH_FARM_WORKERS)
-    farm = bench_farm(args.quick, farm_counts)
-    for workers in farm_counts:
-        row = farm["workers"][str(workers)]
-        print(
-            f"{'farm/' + str(workers) + 'w':24s} "
-            f"{row['jobs_per_sec']:8.1f} jobs/s  "
-            f"speedup {row['speedup']:5.2f}x  "
-            f"efficiency {row['scaling_efficiency']:.2f}  "
-            f"({row['ok']}/{farm['jobs']} ok, warm)"
-        )
-
     codegen_product = 1.0
     for entry in results:
         codegen_product *= entry["codegen_speedup"]
@@ -573,19 +425,11 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": results,
         "scheduler": scheduler,
         "targets": target_matrix,
-        "compile_cache": compile_cache,
-        "farm": farm,
         "summary": {
             "geomean_codegen_speedup": round(codegen_geomean, 3),
             "game_frame_codegen_speedup": headline["codegen_speedup"],
             "locality_vs_greedy": scheduler["locality_vs_greedy"],
-            "compile_cache_speedup": compile_cache["compile_speedup"],
-            "farm_speedup": farm["workers"][str(farm_counts[-1])]["speedup"],
-            "farm_jobs_per_sec": farm["workers"][str(farm_counts[-1])][
-                "jobs_per_sec"
-            ],
-            "all_identical": all(e["engines_identical"] for e in results)
-            and compile_cache["artifact_identical"],
+            "all_identical": all(e["engines_identical"] for e in results),
         },
     }
     with open(args.out, "w", encoding="utf-8") as handle:

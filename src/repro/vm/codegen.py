@@ -1604,12 +1604,10 @@ class CodegenInterpreter(Interpreter):
             else:
                 stats.cache_misses += 1
         if funcs is None:
-            sources, generated, fallbacks = generate_module_units(
+            sources, generated, _ = generate_module_units(
                 program, self._cost
             )
             stats.translations += generated
-            stats.fallbacks += fallbacks
-            stats.ladders += sum(LADDER_MARK in source for source in sources)
             stats.source_chars = sum(map(len, sources))
             units = tuple(
                 compile(source, MODULE_FILENAME, "exec") for source in sources
@@ -1617,6 +1615,12 @@ class CodegenInterpreter(Interpreter):
             if key is not None:
                 cache.store_bytes(key, marshal.dumps(units), kind)
             funcs = _exec_units(units)["FUNCTIONS"]
+        # Counted from the loaded functions, so a module served from
+        # disk reports what a freshly generated one does.
+        stats.fallbacks += sum(name not in funcs for name in program.functions)
+        stats.ladders += sum(
+            "_pc" in fn.__code__.co_varnames for fn in funcs.values()
+        )
         stats.exec_loads += 1
         program._cg_module = (self._cost, CODEGEN_VERSION, funcs)  # type: ignore[attr-defined]
         self._gen_funcs = funcs

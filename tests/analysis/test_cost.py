@@ -21,10 +21,11 @@ class TestFigure2Agreement:
     def test_static_traffic_matches_dynamic_counters(self):
         program = compile_program(figure2_source(), CELL_LIKE)
         est = estimate_program(program, CELL_LIKE)[0]
-        assert est.bounded and est.exact_traffic
+        assert est.bounded
+        assert est.get_bytes.is_const and est.put_bytes.is_const
 
         result = run_program(program, Machine(CELL_LIKE))
-        snap = result.machine.perf.snapshot()
+        snap = result.machine.perf.as_dict()
         jobs = result.sched.jobs
         assert jobs > 0
         assert snap["dma.bytes_get"] == est.get_bytes.lo * jobs
@@ -57,10 +58,10 @@ class TestCachedTolerance:
         )
         est = estimate_program(program, CELL_LIKE)[0]
         assert est.bounded
-        assert not est.exact_traffic
+        assert not (est.get_bytes.is_const and est.put_bytes.is_const)
 
         result = run_program(program, Machine(CELL_LIKE))
-        snap = result.machine.perf.snapshot()
+        snap = result.machine.perf.as_dict()
         jobs = result.sched.jobs
         assert (
             est.get_bytes.lo * jobs

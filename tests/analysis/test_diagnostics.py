@@ -18,9 +18,9 @@ from repro.analysis.diagnostics import (
     meets_threshold,
     sarif_report,
     sort_findings,
-    validate_sarif,
     write_baseline,
 )
+from tests.sarif import validate_sarif
 
 
 def race(index=3, message="overlap"):

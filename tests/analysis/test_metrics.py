@@ -31,7 +31,6 @@ class TestSourceDelta:
         delta = source_delta(baseline, modified)
         assert delta.added_lines == 1
         assert delta.removed_lines == 0
-        assert delta.net_additional == 1
 
     def test_removed_lines_counted(self):
         delta = source_delta("int a;\nint b;\n", "int a;\n")

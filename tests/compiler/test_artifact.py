@@ -1,8 +1,8 @@
 """Serializable program artifacts: determinism and run equivalence.
 
 The contract the compile cache depends on: compiling the same source
-twice yields byte-identical canonical JSON, ``to_dict -> from_dict ->
-to_dict`` is the identity on that JSON, and a deserialized program runs
+twice yields byte-identical canonical JSON, ``program_to_dict ->
+program_from_dict -> program_to_dict`` is the identity on that JSON, and a deserialized program runs
 cycle-for-cycle, counter-for-counter identically to the fresh compile on
 both execution engines.
 """
@@ -93,12 +93,12 @@ class TestDeterminism:
 class TestJsonSafety:
     def test_artifact_survives_json_dump_load(self):
         program = compile_program(figure2_source(), CELL_LIKE)
-        data = json.loads(json.dumps(program.to_dict()))
+        data = json.loads(json.dumps(program_to_dict(program)))
         clone = program_from_dict(data)
         assert program_to_json(clone) == program_to_json(program)
 
     def test_no_pickle_like_payloads(self):
-        data = compile_program(figure2_source(), CELL_LIKE).to_dict()
+        data = program_to_dict(compile_program(figure2_source(), CELL_LIKE))
 
         def only_json_scalars(value):
             if isinstance(value, dict):
@@ -167,24 +167,24 @@ class TestInstructions:
 
 class TestVersioning:
     def test_header_names_version_and_schema(self):
-        data = compile_program(figure2_source(), CELL_LIKE).to_dict()
+        data = program_to_dict(compile_program(figure2_source(), CELL_LIKE))
         assert (data["version"], data["schema"]) == (ARTIFACT_VERSION, SCHEMA_DIGEST)
 
     def test_schema_mismatch_rejected(self):
         # A build whose instruction fields are laid out differently.
-        data = compile_program(figure2_source(), CELL_LIKE).to_dict()
+        data = program_to_dict(compile_program(figure2_source(), CELL_LIKE))
         data["schema"] = "0" * 64
         with pytest.raises(ArtifactError, match="schema"):
             program_from_dict(data)
 
     def test_version_mismatch_rejected(self):
-        data = compile_program(figure2_source(), CELL_LIKE).to_dict()
+        data = program_to_dict(compile_program(figure2_source(), CELL_LIKE))
         data["version"] = 999
         with pytest.raises(ArtifactError, match="version"):
             program_from_dict(data)
 
     def test_format_tag_required(self):
-        data = compile_program(figure2_source(), CELL_LIKE).to_dict()
+        data = program_to_dict(compile_program(figure2_source(), CELL_LIKE))
         data["format"] = "tarball"
         with pytest.raises(ArtifactError, match="not a"):
             program_from_dict(data)
@@ -231,7 +231,7 @@ class TestTrustBoundary:
     another exception, never a program filled in from defaults."""
 
     def test_structure_aware_mutation(self):
-        data = compile_program(move_loop_source(), CELL_LIKE).to_dict()
+        data = program_to_dict(compile_program(move_loop_source(), CELL_LIKE))
         pristine = copy.deepcopy(data)
         rejected = loaded = 0
         for _ in mutations(data):
@@ -250,7 +250,7 @@ class TestTrustBoundary:
         "key", sorted(program_to_dict(compile_program(figure2_source(), CELL_LIKE)))
     )
     def test_every_top_level_key_is_required(self, key):
-        data = compile_program(figure2_source(), CELL_LIKE).to_dict()
+        data = program_to_dict(compile_program(figure2_source(), CELL_LIKE))
         del data[key]
         with pytest.raises(ArtifactError):
             program_from_dict(data)
@@ -263,7 +263,7 @@ class TestTrustBoundary:
             program_from_json(text)
 
     def test_label_outside_its_function_rejected(self):
-        data = compile_program(figure2_source(), CELL_LIKE).to_dict()
+        data = program_to_dict(compile_program(figure2_source(), CELL_LIKE))
         function = next(f for f in data["functions"].values() if f["labels"])
         label = next(iter(function["labels"]))
         function["labels"][label] = len(function["code"]) + 1

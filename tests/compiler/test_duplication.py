@@ -139,10 +139,8 @@ class TestDomainTables:
     def test_outer_domain_holds_function_ids(self):
         program = compile_src(self.SRC)
         meta = program.offload_meta[0]
-        assert meta.domain.outer == [
-            program.fid_of("A::f"),
-            program.fid_of("B::f"),
-        ]
+        fid_of = {name: fid for fid, name in program.function_ids.items()}
+        assert meta.domain.outer == [fid_of["A::f"], fid_of["B::f"]]
 
     def test_inner_entries_point_at_duplicates(self):
         program = compile_src(self.SRC)

@@ -1,4 +1,4 @@
-"""The pass-manager pipeline: registry, ordering, timings, dumps."""
+"""The pass-manager pipeline: ordering, timings, dumps."""
 
 import pytest
 
@@ -10,6 +10,7 @@ from repro.compiler.passes import (
     format_timings,
 )
 from repro.errors import TypeCheckError
+from repro.ir.serialize import program_to_dict
 from repro.machine.config import CELL_LIKE, SMP_UNIFORM
 
 SOURCE = """
@@ -51,38 +52,21 @@ class TestRegistry:
         with pytest.raises(KeyError, match="no pass named"):
             PassManager.default().get("inline")
 
-    def test_register_before_and_after(self):
-        manager = PassManager.default()
-        marker = Pass("custom", lambda ctx: None)
-        manager.register(marker, before="validate")
-        names = manager.names()
-        assert names.index("custom") == names.index("validate") - 1
-        other = Pass("custom2", lambda ctx: None)
-        manager.register(other, after="parse")
-        assert manager.names().index("custom2") == 1
-
-    def test_register_duplicate_name_rejected(self):
-        manager = PassManager.default()
-        with pytest.raises(ValueError, match="already registered"):
-            manager.register(Pass("parse", lambda ctx: None))
-
-    def test_replace_and_remove(self):
-        manager = PassManager.default()
-        removed = manager.remove("optimize")
-        assert removed.name == "optimize"
-        assert "optimize" not in manager.names()
-        manager.replace("validate", Pass("validate", lambda ctx: None))
-        assert manager.names().count("validate") == 1
+    def test_duplicate_pass_name_rejected(self):
+        passes = [*PassManager.default().passes, Pass("parse", lambda ctx: None)]
+        with pytest.raises(ValueError, match="duplicate pass names"):
+            PassManager(passes)
 
     def test_custom_pass_runs_and_sees_program(self):
-        manager = PassManager.default()
         seen = {}
 
         def spy(ctx):
             seen["functions"] = sorted(ctx.program.functions)
 
-        manager.register(Pass("spy", spy), after="drain-duplicates")
-        ctx = manager.run(SOURCE, CELL_LIKE, CompileOptions())
+        passes = list(PassManager.default().passes)
+        at = [p.name for p in passes].index("drain-duplicates") + 1
+        passes.insert(at, Pass("spy", spy))
+        ctx = PassManager(passes).run(SOURCE, CELL_LIKE, CompileOptions())
         assert "main" in seen["functions"]
         assert any(name.startswith("__offload_") for name in seen["functions"])
 
@@ -92,7 +76,7 @@ class TestExecution:
         ctx = PassManager.default().run(SOURCE, CELL_LIKE, CompileOptions())
         via_driver = compile_program(SOURCE, CELL_LIKE)
         assert sorted(ctx.program.functions) == sorted(via_driver.functions)
-        assert ctx.program.to_dict() == via_driver.to_dict()
+        assert program_to_dict(ctx.program) == program_to_dict(via_driver)
 
     def test_timings_cover_every_pass(self):
         ctx = PassManager.default().run(SOURCE, CELL_LIKE, CompileOptions())

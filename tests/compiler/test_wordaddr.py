@@ -13,12 +13,13 @@ from repro.game.sources import word_illegal_sources, word_struct_source
 from repro.machine.config import CELL_LIKE, DSP_WORD
 from repro.machine.machine import Machine
 from repro.vm.interpreter import run_program
+from tests.conftest import error_codes
 
 
 def expect_word_error(source, code):
     with pytest.raises(CompileError) as excinfo:
         compile_program(source, DSP_WORD)
-    assert excinfo.value.has_code(code), excinfo.value.diagnostics[0].code
+    assert code in error_codes(excinfo.value), excinfo.value.diagnostics[0].code
 
 
 class TestPaperExamples:
@@ -32,7 +33,7 @@ class TestPaperExamples:
         sources = word_illegal_sources()
         with pytest.raises(CompileError) as excinfo:
             compile_program(sources["illegal_byte_into_word"], DSP_WORD)
-        assert excinfo.value.has_code("E-word-assign")
+        assert "E-word-assign" in error_codes(excinfo.value)
 
     def test_byte_qualified_destination_is_legal(self):
         sources = word_illegal_sources()
@@ -42,7 +43,7 @@ class TestPaperExamples:
         sources = word_illegal_sources()
         with pytest.raises(CompileError) as excinfo:
             compile_program(sources["illegal_variable_byte_arith"], DSP_WORD)
-        assert excinfo.value.has_code("E-word-arith")
+        assert "E-word-arith" in error_codes(excinfo.value)
 
     def test_all_examples_compile_on_byte_addressed_target(self):
         """The same sources are fine where memory is byte-addressed —

@@ -67,3 +67,8 @@ def run_source(
 def printed(source: str, config: MachineConfig = CELL_LIKE) -> list[object]:
     """The values a program prints, in order."""
     return run_source(source, config).printed
+
+
+def error_codes(error) -> list[str]:
+    """The diagnostic codes a :class:`~repro.errors.CompileError` carries."""
+    return [d.code for d in error.diagnostics]

@@ -46,9 +46,16 @@ class TestStructLayout:
         assert layout.read(machine.main_memory, 0x2000) == values
 
     def test_field_level_access(self):
-        machine = Machine(CELL_LIKE)
-        GAME_ENTITY.write_field(machine.main_memory, 0x2000, "health", 55)
-        assert GAME_ENTITY.read_field(machine.main_memory, 0x2000, "health") == 55
+        """The engines update one field by rewriting the whole entity:
+        the field lands at its offset and its neighbours survive."""
+        memory = Machine(CELL_LIKE).main_memory
+        GAME_ENTITY.write(memory, 0x2000, {"x": 1.5, "health": 80})
+        entity = GAME_ENTITY.read(memory, 0x2000)
+        entity["health"] = 55
+        GAME_ENTITY.write(memory, 0x2000, entity)
+        at = 0x2000 + GAME_ENTITY.offsets["health"]
+        assert memory.read_unchecked(at, 4) == (55).to_bytes(4, "little")
+        assert GAME_ENTITY.read(memory, 0x2000)["x"] == 1.5
 
     def test_game_entity_matches_compiler_layout(self):
         """The hand layout must agree with the compiler's rules so the

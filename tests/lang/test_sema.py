@@ -6,6 +6,7 @@ from repro.errors import TypeCheckError
 from repro.lang.parser import parse_program
 from repro.lang.sema import analyze
 from repro.lang.types import FLOAT, INT, PointerType
+from tests.conftest import error_codes
 
 
 def check(source):
@@ -15,7 +16,7 @@ def check(source):
 def expect_error(source, code):
     with pytest.raises(TypeCheckError) as excinfo:
         check(source)
-    assert excinfo.value.has_code(code), (
+    assert code in error_codes(excinfo.value), (
         f"expected {code}, got {excinfo.value.diagnostics[0].code}"
     )
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.lang.parser import parse_program
+from repro.lang.sema import analyze
 from repro.lang.types import (
     BOOL,
     CHAR,
@@ -19,7 +21,6 @@ from repro.lang.types import (
     common_arithmetic_type,
     is_arithmetic,
     is_integer,
-    spaces_compatible,
 )
 
 
@@ -47,16 +48,6 @@ class TestPointers:
     def test_size_is_four(self):
         assert PointerType(INT).size() == 4
 
-    def test_space_qualification(self):
-        pointer = PointerType(INT)
-        outer = pointer.with_space(MemSpace.HOST)
-        assert outer.space is MemSpace.HOST
-        assert pointer.space is MemSpace.GENERIC  # original unchanged
-
-    def test_addressing_qualification(self):
-        pointer = PointerType(CHAR).with_addressing(AddrUnit.BYTE)
-        assert pointer.addressing is AddrUnit.BYTE
-
     def test_str_includes_qualifiers(self):
         text = str(PointerType(CHAR, MemSpace.HOST, AddrUnit.BYTE))
         assert "__outer" in text and "__byte" in text
@@ -65,10 +56,21 @@ class TestPointers:
         assert MemSpace.HOST.code() == "O"
         assert MemSpace.LOCAL.code() == "L"
 
-    def test_space_compatibility(self):
-        assert spaces_compatible(MemSpace.GENERIC, MemSpace.LOCAL)
-        assert spaces_compatible(MemSpace.HOST, MemSpace.HOST)
-        assert not spaces_compatible(MemSpace.HOST, MemSpace.LOCAL)
+    def test_space_qualification(self):
+        assert declared_type("__outer int *p;").space is MemSpace.HOST
+        assert declared_type("int *p;").space is MemSpace.GENERIC
+
+    def test_addressing_qualification(self):
+        pointer = declared_type("char __byte *p;")
+        assert pointer.addressing is AddrUnit.BYTE
+        assert declared_type("int __word *p;").addressing is AddrUnit.WORD
+        assert declared_type("int *p;").addressing is AddrUnit.DEFAULT
+
+
+def declared_type(declaration):
+    """The type sema gives the one global ``declaration`` declares."""
+    info = analyze(parse_program(declaration + " void main() { }"))
+    return info.globals[0].symbol.type
 
 
 class TestArrays:

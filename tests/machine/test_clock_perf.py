@@ -12,20 +12,6 @@ class TestCoreClock:
     def test_starts_at_zero(self):
         assert CoreClock().now == 0
 
-    def test_advance_accumulates(self):
-        clock = CoreClock()
-        clock.advance(10)
-        clock.advance(5)
-        assert clock.now == 15
-
-    def test_advance_returns_new_time(self):
-        clock = CoreClock(100)
-        assert clock.advance(1) == 101
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(ValueError):
-            CoreClock().advance(-1)
-
     def test_sync_to_future_waits(self):
         clock = CoreClock(10)
         assert clock.sync_to(50) == 50
@@ -33,11 +19,6 @@ class TestCoreClock:
     def test_sync_to_past_is_free(self):
         clock = CoreClock(100)
         assert clock.sync_to(50) == 100
-
-    def test_reset(self):
-        clock = CoreClock(100)
-        clock.reset()
-        assert clock.now == 0
 
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
@@ -77,19 +58,12 @@ class TestPerfCounters:
         b.count += 5
         assert perf.get("n") == 7
 
-    def test_reset_clears_pending_slot_counts(self):
-        perf = PerfCounters()
-        slot = perf.slot("n")
-        slot.count += 9
-        perf.reset()
-        assert perf.get("n") == 0
-
-    def test_snapshot_includes_pending(self):
+    def test_as_dict_includes_pending(self):
         perf = PerfCounters()
         perf.add("direct", 1)
         slot = perf.slot("batched")
         slot.count += 4
-        assert perf.snapshot() == {"direct": 1, "batched": 4}
+        assert perf.as_dict() == {"batched": 4, "direct": 1}
 
     def test_ratio(self):
         perf = PerfCounters()
@@ -99,12 +73,6 @@ class TestPerfCounters:
 
     def test_ratio_with_zero_denominator(self):
         assert PerfCounters().ratio("a", "b") == 0.0
-
-    def test_reset_clears_all(self):
-        perf = PerfCounters()
-        perf.add("x", 10)
-        perf.reset()
-        assert perf.get("x") == 0
 
     def test_as_dict_sorted(self):
         perf = PerfCounters()
@@ -116,6 +84,10 @@ class TestPerfCounters:
         perf = PerfCounters()
         perf.add("a", 2)
         assert list(perf) == [("a", 2)]
+
+
+def live_slots(perf):
+    return [slot for ref in perf._slots if (slot := ref()) is not None]
 
 
 class TestSlotLifetime:
@@ -131,7 +103,7 @@ class TestSlotLifetime:
         del dead
         gc.collect()
         perf.flush()
-        assert perf.live_slots() == [keep]
+        assert live_slots(perf) == [keep]
 
     def test_dead_slot_count_preserved(self):
         # The finalizer folds any pending count into the totals, so
@@ -151,16 +123,6 @@ class TestSlotLifetime:
             del slot
         gc.collect()
         perf.flush()
-        assert len(perf.live_slots()) == 0
+        assert len(live_slots(perf)) == 0
         assert len(perf._slots) == 0
         assert perf.get("churn") == 100
-
-    def test_reset_prunes_dead_refs(self):
-        perf = PerfCounters()
-        live = perf.slot("a")
-        dead = perf.slot("b")
-        del dead
-        gc.collect()
-        perf.reset()
-        assert perf.live_slots() == [live]
-        assert len(perf._slots) == 1

@@ -136,15 +136,6 @@ class TestPerfAccounting:
         assert acc.perf.get("dma.gets") == 1
         assert acc.perf.get("dma.puts") == 1
 
-    def test_reset_clears_channel_state(self, acc):
-        acc.dma.get(1, 0, 0x1000, 4096, 0)
-        acc.dma.reset()
-        assert acc.dma.in_flight == []
-        t = acc.dma.get(1, 0, 0x1000, 8, 0)
-        done = acc.dma.wait(1, t)
-        assert done <= acc.cost.dma_latency + 10
-
-
 class TestSerials:
     def test_serials_are_per_engine_and_start_at_one(self):
         machine = Machine(CELL_LIKE)
@@ -167,9 +158,3 @@ class TestSerials:
             return [r.serial for r in dma.in_flight]
 
         assert issue(Machine(CELL_LIKE)) == issue(Machine(CELL_LIKE))
-
-    def test_reset_restarts_serials(self, acc):
-        acc.dma.get(1, 0, 0x1000, 8, 0)
-        acc.dma.reset()
-        acc.dma.get(1, 0, 0x1000, 8, 0)
-        assert [r.serial for r in acc.dma.in_flight] == [1]

@@ -28,12 +28,6 @@ class TestInterconnectUnit:
         bus.reserve(0, 8)
         assert perf.get("interconnect.contention_cycles") == 100
 
-    def test_reset(self):
-        bus = Interconnect(8, PerfCounters())
-        bus.reserve(0, 8000)
-        bus.reset()
-        assert bus.reserve(0, 8) == 1
-
     def test_bandwidth_validation(self):
         with pytest.raises(ValueError):
             Interconnect(0, PerfCounters())

@@ -62,8 +62,8 @@ class TestMachine:
 
     def test_total_cycles_is_max_over_cores(self):
         machine = Machine(CELL_LIKE)
-        machine.host.clock.advance(100)
-        machine.accelerator(2).clock.advance(500)
+        machine.host.clock.sync_to(100)
+        machine.accelerator(2).clock.sync_to(500)
         assert machine.total_cycles() == 500
 
     def test_heap_allocations_are_disjoint(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import MemoryFault
-from repro.machine.memory import BumpAllocator, MemorySpace
+from repro.machine.memory import BumpAllocator, MemorySpace, scalar_codec
 
 
 class TestMemorySpaceBasics:
@@ -40,6 +40,12 @@ class TestMemorySpaceBasics:
         with pytest.raises(ValueError):
             MemorySpace("m", 0)
 
+    def test_read_returns_a_copy(self):
+        memory = MemorySpace("m", 8)
+        before = memory.read(0, 8)
+        memory.write(0, b"\xff")
+        assert before == bytes(8)
+
     def test_fault_carries_space_and_address(self):
         memory = MemorySpace("main", 16)
         with pytest.raises(MemoryFault) as excinfo:
@@ -49,36 +55,39 @@ class TestMemorySpaceBasics:
 
 
 class TestScalarAccess:
+    """Scalars travel as ``read``/``write`` bytes through the codecs the
+    engines use (:func:`scalar_codec`)."""
+
     def test_uint_round_trip(self):
         memory = MemorySpace("m", 64)
-        memory.store_uint(0, 0xDEADBEEF, 4)
-        assert memory.load_uint(0, 4) == 0xDEADBEEF
+        codec = scalar_codec(4, False, False)
+        memory.write(0, codec.pack(0xDEADBEEF))
+        assert codec.unpack(memory.read(0, 4))[0] == 0xDEADBEEF
 
     def test_signed_load_sign_extends(self):
         memory = MemorySpace("m", 64)
-        memory.store_uint(0, -1, 4)
-        assert memory.load_int(0, 4) == -1
-        assert memory.load_uint(0, 4) == 0xFFFFFFFF
-
-    def test_store_uint_truncates_to_width(self):
-        memory = MemorySpace("m", 64)
-        memory.store_uint(0, 0x1FF, 1)
-        assert memory.load_uint(0, 1) == 0xFF
+        memory.write(0, scalar_codec(4, False, False).pack(0xFFFFFFFF))
+        assert scalar_codec(4, True, False).unpack(memory.read(0, 4))[0] == -1
 
     def test_f32_round_trip(self):
         memory = MemorySpace("m", 64)
-        memory.store_f32(8, 1.5)
-        assert memory.load_f32(8) == 1.5
+        codec = scalar_codec(4, True, True)
+        memory.write(8, codec.pack(1.5))
+        assert codec.unpack(memory.read(8, 4))[0] == 1.5
 
     def test_f64_round_trip(self):
         memory = MemorySpace("m", 64)
-        memory.store_f64(8, 3.141592653589793)
-        assert memory.load_f64(8) == 3.141592653589793
+        codec = scalar_codec(8, True, True)
+        memory.write(8, codec.pack(3.141592653589793))
+        assert codec.unpack(memory.read(8, 8))[0] == 3.141592653589793
 
     def test_little_endian_layout(self):
         memory = MemorySpace("m", 64)
-        memory.store_uint(0, 0x01020304, 4)
+        memory.write(0, scalar_codec(4, False, False).pack(0x01020304))
         assert memory.read(0, 4) == bytes([0x04, 0x03, 0x02, 0x01])
+
+    def test_no_codec_for_odd_widths(self):
+        assert scalar_codec(3, False, False) is None
 
 
 class TestWordGranularity:
@@ -107,24 +116,6 @@ class TestWordGranularity:
         memory = MemorySpace("m", 16, granularity=4)
         with pytest.raises(MemoryFault):
             memory.read_unchecked(15, 4)
-
-
-class TestFillAndSnapshot:
-    def test_fill_sets_every_byte(self):
-        memory = MemorySpace("m", 32)
-        memory.fill(0xAB)
-        assert memory.read(0, 32) == bytes([0xAB]) * 32
-
-    def test_fill_rejects_non_byte(self):
-        memory = MemorySpace("m", 32)
-        with pytest.raises(ValueError):
-            memory.fill(256)
-
-    def test_snapshot_is_immutable_copy(self):
-        memory = MemorySpace("m", 8)
-        snap = memory.snapshot()
-        memory.write(0, b"\xff")
-        assert snap == bytes(8)
 
 
 class TestBumpAllocator:
@@ -156,12 +147,6 @@ class TestBumpAllocator:
         alloc = BumpAllocator(0, 1024, alignment=1)
         alloc.allocate(100)
         assert alloc.used == 100
-
-    def test_reset_releases_everything(self):
-        alloc = BumpAllocator(0, 128)
-        alloc.allocate(100)
-        alloc.reset()
-        assert alloc.allocate(100) == 0
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValueError):

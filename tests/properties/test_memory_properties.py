@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.machine.config import CELL_LIKE
 from repro.machine.machine import Machine
-from repro.machine.memory import MemorySpace
+from repro.machine.memory import MemorySpace, scalar_codec
 from repro.runtime.softcache import make_cache
 
 MEM_SIZE = 4096
@@ -26,7 +26,7 @@ class TestMemoryProperties:
         for address, data in operations:
             memory.write(address, data)
             shadow[address : address + len(data)] = data
-        assert memory.snapshot() == bytes(shadow)
+        assert memory.read(0, MEM_SIZE) == bytes(shadow)
 
     @given(
         st.integers(min_value=0, max_value=MEM_SIZE - 8),
@@ -34,8 +34,8 @@ class TestMemoryProperties:
     )
     def test_int_round_trip(self, address, value):
         memory = MemorySpace("m", MEM_SIZE)
-        memory.store_uint(address, value, 4)
-        assert memory.load_int(address, 4) == value
+        memory.write(address, scalar_codec(4, False, False).pack(value & 0xFFFFFFFF))
+        assert scalar_codec(4, True, False).unpack(memory.read(address, 4))[0] == value
 
     @given(
         st.integers(min_value=0, max_value=MEM_SIZE - 8),
@@ -43,8 +43,9 @@ class TestMemoryProperties:
     )
     def test_f32_round_trip(self, address, value):
         memory = MemorySpace("m", MEM_SIZE)
-        memory.store_f32(address, value)
-        assert memory.load_f32(address) == value
+        codec = scalar_codec(4, True, True)
+        memory.write(address, codec.pack(value))
+        assert codec.unpack(memory.read(address, 4))[0] == value
 
 
 class TestDmaProperties:
@@ -105,7 +106,8 @@ class TestCacheProperties:
         machine = Machine(CELL_LIKE)
         acc = machine.accelerator(0)
         cache = make_cache(kind, acc, 0x10000, line_size=64, num_lines=8)
-        shadow = bytearray(machine.main_memory.snapshot())
+        main = machine.main_memory
+        shadow = bytearray(main.read(0, main.size))
         now = 0
         for operation in operations:
             if operation[0] == "store":
@@ -117,7 +119,7 @@ class TestCacheProperties:
                 data, now = cache.load(address, size, now)
                 assert data == bytes(shadow[address : address + size])
         cache.flush(now)
-        assert machine.main_memory.snapshot() == bytes(shadow)
+        assert main.read(0, main.size) == bytes(shadow)
 
     @given(st.lists(st.integers(min_value=0, max_value=4096), min_size=1, max_size=50))
     @settings(max_examples=30, deadline=None)

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import MachineError
 from repro.machine.config import CELL_LIKE, SMP_UNIFORM
 from repro.machine.machine import Machine
+from repro.machine.memory import scalar_codec
 from repro.runtime.accessors import (
     ArrayAccessor,
     DirectAccessor,
@@ -23,9 +24,20 @@ def acc(cell):
     return cell.accelerator(0)
 
 
+_U32 = scalar_codec(4, False, False)
+
+
+def load_u32(memory, address):
+    return _U32.unpack(memory.read(address, 4))[0]
+
+
+def store_u32(memory, address, value):
+    memory.write(address, _U32.pack(value))
+
+
 def fill(machine, base, count, element_size=4):
     for index in range(count):
-        machine.main_memory.store_uint(base + index * element_size, index * 10, 4)
+        store_u32(machine.main_memory, base + index * element_size, index * 10)
 
 
 class TestArrayAccessor:
@@ -59,13 +71,13 @@ class TestArrayAccessor:
         accessor = ArrayAccessor(acc, 0x1000, 4, 4, 0x100, now=0, writeback=True)
         now = accessor.write(2, (999).to_bytes(4, "little"), accessor.ready_time)
         accessor.put_back(now)
-        assert cell.main_memory.load_uint(0x1000 + 8, 4) == 999
+        assert load_u32(cell.main_memory, 0x1000 + 8) == 999
 
     def test_writes_invisible_before_put_back(self, cell, acc):
         fill(cell, 0x1000, 4)
         accessor = ArrayAccessor(acc, 0x1000, 4, 4, 0x100, now=0, writeback=True)
         accessor.write(0, (999).to_bytes(4, "little"), accessor.ready_time)
-        assert cell.main_memory.load_uint(0x1000, 4) == 0
+        assert load_u32(cell.main_memory, 0x1000) == 0
 
     def test_index_bounds_checked(self, cell, acc):
         accessor = ArrayAccessor(acc, 0x1000, 4, 4, 0x100, now=0)
@@ -91,7 +103,7 @@ class TestDirectAccessor:
 
     def test_reads_hit_main_memory_directly(self):
         machine = Machine(SMP_UNIFORM)
-        machine.main_memory.store_uint(0x1000, 777, 4)
+        store_u32(machine.main_memory, 0x1000, 777)
         accessor = DirectAccessor(machine.host, 0x1000, 4, 8, now=0)
         data, after = accessor.read(0, 0)
         assert int.from_bytes(data, "little") == 777
@@ -101,7 +113,7 @@ class TestDirectAccessor:
         machine = Machine(SMP_UNIFORM)
         accessor = DirectAccessor(machine.host, 0x1000, 4, 8, now=0)
         accessor.write(1, (5).to_bytes(4, "little"), 0)
-        assert machine.main_memory.load_uint(0x1004, 4) == 5
+        assert load_u32(machine.main_memory, 0x1004) == 5
 
     def test_put_back_is_noop(self):
         machine = Machine(SMP_UNIFORM)
@@ -152,7 +164,7 @@ class TestStreamAccessor:
             local, count, now = stream.acquire(chunk, now)
             for index in range(count):
                 seen.append(
-                    acc.local_store.load_uint(local + index * 4, 4)
+                    load_u32(acc.local_store, local + index * 4)
                 )
         assert seen == [i * 10 for i in range(64)]
 
@@ -190,12 +202,12 @@ class TestStreamAccessor:
             local, count, now = stream.acquire(chunk, now)
             for index in range(count):
                 address = local + index * 4
-                value = acc.local_store.load_uint(address, 4)
-                acc.local_store.store_uint(address, value + 1, 4)
+                value = load_u32(acc.local_store, address)
+                store_u32(acc.local_store, address, value + 1)
             now = stream.release(chunk, now)
         stream.drain(now)
         for index in range(32):
-            assert cell.main_memory.load_uint(0x1000 + index * 4, 4) == index * 10 + 1
+            assert load_u32(cell.main_memory, 0x1000 + index * 4) == index * 10 + 1
 
     def test_bad_depth_rejected(self, acc):
         with pytest.raises(ValueError):

@@ -48,11 +48,6 @@ class TestLookup:
         assert excinfo.value.known == ["O"]
         assert "domain annotation" in str(excinfo.value)
 
-    def test_try_lookup_returns_none_on_miss(self, core):
-        table = table_with([(0x100, "A::f", [("O", "A::f$O")])])
-        target, _ = table.try_lookup(core, 0x999, "O", 0)
-        assert target is None
-
     def test_merging_same_address_extends_inner_row(self, core):
         table = DomainTable()
         table.add(0x100, "A::f", [InnerEntry("O", "A::f$O")])

@@ -42,8 +42,7 @@ class TestDiagnostics:
 
     def test_compile_error_single(self):
         error = CompileError.single("E-x", "boom", self._span())
-        assert error.has_code("E-x")
-        assert not error.has_code("E-y")
+        assert [d.code for d in error.diagnostics] == ["E-x"]
         assert "boom" in str(error)
 
     def test_missing_duplicate_message_guides_programmer(self):
@@ -70,12 +69,6 @@ class TestSourceFile:
     def test_offset_clamped(self):
         source = SourceFile(self.TEXT)
         assert source.location(10_000).line == 3
-
-    def test_line_text(self):
-        source = SourceFile(self.TEXT)
-        assert source.line_text(2) == "line two"
-        assert source.line_text(3) == "third"
-        assert source.line_text(99) == ""
 
     def test_span(self):
         source = SourceFile(self.TEXT)
@@ -139,12 +132,6 @@ class TestIRContainers:
         program = IRProgram()
         with pytest.raises(ValueError):
             program.validate()
-
-    def test_fid_lookup(self):
-        program = IRProgram(function_ids={100: "f"})
-        assert program.fid_of("f") == 100
-        with pytest.raises(KeyError):
-            program.fid_of("g")
 
 
 class TestPrinter:

@@ -18,6 +18,7 @@ from repro.game.sources import figure2_source
 from repro.machine.config import target_names
 from repro.runtime.cachekinds import CACHE_KIND_CHOICES
 from repro.sched import POLICY_NAMES
+from repro.tools import bench as bench_tool
 from repro.tools import run as run_tool
 from repro.tools import sched as sched_tool
 from repro.tools import trace as trace_tool
@@ -111,10 +112,10 @@ def test_run_bench_and_farm_emit_the_same_report(
 
 #: Option strings (positionals by dest) of every tool's parser.  The
 #: refactor moved declarations into repro.tools.flags; it added and
-#: removed nothing.
+#: removed nothing.  bench's ``--farm`` was removed later, on purpose.
 TOOL_FLAGS = {
-    "bench": """--farm --out --policy --quick --repeats --reports --target
-        --trace --trace-format -h/--help""",
+    "bench": """--out --policy --quick --repeats --reports --target --trace
+        --trace-format -h/--help""",
     "check": """--all-targets --baseline --corpus --fail-on --format --out
         --target --time-passes --trace --write-baseline -h/--help sources""",
     "farm": """--cache-dir --corpus --count --emit-batch --engine
@@ -166,3 +167,11 @@ def test_tool_flag_sets_are_unchanged(tool):
     for flag, choices in REGISTRY_CHOICES.items():
         if flag in flags:
             assert list(flags[flag]) == choices, (tool, flag)
+
+
+def test_bench_farm_flag_is_gone(capsys):
+    """Farm throughput moved to ``repro.tools.farm`` and perfbench."""
+    with pytest.raises(SystemExit) as exit_info:
+        bench_tool.main(["--farm", "2"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --farm 2" in capsys.readouterr().err

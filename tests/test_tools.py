@@ -9,6 +9,7 @@ import pytest
 
 from repro.tools import check as check_tool
 from repro.tools import run as run_tool
+from tests.sarif import validate_sarif
 
 CLEAN = """
 class Shape {
@@ -332,8 +333,6 @@ class TestCheckTool:
         assert all("fingerprint" in f for f in payload["findings"])
 
     def test_sarif_format_validates(self, source_file, capsys):
-        from repro.analysis.diagnostics import validate_sarif
-
         status = check_tool.main([source_file(RACY), "--format", "sarif"])
         assert status == 3
         log = json.loads(capsys.readouterr().out)
@@ -440,7 +439,6 @@ class TestCheckTool:
     def test_all_targets_sarif_has_one_run_per_target(
         self, source_file, capsys
     ):
-        from repro.analysis.diagnostics import validate_sarif
         from repro.machine.config import target_names
 
         status = check_tool.main(

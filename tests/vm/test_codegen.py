@@ -442,18 +442,63 @@ class TestLaddersOnTheCorpus:
             record_property(f"ladders[{name}]", stats.ladders)
 
 
-class TestFallback:
-    def _add_unsupported_function(self, program):
-        program.functions["mystery"] = IRFunction(
-            name="mystery",
-            params=[],
-            num_regs=1,
-            code=[UnOp(op="bitrev", dst=0, a=0), Ret(src=0)],
-        )
+def _add_unsupported_function(program):
+    program.functions["mystery"] = IRFunction(
+        name="mystery",
+        params=[],
+        num_regs=1,
+        code=[UnOp(op="bitrev", dst=0, a=0), Ret(src=0)],
+    )
 
+
+#: A short-circuit join: the structurer leaves ``main`` on the ladder.
+SHORT_CIRCUIT = """
+void main() {
+    int a = 1; int b = 0; int s = 0;
+    if (a > 0 && b < 3) { s = 1; } else { s = 2; }
+    print_int(s);
+}
+"""
+
+
+class TestStatsTravelWithTheCode:
+    """A module served from the disk cache reports the ladders and
+    fallbacks the freshly generated one did (the warm-cache CI leg runs
+    the whole suite against a populated cache)."""
+
+    @pytest.mark.parametrize("target", target_names())
+    def test_cold_and_warm_stats_agree(self, target, tmp_path):
+        config = resolve_target(target)
+        cache = CompileCache(str(tmp_path))
+        cases = [
+            *_corpus_sources(),
+            ("short-circuit", SHORT_CIRCUIT),
+            ("unsupported", figure2_source()),
+        ]
+        cold_stats = {}
+        for name, source in cases:
+            stats = []
+            for _ in ("cold", "warm"):
+                program = compile_program(source, config)
+                if name == "unsupported":
+                    _add_unsupported_function(program)
+                engine = CodegenInterpreter(program, Machine(config), RunOptions())
+                engine._ensure_module(cache)
+                stats.append(engine.codegen_stats)
+            cold, warm = stats
+            assert warm.cache_hits == 1, name
+            assert (warm.ladders, warm.fallbacks) == (
+                cold.ladders, cold.fallbacks
+            ), name
+            cold_stats[name] = cold
+        assert cold_stats["short-circuit"].ladders == 1
+        assert cold_stats["unsupported"].fallbacks == 1
+
+
+class TestFallback:
     def test_unsupported_function_falls_back(self):
         program = _fresh_program()
-        self._add_unsupported_function(program)
+        _add_unsupported_function(program)
         source, generated, fallbacks = generate_module_source(
             program, CELL_LIKE.cost
         )
@@ -463,7 +508,7 @@ class TestFallback:
 
     def test_program_with_fallback_still_runs(self):
         program = _fresh_program()
-        self._add_unsupported_function(program)
+        _add_unsupported_function(program)
         ref = run_program(
             _fresh_program(), Machine(CELL_LIKE), RunOptions(engine="reference")
         )
