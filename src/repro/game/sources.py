@@ -388,6 +388,10 @@ class RangeCheck : Check {
 };
 """
     cache_ann = f", cache({cache})" if cache else ""
+    # Slots past the four checks reuse them in turn: no null vtable slot.
+    extra_slots = "".join(
+        f"\n    g_checks[{c}] = &g_c{c % 4};" for c in range(4, check_count)
+    )
     domain = (
         "domain(Check::eval, ThreatCheck::eval, HealthCheck::eval, "
         "RangeCheck::eval)"
@@ -447,7 +451,7 @@ void setup() {{
     g_checks[0] = &g_c0;
     g_checks[1] = &g_c1;
     g_checks[2] = &g_c2;
-    g_checks[3] = &g_c3;
+    g_checks[3] = &g_c3;{extra_slots}
 }}
 
 void main() {{

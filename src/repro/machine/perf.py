@@ -14,7 +14,8 @@ Two APIs share one set of totals:
   drained into the backing :class:`collections.Counter` lazily, on every
   read (:meth:`get`, :meth:`as_dict`, :meth:`ratio`, iteration), so
   readers always observe exact totals regardless of which path
-  produced them.
+  produced them.  A slot subclass may stand for several counters at
+  once (:class:`repro.runtime.softcache.InlineHits`): it folds itself.
 
 The counter bag holds its slots *weakly*: a slot whose owner dies (a
 software cache torn down with its offload thread, an execution engine
@@ -48,8 +49,14 @@ class CounterSlot:
         self._owner = owner
 
     def __del__(self) -> None:
-        if self.count and self._owner is not None:
-            self._owner._counts[self.name] += self.count
+        if self._owner is not None:
+            self._fold(self._owner._counts)
+
+    def _fold(self, counts: Counter[str]) -> None:
+        """Move the pending count into ``counts``.  Subclasses whose
+        count stands for several counters override this."""
+        if self.count:
+            counts[self.name] += self.count
             self.count = 0
 
     def __repr__(self) -> str:
@@ -68,15 +75,18 @@ class PerfCounters:
         assert amount >= 0, f"counter increments must be >= 0, got {amount}"
         self._counts[name] += amount
 
-    def slot(self, name: str) -> CounterSlot:
+    def slot(
+        self, name: str, kind: "type[CounterSlot]" = CounterSlot
+    ) -> CounterSlot:
         """Return a batched accumulator feeding counter ``name``.
 
         Multiple slots may share a name; their pending counts sum.  The
         registry reference is weak: the caller owns the slot's lifetime,
         and a dead slot stops being flushed (its last pending count is
-        folded in by the finalizer).
+        folded in by the finalizer).  ``kind`` is a
+        :class:`CounterSlot` subclass with its own ``_fold``.
         """
-        slot = CounterSlot(name, self)
+        slot = kind(name, self)
         self._slots.append(weakref.ref(slot))
         return slot
 
@@ -86,13 +96,13 @@ class PerfCounters:
         Registry entries whose slot has died are pruned here.
         """
         dead = False
+        counts = self._counts
         for ref in self._slots:
             slot = ref()
             if slot is None:
                 dead = True
-            elif slot.count:
-                self._counts[slot.name] += slot.count
-                slot.count = 0
+            else:
+                slot._fold(counts)
         if dead:
             self._slots = [ref for ref in self._slots if ref() is not None]
 

@@ -25,6 +25,7 @@ exactly the diagnostic behaviour the paper describes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.errors import MissingDuplicateError
 from repro.machine.cores import Core
@@ -50,6 +51,14 @@ class InnerEntry:
     demand: bool = False
 
 
+#: The counters every lookup feeds, in the order of a slot bundle.
+_COUNTERS = (
+    "dispatch.domain_lookups", "dispatch.outer_probes",
+    "dispatch.inner_probes", "dispatch.domain_hits",
+    "dispatch.missing_duplicates",
+)
+
+
 @dataclass
 class DomainTable:
     """The paired outer/inner domains for one offload block.
@@ -67,11 +76,21 @@ class DomainTable:
     outer: list[int] = field(default_factory=list)
     inner: list[list[InnerEntry]] = field(default_factory=list)
     method_names: list[str] = field(default_factory=list)
+    #: Successful searches: (host address, duplicate id) -> (entry,
+    #: index, outer probes, inner probes).  A repeat call charges the
+    #: same probes without repeating the search; ``add`` clears it.
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+    #: The counter bag the slots below feed, and those slots.
+    _perf: object = field(default=None, init=False, repr=False,
+                          compare=False)
+    _slots: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def add(
         self, host_address: int, method_name: str, entries: list[InnerEntry]
     ) -> None:
         """Register a virtual method and its compiled duplicates."""
+        self._memo.clear()
         if host_address in self.outer:
             index = self.outer.index(host_address)
             self.inner[index].extend(entries)
@@ -85,6 +104,23 @@ class DomainTable:
 
     # ------------------------------------------------------------- lookup
 
+    def _search(
+        self, host_address: int, duplicate_id: str
+    ) -> tuple[Optional[InnerEntry], Optional[int], int, int]:
+        """The two-stage linear search: (entry or None, outer index or
+        None, outer probes, inner probes).  Hits are memoised."""
+        for index, address in enumerate(self.outer):
+            if address != host_address:
+                continue
+            row = self.inner[index]
+            for inner_probes, entry in enumerate(row, 1):
+                if entry.duplicate_id == duplicate_id:
+                    found = (entry, index, index + 1, inner_probes)
+                    self._memo[host_address, duplicate_id] = found
+                    return found
+            return None, index, index + 1, len(row)
+        return None, None, len(self.outer), 0
+
     def lookup_entry(
         self, core: Core, host_address: int, duplicate_id: str, now: int
     ) -> tuple[InnerEntry, int]:
@@ -93,56 +129,50 @@ class DomainTable:
         Charges one ``domain_probe`` per outer-domain comparison and one
         ``inner_domain_probe`` per inner-row entry examined, so the cost
         of dispatch grows with annotation-set size — the effect that made
-        the Section 4.1 restructuring worthwhile.
+        the Section 4.1 restructuring worthwhile.  A repeat of a
+        successful lookup charges and counts the same probes from the
+        memo; a failing one searches again.
         """
-        cost = core.cost
-        perf = core.perf
-        trace = core.trace
         start = now
-        perf.add("dispatch.domain_lookups")
-        outer_probes = 0
-        for index, address in enumerate(self.outer):
-            now += cost.domain_probe
-            outer_probes += 1
-            perf.add("dispatch.outer_probes")
-            if address != host_address:
-                continue
-            inner_probes = 0
-            for entry in self.inner[index]:
-                now += cost.inner_domain_probe
-                inner_probes += 1
-                perf.add("dispatch.inner_probes")
-                if entry.duplicate_id == duplicate_id:
-                    perf.add("dispatch.domain_hits")
-                    if trace.enabled:
-                        trace.emit(
-                            start, core.name, EV_DISPATCH_HIT,
-                            (outer_probes, inner_probes, now,
-                             self.method_names[index]),
-                        )
-                    return entry, now
-            perf.add("dispatch.missing_duplicates")
+        found = self._memo.get((host_address, duplicate_id))
+        if found is None:
+            found = self._search(host_address, duplicate_id)
+        entry, index, outer_probes, inner_probes = found
+        cost = core.cost
+        now += (
+            outer_probes * cost.domain_probe
+            + inner_probes * cost.inner_domain_probe
+        )
+        perf = core.perf
+        if perf is not self._perf:
+            self._perf = perf
+            self._slots = tuple(perf.slot(name) for name in _COUNTERS)
+        lookups, outer, inner, hits, missing = self._slots
+        lookups.count += 1
+        outer.count += outer_probes
+        inner.count += inner_probes
+        trace = core.trace
+        if entry is not None:
+            hits.count += 1
             if trace.enabled:
                 trace.emit(
-                    start, core.name, EV_DISPATCH_MISS,
-                    (outer_probes, inner_probes, now, duplicate_id),
+                    start, core.name, EV_DISPATCH_HIT,
+                    (outer_probes, inner_probes, now,
+                     self.method_names[index]),  # type: ignore[index]
                 )
-            raise MissingDuplicateError(
-                self.method_names[index],
-                duplicate_id,
-                [e.duplicate_id for e in self.inner[index]],
-            )
-        perf.add("dispatch.missing_duplicates")
+            return entry, now
+        missing.count += 1
         if trace.enabled:
             trace.emit(
                 start, core.name, EV_DISPATCH_MISS,
-                (outer_probes, 0, now, duplicate_id),
+                (outer_probes, inner_probes, now, duplicate_id),
             )
-        raise MissingDuplicateError(
-            f"<host function @{host_address:#x}>",
-            duplicate_id,
-            [],
-        )
+        if index is None:
+            method, known = f"<host function @{host_address:#x}>", []
+        else:
+            method = self.method_names[index]
+            known = [e.duplicate_id for e in self.inner[index]]
+        raise MissingDuplicateError(method, duplicate_id, known)
 
     def lookup(
         self, core: Core, host_address: int, duplicate_id: str, now: int

@@ -18,12 +18,24 @@ three with genuinely different behaviour:
 All caches are write-back with per-line dirty bits, and must be
 ``flush``-ed before the host may observe stores (there is no coherence —
 that is the point).
+
+A cache *is* an offload thread's outer strategy (``load`` / ``store`` /
+``flush`` on the value clock).  Per-slot state is flat lists, mutated in
+place and never rebound, so generated code can bind them once per
+function entry (:attr:`DirectMappedCache.inline_view`): ``_tags`` (the
+line a slot holds; None when invalid, since line -1 holds the outer
+addresses just below 0), ``_dirty`` (that line again while dirty, else
+None) and, only where replacement reads it, ``_last_used``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from typing import Optional
+
 from repro.errors import MachineError
 from repro.machine.cores import AcceleratorCore
+from repro.machine.perf import CounterSlot
 from repro.obs.trace import (
     EV_CACHE_EVICT,
     EV_CACHE_FILL,
@@ -33,17 +45,70 @@ from repro.obs.trace import (
 )
 from repro.runtime.cachekinds import SOFT_CACHE_KINDS
 
+#: Width of each field of an :class:`InlineHits` count; no run comes
+#: near 2**48 accesses or bytes.
+_FIELD = 48
+_FIELD_MASK = (1 << _FIELD) - 1
 
-class _Line:
-    """One cache line's metadata; data lives in the local store."""
 
-    __slots__ = ("tag", "valid", "dirty", "last_used")
+def inline_hit_weight(size: int, store: bool) -> int:
+    """What one inline hit of ``size`` bytes adds to an
+    :class:`InlineHits` count, whose fields are (low to high) bytes
+    read, loads, bytes written, stores."""
+    return (1 << _FIELD | size) << (2 * _FIELD if store else 0)
 
-    def __init__(self) -> None:
-        self.tag = -1
-        self.valid = False
-        self.dirty = False
-        self.last_used = 0
+
+def _fields(count: int) -> tuple[int, int, int, int]:
+    return (
+        count & _FIELD_MASK,
+        count >> _FIELD & _FIELD_MASK,
+        count >> 2 * _FIELD & _FIELD_MASK,
+        count >> 3 * _FIELD,
+    )
+
+
+class InlineHits(CounterSlot):
+    """The hits generated code served inline: each adds
+    :func:`inline_hit_weight` to ``count``, which only grows.  Every read
+    of the counter bag folds the new part into ``softcache.probes`` /
+    ``hits`` and ``outer.loads`` / ``bytes_read`` / ``stores`` /
+    ``bytes_written``, so those totals are exact whenever anything can
+    see them."""
+
+    __slots__ = ("_folded", "_streaked")
+
+    def __init__(self, name: str, owner: object = None):
+        super().__init__(name, owner)  # type: ignore[arg-type]
+        self._folded = 0
+        self._streaked = 0
+
+    def _fold(self, counts: Counter[str]) -> None:
+        delta = self.count - self._folded
+        if not delta:
+            return
+        self._folded = self.count
+        read, loads, written, stores = _fields(delta)
+        for name, amount in (
+            ("softcache.probes", loads + stores),
+            ("softcache.hits", loads + stores),
+            ("outer.loads", loads),
+            ("outer.bytes_read", read),
+            ("outer.stores", stores),
+            ("outer.bytes_written", written),
+        ):
+            if amount:
+                counts[name] += amount
+
+    def take_hits(self) -> int:
+        """Inline hits since the previous call."""
+        _, loads, _, stores = _fields(self.count - self._streaked)
+        self._streaked = self.count
+        return loads + stores
+
+
+#: What generated code binds instead of :attr:`DirectMappedCache.inline_view`
+#: when the inline path is off: a one-slot tag tuple that never matches.
+NO_INLINE = ((None,), (None,), 0, 0, 0, None, None)
 
 
 class SoftwareCache:
@@ -65,6 +130,9 @@ class SoftwareCache:
     #: Organisation name, matching the cache-kind registry; stamped on
     #: fill events so traces show which implementation served a line.
     KIND = "base"
+
+    #: Whether replacement reads per-slot recency (``_last_used``).
+    TRACKS_RECENCY = False
 
     def __init__(
         self,
@@ -89,7 +157,9 @@ class SoftwareCache:
         self.line_size = line_size
         self.num_lines = num_lines
         self.write_through = write_through
-        self._lines = [_Line() for _ in range(num_lines)]
+        self._tags: list[Optional[int]] = [None] * num_lines
+        self._dirty: list[Optional[int]] = [None] * num_lines
+        self._last_used = [0] * num_lines if self.TRACKS_RECENCY else None
         self._access_counter = 0
         # line_size is a power of two, so address decomposition is a
         # shift and a mask on the hot path.
@@ -101,6 +171,7 @@ class SoftwareCache:
         self._probes = core.perf.slot("softcache.probes")
         self._hits = core.perf.slot("softcache.hits")
         self._misses = core.perf.slot("softcache.misses")
+        self._inline_hits = core.perf.slot("softcache.inline", InlineHits)
         #: Pre-bound event sink + track name; one attribute check per
         #: access when tracing is disabled.
         self._trace = core.trace
@@ -111,6 +182,7 @@ class SoftwareCache:
         #: (a hit after misses or vice versa); the final open streak of
         #: a run is deliberately left unrecorded — ending it would need
         #: a teardown hook, and dropping it is equally deterministic.
+        #: Inline hits are replayed into it at the next probe or flush.
         self._metrics = core.metrics
         self._streak_hits = 0
         self._streak_misses = 0
@@ -132,10 +204,9 @@ class SoftwareCache:
         with a single candidate slot override this to avoid building a
         candidate list per access (the probe fast path).
         """
-        lines = self._lines
+        tags = self._tags
         for slot in self._candidate_slots(line_number):
-            line = lines[slot]
-            if line.valid and line.tag == line_number:
+            if tags[slot] == line_number:
                 return slot
         return None
 
@@ -150,7 +221,14 @@ class SoftwareCache:
     # ------------------------------------------------------------ internals
 
     def _streak(self, hit: bool) -> None:
-        """Advance the hit/miss streak state (metrics-enabled path only)."""
+        """Advance the hit/miss streak state by one probe (metrics-enabled
+        path only), after the hits served inline since the last one."""
+        self._streak_run(True, self._inline_hits.take_hits())
+        self._streak_run(hit, 1)
+
+    def _streak_run(self, hit: bool, count: int) -> None:
+        if not count:
+            return
         if hit:
             if self._streak_misses:
                 self._metrics.observe(
@@ -158,7 +236,7 @@ class SoftwareCache:
                     self._streak_misses,
                 )
                 self._streak_misses = 0
-            self._streak_hits += 1
+            self._streak_hits += count
         else:
             if self._streak_hits:
                 self._metrics.observe(
@@ -166,14 +244,16 @@ class SoftwareCache:
                     self._streak_hits,
                 )
                 self._streak_hits = 0
-            self._streak_misses += 1
+            self._streak_misses += count
 
     def _slot_local_addr(self, slot: int) -> int:
         return self.local_base + slot * self.line_size
 
-    def _touch(self, line: _Line) -> None:
-        self._access_counter += 1
-        line.last_used = self._access_counter
+    def _touch(self, slot: int) -> None:
+        last_used = self._last_used
+        if last_used is not None:
+            self._access_counter += 1
+            last_used[slot] = self._access_counter
 
     def _probe(self, line_number: int, now: int) -> tuple[int | None, int]:
         """Look the line up; returns (slot or None, time after probe)."""
@@ -183,7 +263,7 @@ class SoftwareCache:
         trace = self._trace
         metrics = self._metrics
         if slot is not None:
-            self._touch(self._lines[slot])
+            self._touch(slot)
             self._hits.count += 1
             if trace.enabled:
                 trace.emit(
@@ -205,25 +285,25 @@ class SoftwareCache:
 
     def _writeback(self, slot: int, now: int) -> int:
         """Write a dirty line back to main memory (blocking)."""
-        line = self._lines[slot]
+        outer_addr = self._tags[slot] * self.line_size  # type: ignore[operator]
         start = now
         dma = self.core.dma
         assert dma is not None
         now = dma.put(
             self.CACHE_TAG,
             self._slot_local_addr(slot),
-            line.tag * self.line_size,
+            outer_addr,
             self.line_size,
             now,
         )
         now = dma.wait(self.CACHE_TAG, now)
         self.core.perf.add("softcache.writebacks")
-        line.dirty = False
+        self._dirty[slot] = None
         trace = self._trace
         if trace.enabled:
             trace.emit(
                 start, self._trace_track, EV_CACHE_WRITEBACK,
-                (line.tag * self.line_size, now),
+                (outer_addr, now),
             )
         return now
 
@@ -231,15 +311,16 @@ class SoftwareCache:
         """Bring a line in from main memory; returns (slot, time)."""
         start = now
         slot, now = self._prepare_victim(line_number, now)
-        line = self._lines[slot]
+        tags = self._tags
         trace = self._trace
-        if line.valid and trace.enabled:
-            trace.emit(
-                now, self._trace_track, EV_CACHE_EVICT,
-                (line.tag * self.line_size,),
-            )
-        if line.valid and line.dirty:
-            now = self._writeback(slot, now)
+        if tags[slot] is not None:
+            if trace.enabled:
+                trace.emit(
+                    now, self._trace_track, EV_CACHE_EVICT,
+                    (tags[slot] * self.line_size,),  # type: ignore[operator]
+                )
+            if self._dirty[slot] is not None:
+                now = self._writeback(slot, now)
         dma = self.core.dma
         assert dma is not None
         now = dma.get(
@@ -250,10 +331,9 @@ class SoftwareCache:
             now,
         )
         now = dma.wait(self.CACHE_TAG, now)
-        line.tag = line_number
-        line.valid = True
-        line.dirty = False
-        self._touch(line)
+        tags[slot] = line_number
+        self._dirty[slot] = None
+        self._touch(slot)
         self.core.perf.add("softcache.fills")
         if trace.enabled:
             trace.emit(
@@ -281,35 +361,8 @@ class SoftwareCache:
         assert ls is not None
         offset = outer_addr & self._offset_mask
         if offset + size <= self.line_size:
-            # Fast path: the access is within one line and — in the
-            # common case — that line is resident, so the whole load is
-            # one inlined probe plus a local-store read.
-            line_number = outer_addr >> self._line_shift
-            now += self.core.cost.cache_probe
-            self._probes.count += 1
-            slot = self._resident_slot(line_number)
-            trace = self._trace
-            metrics = self._metrics
-            if slot is not None:
-                self._touch(self._lines[slot])
-                self._hits.count += 1
-                if trace.enabled:
-                    trace.emit(
-                        now, self._trace_track, EV_CACHE_HIT,
-                        (line_number * self.line_size,),
-                    )
-                if metrics.enabled:
-                    self._streak(True)
-            else:
-                self._misses.count += 1
-                if trace.enabled:
-                    trace.emit(
-                        now, self._trace_track, EV_CACHE_MISS,
-                        (line_number * self.line_size,),
-                    )
-                if metrics.enabled:
-                    self._streak(False)
-                slot, now = self._fill(line_number, now)
+            # Within one line: no parts to join.
+            slot, now = self._ensure(outer_addr >> self._line_shift, now)
             return (
                 ls.read_unchecked(self._slot_local_addr(slot) + offset, size),
                 now,
@@ -318,10 +371,9 @@ class SoftwareCache:
         addr = outer_addr
         remaining = size
         while remaining > 0:
-            line_number = addr // self.line_size
-            offset = addr % self.line_size
+            offset = addr & self._offset_mask
             chunk = min(remaining, self.line_size - offset)
-            slot, now = self._ensure(line_number, now)
+            slot, now = self._ensure(addr >> self._line_shift, now)
             parts.append(
                 ls.read_unchecked(self._slot_local_addr(slot) + offset, chunk)
             )
@@ -335,49 +387,38 @@ class SoftwareCache:
             raise ValueError("store of zero bytes")
         ls = self.core.local_store
         assert ls is not None
-        offset = outer_addr & self._offset_mask
-        if offset + len(data) <= self.line_size:
-            # Fast path mirroring load(): single line, no memoryview.
-            slot, now = self._ensure(outer_addr >> self._line_shift, now)
-            ls.write_unchecked(self._slot_local_addr(slot) + offset, data)
-            line = self._lines[slot]
-            line.dirty = True
-            if self.write_through:
-                now = self._writeback(slot, now)
-            return now
         addr = outer_addr
         view = memoryview(data)
         while view:
-            line_number = addr // self.line_size
-            offset = addr % self.line_size
+            line_number = addr >> self._line_shift
+            offset = addr & self._offset_mask
             chunk = min(len(view), self.line_size - offset)
             slot, now = self._ensure(line_number, now)
             ls.write_unchecked(
-                self._slot_local_addr(slot) + offset, bytes(view[:chunk])
+                self._slot_local_addr(slot) + offset, view[:chunk]
             )
-            line = self._lines[slot]
+            self._dirty[slot] = line_number
             if self.write_through:
-                line.dirty = True
                 now = self._writeback(slot, now)
-            else:
-                line.dirty = True
             addr += chunk
             view = view[chunk:]
         return now
 
     def flush(self, now: int) -> int:
         """Write back every dirty line; returns the time when done."""
-        for slot, line in enumerate(self._lines):
-            if line.valid and line.dirty:
+        if self._metrics.enabled:
+            # Hits served inline since the last probe may close a miss
+            # streak; the offload's end is the last chance to see them.
+            self._streak_run(True, self._inline_hits.take_hits())
+        for slot, dirty in enumerate(self._dirty):
+            if dirty is not None:
                 now = self._writeback(slot, now)
         return now
 
     def invalidate(self) -> None:
         """Drop all cached lines without writing anything back."""
-        for line in self._lines:
-            line.valid = False
-            line.dirty = False
-            line.tag = -1
+        self._tags[:] = [None] * self.num_lines
+        self._dirty[:] = [None] * self.num_lines
 
     def hit_rate(self) -> float:
         """Fraction of probes that hit, machine-wide since last reset."""
@@ -389,6 +430,26 @@ class DirectMappedCache(SoftwareCache):
 
     KIND = "direct"
 
+    def __init__(self, *args: object, **kwargs: object):
+        super().__init__(*args, **kwargs)  # type: ignore[arg-type]
+        span = self.line_size * self.num_lines
+        ls = self.core.local_store
+        assert ls is not None
+        #: What generated code binds to serve hits inline: (tags, dirty,
+        #: line shift, slot mask, span mask, hit tally, line storage,
+        #: where a resident address sits at ``address & span_mask``).
+        #: Testing the first byte's slot against the last byte's line
+        #: sends line-spanning accesses to the methods too, given two
+        #: slots and lines as wide as the widest scalar.  Stores test
+        #: ``_dirty``, so a store hit never has to mark its line.
+        self.inline_view = NO_INLINE
+        if self.num_lines > 1 and self.line_size >= 8:
+            self.inline_view = (
+                self._tags, self._dirty, self._line_shift,
+                self.num_lines - 1, span - 1, self._inline_hits,
+                memoryview(ls._data)[self.local_base:self.local_base + span],
+            )
+
     def _candidate_slots(self, line_number: int) -> list[int]:
         return [line_number % self.num_lines]
 
@@ -399,8 +460,7 @@ class DirectMappedCache(SoftwareCache):
         # Single candidate: no list allocation on the probe fast path
         # (num_lines is a power of two, so % is a mask).
         slot = line_number & (self.num_lines - 1)
-        line = self._lines[slot]
-        if line.valid and line.tag == line_number:
+        if self._tags[slot] == line_number:
             return slot
         return None
 
@@ -409,6 +469,7 @@ class SetAssociativeCache(SoftwareCache):
     """N-way set associative with LRU replacement within a set."""
 
     KIND = "setassoc"
+    TRACKS_RECENCY = True
 
     def __init__(self, *args: object, ways: int = 4, **kwargs: object):
         super().__init__(*args, **kwargs)  # type: ignore[arg-type]
@@ -429,9 +490,9 @@ class SetAssociativeCache(SoftwareCache):
     def _victim_slot(self, line_number: int) -> int:
         slots = self._set_slots(line_number)
         for slot in slots:
-            if not self._lines[slot].valid:
+            if self._tags[slot] is None:
                 return slot
-        return min(slots, key=lambda s: self._lines[s].last_used)
+        return min(slots, key=self._last_used.__getitem__)  # type: ignore[union-attr]
 
 
 class VictimCache(DirectMappedCache):
@@ -440,10 +501,12 @@ class VictimCache(DirectMappedCache):
     The last ``victim_slots`` slots of line storage act as the victim
     buffer; lines evicted from the direct-mapped region move there
     instead of being dropped, so alternating accesses to two conflicting
-    lines stop thrashing main memory.
+    lines stop thrashing main memory.  Generated code never serves its
+    hits inline (it tests for the exact :class:`DirectMappedCache` type).
     """
 
     KIND = "victim"
+    TRACKS_RECENCY = True
 
     def __init__(self, *args: object, victim_slots: int = 4, **kwargs: object):
         super().__init__(*args, **kwargs)  # type: ignore[arg-type]
@@ -467,39 +530,30 @@ class VictimCache(DirectMappedCache):
     def _victim_slot(self, line_number: int) -> int:
         return self._primary_slot(line_number)
 
-    def _resident_slot(self, line_number: int) -> int | None:
-        # Not the direct-mapped fast path: the primary region is modulo
-        # primary_lines (not a power of two) and the victim buffer must
-        # be searched too.
-        lines = self._lines
-        slot = line_number % self.primary_lines
-        line = lines[slot]
-        if line.valid and line.tag == line_number:
-            return slot
-        for slot in self._victim_range():
-            line = lines[slot]
-            if line.valid and line.tag == line_number:
-                return slot
-        return None
+    # Not the direct-mapped fast path: the primary region is modulo
+    # primary_lines (not a power of two) and the victim buffer must be
+    # searched too.
+    _resident_slot = SoftwareCache._resident_slot
 
     def _prepare_victim(self, line_number: int, now: int) -> tuple[int, int]:
         # Evict from the primary slot, but first move its current
         # occupant into the victim buffer (displacing the LRU victim,
         # which is written back if dirty *before* it is overwritten).
         primary = self._primary_slot(line_number)
-        if self._lines[primary].valid:
+        tags = self._tags
+        if tags[primary] is not None:
             dest = min(
-                self._victim_range(), key=lambda s: self._lines[s].last_used
+                self._victim_range(),
+                key=self._last_used.__getitem__,  # type: ignore[union-attr]
             )
-            dest_line = self._lines[dest]
-            if dest_line.valid:
+            if tags[dest] is not None:
                 trace = self._trace
                 if trace.enabled:
                     trace.emit(
                         now, self._trace_track, EV_CACHE_EVICT,
-                        (dest_line.tag * self.line_size,),
+                        (tags[dest] * self.line_size,),  # type: ignore[operator]
                     )
-                if dest_line.dirty:
+                if self._dirty[dest] is not None:
                     now = self._writeback(dest, now)
             self._move_line(primary, dest)
         return primary, now
@@ -509,17 +563,11 @@ class VictimCache(DirectMappedCache):
         assert ls is not None
         data = ls.read_unchecked(self._slot_local_addr(src_slot), self.line_size)
         ls.write_unchecked(self._slot_local_addr(dest_slot), data)
-        src = self._lines[src_slot]
-        dst = self._lines[dest_slot]
-        dst.tag, dst.valid, dst.dirty, dst.last_used = (
-            src.tag,
-            src.valid,
-            src.dirty,
-            src.last_used,
-        )
-        src.valid = False
-        src.dirty = False
-        src.tag = -1
+        tags, dirty = self._tags, self._dirty
+        tags[dest_slot], dirty[dest_slot] = tags[src_slot], dirty[src_slot]
+        self._last_used[dest_slot] = self._last_used[src_slot]  # type: ignore[index]
+        tags[src_slot] = None
+        dirty[src_slot] = None
         self.core.perf.add("softcache.victim_moves")
 
 

@@ -19,7 +19,7 @@ budget updates batched per block — then compiled with :func:`compile`
             while True:                 # a natural loop of the IR
                 _ic += 12               # one budget test per block
                 if _ic > _bud:
-                    raise RuntimeTrap(...)
+                    raise eng._budget_trap()
                 _now += 9               # batched clock-blind charges
                 if not (r3 < 48):
                     break
@@ -66,6 +66,16 @@ Translation scheme
   launch/join, bulk copies, trace events — and on return; DMA engines
   and outer-access strategies take and return the clock as a value.
   One ``except BaseException`` around the body restores both.
+* **Outer accesses.**  A function with outer loads or stores binds its
+  strategy's inline view once, at entry (``eng._inline_view``): a
+  direct-mapped cache's flat tag and dirty lists, geometry, hit tally
+  and line storage (:mod:`repro.runtime.softcache`), or a view that
+  never matches.  Each site compares one list entry; a hit reads or
+  writes the line storage with the scalar codec and adds one weight to
+  the tally, anything else calls ``eng._load_outer`` /
+  ``eng._store_outer`` like the reference engine.  The probe cycles of
+  a hit are charged with the segment the access closes, and the miss
+  path hands the cache the clock without them.
 * **Typedness.**  A per-function fixpoint classifies registers as
   int-typed / float-typed / unknown, eliding the defensive ``int()`` /
   ``float()`` coercions where a register's value class is proven.
@@ -175,13 +185,18 @@ from repro.machine.config import CostModel
 from repro.machine.machine import Machine
 from repro.machine.memory import scalar_codec
 from repro.obs.trace import EV_ENTER, EV_EXIT, EV_FRAME
+from repro.runtime.softcache import (
+    NO_INLINE,
+    DirectMappedCache,
+    inline_hit_weight,
+)
 from repro.vm.context import ThreadContext
-from repro.vm.interpreter import Interpreter, RunOptions
+from repro.vm.interpreter import PRINTS, Interpreter, RunOptions
 
 #: Bumped whenever the translation scheme changes in any way that can
 #: affect generated source; part of the disk cache key and kind so
 #: stale cached modules are never re-executed.
-CODEGEN_VERSION = 2
+CODEGEN_VERSION = 3
 
 #: Pseudo-filename under which generated code is compiled (shows up in
 #: tracebacks from generated code).
@@ -340,6 +355,16 @@ _MAX_FORWARD_CHARS = 160
 #: (string literals cannot hold a raw newline, so nothing else matches).
 LADDER_MARK = "\n        _pc = 0\n"
 
+#: The engine helper each DMA or accessor intrinsic runs on the value
+#: clock.
+_CLOCK_HELPERS = {
+    "dma_get": "_dma_transfer",
+    "dma_put": "_dma_transfer",
+    "dma_wait": "_dma_wait",
+    "acc_bulk_get": "_bulk_transfer",
+    "acc_bulk_put": "_bulk_transfer",
+}
+
 _SYNC_OUT = (0, "eng._instructions, ctx.now = _ic, _now")
 _SYNC_IN = (0, "_ic, _now = eng._instructions, ctx.now")
 
@@ -375,6 +400,12 @@ class _FunctionEmitter:
         self.uses_ls = False
         self.uses_chk = False
         self.uses_mm = False
+        #: Whether an outer load or store binds the strategy's inline
+        #: view in the prologue.
+        self.uses_outer = False
+        #: Cycles the outer access just translated charges up front (see
+        #: ``_emit_outer``); ``_body`` adds them to the segment it closes.
+        self._lead = 0
         #: Block-local values not stored yet: register -> [text,
         #: registers the text reads, uses left, live at block end].
         self.env: dict[int, list] = {}
@@ -462,6 +493,11 @@ class _FunctionEmitter:
         lines.append((1, "if _tr.enabled:"))
         lines.append((2, "ctx.now = _now"))
         lines.append((2, f"eng._emit_enter(ctx, {fn.name!r})"))
+        if self.uses_outer:
+            lines.append((1, "_s = ctx.strategy"))
+            lines.append(
+                (1, "_tg, _dy, _cs, _ck, _cw, _pt, _cv = eng._inline_view(_s)")
+            )
         if self.uses_ls:
             # No local store: size -1 fails every bounds test, and the
             # slow path under it raises the "has none" trap.
@@ -618,7 +654,7 @@ class _FunctionEmitter:
         out: _Lines = [
             (0, f"_ic += {span}"),
             (0, "if _ic > _bud:"),
-            (1, 'raise RuntimeTrap(f"instruction budget exceeded ({_bud})")'),
+            (1, "raise eng._budget_trap()"),
         ]
         # Backward: per definition, how many reads it reaches inside the
         # block and whether it is the value live out of the block.
@@ -688,6 +724,8 @@ class _FunctionEmitter:
                 else:
                     result = []
             if charge is None:
+                pending_charge += self._lead
+                self._lead = 0
                 flush()
                 out.extend(result)
             else:
@@ -1014,24 +1052,15 @@ class _FunctionEmitter:
         addr = self.iv(instr.addr)
         codec = scalar_codec(*instr.scalar_key)
 
-        if instr.space is AccSpace.OUTER:
-            lines: _Lines = [
-                (0, "_s = ctx.strategy"),
-                (0, "assert _s is not None"),
-                (0, f"_data, _now = _s.load({addr}, {size}, _now)"),
-                (0, "eng._sc_outer_loads.count += 1"),
-                (0, f"eng._sc_outer_read.count += {size}"),
-            ]
-            if codec is not None:
-                up = self._codec_name("up", instr.scalar_key)
-                lines.append((0, f"r{d} = {up}(_data)[0]"))
-            else:
-                lines.append((
-                    0,
-                    f'r{d} = int.from_bytes(_data, "little",'
-                    f" signed={instr.signed})",
-                ))
-            return lines, None
+        if instr.space is AccSpace.OUTER and codec is not None:
+            upf = self._codec_name("upf", instr.scalar_key)
+            up = self._codec_name("up", instr.scalar_key)
+            return self._emit_outer(addr, size, False, lambda a: [
+                (0, f"r{d} = {upf}(_cv, {a} & _cw)[0]"),
+            ], lambda a, now: [
+                (0, f"r{d}, _now = eng._load_outer("
+                    f"_s, {a}, {size}, {now}, {up})"),
+            ]), None
 
         if codec is None:
             # Exotic width: defer to the reference helpers wholesale
@@ -1074,6 +1103,34 @@ class _FunctionEmitter:
             (0, f"r{d} = {upf}(_ld, _a)[0]"),
         ], self.cost.local_access
 
+    def _emit_outer(
+        self, addr: str, size: int, store: bool,
+        hit: Callable[[str], _Lines], miss: Callable[[str, str], _Lines],
+    ) -> _Lines:
+        """An outer access at ``addr``: ``hit(address)`` inline when the
+        slot of its first byte holds the line of its last byte — dirty,
+        for a store (the prologue binds a never-matching view for
+        anything but a direct-mapped cache, or with tracing on) — else
+        ``miss(address, clock)``: the shared engine helper, handed the
+        clock minus the probe cycles the access charges up front.  A hit
+        is tallied for the ``softcache.*`` / ``outer.*`` counters in one
+        add."""
+        self.uses_outer = True
+        self._lead = self.cost.cache_probe
+        lines: _Lines = []
+        if not addr.isidentifier():
+            lines.append((0, f"_a = {addr}"))
+            addr = "_a"
+        last = f"{addr} + {size - 1}" if size > 1 else addr
+        entries = "_dy" if store else "_tg"
+        return lines + [
+            (0, f"if {entries}[{addr} >> _cs & _ck] == {last} >> _cs:"),
+            *_indent(hit(addr)),
+            (1, f"_pt.count += {inline_hit_weight(size, store):#x}"),
+            (0, "else:"),
+            *_indent(miss(addr, f"_now - {self._lead}")),
+        ]
+
     def _local_bounds(self, size: int) -> _Lines:
         return [
             (0, f"if _a < 0 or _a + {size} > _lz:"),
@@ -1093,27 +1150,6 @@ class _FunctionEmitter:
         key = (size, False, is_float)
         codec = scalar_codec(*key)
 
-        if instr.space is AccSpace.OUTER:
-            if is_float:
-                if codec is not None:
-                    pk = self._codec_name("pk", key)
-                    enc = f"_data = {pk}({self.fv(src)})"
-                else:
-                    enc = f"_data = _I._encode({self.rv(src)}, {size}, True)"
-            else:
-                enc = (
-                    f"_data = ({self.iv(src)} & {instr.mask:#x})"
-                    f'.to_bytes({size}, "little")'
-                )
-            return [
-                (0, enc),
-                (0, "_s = ctx.strategy"),
-                (0, "assert _s is not None"),
-                (0, f"_now = _s.store({addr}, _data, _now)"),
-                (0, "eng._sc_outer_stores.count += 1"),
-                (0, f"eng._sc_outer_written.count += {size}"),
-            ], None
-
         if codec is None:
             sp = _SPACE_NAMES[instr.space]
             return [
@@ -1129,6 +1165,13 @@ class _FunctionEmitter:
             if is_float
             else f"_v = {self.iv(src)} & {instr.mask:#x}"
         )
+        if instr.space is AccSpace.OUTER:
+            pk = self._codec_name("pk", key)
+            return [(0, value), *self._emit_outer(addr, size, True, lambda a: [
+                (0, f"{pki}(_cv, {a} & _cw, _v)"),
+            ], lambda a, now: [
+                (0, f"_now = eng._store_outer(_s, {a}, _v, {now}, {pk})"),
+            ])], None
         if instr.space is AccSpace.MAIN:
             self.uses_mm = True
             return [
@@ -1252,18 +1295,11 @@ class _FunctionEmitter:
                 return []
             return [(0, f"r{d} = {expr}")]
 
-        if name in ("print_int", "print_float", "print_char"):
-            if name == "print_int":
-                conv = self.iv(args[0])
-            elif name == "print_float":
-                conv = self.fv(args[0])
-            else:
-                conv = f"chr({self.iv(args[0])} & 0xFF)"
-            lines: _Lines = [
-                (0, f"eng.output.append((ctx.name, {conv}))"),
-            ]
-            lines.extend(assign("0"))
-            return lines, alu
+        if name in PRINTS:
+            return [
+                (0, f"eng._print(ctx, {name!r}, {self.rv(args[0])})"),
+                *assign("0"),
+            ], alu
 
         pure = ops.INTRINSICS.get(name)
         if pure is not None:
@@ -1272,55 +1308,10 @@ class _FunctionEmitter:
                 *self._operands(pure, args),
             ), pure.weight * alu
 
-        if name in ("dma_get", "dma_put"):
-            verb = "get" if name == "dma_get" else "put"
-            lines = [
-                (0, "_dma = eng._require_dma(ctx)"),
-                (0, f"_l = {self.iv(args[0])}"),
-                (0, f"_o = {self.iv(args[1])}"),
-                (0, f"_n = {self.iv(args[2])}"),
-                (0, f"_t = {self.iv(args[3])}"),
-                (0, "if _n <= 0:"),
-                (
-                    1,
-                    f'raise RuntimeTrap(f"{name} with non-positive'
-                    ' size {_n}")',
-                ),
-                (0, f"eng._check_dma_tag({name!r}, _t)"),
-                (0, f"_now = _dma.{verb}(_t, _l, _o, _n, _now)"),
-            ]
-            lines.extend(assign("0"))
-            return lines, None
-
-        if name == "dma_wait":
-            lines = [
-                (0, "_dma = eng._require_dma(ctx)"),
-                (0, f"_t = {self.iv(args[0])}"),
-                (0, 'eng._check_dma_tag("dma_wait", _t)'),
-                (0, "_now = _dma.wait(_t, _now)"),
-            ]
-            lines.extend(assign("0"))
-            return lines, None
-
-        if name in ("acc_bulk_get", "acc_bulk_put"):
-            verb = "get" if name == "acc_bulk_get" else "put"
-            counters = (
-                ("accessor.bulk_gets", "accessor.bytes_in")
-                if name == "acc_bulk_get"
-                else ("accessor.bulk_puts", "accessor.bytes_out")
-            )
-            lines = [
-                (0, "_dma = eng._require_dma(ctx)"),
-                (0, f"_l = {self.iv(args[0])}"),
-                (0, f"_o = {self.iv(args[1])}"),
-                (0, f"_n = {self.iv(args[2])}"),
-                (0, f"_now = _dma.{verb}(_ACC_TAG, _l, _o, _n, _now)"),
-                (0, "_now = _dma.wait(_ACC_TAG, _now)"),
-                (0, f'ctx.core.perf.add("{counters[0]}")'),
-                (0, f'ctx.core.perf.add("{counters[1]}", _n)'),
-            ]
-            lines.extend(assign("0"))
-            return lines, None
+        helper = _CLOCK_HELPERS.get(name)
+        if helper is not None:
+            call = f"eng.{helper}({name!r}, ctx, {self._args(args)}, _now)"
+            return [(0, f"_now = {call}"), *assign("0")], None
 
         # Unknown intrinsic: fail at execution time like the reference.
         message = f"unhandled intrinsic {name!r}"
@@ -1337,12 +1328,7 @@ def _prelude(needs: set, program: IRProgram) -> str:
         "from repro.errors import RuntimeTrap",
         "from repro.ir.instructions import AccSpace",
         "from repro.machine.memory import scalar_codec as _codec",
-        "from repro.vm.interpreter import (",
-        "    ACCESSOR_TAG as _ACC_TAG,",
-        "    Interpreter as _I,",
-        "    _int_div,",
-        "    _int_rem,",
-        ")",
+        "from repro.vm.interpreter import _int_div, _int_rem",
         "",
         "_SP_MAIN = AccSpace.MAIN",
         "_SP_LOCAL = AccSpace.LOCAL",
@@ -1521,10 +1507,6 @@ class CodegenInterpreter(Interpreter):
         self._sc_calls = perf.slot("vm.calls")
         self._sc_extracts = perf.slot("word.extracts")
         self._sc_inserts = perf.slot("word.inserts")
-        self._sc_outer_loads = perf.slot("outer.loads")
-        self._sc_outer_read = perf.slot("outer.bytes_read")
-        self._sc_outer_stores = perf.slot("outer.stores")
-        self._sc_outer_written = perf.slot("outer.bytes_written")
         self.codegen_stats = CodegenStats()
         self._gen_funcs: Optional[dict[str, Callable]] = None
 
@@ -1542,6 +1524,22 @@ class CodegenInterpreter(Interpreter):
             # so a fallback function's callees still run generated code.
             return Interpreter._exec_function(self, function, args, ctx)
         return fn(self, ctx, *args)
+
+    def _compiled_callee(self, function: IRFunction) -> Optional[Callable]:
+        funcs = self._gen_funcs
+        if funcs is None:
+            funcs = self._ensure_module()
+        return funcs.get(function.name)
+
+    def _inline_view(self, strategy: object) -> tuple:
+        """What a generated function binds at entry to serve outer hits
+        inline: the strategy's :attr:`DirectMappedCache.inline_view`
+        when it is exactly a direct-mapped cache (a victim cache
+        subclasses one) and no tracer wants an event per hit, else the
+        never-matching :data:`~repro.runtime.softcache.NO_INLINE`."""
+        if type(strategy) is DirectMappedCache and not self._trace.enabled:
+            return strategy.inline_view  # type: ignore[attr-defined]
+        return NO_INLINE
 
     def _call_by_name(
         self, name: str, args: list[object], ctx: ThreadContext

@@ -9,9 +9,11 @@ host memory:
 * :class:`RawDmaStrategy` — every outer access becomes a blocking DMA
   through a small bounce buffer: the paper's unoptimised baseline, two
   dependent high-latency transfers per pointer-chase iteration.
-* :class:`CachedStrategy` — accesses go through one of the software
-  caches (Section 4.2), chosen per offload block by the ``cache(...)``
-  annotation.
+* a software cache (Section 4.2, :mod:`repro.runtime.softcache`),
+  chosen per offload block by the ``cache(...)`` annotation.  The cache
+  *is* the strategy: it has the same ``load`` / ``store`` / ``flush`` on
+  the value clock, and its flat per-slot lists are what the codegen
+  engine binds to serve direct-mapped hits inline.
 """
 
 from __future__ import annotations
@@ -87,22 +89,6 @@ class RawDmaStrategy(OuterStrategy):
         return now
 
 
-class CachedStrategy(OuterStrategy):
-    """Outer accesses through a software cache."""
-
-    def __init__(self, cache: SoftwareCache):
-        self.cache = cache
-
-    def load(self, address: int, size: int, now: int) -> tuple[bytes, int]:
-        return self.cache.load(address, size, now)
-
-    def store(self, address: int, data: bytes, now: int) -> int:
-        return self.cache.store(address, data, now)
-
-    def flush(self, now: int) -> int:
-        return self.cache.flush(now)
-
-
 #: Default software-cache geometry for offload blocks with a
 #: ``cache(...)`` annotation.
 CACHE_LINE_SIZE = 128
@@ -111,7 +97,7 @@ CACHE_NUM_LINES = 64
 
 def build_strategy(
     core: AcceleratorCore, cache_kind: Optional[str]
-) -> tuple[OuterStrategy, int]:
+) -> "tuple[OuterStrategy | SoftwareCache, int]":
     """Create the outer strategy for one offload thread.
 
     Returns ``(strategy, stack_limit)`` — the local-store layout is
@@ -132,7 +118,7 @@ def build_strategy(
         line_size=CACHE_LINE_SIZE,
         num_lines=CACHE_NUM_LINES,
     )
-    return CachedStrategy(cache), cache_base
+    return cache, cache_base
 
 
 class FrameStack:
@@ -172,7 +158,7 @@ class ThreadContext:
         main_memory: MemorySpace,
         stack: FrameStack,
         now: int,
-        strategy: Optional[OuterStrategy] = None,
+        strategy: "OuterStrategy | SoftwareCache | None" = None,
         offload_id: int = -1,
     ):
         self.core = core

@@ -80,6 +80,13 @@ ACCESSOR_TAG = 28
 
 _U32 = 0xFFFFFFFF
 
+#: How each print intrinsic renders its argument.
+PRINTS = {
+    "print_int": int,
+    "print_float": float,
+    "print_char": lambda value: chr(int(value) & 0xFF),
+}
+
 #: Every execution engine ``make_interpreter`` knows how to build.
 #: ``"reference"`` is the decode loop in this module and ``"codegen"``
 #: the source-generating engine (:mod:`repro.vm.codegen`).  The two
@@ -232,6 +239,22 @@ class Interpreter:
         #: uploaded on demand; persists across offload launches because
         #: a loaded code image stays resident on the core.
         self._resident_code: set[tuple[int, str]] = set()
+        #: Batched counters for the hot shared paths both engines call.
+        perf = machine.perf
+        self._sc_outer_loads = perf.slot("outer.loads")
+        self._sc_outer_read = perf.slot("outer.bytes_read")
+        self._sc_outer_stores = perf.slot("outer.stores")
+        self._sc_outer_written = perf.slot("outer.bytes_written")
+        self._sc_vcalls = perf.slot("dispatch.vcalls")
+        #: Each accessor bulk intrinsic's (transfers, bytes) slots.
+        slot = perf.slot
+        self._sc_bulk = {
+            "acc_bulk_get": (slot("accessor.bulk_gets"), slot("accessor.bytes_in")),
+            "acc_bulk_put": (slot("accessor.bulk_puts"), slot("accessor.bytes_out")),
+        }
+        #: Domain-dispatch target name -> (callee, what runs it); filled
+        #: on a target's first virtual call.
+        self._vcall_callees: dict[object, tuple] = {}
         self._racecheckers: list[DmaRaceChecker] = []
         if self.options.racecheck is not None:
             for accelerator in machine.accelerators:
@@ -347,11 +370,10 @@ class Interpreter:
         self, space: AccSpace, address: int, size: int, ctx: ThreadContext
     ) -> bytes:
         if space is AccSpace.OUTER:
-            assert ctx.strategy is not None
-            data, ctx.now = ctx.strategy.load(address, size, ctx.now)
-            ctx.core.perf.add("outer.loads")
-            ctx.core.perf.add("outer.bytes_read", size)
-            return data
+            data, ctx.now = self._load_outer(
+                ctx.strategy, address, size, ctx.now
+            )
+            return data  # type: ignore[return-value]
         memory = self._memory_for(space, ctx)
         if (
             space is AccSpace.LOCAL
@@ -373,14 +395,39 @@ class Interpreter:
         self, space: AccSpace, address: int, data: bytes, ctx: ThreadContext
     ) -> None:
         if space is AccSpace.OUTER:
-            assert ctx.strategy is not None
-            ctx.now = ctx.strategy.store(address, data, ctx.now)
-            ctx.core.perf.add("outer.stores")
-            ctx.core.perf.add("outer.bytes_written", len(data))
+            ctx.now = self._store_outer(ctx.strategy, address, data, ctx.now)
             return
         memory = self._memory_for(space, ctx)
         ctx.now += self._access_cost(space, ctx)
         memory.write_unchecked(address, data)
+
+    def _load_outer(
+        self, strategy, address: int, size: int, now: int, unpack=None
+    ) -> tuple[object, int]:
+        """One outer-space load through the offload's strategy, on the
+        value clock; shared by every engine (codegen's inline hit path
+        aside).  Returns (bytes, time), or (value, time) with a
+        :class:`struct.Struct` ``unpack``."""
+        assert strategy is not None
+        data, now = strategy.load(address, size, now)
+        self._sc_outer_loads.count += 1
+        self._sc_outer_read.count += size
+        if unpack is not None:
+            return unpack(data)[0], now
+        return data, now
+
+    def _store_outer(
+        self, strategy, address: int, data: object, now: int, pack=None
+    ) -> int:
+        """:meth:`_load_outer`'s store, of bytes, or of a value with a
+        :class:`struct.Struct` ``pack``."""
+        assert strategy is not None
+        if pack is not None:
+            data = pack(data)
+        now = strategy.store(address, data, now)
+        self._sc_outer_stores.count += 1
+        self._sc_outer_written.count += len(data)
+        return now
 
     @staticmethod
     def _decode(data: bytes, signed: bool, is_float: bool) -> object:
@@ -427,10 +474,7 @@ class Interpreter:
             while pc < len(code):
                 self._instructions += 1
                 if self._instructions > self.options.max_instructions:
-                    raise RuntimeTrap(
-                        f"instruction budget exceeded "
-                        f"({self.options.max_instructions})"
-                    )
+                    raise self._budget_trap()
                 instr = code[pc]
                 pc += 1
                 if isinstance(instr, Const):
@@ -506,7 +550,13 @@ class Interpreter:
                     if instr.dst is not None:
                         regs[instr.dst] = value
                 elif isinstance(instr, DomainCall):
-                    value = self._exec_domain_call(instr, regs, ctx)
+                    value = self._domain_call_values(
+                        instr.offload_id,
+                        instr.duplicate_id,
+                        int(regs[instr.func_id]),  # type: ignore[arg-type]
+                        [regs[a] for a in instr.args],
+                        ctx,
+                    )
                     if instr.dst is not None:
                         regs[instr.dst] = value
                 elif isinstance(instr, Intrinsic):
@@ -533,6 +583,12 @@ class Interpreter:
             return 0
         finally:
             ctx.stack.pop(saved_sp)
+
+    def _budget_trap(self) -> RuntimeTrap:
+        """The runaway-program trap; shared by every engine."""
+        return RuntimeTrap(
+            f"instruction budget exceeded ({self.options.max_instructions})"
+        )
 
     # ------------------------------------------------------ complex instrs
 
@@ -617,17 +673,6 @@ class Interpreter:
         regs[instr.dst] = merged & _U32
         ctx.core.perf.add("word.inserts")
 
-    def _exec_domain_call(
-        self, instr: DomainCall, regs: list[object], ctx: ThreadContext
-    ) -> object:
-        return self._domain_call_values(
-            instr.offload_id,
-            instr.duplicate_id,
-            int(regs[instr.func_id]),  # type: ignore[arg-type]
-            [regs[a] for a in instr.args],
-            ctx,
-        )
-
     def _domain_call_values(
         self,
         offload_id: int,
@@ -639,24 +684,43 @@ class Interpreter:
         """Domain dispatch on resolved operand values; shared by every
         engine."""
         meta = self.program.offload_meta[offload_id]
-        ctx.core.perf.add("dispatch.vcalls")
+        self._sc_vcalls.count += 1
         try:
             entry, ctx.now = meta.domain.lookup_entry(
                 ctx.core, fid, duplicate_id, ctx.now
             )
         except MissingDuplicateError as exc:
             # Name the method the programmer must annotate: the program
-            # knows which host function the failing id belongs to.
+            # knows which host function the failing id belongs to.  An
+            # id it does not know is a bad pointer, not a missing
+            # annotation: trap as a host indirect call does.
             name = self.program.function_ids.get(fid)
-            if name is not None and name not in exc.method_name:
+            if name is None:
+                raise RuntimeTrap(
+                    f"indirect call through bad function id {fid:#x}"
+                ) from None
+            if name not in exc.method_name:
                 raise MissingDuplicateError(
                     name, exc.duplicate_id, exc.known
                 ) from None
             raise
-        callee = self.program.function(str(entry.target))
+        resolved = self._vcall_callees.get(entry.target)
+        if resolved is None:
+            callee = self.program.function(str(entry.target))
+            resolved = (callee, self._compiled_callee(callee))
+            self._vcall_callees[entry.target] = resolved
+        callee, run = resolved
         if entry.demand:
             self._ensure_code_resident(callee, ctx)
-        return self._exec_function(callee, arg_values, ctx)
+        if run is None:
+            return self._exec_function(callee, arg_values, ctx)
+        return run(self, ctx, *arg_values)
+
+    def _compiled_callee(self, function: IRFunction):
+        """A callable ``(engine, ctx, *args)`` that runs ``function``
+        without going through :meth:`_exec_function`, or None (this
+        engine has none: it decodes)."""
+        return None
 
     def _ensure_code_resident(self, callee: IRFunction, ctx: ThreadContext) -> None:
         """On-demand code loading: the first dispatch to a non-annotated
@@ -688,47 +752,65 @@ class Interpreter:
         name = instr.name
         args = [regs[a] for a in instr.args]
         cost = ctx.core.cost
-        if name == "print_int":
+        if name in PRINTS:
             ctx.now += cost.alu
-            self.output.append((ctx.name, int(args[0])))  # type: ignore[arg-type]
-            return 0
-        if name == "print_float":
-            ctx.now += cost.alu
-            self.output.append((ctx.name, float(args[0])))  # type: ignore[arg-type]
-            return 0
-        if name == "print_char":
-            ctx.now += cost.alu
-            self.output.append((ctx.name, chr(int(args[0]) & 0xFF)))  # type: ignore[arg-type]
+            self._print(ctx, name, args[0])
             return 0
         pure = INTRINSICS.get(name)
         if pure is not None:
             ctx.now += pure.weight * cost.alu
             return pure.fn(*args)
         if name in ("dma_get", "dma_put"):
-            return self._exec_dma(name, args, ctx)
-        if name == "dma_wait":
-            dma = self._require_dma(ctx)
-            tag = int(args[0])  # type: ignore[arg-type]
-            self._check_dma_tag(name, tag)
-            ctx.now = dma.wait(tag, ctx.now)
-            return 0
-        if name == "acc_bulk_get":
-            dma = self._require_dma(ctx)
-            local, outer, size = (int(a) for a in args)  # type: ignore[arg-type]
-            ctx.now = dma.get(ACCESSOR_TAG, local, outer, size, ctx.now)
-            ctx.now = dma.wait(ACCESSOR_TAG, ctx.now)
-            ctx.core.perf.add("accessor.bulk_gets")
-            ctx.core.perf.add("accessor.bytes_in", size)
-            return 0
-        if name == "acc_bulk_put":
-            dma = self._require_dma(ctx)
-            local, outer, size = (int(a) for a in args)  # type: ignore[arg-type]
-            ctx.now = dma.put(ACCESSOR_TAG, local, outer, size, ctx.now)
-            ctx.now = dma.wait(ACCESSOR_TAG, ctx.now)
-            ctx.core.perf.add("accessor.bulk_puts")
-            ctx.core.perf.add("accessor.bytes_out", size)
-            return 0
-        raise AssertionError(f"unhandled intrinsic {name!r}")
+            ctx.now = self._dma_transfer(name, ctx, *args, ctx.now)
+        elif name == "dma_wait":
+            ctx.now = self._dma_wait(name, ctx, args[0], ctx.now)
+        elif name in self._sc_bulk:
+            ctx.now = self._bulk_transfer(name, ctx, *args, ctx.now)
+        else:
+            raise AssertionError(f"unhandled intrinsic {name!r}")
+        return 0
+
+    # The helpers below are each impure intrinsic's one implementation:
+    # both engines call them, on the value clock.
+
+    def _print(self, ctx: ThreadContext, name: str, value: object) -> None:
+        self.output.append((ctx.name, PRINTS[name](value)))
+
+    def _dma_transfer(
+        self, name: str, ctx: ThreadContext, local: object, outer: object,
+        size: object, tag: object, now: int,
+    ) -> int:
+        """``dma_get`` / ``dma_put``: issue one tagged transfer."""
+        dma = self._require_dma(ctx)
+        local, outer, size, tag = int(local), int(outer), int(size), int(tag)  # type: ignore[call-overload]
+        if size <= 0:
+            raise RuntimeTrap(f"{name} with non-positive size {size}")
+        self._check_dma_tag(name, tag)
+        issue = dma.get if name == "dma_get" else dma.put
+        return issue(tag, local, outer, size, now)
+
+    def _dma_wait(
+        self, name: str, ctx: ThreadContext, tag: object, now: int
+    ) -> int:
+        dma = self._require_dma(ctx)
+        tag = int(tag)  # type: ignore[call-overload]
+        self._check_dma_tag(name, tag)
+        return dma.wait(tag, now)
+
+    def _bulk_transfer(
+        self, name: str, ctx: ThreadContext, local: object, outer: object,
+        size: object, now: int,
+    ) -> int:
+        """``acc_bulk_get`` / ``acc_bulk_put``: one accessor transfer and
+        its wait."""
+        dma = self._require_dma(ctx)
+        local, outer, size = int(local), int(outer), int(size)  # type: ignore[call-overload]
+        issue = dma.get if name == "acc_bulk_get" else dma.put
+        now = dma.wait(ACCESSOR_TAG, issue(ACCESSOR_TAG, local, outer, size, now))
+        transfers, moved = self._sc_bulk[name]
+        transfers.count += 1
+        moved.count += size
+        return now
 
     def _require_dma(self, ctx: ThreadContext):
         core = ctx.core
@@ -751,18 +833,6 @@ class Interpreter:
                 f"{name} with out-of-range DMA tag {tag} "
                 f"(valid tags are 0..{NUM_TAGS - 1})"
             )
-
-    def _exec_dma(self, name: str, args: list[object], ctx: ThreadContext) -> object:
-        dma = self._require_dma(ctx)
-        local, outer, size, tag = (int(a) for a in args)  # type: ignore[arg-type]
-        if size <= 0:
-            raise RuntimeTrap(f"{name} with non-positive size {size}")
-        self._check_dma_tag(name, tag)
-        if name == "dma_get":
-            ctx.now = dma.get(tag, local, outer, size, ctx.now)
-        else:
-            ctx.now = dma.put(tag, local, outer, size, ctx.now)
-        return 0
 
     # ------------------------------------------------------------ offloads
 

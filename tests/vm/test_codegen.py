@@ -319,8 +319,8 @@ class TestCacheKey:
     ):
         """A cache directory left by the previous translation scheme
         holds an entry that would crash (or, worse, miscount) if it ran:
-        version 2 neither finds nor ``exec``s it."""
-        assert codegen_module.CODEGEN_VERSION == 2
+        the current version neither finds nor ``exec``s it."""
+        assert codegen_module.CODEGEN_VERSION > 1
         cache = CompileCache(str(tmp_path))
         program = _fresh_program()
         poison = marshal.dumps((

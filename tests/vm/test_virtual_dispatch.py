@@ -3,8 +3,10 @@ domain dispatch (Figure 3)."""
 
 import pytest
 
-from repro.errors import MissingDuplicateError
+from repro.errors import MissingDuplicateError, RuntimeTrap
+from repro.game.sources import ai_kernel_source
 from repro.machine.config import CELL_LIKE, SMP_UNIFORM
+from repro.vm.interpreter import RunOptions
 from tests.conftest import printed, run_source
 
 SHAPES = """
@@ -155,6 +157,32 @@ class TestAcceleratorDomainDispatch:
             run_source(source)
         assert "Circle::area" in str(excinfo.value)
         assert "domain annotation" in str(excinfo.value)
+
+    @pytest.mark.parametrize("engine", ["codegen", "reference"])
+    def test_null_vtable_slot_traps_like_a_bad_indirect_call(self, engine):
+        """A function id the program does not know is a bad pointer, not
+        a missing annotation: the host ``ICall``'s trap, on both engines."""
+        source = ai_kernel_source(entity_count=4, check_count=5)
+        filled = "    g_checks[4] = &g_c0;\n"
+        assert filled in source
+        with pytest.raises(RuntimeTrap) as excinfo:
+            run_source(
+                source.replace(filled, ""),
+                run_options=RunOptions(engine=engine),
+            )
+        assert str(excinfo.value) == "indirect call through bad function id 0x0"
+
+    @pytest.mark.parametrize("checks", [5, 8])
+    def test_more_checks_than_classes_fill_every_slot(self, checks):
+        results = [
+            run_source(
+                ai_kernel_source(entity_count=8, check_count=checks),
+                run_options=RunOptions(engine=engine),
+            )
+            for engine in ("codegen", "reference")
+        ]
+        assert results[0].printed == results[1].printed
+        assert results[0].cycles == results[1].cycles
 
     def test_local_object_needs_local_duplicate(self):
         source = (
