@@ -109,15 +109,25 @@ def compile_cache_key(
     directory), same compiler options, same artifact format version.
     """
     config = resolve_target(config, source="compile_cache_key")
-    material = to_canonical_json(
-        {
-            "artifact_version": ARTIFACT_VERSION,
-            "source": source_fingerprint(source),
-            "config": dataclasses.asdict(config),
-            "options": dataclasses.asdict(options),
-        }
+    # ``to_canonical_json`` of the four fields, spelled out so each
+    # frozen dataclass is serialized once per object, not once per key.
+    material = (
+        f'{{"artifact_version":{ARTIFACT_VERSION},'
+        f'"config":{_fields_json(config)},'
+        f'"options":{_fields_json(options)},'
+        f'"source":"{source_fingerprint(source)}"}}'
     )
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
+
+
+def _fields_json(frozen: object) -> str:
+    """Canonical JSON of a frozen dataclass's fields, kept on the object
+    after the first call (its fields cannot change under it)."""
+    text = frozen.__dict__.get("_fields_json")
+    if text is None:
+        text = to_canonical_json(dataclasses.asdict(frozen))  # type: ignore[call-overload]
+        object.__setattr__(frozen, "_fields_json", text)
+    return text
 
 
 @dataclasses.dataclass

@@ -338,7 +338,13 @@ class Farm:
         for worker in self._pool:
             worker.busy_seconds = 0.0
         started = time.perf_counter()
-        keys = [program_key(job) for job in jobs]
+        # One key per distinct job object: a repeated batch lists the
+        # same jobs many times over.
+        by_job: dict[int, str] = {}
+        for job in jobs:
+            if id(job) not in by_job:
+                by_job[id(job)] = program_key(job)
+        keys = [by_job[id(job)] for job in jobs]
         pending: deque[tuple[int, int]] = deque(
             (index, 1) for index in range(len(jobs))
         )

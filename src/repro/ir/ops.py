@@ -7,11 +7,16 @@ substitutes operand text into it; the reference interpreter and the
 constant folder call ``Op.fn``, the *same* text compiled at import; cost
 model and register typing read ``weight`` / ``result``; the interval
 analysis is checked against ``fn`` (``tests/analysis/test_ops_table.py``).
+
+So are scalar loads and stores: :data:`SCALARS` gives each shape's
+``struct`` codec and typed-view formats, for both engines.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from typing import Callable, NamedTuple, Optional
 
 from repro.errors import RuntimeTrap
@@ -128,3 +133,23 @@ INTRINSICS = {
 }
 #: The two result wraps on their own: ``WRAPS[signed].fn(value)``.
 WRAPS = {_flag: _op(_WRAP[_flag].format("{a}"), "i", "int") for _flag in (False, True)}
+
+
+class Scalar(NamedTuple):
+    codec: struct.Struct  #: the little-endian codec, valid at any address
+    #: ``memoryview.cast`` format loading (storing) exactly what the codec
+    #: does, or None: a big-endian host, or an ``f`` store (the codec
+    #: raises on a value out of range, a view rounds it to inf).
+    load_view: Optional[str]
+    store_view: Optional[str]
+
+
+#: Scalar shapes by ``(size, signed, is_float)``.  Integer stores use the
+#: unsigned row of their width (callers mask first).
+SCALARS: dict[tuple[int, bool, bool], Scalar] = {}
+for _fmt in "bBhHiIqQfd":
+    _size = struct.calcsize("<" + _fmt)
+    _view = _fmt if sys.byteorder == "little" and struct.calcsize(_fmt) == _size else None
+    _row = Scalar(struct.Struct("<" + _fmt), _view, None if _fmt == "f" else _view)
+    for _flag in (False, True) if _fmt in "fd" else (_fmt.islower(),):
+        SCALARS[_size, _flag, _fmt in "fd"] = _row

@@ -16,37 +16,8 @@ from __future__ import annotations
 
 import mmap
 import struct
-from typing import Optional
 
 from repro.errors import MemoryFault
-
-#: Pre-built codecs for the scalar shapes the VM actually moves, keyed by
-#: ``(size, signed, is_float)``.  Integer stores always go through the
-#: unsigned codec of the right width (callers mask first), so two's
-#: complement encodings round-trip without range errors.
-_SCALAR_CODECS: dict[tuple[int, bool, bool], struct.Struct] = {
-    (1, True, False): struct.Struct("<b"),
-    (1, False, False): struct.Struct("<B"),
-    (2, True, False): struct.Struct("<h"),
-    (2, False, False): struct.Struct("<H"),
-    (4, True, False): struct.Struct("<i"),
-    (4, False, False): struct.Struct("<I"),
-    (8, True, False): struct.Struct("<q"),
-    (8, False, False): struct.Struct("<Q"),
-    (4, True, True): struct.Struct("<f"),
-    (4, False, True): struct.Struct("<f"),
-    (8, True, True): struct.Struct("<d"),
-    (8, False, True): struct.Struct("<d"),
-}
-
-
-def scalar_codec(size: int, signed: bool, is_float: bool) -> Optional[struct.Struct]:
-    """The cached :class:`struct.Struct` for a scalar shape, or None.
-
-    Returns None for widths with no native codec (callers fall back to
-    ``int.from_bytes``/``int.to_bytes`` paths).
-    """
-    return _SCALAR_CODECS.get((size, signed, is_float))
 
 
 class MemorySpace:
@@ -72,6 +43,18 @@ class MemorySpace:
         # touch, so building a 16 MiB space costs microseconds and only
         # the pages a run writes ever become resident.
         self._data = mmap.mmap(-1, size)
+
+    def __getattr__(self, name: str) -> memoryview:
+        """``v_<fmt>`` (``v_f``, ``v_I`` ...): the store as a typed view of
+        its largest whole-item prefix (holding every aligned in-bounds
+        access), cast on first use and a plain attribute after."""
+        if not name.startswith("v_"):
+            raise AttributeError(name)
+        raw = memoryview(self._data)
+        fmt = name[2:]
+        view = raw[: len(raw) - len(raw) % struct.calcsize(fmt)].cast(fmt)
+        setattr(self, name, view)
+        return view
 
     # ---------------------------------------------------------------- raw
 

@@ -79,6 +79,17 @@ Translation scheme
 * **Typedness.**  A per-function fixpoint classifies registers as
   int-typed / float-typed / unknown, eliding the defensive ``int()`` /
   ``float()`` coercions where a register's value class is proven.
+* **Typed views.**  A main or local scalar access indexes a
+  ``memoryview`` cast of the backing store (``MemorySpace.v_<fmt>``,
+  bound at entry as ``_mvf``, ``_lvI`` ...) where
+  :data:`repro.ir.ops.SCALARS` gives a view format, after the unchanged
+  bounds test.  A site :func:`_known_alignment` proves aligned uses the
+  view directly; any other tests ``_a & (size - 1)`` and takes the
+  ``struct`` codec when misaligned.
+* **Hoisting.**  In a ``while True:`` loop, a forwarded int-typed,
+  trap-free expression reading no register the loop defines is bound
+  once before the outermost such loop (``_h0 = ...``).  Host work only:
+  budget tests and clock charges stay in place.
 * **Per-duplicate specialization.**  Offload duplicates are separate
   IR functions (``IRFunction.duplicate_id``), so each duplicate gets
   its own specialized generated function — memory-space operands and
@@ -183,7 +194,6 @@ from repro.ir.serialize import (
 )
 from repro.machine.config import CostModel
 from repro.machine.machine import Machine
-from repro.machine.memory import scalar_codec
 from repro.obs.trace import EV_ENTER, EV_EXIT, EV_FRAME
 from repro.runtime.softcache import (
     NO_INLINE,
@@ -196,7 +206,7 @@ from repro.vm.interpreter import PRINTS, Interpreter, RunOptions
 #: Bumped whenever the translation scheme changes in any way that can
 #: affect generated source; part of the disk cache key and kind so
 #: stale cached modules are never re-executed.
-CODEGEN_VERSION = 3
+CODEGEN_VERSION = 4
 
 #: Pseudo-filename under which generated code is compiled (shows up in
 #: tracebacks from generated code).
@@ -332,6 +342,70 @@ def _infer_reg_types(function: IRFunction) -> dict[int, str]:
     return types
 
 
+#: Most low zero bits a register is credited with (a 32-bit 0's).
+_ALIGN_TOP = 32
+#: The BinOps whose result's known low zero bits follow their operands'.
+_ALIGN_OPS = frozenset(("+", "-", "*", "&", "<<"))
+
+
+def _zero_bits(value: object) -> int:
+    """Low zero bits of an int constant (0 for anything else)."""
+    if type(value) is not int:
+        return 0
+    return (value & -value).bit_length() - 1 if value & 0xFFFFFFFF else _ALIGN_TOP
+
+
+def _known_alignment(
+    function: IRFunction, program: IRProgram, defs: list, entry_live: int
+) -> dict[int, int]:
+    """Flow-insensitive fixpoint of each register's known low zero bits,
+    shaped like :func:`_infer_reg_types`: each register starts at
+    :data:`_ALIGN_TOP` (its 0 initializer) and every definition (``defs``
+    holds each instruction's) can only lower it.  A shift count is
+    constant when every definition is the same ``Const`` and it is not
+    live into the entry (the mask ``entry_live``)."""
+    nparams = len(function.params)
+    known = dict.fromkeys(range(nparams), 0)
+    consts: dict[int, object] = {}
+    flows = []  # (reg, op, a, b): the definitions that read registers
+    for instr, reg in zip(function.code, defs):
+        if reg is None:
+            continue
+        kind, value, bits = type(instr), None, _ALIGN_TOP
+        if kind is Move:
+            flows.append((reg, "+", instr.src, instr.src))
+        elif kind is BinOp and instr.op in _ALIGN_OPS and not instr.float_op:
+            flows.append((reg, instr.op, instr.a, instr.b))
+        elif kind is Const:
+            bits = _zero_bits(instr.value)
+            if reg >= nparams and not entry_live >> reg & 1:
+                value = instr.value
+        elif kind is GlobalAddr:
+            slot = program.globals.get(instr.name)
+            bits = 0 if slot is None else _zero_bits(slot.address)
+        elif kind is FrameAddr and function.frame_size:
+            bits = min(4, _zero_bits(instr.offset))
+        else:  # params, loads, calls ...: nothing
+            bits = 0
+        consts[reg] = value if consts.get(reg, value) == value else None
+        if bits < known.get(reg, _ALIGN_TOP):
+            known[reg] = bits
+    changed = True
+    while changed:  # sums above _ALIGN_TOP never lower a register
+        changed = False
+        for reg, op, a, b in flows:
+            x, y = known.get(a, _ALIGN_TOP), known.get(b, _ALIGN_TOP)
+            if op == "<<":
+                shift = consts.get(b)
+                new = x + (shift & 31) if type(shift) is int else 0
+            else:
+                new = min(x, y) if op in "+-" else x + y if op == "*" else max(x, y)
+            if new < known.get(reg, _ALIGN_TOP):
+                known[reg] = new
+                changed = True
+    return known
+
+
 #: One emitted statement line: (relative indent, text).
 _Lines = list[tuple[int, str]]
 
@@ -406,11 +480,22 @@ class _FunctionEmitter:
         #: Cycles the outer access just translated charges up front (see
         #: ``_emit_outer``); ``_body`` adds them to the segment it closes.
         self._lead = 0
+        #: Typed-view formats the prologue binds per memory (``_m`` main,
+        #: ``_l`` local): ``_mvf`` is ``_mm.v_f``.
+        self.views: dict[str, set[str]] = {"_m": set(), "_l": set()}
         #: Block-local values not stored yet: register -> [text,
-        #: registers the text reads, uses left, live at block end].
+        #: registers the text reads, uses left, live at block end,
+        #: header of the loop it is invariant in or None].
         self.env: dict[int, list] = {}
         self._deps: set[int] = set()
         self._coerced = False
+        #: (text, loop header) of each invariant value the instruction
+        #: being translated read; (loop header, ``_hN = text``) of each
+        #: binding to place before a loop; per loop header, its blocks and
+        #: the mask of registers they define (empty: no hoisting).
+        self._invariant: list[tuple[str, int]] = []
+        self.hoisted: list[tuple[int, str]] = []
+        self.loop_defs: dict[int, tuple[set[int], int]] = {}
         #: How to read an operand of each :class:`repro.ir.ops.Op` kind.
         self._read_as = {"i": self.iv, "f": self.fv, "r": self.rv}
 
@@ -426,6 +511,8 @@ class _FunctionEmitter:
             return f"r{reg}"
         entry[2] -= 1
         self._deps |= entry[1]
+        if entry[4] is not None:
+            self._invariant.append((entry[0], entry[4]))
         return entry[0]
 
     def iv(self, reg: int) -> str:
@@ -456,6 +543,8 @@ class _FunctionEmitter:
         nparams = len(fn.params)
         self.blocks = self._collect_blocks()
         self._analyse()
+        entry_live = self.live_in[0] if self.blocks else 0
+        self.align = _known_alignment(fn, self.program, self.defs, entry_live)
         self._bodies: dict[int, _Lines] = {}
         #: CJump condition of each emitted block, as an ``if`` test.
         self.conds: dict[int, str] = {}
@@ -467,12 +556,14 @@ class _FunctionEmitter:
                 if max(body)[0] > 60:  # lines sort by indent first
                     raise _Unstructured("nesting too deep for the parser")
             except _Unstructured:
+                self.loop_defs, self.hoisted = {}, []  # a ladder has no loops
+                self._bodies.clear()
                 body = self._ladder()
 
         # Prologue (after the body so the uses_* flags are known).
         params = "".join(f", r{i}" for i in range(nparams))
         lines: _Lines = [(0, f"def {self.func_names[fn.name]}(eng, ctx{params}):")]
-        entry_live = self.live_in[0] >> nparams if self.blocks else 0
+        entry_live >>= nparams
         init = [
             f"r{nparams + i}" for i in range(entry_live.bit_length())
             if entry_live >> i & 1
@@ -501,8 +592,11 @@ class _FunctionEmitter:
         if self.uses_ls:
             # No local store: size -1 fails every bounds test, and the
             # slow path under it raises the "has none" trap.
+            views = sorted(self.views["_l"])
+            names, nones = "".join(f", _lv{f}" for f in views), ", None" * len(views)
+            reads = "".join(f", _ls.v_{fmt}" for fmt in views)
             lines.append((1, "_ls = ctx.local_store"))
-            lines.append((1, "_ld, _lz = (None, -1) if _ls is None else (_ls._data, _ls.size)"))
+            lines.append((1, f"_ld, _lz{names} = (None, -1{nones}) if _ls is None else (_ls._data, _ls.size{reads})"))
         if self.uses_chk:
             lines.append((1, "_chk = None"))
             lines.append((1, "if eng._chk_discipline and ctx.is_accel and _ls is not None:"))
@@ -511,6 +605,8 @@ class _FunctionEmitter:
             lines.append((1, "_mm = ctx.main_memory"))
             lines.append((1, "_md = _mm._data"))
             lines.append((1, "_mz = _mm.size"))
+            for fmt in sorted(self.views["_m"]):
+                lines.append((1, f"_mv{fmt} = _mm.v_{fmt}"))
         lines.append((1, "try:"))
         lines.extend(_indent(body, 2))
         # Both only ever grow, so the larger is the live one whether the
@@ -610,6 +706,7 @@ class _FunctionEmitter:
                     defined |= 1 << self.defs[j]
             use_masks.append(used)
             def_masks.append(defined)
+        self.def_masks = def_masks
         #: The successors that are blocks, as the CFG's edges.
         self.edges = [
             sorted({t for t in succ if type(t) is int and t >= 0})
@@ -637,9 +734,37 @@ class _FunctionEmitter:
         env.pop(reg, None)
         if reg in self._read:
             for other in [k for k, entry in env.items() if reg in entry[1]]:
-                text, _, left, live = env.pop(other)
+                text, _, left, live, _ = env.pop(other)
                 if left or live:
                     out.append((0, f"r{other} = {text}"))
+
+    def _invariant_in(self, index: int) -> Optional[int]:
+        """Header of the outermost loop around block ``index`` that
+        defines no register the value just translated reads."""
+        mask = sum(1 << reg for reg in self._deps)
+        best = None
+        for header, (body, defined) in self.loop_defs.items():
+            if index in body and not defined & mask and (
+                best is None or len(body) > len(self.loop_defs[best][0])
+            ):
+                best = header
+        return best
+
+    def _hoist(self, result):
+        """Bind each invariant value the instruction read before its loop
+        and read the binding in ``result`` (an expression or lines); one
+        no longer spelled out whole (a bare branch test) stays put."""
+        if not self._invariant:
+            return result
+        lines = [(0, result)] if isinstance(result, str) else list(result)
+        for text, header in self._invariant:
+            at = next((i for i, (_, line) in enumerate(lines) if text in line), None)
+            if at is not None:
+                name = f"_h{len(self.hoisted)}"
+                self.hoisted.append((header, f"{name} = {text}"))
+                lines[at] = (lines[at][0], lines[at][1].replace(text, name, 1))
+        self._invariant = []
+        return lines[0][1] if isinstance(result, str) else lines
 
     def _body(self, index: int) -> _Lines:
         """One block up to (and charging for) its terminator: the budget
@@ -685,14 +810,19 @@ class _FunctionEmitter:
             can_raise = False
 
         def store_live() -> None:
-            for reg, (text, _, _, wanted) in env.items():
+            for reg, (text, _, _, wanted, _) in env.items():
                 if wanted:
                     pending_lines.append((0, f"r{reg} = {text}"))
 
         for j in range(leader, end):
             instr = code[j]
+            self._invariant = []
             if isinstance(instr, _TERMINATORS):
                 tail = self._emit_terminator(index, instr)
+                if isinstance(instr, CJump):
+                    self.conds[index] = self._hoist(self.conds[index])
+                else:
+                    tail = self._hoist(tail)
                 store_live()
                 if not tail and not can_raise:
                     # Nothing in the last segment can observe the clock
@@ -716,13 +846,22 @@ class _FunctionEmitter:
                     reads_left == 1 and not wanted and not self._coerced
                     and len(result) < _MAX_FORWARD_CHARS
                 ):
-                    env[reg] = [result, self._deps, reads_left, wanted]
+                    # An invariant value is hoisted whole by its reader;
+                    # any other binds what it read before their loops.
+                    loop = None
+                    if self.loop_defs and result[0] == "(" and self.types.get(reg, _INT) == _INT:
+                        loop = self._invariant_in(index)
+                    if loop is None:
+                        result = self._hoist(result)
+                    env[reg] = [result, self._deps, reads_left, wanted, loop]
                     self._read |= self._deps
                     result = []
                 elif reads_left or wanted or self._coerced:
-                    result = [(0, f"r{reg} = {result}")]
+                    result = [(0, f"r{reg} = {self._hoist(result)}")]
                 else:
                     result = []
+            else:
+                result = self._hoist(result)
             if charge is None:
                 pending_charge += self._lead
                 self._lead = 0
@@ -777,6 +916,11 @@ class _FunctionEmitter:
             return self._block(0, None, 0)[0]
         cfg = self.cfg = self._cfg()
         self.loops = {loop.header: loop.body for loop in cfg.natural_loops()}
+        for header, body in self.loops.items():
+            defined = 0
+            for i in body:
+                defined |= self.def_masks[i]
+            self.loop_defs[header] = (body, defined)
         self.back = set(cfg.back_edges())
         self.pending = [0] * len(self.blocks)
         for i in cfg.reverse_postorder():
@@ -817,6 +961,7 @@ class _FunctionEmitter:
                     raise _Unstructured(f"loop {b} falls into block {left}")
                 if lines[-1] == (0, "continue"):
                     lines.pop()  # the bottom of the body loops anyway
+                out += [(0, text) for h, text in self.hoisted if h == b]
                 out += [(0, "while True:"), *_indent(lines)]
                 if not inner[2]:
                     return out, None
@@ -1050,9 +1195,9 @@ class _FunctionEmitter:
     def _emit_load(self, instr: Load) -> tuple[_Lines, Optional[int]]:
         d, size = instr.dst, instr.size
         addr = self.iv(instr.addr)
-        codec = scalar_codec(*instr.scalar_key)
+        row = ops.SCALARS.get(instr.scalar_key)
 
-        if instr.space is AccSpace.OUTER and codec is not None:
+        if instr.space is AccSpace.OUTER and row is not None:
             upf = self._codec_name("upf", instr.scalar_key)
             up = self._codec_name("up", instr.scalar_key)
             return self._emit_outer(addr, size, False, lambda a: [
@@ -1062,7 +1207,7 @@ class _FunctionEmitter:
                     f"_s, {a}, {size}, {now}, {up})"),
             ]), None
 
-        if codec is None:
+        if row is None:
             # Exotic width: defer to the reference helpers wholesale
             # (which charge the clock themselves).
             sp = _SPACE_NAMES[instr.space]
@@ -1078,19 +1223,13 @@ class _FunctionEmitter:
             ], None
 
         upf = self._codec_name("upf", instr.scalar_key)
-        if instr.space is AccSpace.MAIN:
-            self.uses_mm = True
-            return [
-                (0, f"_a = {addr}"),
-                (0, f"if _a < 0 or _a + {size} > _mz:"),
-                (1, f"_mm.check_bounds(_a, {size})"),
-                (0, f"r{d} = {upf}(_md, _a)[0]"),
-            ], self.cost.host_mem_access
-
-        self.uses_ls = True
+        mem = "_m" if instr.space is AccSpace.MAIN else "_l"
+        access = self._direct(instr, addr, mem, row.load_view, f"{upf}({mem}d, _a)[0]")
+        if mem == "_m":
+            return access, self.cost.host_mem_access
         self.uses_chk = True
         return [
-            (0, f"_a = {addr}"),
+            access[0],
             (0, "if _chk is not None and _chk._in_flight:"),
             (1, f"_cf = _chk.pending_local_conflict(_a, {size})"),
             (1, "if _cf is not None:"),
@@ -1099,9 +1238,43 @@ class _FunctionEmitter:
                 'raise RuntimeTrap(f"local store read at {_a:#x} overlaps'
                 ' in-flight {_cf.describe()}; missing dma_wait")',
             ),
-            *self._local_bounds(size),
-            (0, f"r{d} = {upf}(_ld, _a)[0]"),
+            *access[1:],
         ], self.cost.local_access
+
+    def _direct(self, instr, addr: str, mem: str, fmt: Optional[str], slow: str) -> _Lines:
+        """A main (``mem`` ``_m``) or local (``_l``) scalar access at
+        ``addr``, bound to ``_a``, behind the bounds test whose arm traps
+        (no ``_a < 0`` half for an address wrapped to 32 bits).  ``slow``
+        is its ``struct`` form: a load's value, a store's statement.  A
+        known-aligned site indexes the typed view ``fmt`` instead; any
+        other tests ``_a`` for alignment and, when misaligned, takes
+        ``slow``.  With ``fmt`` None it is ``slow`` alone."""
+        size = instr.size
+        if mem == "_m":
+            self.uses_mm = True
+            trap = [(0, f"_mm.check_bounds(_a, {size})")]
+        else:
+            self.uses_ls = True
+            trap = [(0, "if _ls is None:"), (1, 'raise RuntimeTrap(f"local-store'
+                    ' access on core {ctx.name} which has none")'),
+                    (0, f"_ls.check_bounds(_a, {size})")]
+        test = f"_a + {size} > {mem}z"
+        if not addr.endswith("& 0xFFFFFFFF)"):
+            test = f"_a < 0 or {test}"
+        load = f"r{instr.dst} = " if isinstance(instr, Load) else ""
+        head = [(0, f"_a = {addr}"), (0, f"if {test}:"), *_indent(trap)]
+        if fmt is None:
+            return head + [(0, load + slow)]
+        self.views[mem].add(fmt)
+        shift = size.bit_length() - 1
+        item = f"{mem}v{fmt}[_a >> {shift}]" if shift else f"{mem}v{fmt}[_a]"
+        fast = load + item if load else f"{item} = _v"
+        if self.align.get(instr.addr, _ALIGN_TOP) >= shift:
+            return head + [(0, fast)]
+        if load:
+            return head + [(0, f"{load}{slow} if _a & {size - 1} else {item}")]
+        head[1] = (0, f"if {test} or _a & {size - 1}:")
+        return head + [(1, slow), (0, "else:"), (1, fast)]
 
     def _emit_outer(
         self, addr: str, size: int, store: bool,
@@ -1131,26 +1304,14 @@ class _FunctionEmitter:
             *_indent(miss(addr, f"_now - {self._lead}")),
         ]
 
-    def _local_bounds(self, size: int) -> _Lines:
-        return [
-            (0, f"if _a < 0 or _a + {size} > _lz:"),
-            (1, "if _ls is None:"),
-            (
-                2,
-                'raise RuntimeTrap(f"local-store access on core'
-                ' {ctx.name} which has none")',
-            ),
-            (1, f"_ls.check_bounds(_a, {size})"),
-        ]
-
     def _emit_store(self, instr: Store) -> tuple[_Lines, Optional[int]]:
         src, size = instr.src, instr.size
         addr = self.iv(instr.addr)
         is_float = instr.is_float
         key = (size, False, is_float)
-        codec = scalar_codec(*key)
+        row = ops.SCALARS.get(key)
 
-        if codec is None:
+        if row is None:
             sp = _SPACE_NAMES[instr.space]
             return [
                 (0, f"_data = eng._encode({self.rv(src)}, {size}, {is_float})"),
@@ -1172,23 +1333,11 @@ class _FunctionEmitter:
             ], lambda a, now: [
                 (0, f"_now = eng._store_outer(_s, {a}, _v, {now}, {pk})"),
             ])], None
-        if instr.space is AccSpace.MAIN:
-            self.uses_mm = True
-            return [
-                (0, value),
-                (0, f"_a = {addr}"),
-                (0, f"if _a < 0 or _a + {size} > _mz:"),
-                (1, f"_mm.check_bounds(_a, {size})"),
-                (0, f"{pki}(_md, _a, _v)"),
-            ], self.cost.host_mem_access
-
-        self.uses_ls = True
-        return [
-            (0, value),
-            (0, f"_a = {addr}"),
-            *self._local_bounds(size),
-            (0, f"{pki}(_ld, _a, _v)"),
-        ], self.cost.local_access
+        main = instr.space is AccSpace.MAIN
+        mem = "_m" if main else "_l"
+        return [(0, value), *self._direct(
+            instr, addr, mem, row.store_view, f"{pki}({mem}d, _a, _v)"
+        )], self.cost.host_mem_access if main else self.cost.local_access
 
     # ----------------------------------------------------------- sub-word
 
@@ -1327,20 +1476,16 @@ def _prelude(needs: set, program: IRProgram) -> str:
         "import math",
         "from repro.errors import RuntimeTrap",
         "from repro.ir.instructions import AccSpace",
-        "from repro.machine.memory import scalar_codec as _codec",
+        "from repro.ir.ops import SCALARS as _SCALARS",
         "from repro.vm.interpreter import _int_div, _int_rem",
         "",
         "_SP_MAIN = AccSpace.MAIN",
         "_SP_LOCAL = AccSpace.LOCAL",
         "_SP_OUTER = AccSpace.OUTER",
     ]
-    codec_keys = sorted(
-        key for kind, key in needs if kind == "codec"
-    )
-    for key in codec_keys:
-        size, signed, is_float = key
+    for key in sorted(key for kind, key in needs if kind == "codec"):
         sfx = _codec_suffix(key)
-        lines.append(f"_c_{sfx} = _codec({size}, {signed}, {is_float})")
+        lines.append(f"_c_{sfx} = _SCALARS[{', '.join(map(str, key))}].codec")
         lines.append(f"_up_{sfx} = _c_{sfx}.unpack")
         lines.append(f"_upf_{sfx} = _c_{sfx}.unpack_from")
         lines.append(f"_pk_{sfx} = _c_{sfx}.pack")

@@ -13,7 +13,6 @@ concurrency — while clock arithmetic models the overlap, so joins see
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -47,7 +46,7 @@ from repro.ir.module import IRFunction, IRProgram
 
 # Generated modules, the ones in disk caches included, import
 # ``_int_div`` / ``_int_rem`` from this module.
-from repro.ir.ops import BINOPS, INTRINSICS, UNOPS, _int_div, _int_rem  # noqa: F401
+from repro.ir.ops import BINOPS, INTRINSICS, SCALARS, UNOPS, _int_div, _int_rem  # noqa: F401
 from repro.machine.config import MachineConfig, resolve_target
 from repro.machine.cores import AcceleratorCore
 from repro.machine.dma import NUM_TAGS
@@ -432,17 +431,13 @@ class Interpreter:
     @staticmethod
     def _decode(data: bytes, signed: bool, is_float: bool) -> object:
         if is_float:
-            if len(data) == 4:
-                return struct.unpack("<f", data)[0]
-            return struct.unpack("<d", data)[0]
+            return SCALARS[len(data), signed, True].codec.unpack(data)[0]
         return int.from_bytes(data, "little", signed=signed)
 
     @staticmethod
     def _encode(value: object, size: int, is_float: bool) -> bytes:
         if is_float:
-            if size == 4:
-                return struct.pack("<f", float(value))  # type: ignore[arg-type]
-            return struct.pack("<d", float(value))  # type: ignore[arg-type]
+            return SCALARS[size, False, True].codec.pack(float(value))  # type: ignore[arg-type]
         mask = (1 << (8 * size)) - 1
         return (int(value) & mask).to_bytes(size, "little")  # type: ignore[arg-type]
 

@@ -16,7 +16,7 @@ from repro.compiler.cache import (
 )
 from repro.compiler.driver import CompileOptions, compile_program
 from repro.ir.serialize import program_to_json
-from repro.machine.config import CELL_LIKE, DSP_WORD, SMP_UNIFORM
+from repro.machine.config import CELL_LIKE, DSP_WORD, SMP_UNIFORM, target_names
 from repro.machine.machine import Machine
 from repro.game.sources import figure2_source
 from repro.vm.codegen import warm_translations
@@ -64,6 +64,31 @@ class TestCacheKey:
             CompileOptions(wordaddr_mode="emulate"),
         ):
             assert compile_cache_key(SOURCE, CELL_LIKE, options) != base
+
+    #: Digests of one source per registered target x (default, optimising)
+    #: options: cache entries written by earlier versions stay reachable.
+    PINNED = {
+        ("cell", False): "68720f8cf7264810ea25d2a6ceb8fc22c2165132f94f5ec52a32cc95d83a08c8",
+        ("cell", True): "43ef8496cb8e2293c76548b1d48f3e4f659f9ee6442a3ba267f6528de683f662",
+        ("smp", False): "a1b36cac5f40936b2b88a8f3b076222b5d932d6d147ca2f86b8fc1b707f5a069",
+        ("smp", True): "6b0ba1964ec2e87a9aa5c76e7b6f402e0eea65a60c42b01c2897979fc6cd0ae8",
+        ("dsp", False): "5036e5bb41e9e15883a2cc6a6fd1543987fc93584163b8a88d6a2b144de759e9",
+        ("dsp", True): "10ac5a3d21b4a616af4dab27eb8c5cf32289dcdb116ea0f0aa3a87cf4d263137",
+        ("apu", False): "2f261779d1adcd4ec57057cbb2bec6588a6f21ac858b3169fe4ed95c8c575f92",
+        ("apu", True): "5aa9552682513c949e0dae3e4db4e165e15988b2d1ba50303045e7cf4ac152bb",
+        ("manycore", False): "25e30e2d95deab07460a59f16004ece89da7e054cbfeac61796c68906bb668df",
+        ("manycore", True): "537065156edf424debad6a1e00f373e858e9a7aa325d0e94deaf885028af6d68",
+    }
+
+    def test_keys_are_pinned_for_every_target(self):
+        assert {name for name, _ in self.PINNED} == set(target_names())
+        for (target, optimize), digest in self.PINNED.items():
+            options = CompileOptions(optimize=optimize)
+            for _ in range(2):  # serialized, then served from the object
+                key = compile_cache_key(
+                    "void main() { print_int(7); }\n", target, options
+                )
+                assert key == digest, (target, optimize)
 
 
 class TestDiskBackend:

@@ -19,9 +19,31 @@ else:
     # Tier-1 must be reproducible: property tests draw the same examples
     # on every run, so a counter-example is a deterministic failure to
     # fix rather than a flake in ``-x`` runs.  Fuzzing sessions restore
-    # random exploration with ``pytest --hypothesis-profile=default``.
+    # random exploration, at FUZZ_SCALE times each test's budget, with
+    # ``pytest tests/properties --hypothesis-profile=fuzz``.
     settings.register_profile("tier1", derandomize=True)
+    settings.register_profile("fuzz", derandomize=False, deadline=None)
     settings.load_profile("tier1")
+
+#: How many times its pinned ``max_examples`` a property test draws under
+#: the ``fuzz`` profile.
+FUZZ_SCALE = 20
+
+
+def pytest_collection_modifyitems(config, items):
+    """Under ``--hypothesis-profile=fuzz``, scale every property test's
+    budget: a ``@settings(max_examples=...)`` on the test outranks any
+    profile, so the profile alone cannot raise it."""
+    if config.getoption("hypothesis_profile", None) != "fuzz":
+        return
+    # Once per function: parametrized items and methods share one.
+    tests = {getattr(test, "__func__", test) for test in (getattr(item, "obj", None) for item in items)}
+    for test in tests:
+        pinned = getattr(test, "_hypothesis_internal_use_settings", None)
+        if pinned is not None:
+            test._hypothesis_internal_use_settings = settings(
+                pinned, max_examples=pinned.max_examples * FUZZ_SCALE
+            )
 
 
 def corpus_sources() -> list[tuple[str, str]]:

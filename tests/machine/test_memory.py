@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import MemoryFault
-from repro.machine.memory import BumpAllocator, MemorySpace, scalar_codec
+from repro.ir.ops import SCALARS
+from repro.machine.memory import BumpAllocator, MemorySpace
 
 
 class TestMemorySpaceBasics:
@@ -56,38 +57,38 @@ class TestMemorySpaceBasics:
 
 class TestScalarAccess:
     """Scalars travel as ``read``/``write`` bytes through the codecs the
-    engines use (:func:`scalar_codec`)."""
+    engines use (:data:`repro.ir.ops.SCALARS`)."""
 
     def test_uint_round_trip(self):
         memory = MemorySpace("m", 64)
-        codec = scalar_codec(4, False, False)
+        codec = SCALARS[4, False, False].codec
         memory.write(0, codec.pack(0xDEADBEEF))
         assert codec.unpack(memory.read(0, 4))[0] == 0xDEADBEEF
 
     def test_signed_load_sign_extends(self):
         memory = MemorySpace("m", 64)
-        memory.write(0, scalar_codec(4, False, False).pack(0xFFFFFFFF))
-        assert scalar_codec(4, True, False).unpack(memory.read(0, 4))[0] == -1
+        memory.write(0, SCALARS[4, False, False].codec.pack(0xFFFFFFFF))
+        assert SCALARS[4, True, False].codec.unpack(memory.read(0, 4))[0] == -1
 
     def test_f32_round_trip(self):
         memory = MemorySpace("m", 64)
-        codec = scalar_codec(4, True, True)
+        codec = SCALARS[4, True, True].codec
         memory.write(8, codec.pack(1.5))
         assert codec.unpack(memory.read(8, 4))[0] == 1.5
 
     def test_f64_round_trip(self):
         memory = MemorySpace("m", 64)
-        codec = scalar_codec(8, True, True)
+        codec = SCALARS[8, True, True].codec
         memory.write(8, codec.pack(3.141592653589793))
         assert codec.unpack(memory.read(8, 8))[0] == 3.141592653589793
 
     def test_little_endian_layout(self):
         memory = MemorySpace("m", 64)
-        memory.write(0, scalar_codec(4, False, False).pack(0x01020304))
+        memory.write(0, SCALARS[4, False, False].codec.pack(0x01020304))
         assert memory.read(0, 4) == bytes([0x04, 0x03, 0x02, 0x01])
 
     def test_no_codec_for_odd_widths(self):
-        assert scalar_codec(3, False, False) is None
+        assert (3, False, False) not in SCALARS
 
 
 class TestWordGranularity:

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.machine.config import CELL_LIKE
 from repro.machine.machine import Machine
-from repro.machine.memory import MemorySpace, scalar_codec
+from repro.ir.ops import SCALARS
+from repro.machine.memory import MemorySpace
 from repro.runtime.softcache import make_cache
 
 MEM_SIZE = 4096
@@ -34,8 +35,8 @@ class TestMemoryProperties:
     )
     def test_int_round_trip(self, address, value):
         memory = MemorySpace("m", MEM_SIZE)
-        memory.write(address, scalar_codec(4, False, False).pack(value & 0xFFFFFFFF))
-        assert scalar_codec(4, True, False).unpack(memory.read(address, 4))[0] == value
+        memory.write(address, SCALARS[4, False, False].codec.pack(value & 0xFFFFFFFF))
+        assert SCALARS[4, True, False].codec.unpack(memory.read(address, 4))[0] == value
 
     @given(
         st.integers(min_value=0, max_value=MEM_SIZE - 8),
@@ -43,7 +44,7 @@ class TestMemoryProperties:
     )
     def test_f32_round_trip(self, address, value):
         memory = MemorySpace("m", MEM_SIZE)
-        codec = scalar_codec(4, True, True)
+        codec = SCALARS[4, True, True].codec
         memory.write(address, codec.pack(value))
         assert codec.unpack(memory.read(address, 4))[0] == value
 

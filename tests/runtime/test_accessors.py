@@ -5,7 +5,7 @@ import pytest
 from repro.errors import MachineError
 from repro.machine.config import CELL_LIKE, SMP_UNIFORM
 from repro.machine.machine import Machine
-from repro.machine.memory import scalar_codec
+from repro.ir.ops import SCALARS
 from repro.runtime.accessors import (
     ArrayAccessor,
     DirectAccessor,
@@ -24,7 +24,7 @@ def acc(cell):
     return cell.accelerator(0)
 
 
-_U32 = scalar_codec(4, False, False)
+_U32 = SCALARS[4, False, False].codec
 
 
 def load_u32(memory, address):
