@@ -205,7 +205,6 @@ def optimize_function(function: IRFunction, max_rounds: int = 4) -> int:
         changed += eliminate_dead_code(function)
         if changed == 0:
             break
-    function.resolve_labels()  # sanity: all jump targets still exist
     return before - len(function.code)
 
 

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Container, Optional
 
-from repro.ir.instructions import Instr, Jump, CJump
+from repro.ir.instructions import BinOp, Call, CJump, Instr, Jump, UnOp
+from repro.ir.ops import BINOPS, UNOPS
 from repro.runtime.dispatch import DomainTable
 
 
@@ -34,20 +35,40 @@ class IRFunction:
     code: list[Instr] = field(default_factory=list)
     labels: dict[str, int] = field(default_factory=dict)
 
-    def resolve_labels(self) -> None:
-        """Validate that every jump target exists."""
+    def check(self, functions: Container[str]) -> None:
+        """One walk over the code: each jump names a label of this
+        function, each BinOp / UnOp an operator of :mod:`repro.ir.ops`
+        and each Call a function in ``functions`` — every key either
+        engine indexes by.  Raises ValueError naming the function and
+        the instruction."""
+        labels = self.labels
         for instr in self.code:
-            if isinstance(instr, Jump):
-                if instr.label not in self.labels:
-                    raise ValueError(
-                        f"{self.name}: jump to unknown label {instr.label!r}"
-                    )
-            elif isinstance(instr, CJump):
-                for label in (instr.then_label, instr.else_label):
-                    if label not in self.labels:
-                        raise ValueError(
-                            f"{self.name}: jump to unknown label {label!r}"
-                        )
+            kind = type(instr)
+            if kind is BinOp:
+                known = (instr.op, instr.float_op, instr.signed) in BINOPS
+            elif kind not in _RESOLVES:
+                continue
+            elif kind is UnOp:
+                known = (instr.op, instr.float_op) in UNOPS
+            elif kind is Call:
+                known = instr.callee in functions
+            elif kind is Jump:
+                known = instr.label in labels
+            else:
+                known = instr.then_label in labels and instr.else_label in labels
+            if not known:
+                index = next(i for i, at in enumerate(self.code) if at is instr)
+                raise ValueError(
+                    f"{self.name}: instruction {index} names an unknown "
+                    f"{_RESOLVES[kind]}: {instr!r}"
+                )
+
+
+#: What :meth:`IRFunction.check` resolves, per instruction kind.
+_RESOLVES = {
+    BinOp: "operator", UnOp: "operator", Call: "callee",
+    Jump: "label", CJump: "label",
+}
 
 
 @dataclass
@@ -110,11 +131,14 @@ class IRProgram:
         return self.functions[name]
 
     def validate(self) -> None:
-        """Structural sanity checks (jump targets, entry presence)."""
-        if self.entry not in self.functions:
+        """Structural sanity checks: the entry exists, and every
+        function passes :meth:`IRFunction.check` — which is what makes
+        every valid program one codegen translates in full."""
+        functions = self.functions
+        if self.entry not in functions:
             raise ValueError(f"entry function {self.entry!r} missing")
-        for function in self.functions.values():
-            function.resolve_labels()
+        for function in functions.values():
+            function.check(functions)
 
     # ------------------------------------------------------------ metrics
 

@@ -234,15 +234,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.dump_codegen:
         from repro.vm.codegen import LADDER_MARK, generate_module_source
 
-        source_text, generated, fallbacks = generate_module_source(
-            program, config.cost
-        )
+        source_text = generate_module_source(program, config.cost)
         print(source_text)
         print(
-            f"-- codegen: {generated} functions, "
+            f"-- codegen: {len(program.functions)} functions, "
             f"{len(source_text.splitlines())} lines, "
-            f"{source_text.count(LADDER_MARK)} ladders, "
-            f"{fallbacks} fallbacks",
+            f"{source_text.count(LADDER_MARK)} ladders",
             file=sys.stderr,
         )
         return 0

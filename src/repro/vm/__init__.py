@@ -9,14 +9,13 @@ Two engines share the contract (identical cycles, counters, traces):
 the source-codegen engine (:mod:`repro.vm.codegen`; the default —
 :data:`DEFAULT_ENGINE` — whose code objects the compile cache keeps
 across processes) and the reference decode loop
-(:mod:`repro.vm.interpreter`; the semantic source of truth, the oracle
-of the equivalence suite and codegen's per-function fallback).
+(:mod:`repro.vm.interpreter`; the semantic source of truth and the
+oracle of the equivalence suite).
 """
 
 from repro.vm.codegen import (
     CodegenInterpreter,
     CodegenStats,
-    clear_codegen_cache,
     generate_module_source,
     warm_translations,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "Interpreter",
     "RunOptions",
     "RunResult",
-    "clear_codegen_cache",
     "generate_module_source",
     "make_interpreter",
     "run_program",

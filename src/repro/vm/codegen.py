@@ -12,7 +12,7 @@ blocks becoming straight-line statements, and cycle / perf-counter /
 budget updates batched per block — then compiled with :func:`compile`
 / ``exec`` and dispatched as an ordinary Python call::
 
-    def _f0_main(eng, ctx):
+    def _f_main(eng, ctx):
         _ic = eng._instructions         # hoisted counters
         _now = ctx.now + 4
         ...
@@ -141,10 +141,18 @@ are cached at two levels:
   Generated *source* is never stored; inspect it with
   ``python -m repro.tools.run --dump-codegen``.
 
-Functions using an instruction the translator does not know fall back
-per-function to the reference interpreter's decode loop; everything
-else in the program — their callees included — still runs generated
-code.
+Units
+-----
+
+Codegen is total: every function of a program that passes
+:meth:`~repro.ir.module.IRProgram.validate` is translated, because
+validation rejects the operators and callees neither engine could run.
+Each function's unit depends only on its own IR, the cost model and
+the program's global layout (``GlobalAddr`` literals and the alignment
+they prove).  Calls name the callee's unit by a name derived from the
+callee's name alone (``_f_main``), and the prelude provides the union
+of what the units need, so adding, removing or editing one function
+leaves every other function's unit byte-identical.
 """
 
 from __future__ import annotations
@@ -206,7 +214,7 @@ from repro.vm.interpreter import PRINTS, Interpreter, RunOptions
 #: Bumped whenever the translation scheme changes in any way that can
 #: affect generated source; part of the disk cache key and kind so
 #: stale cached modules are never re-executed.
-CODEGEN_VERSION = 4
+CODEGEN_VERSION = 5
 
 #: Pseudo-filename under which generated code is compiled (shows up in
 #: tracebacks from generated code).
@@ -226,11 +234,6 @@ _SPACE_NAMES = {
 }
 
 
-class _Unsupported(Exception):
-    """Raised by the translator for constructs it cannot lower; the
-    affected function falls back to the reference interpreter."""
-
-
 @dataclasses.dataclass
 class CodegenStats:
     """Codegen accounting for one engine instance (or warm pass).
@@ -241,7 +244,6 @@ class CodegenStats:
     """
 
     translations: int = 0
-    fallbacks: int = 0
     #: Translated functions whose CFG kept the ``_pc`` ladder.
     ladders: int = 0
     exec_loads: int = 0
@@ -249,20 +251,20 @@ class CodegenStats:
     cache_misses: int = 0
     source_chars: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "codegen.translations": self.translations,
-            "codegen.fallbacks": self.fallbacks,
-            "codegen.ladders": self.ladders,
-            "codegen.exec_loads": self.exec_loads,
-            "codegen.cache_hits": self.cache_hits,
-            "codegen.cache_misses": self.cache_misses,
-            "codegen.source_chars": self.source_chars,
-        }
 
-
-def _sanitize(name: str) -> str:
-    return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
+def _unit_name(name: str) -> str:
+    """The generated function's name, from the IR function's name alone:
+    ``_f_<name>`` for an ASCII identifier, else the ``_fh_`` prefix
+    (which no identifier maps to), the name with every other character
+    replaced by ``_``, and a digest of the name as written."""
+    if name.isascii() and name.isidentifier():
+        return f"_f_{name}"
+    safe = "".join(
+        ch if ch.isascii() and (ch.isalnum() or ch == "_") else "_"
+        for ch in name
+    )
+    digest = hashlib.sha256(name.encode("utf-8")).hexdigest()[:8]
+    return f"_fh_{safe}_{digest}"
 
 
 def _float_literal(value: float) -> str:
@@ -285,11 +287,13 @@ def _codec_suffix(key: tuple[int, bool, bool]) -> str:
 
 
 def _table_op(instr: Instr) -> Optional[ops.Op]:
-    """The :mod:`repro.ir.ops` entry of a BinOp, UnOp or Intrinsic."""
+    """The :mod:`repro.ir.ops` entry of a BinOp, UnOp or Intrinsic.
+    Every BinOp / UnOp of a validated program has one; an intrinsic
+    outside the table (it acts on the machine) has none."""
     if isinstance(instr, BinOp):
-        return ops.BINOPS.get((instr.op, instr.float_op, instr.signed))
+        return ops.BINOPS[instr.op, instr.float_op, instr.signed]
     if isinstance(instr, UnOp):
-        return ops.UNOPS.get((instr.op, instr.float_op))
+        return ops.UNOPS[instr.op, instr.float_op]
     return ops.INTRINSICS.get(instr.name)
 
 
@@ -321,7 +325,7 @@ def _infer_reg_types(function: IRFunction) -> dict[int, str]:
             join(instr.dst, _FLT if isinstance(instr.value, float) else _INT)
         elif isinstance(instr, (BinOp, UnOp, Intrinsic)):
             # Outside the table: an intrinsic that acts on the machine
-            # and returns 0 (or an op ``emit`` will refuse).
+            # and returns 0.
             op = _table_op(instr)
             join(instr.dst, op.result if op else _INT)
         elif isinstance(instr, Load):
@@ -450,25 +454,13 @@ def _indent(lines: _Lines, by: int = 1) -> _Lines:
 class _FunctionEmitter:
     """Translates one IR function into Python source lines."""
 
-    def __init__(
-        self,
-        function: IRFunction,
-        program: IRProgram,
-        cost: CostModel,
-        func_names: dict[str, str],
-        generated: set[str],
-        needs: set,
-    ):
+    def __init__(self, function: IRFunction, program: IRProgram, cost: CostModel):
         self.fn = function
         self.program = program
         self.cost = cost
-        self.func_names = func_names
-        #: Program functions that will exist in the generated module
-        #: (call sites to anything else go through ``eng``).
-        self.generated = generated
-        #: Shared accumulator of scalar-codec keys / module-level
-        #: features the prelude must provide.
-        self.needs = needs
+        #: Scalar-codec keys / module-level features this function needs
+        #: the prelude to provide.
+        self.needs: set = set()
         self.types = _infer_reg_types(function)
         self.uses_fb = False
         self.uses_ls = False
@@ -562,7 +554,7 @@ class _FunctionEmitter:
 
         # Prologue (after the body so the uses_* flags are known).
         params = "".join(f", r{i}" for i in range(nparams))
-        lines: _Lines = [(0, f"def {self.func_names[fn.name]}(eng, ctx{params}):")]
+        lines: _Lines = [(0, f"def {_unit_name(fn.name)}(eng, ctx{params}):")]
         entry_live >>= nparams
         init = [
             f"r{nparams + i}" for i in range(entry_live.bit_length())
@@ -1029,9 +1021,9 @@ class _FunctionEmitter:
     # ------------------------------------------------------------- ladder
 
     def _ladder(self) -> _Lines:
-        """Fallback control flow: a ``while True`` around one ``if _pc ==
-        leader`` arm per block, deepest loops first so the hottest
-        blocks are tested first."""
+        """Unstructured control flow: a ``while True`` around one ``if
+        _pc == leader`` arm per block, deepest loops first so the
+        hottest blocks are tested first."""
         depth = [0] * len(self.blocks)
         for loop in self.cfg.natural_loops():
             for i in loop.body:
@@ -1174,8 +1166,6 @@ class _FunctionEmitter:
         the statements of an op that branches or may trap (never
         forwarded or dropped)."""
         op = _table_op(instr)
-        if op is None:
-            raise _Unsupported(f"{type(instr).__name__} {instr.op}")
         read, kinds = self._read_as, op.kinds
         a = b = read[kinds[0]](regs[0])
         if len(regs) == 2:
@@ -1397,16 +1387,8 @@ class _FunctionEmitter:
 
     def _emit_call(self, instr: Call) -> _Lines:
         args = self._args(instr.args)
-        if instr.callee in self.generated:
-            sep = ", " if args else ""
-            call = f"{self.func_names[instr.callee]}(eng, ctx{sep}{args})"
-        else:
-            # Unknown or fallback callee: route through the engine (a
-            # missing name raises the reference engine's KeyError).
-            call = (
-                f"eng._exec_function(eng.program.function({instr.callee!r}),"
-                f" [{args}], ctx)"
-            )
+        sep = ", " if args else ""
+        call = f"{_unit_name(instr.callee)}(eng, ctx{sep}{args})"
         if instr.dst is not None:
             call = f"r{instr.dst} = {call}"
         return [_SYNC_OUT, (0, call), _SYNC_IN]
@@ -1500,59 +1482,31 @@ def _prelude(needs: set, program: IRProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def generate_module_units(
-    program: IRProgram, cost: CostModel
-) -> tuple[list[str], int, int]:
+def generate_module_units(program: IRProgram, cost: CostModel) -> list[str]:
     """Translate every function of ``program`` into the source of one
-    Python module, as its compile units: the prelude, one chunk per
-    generated function, and the ``FUNCTIONS`` dispatch table.
-
-    Returns ``(units, generated_count, fallback_count)``; functions
-    the translator cannot lower are left out of the module (the engine
-    falls back to the reference interpreter for them).
+    Python module, as its compile units: the prelude, one unit per
+    function in name order, and the ``FUNCTIONS`` dispatch table (the
+    module docstring's *Units*).  ``program`` must pass :meth:`IRProgram.validate`.
     """
     ordered = sorted(program.functions)
-    func_names = {
-        name: f"_f{i}_{_sanitize(name)}" for i, name in enumerate(ordered)
-    }
-    failed: set[str] = set()
-    while True:
-        needs: set = set()
-        chunks: dict[str, str] = {}
-        new_failed = set(failed)
-        generated = set(ordered) - new_failed
-        for name in ordered:
-            if name in new_failed:
-                continue
-            emitter = _FunctionEmitter(
-                program.functions[name], program, cost,
-                func_names, generated, needs,
-            )
-            try:
-                chunks[name] = emitter.emit()
-            except _Unsupported:
-                new_failed.add(name)
-        if new_failed == failed:
-            break
-        failed = new_failed
-    units = [_prelude(needs, program)]
-    units.extend(chunks[name] for name in ordered if name in chunks)
+    names = [_unit_name(name) for name in ordered]
+    assert len(set(names)) == len(names), "generated names collide"
+    needs: set = set()
+    units = []
+    for name in ordered:
+        emitter = _FunctionEmitter(program.functions[name], program, cost)
+        units.append(emitter.emit())
+        needs |= emitter.needs
     table = "".join(
-        f"    {name!r}: {func_names[name]},\n"
-        for name in ordered
-        if name in chunks
+        f"    {name!r}: {unit},\n" for name, unit in zip(ordered, names)
     )
-    units.append("FUNCTIONS = {\n" + table + "}\n")
-    return units, len(chunks), len(failed)
+    return [_prelude(needs, program), *units, "FUNCTIONS = {\n" + table + "}\n"]
 
 
-def generate_module_source(
-    program: IRProgram, cost: CostModel
-) -> tuple[str, int, int]:
+def generate_module_source(program: IRProgram, cost: CostModel) -> str:
     """:func:`generate_module_units` joined into one module's text
     (what ``run --dump-codegen`` prints)."""
-    units, generated, fallbacks = generate_module_units(program, cost)
-    return "\n".join(units), generated, fallbacks
+    return "\n".join(generate_module_units(program, cost))
 
 
 def _exec_units(units: tuple[CodeType, ...]) -> dict:
@@ -1621,18 +1575,11 @@ def codegen_cache_key(
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
-def clear_codegen_cache(program: IRProgram) -> None:
-    """Drop the in-memory generated module of ``program`` (after
-    mutating its IR)."""
-    program.__dict__.pop("_cg_module", None)
-
-
 class CodegenInterpreter(Interpreter):
     """Drop-in engine executing generated Python source.
 
     All lifecycle, offload, domain-dispatch, DMA and intrinsic
-    machinery is inherited; functions the translator cannot lower run
-    on the inherited decode loop.
+    machinery is inherited; every function runs generated code.
     """
 
     def __init__(
@@ -1663,18 +1610,13 @@ class CodegenInterpreter(Interpreter):
         funcs = self._gen_funcs
         if funcs is None:
             funcs = self._ensure_module()
-        fn = funcs.get(function.name)
-        if fn is None:
-            # Nested calls come back through ``self._exec_function``,
-            # so a fallback function's callees still run generated code.
-            return Interpreter._exec_function(self, function, args, ctx)
-        return fn(self, ctx, *args)
+        return funcs[function.name](self, ctx, *args)
 
-    def _compiled_callee(self, function: IRFunction) -> Optional[Callable]:
+    def _compiled_callee(self, function: IRFunction) -> Callable:
         funcs = self._gen_funcs
         if funcs is None:
             funcs = self._ensure_module()
-        return funcs.get(function.name)
+        return funcs[function.name]
 
     def _inline_view(self, strategy: object) -> tuple:
         """What a generated function binds at entry to serve outer hits
@@ -1747,10 +1689,8 @@ class CodegenInterpreter(Interpreter):
             else:
                 stats.cache_misses += 1
         if funcs is None:
-            sources, generated, _ = generate_module_units(
-                program, self._cost
-            )
-            stats.translations += generated
+            sources = generate_module_units(program, self._cost)
+            stats.translations += len(program.functions)
             stats.source_chars = sum(map(len, sources))
             units = tuple(
                 compile(source, MODULE_FILENAME, "exec") for source in sources
@@ -1760,7 +1700,6 @@ class CodegenInterpreter(Interpreter):
             funcs = _exec_units(units)["FUNCTIONS"]
         # Counted from the loaded functions, so a module served from
         # disk reports what a freshly generated one does.
-        stats.fallbacks += sum(name not in funcs for name in program.functions)
         stats.ladders += sum(
             "_pc" in fn.__code__.co_varnames for fn in funcs.values()
         )

@@ -269,3 +269,28 @@ class TestTrustBoundary:
         function["labels"][label] = len(function["code"]) + 1
         with pytest.raises(ArtifactError, match="label"):
             program_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "kind, field, renamed, what",
+        [
+            ("BinOp", "op", "**", "operator"),
+            ("UnOp", "op", "bitrev", "operator"),
+            ("Call", "callee", "GameWorld::nowhere", "callee"),
+        ],
+        ids=["binop-op", "unop-op", "call-callee"],
+    )
+    def test_unknown_operator_or_callee_rejected(self, kind, field, renamed, what):
+        # Neither engine could run it, and codegen translates every
+        # function of a program that loads.
+        data = program_to_dict(compile_program(figure2_source(), CELL_LIKE))
+        code = next(
+            function["code"] for function in data["functions"].values()
+            if any(record[0] == kind for record in function["code"])
+        )
+        at = next(i for i, record in enumerate(code) if record[0] == kind)
+        instr = instr_from_record(code[at])
+        setattr(instr, field, renamed)
+        code[at] = instr_to_record(instr)
+        with pytest.raises(ArtifactError, match=f"unknown {what}: {kind}") as error:
+            program_from_dict(data)
+        assert repr(renamed) in str(error.value)

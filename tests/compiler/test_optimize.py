@@ -164,7 +164,7 @@ class TestDeadCodeElimination:
         )
         eliminate_dead_code(fn)
         assert fn.labels["end"] == 2
-        fn.resolve_labels()
+        fn.check(())
 
     def test_introspection_helpers(self):
         store = Store(addr=1, src=2, size=4)

@@ -13,7 +13,9 @@ from repro.errors import (
     SourceLocation,
     SourceSpan,
 )
-from repro.ir.instructions import BinOp, CJump, Const, Jump, Load, Ret, AccSpace
+from repro.ir.instructions import (
+    AccSpace, BinOp, Call, CJump, Const, Jump, Load, Ret, UnOp,
+)
 from repro.ir.module import IRFunction, IRProgram
 from repro.ir.printer import format_function, format_program
 from repro.lang.source import SourceFile
@@ -107,19 +109,19 @@ class TestIRContainers:
         )
 
     def test_resolve_labels_passes(self):
-        self._function().resolve_labels()
+        self._function().check(())
 
     def test_resolve_labels_rejects_unknown_target(self):
         function = self._function()
         function.code[2] = Jump(label="nowhere")
         with pytest.raises(ValueError):
-            function.resolve_labels()
+            function.check(())
 
     def test_resolve_labels_checks_cjump(self):
         function = self._function()
         function.code[2] = CJump(cond=1, then_label="end", else_label="lost")
         with pytest.raises(ValueError):
-            function.resolve_labels()
+            function.check(())
 
     def test_program_function_lookup(self):
         program = IRProgram()
@@ -132,6 +134,33 @@ class TestIRContainers:
         program = IRProgram()
         with pytest.raises(ValueError):
             program.validate()
+
+    def test_program_validate_passes(self):
+        program = IRProgram(entry="f")
+        program.functions["f"] = self._function()
+        program.validate()
+
+    @pytest.mark.parametrize(
+        "instr, what",
+        [
+            (BinOp(op="**", dst=2, a=0, b=1), "operator"),
+            (UnOp(op="bitrev", dst=2, a=0), "operator"),
+            (Call(dst=2, callee="g", args=[0]), "callee"),
+        ],
+        ids=["binop", "unop", "call"],
+    )
+    def test_program_validate_rejects_what_no_engine_can_run(self, instr, what):
+        # What codegen would have no translation for (and the reference
+        # engine no table entry or function): rejected at the IR
+        # boundary, naming the function and the instruction.
+        program = IRProgram(entry="f")
+        program.functions["f"] = function = self._function()
+        function.code[1] = instr
+        with pytest.raises(ValueError) as error:
+            program.validate()
+        assert str(error.value) == (
+            f"f: instruction 1 names an unknown {what}: {instr!r}"
+        )
 
 
 class TestPrinter:

@@ -71,8 +71,7 @@ def every_operator_function() -> IRFunction:
 
 
 def _sha256(program, cost) -> str:
-    text, _, fallbacks = generate_module_source(program, cost)
-    assert fallbacks == 0
+    text = generate_module_source(program, cost)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -131,7 +131,7 @@ def test_metrics_see_every_streak_of_the_ping_pong():
 class TestGeneratedSites:
     def test_every_outer_site_carries_the_inline_test(self):
         program = compile_program(ai_kernel_source(), CELL_LIKE)
-        text, _, _ = generate_module_source(program, CELL_LIKE.cost)
+        text = generate_module_source(program, CELL_LIKE.cost)
         sites = text.count("eng._load_outer(") + text.count("eng._store_outer(")
         assert sites > 0
         tests = re.findall(r"if _(?:tg|dy)\[(\w+) >> _cs & _ck\] == \1\b", text)

@@ -137,7 +137,7 @@ def test_every_codec_row_round_trips_identically(key):
     program = _codec_program(key)
     outcome = _agree(program)
     assert outcome[0][0].startswith("[")
-    text, _, _ = generate_module_source(program, CELL_LIKE.cost)
+    text = generate_module_source(program, CELL_LIKE.cost)
     row = SCALARS[key]
     if sys.byteorder == "little":
         assert row.load_view is not None
@@ -256,7 +256,7 @@ def test_local_and_main_traffic_from_source(target):
     outcome = _agree(program, config)
     assert outcome[0][0].startswith("[")
     if not config.shared_memory:
-        text, _, _ = generate_module_source(program, config.cost)
+        text = generate_module_source(program, config.cost)
         assert "_lvi[_a >> 2]" in text and "_ls.v_i" in text
 
 
@@ -264,7 +264,7 @@ def test_word_addressed_target():
     config = resolve_target("dsp")
     program = compile_program(word_struct_source(), config)
     _agree(program, config)
-    text, _, _ = generate_module_source(program, config.cost)
+    text = generate_module_source(program, config.cost)
     assert re.search(r"_[ml]v\w\[_a >> 2\]", text)
 
 
@@ -362,10 +362,9 @@ class TestAlignmentRules:
 
 def _claims(program: IRProgram, cost) -> dict:
     """The emitter's known alignment of every function's registers."""
-    names = {name: f"_f{i}" for i, name in enumerate(program.functions)}
     claims = {}
-    for name, function in program.functions.items():
-        emitter = _FunctionEmitter(function, program, cost, names, set(names), set())
+    for function in program.functions.values():
+        emitter = _FunctionEmitter(function, program, cost)
         emitter.emit()
         claims[function.name] = emitter.align
     return claims
@@ -456,7 +455,7 @@ def _loop(redefine: bool) -> IRProgram:
 def test_hoisting_respects_definitions_inside_the_loop(redefine):
     program = _loop(redefine)
     _agree(program)
-    text, _, _ = generate_module_source(program, CELL_LIKE.cost)
+    text = generate_module_source(program, CELL_LIKE.cost)
     hoisted = re.findall(r"^\s+(_h\d+) = (.*)$", text, re.M)
     inner = text.split("while True:", 1)[1]
     if redefine:
@@ -472,7 +471,7 @@ def test_hoisting_respects_definitions_inside_the_loop(redefine):
 def test_figure2_inner_loop_reads_hoisted_addresses_and_views():
     config = resolve_target("apu")
     program = compile_program(figure2_source(), config)
-    text, _, _ = generate_module_source(program, config.cost)
+    text = generate_module_source(program, config.cost)
     strategy = text.split("\ndef ")[1]
     assert "calculateStrategy" in strategy.split("(")[0]
     inner = strategy.split("            while True:\n", 1)[1]
