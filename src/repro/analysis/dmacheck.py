@@ -59,6 +59,7 @@ from repro.analysis.dataflow import (
 from repro.analysis.diagnostics import Finding, RelatedLocation
 from repro.ir.instructions import Call, DomainCall, ICall, Intrinsic, Ret
 from repro.ir.module import IRFunction, IRProgram
+from repro.machine.dma import race_location
 
 
 @dataclass(frozen=True)
@@ -147,16 +148,14 @@ def _ranges_overlap(
 
 
 def _conflict(earlier: PendingTransfer, later: PendingTransfer) -> Optional[str]:
-    """Same rules as the dynamic checker: put/put or get/put overlap in
-    outer memory races; any overlap involving a get's local target
-    races in the local store."""
-    if _ranges_overlap(earlier.outer, earlier.size, later.outer, later.size):
-        if not (earlier.kind == "get" and later.kind == "get"):
-            return "outer"
-    if _ranges_overlap(earlier.local, earlier.size, later.local, later.size):
-        if earlier.kind == "get" or later.kind == "get":
-            return "local"
-    return None
+    """The DMA engine's own rules (:func:`repro.machine.dma.race_location`)
+    over the symbolic ranges."""
+    return race_location(
+        earlier.kind,
+        later.kind,
+        _ranges_overlap(earlier.outer, earlier.size, later.outer, later.size),
+        _ranges_overlap(earlier.local, earlier.size, later.local, later.size),
+    )
 
 
 def _join_addr(a: Optional[SymAddr], b: Optional[SymAddr]) -> Optional[SymAddr]:

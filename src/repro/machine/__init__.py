@@ -4,7 +4,7 @@ This package stands in for the hardware the paper targets (the Cell BE in
 the PlayStation 3, shared-memory consoles, and word-addressed DSP-style
 units).  It provides byte- and word-addressed memory spaces, per-core
 cycle clocks, a tagged DMA engine with a bandwidth/latency cost model and
-race-detection hooks, and pre-built machine configurations.
+its own race checks, and pre-built machine configurations.
 
 The simulation is *deterministic*: cores carry logical clocks, parallel
 execution is modelled by running threads to completion and combining

@@ -17,17 +17,19 @@ tag" idiom faster than two blocking gets, and what double buffering
 (Section 4.1/4.2) exploits.
 
 Functionally, data moves at issue time; the engine records in-flight
-requests so the dynamic race checker (``repro.runtime.racecheck``) and the
-interpreter can detect unsynchronised access, the bug class targeted by
-the static and dynamic tools the paper cites.
+requests, checks each new transfer against them
+(:attr:`DmaEngine.racecheck`, by :func:`race_location`, whose rules the
+static :mod:`repro.analysis.dmacheck` applies too) and lets the
+interpreter trap local reads before a ``dma_wait``: the bug class
+targeted by the static and dynamic tools the paper cites.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.errors import DmaError
+from repro.errors import DmaError, DmaRaceError
 from repro.machine.config import CostModel
 from repro.machine.memory import MemorySpace
 from repro.machine.perf import PerfCounters
@@ -38,6 +40,32 @@ NUM_TAGS = 32
 
 GET = "get"
 PUT = "put"
+
+#: What :attr:`DmaEngine.racecheck` may be: raise :class:`DmaRaceError`
+#: at the issuing call, append a :class:`RaceRecord` to
+#: :attr:`DmaEngine.races`, or check nothing.
+RACECHECK_MODES = ("raise", "record", None)
+
+
+def race_location(
+    earlier_kind: str, later_kind: str, outer_overlap: bool, local_overlap: bool
+) -> Optional[str]:
+    """Where two transfers not separated by a ``dma_wait`` on the
+    earlier one's tag race: ``"outer"``, ``"local"`` or None (safe).
+
+    * ``put``/``put``, ``get``/``put`` or ``put``/``get`` overlapping in
+      main memory race: the final contents, or what the get observes,
+      depend on completion order.
+    * ``get``/``get`` overlapping in main memory is safe: both only
+      read it (the Figure 1 idiom).
+    * Overlap in the local store races when either is a get: a get
+      writes the local store, a put only reads it.
+    """
+    if outer_overlap and (earlier_kind != GET or later_kind != GET):
+        return "outer"
+    if local_overlap and (earlier_kind == GET or later_kind == GET):
+        return "local"
+    return None
 
 
 @dataclass(frozen=True)
@@ -67,19 +95,26 @@ class DmaRequest:
     complete_time: int
     serial: int
 
-    def outer_range(self) -> tuple[int, int]:
-        """Half-open byte range touched in main memory."""
-        return (self.outer_addr, self.outer_addr + self.size)
-
-    def local_range(self) -> tuple[int, int]:
-        """Half-open byte range touched in the local store."""
-        return (self.local_addr, self.local_addr + self.size)
-
     def describe(self) -> str:
         return (
             f"dma_{self.kind}(tag={self.tag}, local={self.local_addr:#x}, "
             f"outer={self.outer_addr:#x}, size={self.size}) "
             f"issued@{self.issue_time}"
+        )
+
+
+@dataclass(frozen=True)
+class RaceRecord:
+    """One detected race between two in-flight transfers."""
+
+    earlier: DmaRequest
+    later: DmaRequest
+    location: str  # "outer" or "local"
+
+    def describe(self) -> str:
+        return (
+            f"DMA race in {self.location} memory between "
+            f"[{self.earlier.describe()}] and [{self.later.describe()}]"
         )
 
 
@@ -92,9 +127,6 @@ class DmaEngine:
         cost: Cycle cost model.
         perf: Counter sink (shared machine-wide).
         name: Used in diagnostics, e.g. ``"dma0"``.
-        observer: Optional callback invoked with each issued
-            :class:`DmaRequest` *and* the list of requests still in flight
-            at issue time — the dynamic race checker plugs in here.
         interconnect: Optional machine-wide shared channel; when set,
             bandwidth is serialised across *all* engines instead of per
             engine (see :mod:`repro.machine.interconnect`).
@@ -107,7 +139,6 @@ class DmaEngine:
         cost: CostModel,
         perf: PerfCounters,
         name: str = "dma",
-        observer: Optional[Callable[[DmaRequest, list[DmaRequest]], None]] = None,
         interconnect: object = None,
     ):
         self.local_store = local_store
@@ -115,12 +146,16 @@ class DmaEngine:
         self.cost = cost
         self.perf = perf
         self.name = name
-        self.observer = observer
         self.interconnect = interconnect
         #: Event sink; installed by ``Machine.attach_trace``.
         self.trace = NULL_RECORDER
         #: Metrics sink; installed by ``Machine.attach_metrics``.
         self.metrics = NULL_METRICS
+        #: Race-check mode, one of :data:`RACECHECK_MODES`; an
+        #: interpreter sets it, and empties :attr:`races`, for its run.
+        self.racecheck: Optional[str] = None
+        #: Races found in ``"record"`` mode, in issue order.
+        self.races: list[RaceRecord] = []
         self._in_flight: list[DmaRequest] = []
         self._channel_free = 0
         self._next_serial = 0
@@ -169,8 +204,26 @@ class DmaEngine:
             complete_time=complete,
             serial=self._next_serial,
         )
-        if self.observer is not None:
-            self.observer(request, list(self._in_flight))
+        racecheck = self.racecheck
+        if racecheck is not None:
+            # Checked oldest first against what is still in flight.
+            local_end = local_addr + size
+            outer_end = outer_addr + size
+            for earlier in self._in_flight:
+                location = race_location(
+                    earlier.kind,
+                    kind,
+                    earlier.outer_addr < outer_end
+                    and outer_addr < earlier.outer_addr + earlier.size,
+                    earlier.local_addr < local_end
+                    and local_addr < earlier.local_addr + earlier.size,
+                )
+                if location is None:
+                    continue
+                record = RaceRecord(earlier, request, location)
+                if racecheck == "raise":
+                    raise DmaRaceError(record.describe(), earlier, request)
+                self.races.append(record)
         trace = self.trace
         if trace.enabled:
             trace.emit(
@@ -257,23 +310,19 @@ class DmaEngine:
 
     # ---------------------------------------------------------- inspection
 
-    @property
-    def in_flight(self) -> list[DmaRequest]:
-        """Transfers issued but not yet waited for (copy)."""
-        return list(self._in_flight)
-
     def pending_local_conflict(self, address: int, size: int) -> Optional[DmaRequest]:
         """Return an in-flight *get* whose local range overlaps the access.
 
-        The interpreter consults this on local loads so that reading a DMA
-        target buffer before ``dma_wait`` is reported — the classic bug the
-        cited race-analysis tools detect.
+        Both engines consult this on local loads and bulk copies so that
+        reading a DMA target buffer before ``dma_wait`` is reported — the
+        classic bug the cited race-analysis tools detect.
         """
-        lo, hi = address, address + size
+        end = address + size
         for request in self._in_flight:
-            if request.kind != GET:
-                continue
-            r_lo, r_hi = request.local_range()
-            if lo < r_hi and r_lo < hi:
+            if (
+                request.kind == GET
+                and request.local_addr < end
+                and address < request.local_addr + request.size
+            ):
                 return request
         return None

@@ -7,8 +7,7 @@ multiple memory spaces:
 * portable accessor classes for bulk and streamed transfers
   (:mod:`repro.runtime.accessors`),
 * the outer/inner domain machinery for virtual dispatch across memory
-  spaces (:mod:`repro.runtime.dispatch`),
-* a dynamic DMA race checker (:mod:`repro.runtime.racecheck`).
+  spaces (:mod:`repro.runtime.dispatch`).
 
 These classes are used two ways, mirroring the paper: directly from
 hand-written "intrinsics-style" host code (Figure 1), and as the lowering
@@ -22,7 +21,6 @@ from repro.runtime.accessors import (
     make_array_accessor,
 )
 from repro.runtime.dispatch import DomainTable, InnerEntry
-from repro.runtime.racecheck import DmaRaceChecker, RaceRecord
 from repro.runtime.softcache import (
     DirectMappedCache,
     SetAssociativeCache,
@@ -35,10 +33,8 @@ __all__ = [
     "ArrayAccessor",
     "DirectAccessor",
     "DirectMappedCache",
-    "DmaRaceChecker",
     "DomainTable",
     "InnerEntry",
-    "RaceRecord",
     "SetAssociativeCache",
     "SoftwareCache",
     "StreamAccessor",

@@ -214,7 +214,7 @@ from repro.vm.interpreter import PRINTS, Interpreter, RunOptions
 #: Bumped whenever the translation scheme changes in any way that can
 #: affect generated source; part of the disk cache key and kind so
 #: stale cached modules are never re-executed.
-CODEGEN_VERSION = 5
+CODEGEN_VERSION = 6
 
 #: Pseudo-filename under which generated code is compiled (shows up in
 #: tracebacks from generated code).
@@ -591,7 +591,7 @@ class _FunctionEmitter:
             lines.append((1, f"_ld, _lz{names} = (None, -1{nones}) if _ls is None else (_ls._data, _ls.size{reads})"))
         if self.uses_chk:
             lines.append((1, "_chk = None"))
-            lines.append((1, "if eng._chk_discipline and ctx.is_accel and _ls is not None:"))
+            lines.append((1, "if _ls is not None:"))
             lines.append((2, "_chk = ctx.core.dma"))
         if self.uses_mm:
             lines.append((1, "_mm = ctx.main_memory"))
@@ -625,7 +625,7 @@ class _FunctionEmitter:
 
     def _collect_blocks(self) -> list[tuple[int, int, int]]:
         """(leader, end, span) per block.  Leaders are the entry plus
-        resolvable in-range jump targets, not every label, so
+        in-range jump targets, not every label, so
         straight-line runs stay long.  Spans still count exactly the
         executed instructions."""
         fn = self.fn
@@ -641,7 +641,7 @@ class _FunctionEmitter:
                 labels = (instr.then_label, instr.else_label)
             else:
                 continue
-            targets.update(fn.labels.get(label, -1) for label in labels)
+            targets.update(fn.labels[label] for label in labels)
         targets = {t for t in targets if 0 <= t < n}
         leaders = sorted({0, *targets})
         blocks = []
@@ -664,15 +664,12 @@ class _FunctionEmitter:
         blocks = self.blocks
         index_of = {leader: i for i, (leader, _, _) in enumerate(blocks)}
 
-        def target(label: str):
-            t = fn.labels.get(label)
-            if t is None:
-                return label  # KeyError at run time, as on the decode loop
+        def target(label: str) -> int:
+            t = fn.labels[label]
             return index_of[t] if 0 <= t < n else _EXIT
 
         #: Per block: () after Ret/Trap, (t,) for a jump or fall-through,
-        #: (then, else) for a CJump; a target is a block index, _EXIT or
-        #: the name of a label that does not exist.
+        #: (then, else) for a CJump; a target is a block index or _EXIT.
         self.succ: list[tuple] = []
         self.uses = [instr_uses(instr) for instr in code]
         self.defs = [instr_def(instr) for instr in code]
@@ -701,7 +698,7 @@ class _FunctionEmitter:
         self.def_masks = def_masks
         #: The successors that are blocks, as the CFG's edges.
         self.edges = [
-            sorted({t for t in succ if type(t) is int and t >= 0})
+            sorted({t for t in succ if t >= 0})
             for succ in self.succ
         ]
         self.live_in = [0] * len(blocks)
@@ -978,8 +975,6 @@ class _FunctionEmitter:
     def _arm(self, src: int, t, loop, depth: int):
         """Everything one out-edge of ``src`` leads to that can be
         placed under it."""
-        if isinstance(t, str):
-            return [(0, f"raise KeyError({t!r})")], None
         if t == _EXIT:
             return self._exit_lines(), None
         if (src, t) not in self.back:
@@ -1029,9 +1024,7 @@ class _FunctionEmitter:
             for i in loop.body:
                 depth[i] += 1
 
-        def goto(t) -> _Lines:
-            if isinstance(t, str):
-                return [(0, f"raise KeyError({t!r})")]
+        def goto(t: int) -> _Lines:
             if t == _EXIT:
                 return self._exit_lines()
             return [(0, f"_pc = {self.blocks[t][0]}"), (0, "continue")]
@@ -1591,7 +1584,6 @@ class CodegenInterpreter(Interpreter):
         super().__init__(program, machine, options)
         self._cost = machine.config.cost
         self._budget = self.options.max_instructions
-        self._chk_discipline = self.options.check_dma_discipline
         perf = machine.perf
         # Batched counters for the quantities generated code itself
         # produces; everything underneath (DMA, caches, dispatch tables)
@@ -1653,66 +1645,68 @@ class CodegenInterpreter(Interpreter):
     def _ensure_module(
         self, cache=None, digest: Optional[str] = None
     ) -> dict[str, Callable]:
-        """Build (or load) the generated module for this program + cost
-        model; results are cached on the program object and, when a
-        compile cache is available, on disk as marshalled code objects
-        (``digest``: see :func:`codegen_cache_key`)."""
-        program = self.program
-        stats = self.codegen_stats
-        cached = program.__dict__.get("_cg_module")
-        if (
-            cached is not None
-            and cached[0] is self._cost
-            and cached[1] == CODEGEN_VERSION
-        ):
-            self._gen_funcs = cached[2]
-            return cached[2]
-        if cache is None:
-            from repro.compiler.cache import resolve_cache
-
-            cache = resolve_cache(None)
-        funcs = None
-        key = (
-            codegen_cache_key(program, self._cost, digest)
-            if cache is not None
-            else None
+        funcs = ensure_module(
+            self.program, self._cost, self.codegen_stats, cache, digest
         )
-        if key is not None:
-            kind = codegen_cache_kind()
-            blob = cache.load_bytes(key, kind)
-            if blob is not None:
-                funcs = _load_units(blob)
-                if funcs is None:
-                    cache.reject_bytes()
-            if funcs is not None:
-                stats.cache_hits += 1
-            else:
-                stats.cache_misses += 1
-        if funcs is None:
-            sources = generate_module_units(program, self._cost)
-            stats.translations += len(program.functions)
-            stats.source_chars = sum(map(len, sources))
-            units = tuple(
-                compile(source, MODULE_FILENAME, "exec") for source in sources
-            )
-            if key is not None:
-                cache.store_bytes(key, marshal.dumps(units), kind)
-            funcs = _exec_units(units)["FUNCTIONS"]
-        # Counted from the loaded functions, so a module served from
-        # disk reports what a freshly generated one does.
-        stats.ladders += sum(
-            "_pc" in fn.__code__.co_varnames for fn in funcs.values()
-        )
-        stats.exec_loads += 1
-        program._cg_module = (self._cost, CODEGEN_VERSION, funcs)  # type: ignore[attr-defined]
         self._gen_funcs = funcs
         return funcs
+
+
+def ensure_module(
+    program: IRProgram,
+    cost: CostModel,
+    stats: CodegenStats,
+    cache=None,
+    digest: Optional[str] = None,
+) -> dict[str, Callable]:
+    """Build (or load) the generated module for ``program`` + ``cost``,
+    counting into ``stats``; results are cached on the program object
+    and, when a compile cache is available, on disk as marshalled code
+    objects (``digest``: see :func:`codegen_cache_key`).  Reads nothing
+    of a machine but its cost model, so warming needs no engine."""
+    cached = program.__dict__.get("_cg_module")
+    if cached is not None and cached[0] is cost and cached[1] == CODEGEN_VERSION:
+        return cached[2]
+    if cache is None:
+        from repro.compiler.cache import resolve_cache
+
+        cache = resolve_cache(None)
+    funcs = None
+    key = codegen_cache_key(program, cost, digest) if cache is not None else None
+    if key is not None:
+        kind = codegen_cache_kind()
+        blob = cache.load_bytes(key, kind)
+        if blob is not None:
+            funcs = _load_units(blob)
+            if funcs is None:
+                cache.reject_bytes()
+        if funcs is not None:
+            stats.cache_hits += 1
+        else:
+            stats.cache_misses += 1
+    if funcs is None:
+        sources = generate_module_units(program, cost)
+        stats.translations += len(program.functions)
+        stats.source_chars = sum(map(len, sources))
+        units = tuple(
+            compile(source, MODULE_FILENAME, "exec") for source in sources
+        )
+        if key is not None:
+            cache.store_bytes(key, marshal.dumps(units), kind)
+        funcs = _exec_units(units)["FUNCTIONS"]
+    # Counted from the loaded functions, so a module served from
+    # disk reports what a freshly generated one does.
+    stats.ladders += sum(
+        "_pc" in fn.__code__.co_varnames for fn in funcs.values()
+    )
+    stats.exec_loads += 1
+    program._cg_module = (cost, CODEGEN_VERSION, funcs)  # type: ignore[attr-defined]
+    return funcs
 
 
 def warm_translations(
     program: IRProgram,
     machine: Machine,
-    options: Optional[RunOptions] = None,
     engine: str = "codegen",
     cache=None,
     digest: Optional[str] = None,
@@ -1728,6 +1722,8 @@ def warm_translations(
     cost model reuses it.
 
     Args:
+        machine: Supplies the cost model the code is translated for;
+            nothing runs on it.
         engine: The translating engine to warm; ``"codegen"`` is the
             only one (the reference engine translates nothing).
         cache: Optional :class:`repro.compiler.cache.CompileCache` to
@@ -1747,12 +1743,6 @@ def warm_translations(
         raise ValueError(
             f"unknown warm_translations engine {engine!r}; known: 'codegen'"
         )
-    # No race checkers: this engine instance only translates, and must
-    # not leave observers attached to the machine's DMA engines.
-    warm = CodegenInterpreter(
-        program,
-        machine,
-        dataclasses.replace(options or RunOptions(), racecheck=None),
-    )
-    warm._ensure_module(cache=cache, digest=digest)
-    return warm.codegen_stats.translations
+    stats = CodegenStats()
+    ensure_module(program, machine.config.cost, stats, cache, digest)
+    return stats.translations

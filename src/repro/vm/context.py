@@ -32,21 +32,7 @@ SCRATCH_BYTES = 512
 RAW_TAG = 31
 
 
-class OuterStrategy:
-    """Interface for accelerator accesses to host memory."""
-
-    def load(self, address: int, size: int, now: int) -> tuple[bytes, int]:
-        raise NotImplementedError
-
-    def store(self, address: int, data: bytes, now: int) -> int:
-        raise NotImplementedError
-
-    def flush(self, now: int) -> int:
-        """Make all buffered stores visible in main memory."""
-        return now
-
-
-class RawDmaStrategy(OuterStrategy):
+class RawDmaStrategy:
     """Blocking bounce-buffer DMA per access (uncached)."""
 
     def __init__(self, core: AcceleratorCore, scratch_addr: int):
@@ -88,6 +74,10 @@ class RawDmaStrategy(OuterStrategy):
         self.core.perf.add("outer.raw_stores")
         return now
 
+    def flush(self, now: int) -> int:
+        """Nothing is buffered: every store already reached main memory."""
+        return now
+
 
 #: Default software-cache geometry for offload blocks with a
 #: ``cache(...)`` annotation.
@@ -97,7 +87,7 @@ CACHE_NUM_LINES = 64
 
 def build_strategy(
     core: AcceleratorCore, cache_kind: Optional[str]
-) -> "tuple[OuterStrategy | SoftwareCache, int]":
+) -> "tuple[RawDmaStrategy | SoftwareCache, int]":
     """Create the outer strategy for one offload thread.
 
     Returns ``(strategy, stack_limit)`` — the local-store layout is
@@ -158,7 +148,7 @@ class ThreadContext:
         main_memory: MemorySpace,
         stack: FrameStack,
         now: int,
-        strategy: "OuterStrategy | SoftwareCache | None" = None,
+        strategy: "RawDmaStrategy | SoftwareCache | None" = None,
         offload_id: int = -1,
     ):
         self.core = core

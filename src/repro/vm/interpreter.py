@@ -49,7 +49,7 @@ from repro.ir.module import IRFunction, IRProgram
 from repro.ir.ops import BINOPS, INTRINSICS, SCALARS, UNOPS, _int_div, _int_rem  # noqa: F401
 from repro.machine.config import MachineConfig, resolve_target
 from repro.machine.cores import AcceleratorCore
-from repro.machine.dma import NUM_TAGS
+from repro.machine.dma import NUM_TAGS, RACECHECK_MODES
 from repro.machine.machine import Machine
 from repro.obs.trace import (
     EV_CODE_UPLOAD,
@@ -61,7 +61,6 @@ from repro.obs.trace import (
     EV_OFFLOAD_JOIN,
     EV_OFFLOAD_LAUNCH,
 )
-from repro.runtime.racecheck import DmaRaceChecker
 from repro.sched.scheduler import OffloadScheduler, SchedOptions, SchedStats
 from repro.vm.context import FrameStack, ThreadContext, build_strategy
 
@@ -118,12 +117,13 @@ class RunOptions:
     """Execution knobs.
 
     Attributes:
-        racecheck: Attach the dynamic DMA race checker to every
-            accelerator's DMA engine; ``"raise"`` aborts on the first
-            race, ``"record"`` collects them on the result, None
-            disables checking.
-        check_dma_discipline: Trap local-store reads that overlap a DMA
-            get still in flight (read-before-wait bugs).
+        racecheck: The race-check mode of every accelerator's DMA
+            engine for this run (:attr:`repro.machine.dma.DmaEngine.racecheck`):
+            ``"raise"`` aborts on the first race, ``"record"`` collects
+            them on the result, None disables checking.  Any other
+            value is rejected at construction time.  Local-store reads
+            that overlap a DMA get still in flight (read-before-wait
+            bugs) trap in every mode.
         max_instructions: Runaway-program guard.  The reference engine
             checks it per instruction; the codegen engine at basic-block
             granularity (so a runaway program may execute up to one block
@@ -149,13 +149,17 @@ class RunOptions:
     """
 
     racecheck: Optional[str] = "raise"
-    check_dma_discipline: bool = True
     max_instructions: int = 200_000_000
     engine: Optional[str] = None
     sched: Optional[SchedOptions] = None
     target: "Optional[str | MachineConfig]" = None
 
     def __post_init__(self) -> None:
+        if self.racecheck not in RACECHECK_MODES:
+            raise ValueError(
+                f"RunOptions.racecheck must be 'raise', 'record' or None, "
+                f"got {self.racecheck!r}"
+            )
         if self.engine is not None:
             validate_engine(self.engine, source="RunOptions.engine")
         if self.target is not None:
@@ -254,13 +258,16 @@ class Interpreter:
         #: Domain-dispatch target name -> (callee, what runs it); filled
         #: on a target's first virtual call.
         self._vcall_callees: dict[object, tuple] = {}
-        self._racecheckers: list[DmaRaceChecker] = []
-        if self.options.racecheck is not None:
-            for accelerator in machine.accelerators:
-                if accelerator.dma is not None:
-                    checker = DmaRaceChecker(mode=self.options.racecheck)
-                    checker.attach(accelerator.dma)
-                    self._racecheckers.append(checker)
+        #: The accelerators' DMA engines, each checking races in this
+        #: run's mode and recording only this run's races.
+        self._dma_engines = [
+            accelerator.dma
+            for accelerator in machine.accelerators
+            if accelerator.dma is not None
+        ]
+        for dma in self._dma_engines:
+            dma.racecheck = self.options.racecheck
+            dma.races = []
 
     # ----------------------------------------------------------- lifecycle
 
@@ -305,7 +312,7 @@ class Interpreter:
     def finalize(self, value: object, host_ctx: ThreadContext) -> RunResult:
         """Sync the host clock, audit handles and build the result."""
         self.machine.host.clock.sync_to(host_ctx.now)
-        races = [r for checker in self._racecheckers for r in checker.races]
+        races = [race for dma in self._dma_engines for race in dma.races]
         return RunResult(
             return_value=value,
             output=self.output,
@@ -374,21 +381,22 @@ class Interpreter:
             )
             return data  # type: ignore[return-value]
         memory = self._memory_for(space, ctx)
-        if (
-            space is AccSpace.LOCAL
-            and self.options.check_dma_discipline
-            and isinstance(ctx.core, AcceleratorCore)
-            and ctx.core.dma is not None
-            and ctx.core.dma.in_flight
-        ):
-            conflict = ctx.core.dma.pending_local_conflict(address, size)
-            if conflict is not None:
-                raise RuntimeTrap(
-                    f"local store read at {address:#x} overlaps in-flight "
-                    f"{conflict.describe()}; missing dma_wait"
-                )
+        if space is AccSpace.LOCAL and ctx.core.dma._in_flight:  # type: ignore[attr-defined]
+            self._check_pending_get(ctx, address, size)
         ctx.now += self._access_cost(space, ctx)
         return memory.read_unchecked(address, size)
+
+    @staticmethod
+    def _check_pending_get(ctx: ThreadContext, address: int, size: int) -> None:
+        """Trap a local-store read that overlaps a DMA get still in
+        flight: the read-before-wait bug.  The codegen engine inlines
+        the same test and message into its local loads."""
+        conflict = ctx.core.dma.pending_local_conflict(address, size)  # type: ignore[attr-defined]
+        if conflict is not None:
+            raise RuntimeTrap(
+                f"local store read at {address:#x} overlaps in-flight "
+                f"{conflict.describe()}; missing dma_wait"
+            )
 
     def _write_mem(
         self, space: AccSpace, address: int, data: bytes, ctx: ThreadContext
@@ -619,6 +627,8 @@ class Interpreter:
             data, ctx.now = ctx.strategy.load(src, size, ctx.now)
         else:
             memory = self._memory_for(src_space, ctx)
+            if src_space is AccSpace.LOCAL and ctx.core.dma._in_flight:  # type: ignore[attr-defined]
+                self._check_pending_get(ctx, src, size)
             ctx.now += self._bulk_cost(src_space, size, ctx)
             data = memory.read_unchecked(src, size)
         if dst_space is AccSpace.OUTER:

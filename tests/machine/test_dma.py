@@ -62,7 +62,7 @@ class TestTagSemantics:
         acc.dma.get(1, 0x000, 0x1000, 8, 0)
         acc.dma.get(2, 0x100, 0x2000, 8, 0)
         acc.dma.wait(1, 40)
-        remaining = acc.dma.in_flight
+        remaining = acc.dma._in_flight
         assert len(remaining) == 1
         assert remaining[0].tag == 2
 
@@ -70,7 +70,7 @@ class TestTagSemantics:
         acc.dma.get(1, 0x000, 0x1000, 8, 0)
         acc.dma.get(2, 0x100, 0x2000, 8, 0)
         acc.dma.wait_all(40)
-        assert acc.dma.in_flight == []
+        assert acc.dma._in_flight == []
 
     def test_bandwidth_serialises_across_tags(self, acc):
         """Different tags still share the one data channel."""
@@ -144,8 +144,8 @@ class TestSerials:
         first.dma.get(0, 0, 0x1000, 16, 0)
         first.dma.get(0, 0, 0x1000, 16, 0)
         second.dma.get(0, 0, 0x1000, 16, 0)
-        assert [r.serial for r in first.dma.in_flight] == [1, 2]
-        assert [r.serial for r in second.dma.in_flight] == [1]
+        assert [r.serial for r in first.dma._in_flight] == [1, 2]
+        assert [r.serial for r in second.dma._in_flight] == [1]
 
     def test_serials_reproducible_across_machines(self):
         """Serials must not depend on how many machines ran earlier in
@@ -155,6 +155,6 @@ class TestSerials:
             dma = machine.accelerator(0).dma
             dma.get(2, 0, 0x2000, 32, 0)
             dma.put(3, 0, 0x3000, 32, 0)
-            return [r.serial for r in dma.in_flight]
+            return [r.serial for r in dma._in_flight]
 
         assert issue(Machine(CELL_LIKE)) == issue(Machine(CELL_LIKE))

@@ -79,7 +79,7 @@ class TestDmaProperties:
         now = 0
         for index, size in enumerate(sizes):
             now = acc.dma.get(index % 8, 0, 2048, size, now)
-        completions = [r.complete_time for r in acc.dma.in_flight]
+        completions = [r.complete_time for r in acc.dma._in_flight]
         assert completions == sorted(completions)
         assert len(set(completions)) == len(completions)
 

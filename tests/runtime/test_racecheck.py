@@ -1,11 +1,12 @@
-"""Unit tests for the dynamic DMA race checker."""
+"""Unit tests for the DMA engine's dynamic race checks."""
 
 import pytest
 
+from repro.compiler.driver import compile_program
 from repro.errors import DmaRaceError
-from repro.machine.config import CELL_LIKE
+from repro.machine.config import APU_UNIFIED, CELL_LIKE
 from repro.machine.machine import Machine
-from repro.runtime.racecheck import DmaRaceChecker
+from repro.vm.interpreter import ENGINE_NAMES, RunOptions, run_program
 
 
 @pytest.fixture
@@ -14,9 +15,8 @@ def acc():
 
 
 def attach(acc, mode="raise"):
-    checker = DmaRaceChecker(mode=mode)
-    checker.attach(acc.dma)
-    return checker
+    acc.dma.racecheck = mode
+    return acc.dma
 
 
 class TestConflictRules:
@@ -94,13 +94,42 @@ class TestRecordMode:
         assert record.location == "outer"
         assert "dma_put" in record.describe()
 
-    def test_clear(self, acc):
-        checker = attach(acc, mode="record")
-        acc.dma.put(1, 0x000, 0x1000, 64, 0)
-        acc.dma.put(2, 0x100, 0x1000, 64, 0)
-        checker.clear()
-        assert checker.races == []
-
     def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            DmaRaceChecker(mode="explode")
+        """Rejected when the options are built, also for a target whose
+        accelerators have no DMA engine to check anything."""
+        with pytest.raises(ValueError, match="racecheck.*'explode'"):
+            RunOptions(racecheck="explode", target=APU_UNIFIED.name)
+
+
+RACY_SOURCE = """
+int g_data[8];
+void main() {
+    __offload {
+        int a[8];
+        for (int i = 0; i < 8; i++) { a[i] = i; }
+        dma_put(&a[0], &g_data[0], 32, 1);
+        dma_put(&a[0], &g_data[4], 32, 2);  // overlaps in outer
+        dma_wait(1);
+        dma_wait(2);
+    };
+}
+"""
+
+
+class TestRunsOnOneMachine:
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_each_run_reports_only_its_own_races(self, engine):
+        """The mode and the records belong to one run: a later run on
+        the same machine neither inherits the earlier run's races nor
+        keeps checking once its own mode is None."""
+        program = compile_program(RACY_SOURCE, CELL_LIKE)
+        machine = Machine(CELL_LIKE)
+        counts = [
+            len(
+                run_program(
+                    program, machine, RunOptions(racecheck=mode, engine=engine)
+                ).races
+            )
+            for mode in ("record", "record", None)
+        ]
+        assert counts == [1, 1, 0]

@@ -14,7 +14,7 @@ from repro.machine.config import CELL_LIKE
 from repro.machine.dma import NUM_TAGS
 from repro.machine.machine import Machine
 from repro.vm.interpreter import ENGINE_NAMES, RunOptions, run_program
-from tests.conftest import printed, run_source
+from tests.conftest import printed
 
 
 def dma_source(get_tag, wait_tag):
@@ -74,10 +74,3 @@ class TestDmaTagRange:
     def test_trap_names_the_intrinsic(self):
         message = trap_message_both_engines(dma_source(40, 8))
         assert message.startswith("dma_get ")
-
-    def test_discipline_disabled_does_not_bypass_range_check(self):
-        with pytest.raises(RuntimeTrap, match="out-of-range DMA tag"):
-            run_source(
-                dma_source(33, 33),
-                run_options=RunOptions(check_dma_discipline=False),
-            )

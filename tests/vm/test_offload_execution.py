@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import DmaRaceError, LocalStoreOverflow, RuntimeTrap
 from repro.machine.config import CELL_LIKE, SMP_UNIFORM
-from repro.vm.interpreter import RunOptions
+from repro.vm.interpreter import ENGINE_NAMES, RunOptions
 from tests.conftest import printed, run_source
 
 
@@ -208,23 +208,6 @@ class TestDmaExecution:
             run_source(source)
         assert "dma_wait" in str(excinfo.value)
 
-    def test_discipline_check_can_be_disabled(self):
-        source = """
-        int g_data[8];
-        void main() {
-            int result = 0;
-            __offload {
-                int staging[8];
-                dma_get(&staging[0], &g_data[0], 32, 2);
-                result = staging[0];
-                dma_wait(2);
-            };
-            print_int(result);
-        }
-        """
-        options = RunOptions(check_dma_discipline=False)
-        run_source(source, run_options=options)  # should not raise
-
     def test_dma_put_writes_back(self):
         assert printed(
             """
@@ -257,6 +240,35 @@ class TestDmaExecution:
         """
         with pytest.raises(DmaRaceError):
             run_source(source)
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_bulk_copy_before_wait_traps(self, engine):
+        """A struct copy out of a get's target lowers to a local->local
+        Copy; it traps like a scalar read of the same bytes."""
+
+        def message(read):
+            source = f"""
+            struct V {{ int x; int y; }};
+            V g_data[4];
+            void main() {{
+                int result = 0;
+                __offload {{
+                    V staging[4];
+                    dma_get(&staging[0], &g_data[0], 32, 2);
+                    {read}   // BUG: no dma_wait
+                    dma_wait(2);
+                }};
+                print_int(result);
+            }}
+            """
+            with pytest.raises(RuntimeTrap) as excinfo:
+                run_source(source, run_options=RunOptions(engine=engine))
+            return str(excinfo.value)
+
+        copied = message("V local = staging[0]; result = local.y;")
+        assert copied.startswith("local store read at 0x0 overlaps in-flight dma_get(")
+        assert copied.endswith("; missing dma_wait")
+        assert copied == message("result = staging[0].x;")
 
     def test_dma_source_portable_to_shared_memory(self):
         """dma_get degrades to a copy on SMP — same output."""
