@@ -40,7 +40,6 @@ from repro.runspec import (
     FAULT_KINDS,
     FarmJob,
     execute_job,
-    job_key,
     program_key,
 )
 
@@ -58,7 +57,6 @@ __all__ = [
     "determinism_batch",
     "execute_job",
     "figure2_batch",
-    "job_key",
     "jobs_to_json",
     "load_jobs",
     "mixed_corpus",

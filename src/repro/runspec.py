@@ -14,9 +14,9 @@ engine, scheduling policy, queue depth and a seed — and nothing about
 * :func:`job_report` — the canonical report of the finished run.
 
 :func:`execute_job` is the three in sequence: what farm workers and the
-serial baseline run.  ``repro.tools.run`` / ``trace`` / ``sched`` /
-``bench`` build a job from their flags and call the steps, so a report
-cannot depend on which front end produced it.  This module sits below
+serial baseline run.  ``repro.tools.run`` / ``sched`` / ``bench`` build
+a job from their flags and call the steps, so a report cannot depend on
+which front end produced it.  This module sits below
 ``repro.farm`` and ``repro.tools`` and imports neither.
 
 Jobs are frozen dataclasses: hashable (the determinism tests key result
@@ -28,7 +28,6 @@ fails when the batch is *built*, not minutes later inside a worker.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ from typing import NamedTuple, Optional
 from repro.compiler.cache import compile_cache_key
 from repro.compiler.driver import CompileOptions, compile_program
 from repro.ir.module import IRProgram
-from repro.ir.serialize import load_program, to_canonical_json
+from repro.ir.serialize import load_program
 from repro.machine.config import resolve_target
 from repro.machine.machine import Machine
 from repro.obs.metrics import MetricsHub
@@ -235,14 +234,6 @@ def program_key(job: FarmJob) -> str:
             job.source, job.target, job.options
         )
     return f"{base}:{job.resolved_engine()}"
-
-
-def job_key(job: FarmJob) -> str:
-    """A content address for the whole job (identity + program)."""
-    material = to_canonical_json(
-        {"program": program_key(job), **job.identity()}
-    )
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
 # -------------------------------------------------------- the execute path

@@ -15,8 +15,7 @@ steady-state simulation only.
 Usage::
 
     PYTHONPATH=src python -m repro.tools.bench [--out BENCH_vm.json]
-        [--repeats 3] [--quick] [--trace FILE]
-        [--trace-format chrome|timeline|profile]
+        [--repeats 3] [--quick]
         [--policy greedy|least-loaded|locality|critical-path]
         [--target cell|smp|dsp|apu|manycore ...] [--reports DIR]
 
@@ -58,11 +57,10 @@ from repro.game.sources import (
     move_loop_source,
     word_struct_source,
 )
-from repro.obs import MetricsHub, TraceRecorder, save_report
+from repro.obs import MetricsHub, save_report
 from repro.runspec import FarmJob, job_report, prepare, simulate
 from repro.sched import POLICY_NAMES, SchedOptions
-from repro.tools.flags import add_policy_flag, add_target_flag, add_trace_flags
-from repro.tools.run import write_trace
+from repro.tools.flags import add_policy_flag, add_target_flag
 from repro.vm.codegen import warm_translations
 from repro.vm.interpreter import RunOptions, run_program
 
@@ -325,11 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true",
         help="smaller workloads, one repetition (CI smoke mode)",
     )
-    add_trace_flags(
-        parser,
-        help="also trace one codegen run of the headline game-frame "
-             "workload and export it to FILE",
-    )
     add_policy_flag(
         parser,
         help="run the whole workload matrix under this scheduling "
@@ -366,18 +359,6 @@ def main(argv: list[str] | None = None) -> int:
             f"codegen {entry['codegen_seconds']:8.4f}s "
             f"({entry['codegen_speedup']:5.2f}x)  [{status}]"
         )
-
-    if args.trace is not None:
-        headline_spec = next(
-            s for s in workloads(args.quick) if s["name"] == "game-frame"
-        )
-        job = FarmJob(
-            "game-frame", source=headline_spec["source"],
-            target=headline_spec["config"], engine="codegen",
-        )
-        recorder = TraceRecorder()
-        simulate(prepare(job).program, job, trace=recorder)
-        write_trace(recorder, args.trace, args.trace_format)
 
     scheduler = bench_scheduler(args.quick)
     for policy in POLICY_NAMES:

@@ -1,9 +1,9 @@
 """The flags and source reading the tools share.
 
-A tool that names a machine, an engine, a scheduling policy, a trace
-export or compile options declares the flag here, so it has the same
-choices, default and wording wherever it appears, and a new target,
-engine, policy or cache kind reaches every tool at once.  The parsed
+A tool that names a machine, an engine, a scheduling policy or compile
+options declares the flag here, so it has the same choices, default and
+wording wherever it appears, and a new target, engine, policy or cache
+kind reaches every tool at once.  The parsed
 values describe a :class:`repro.runspec.FarmJob`.
 """
 
@@ -18,9 +18,6 @@ from repro.machine.config import default_target, target_names
 from repro.runtime.cachekinds import CACHE_KIND_CHOICES
 from repro.sched.policy import POLICY_NAMES
 from repro.vm.interpreter import DEFAULT_ENGINE, ENGINE_NAMES
-
-#: ``--trace-format`` flavours (:func:`repro.tools.run.export_trace`).
-TRACE_FORMATS = ("chrome", "timeline", "profile")
 
 
 def add_target_flag(
@@ -59,17 +56,6 @@ def add_queue_depth_flag(
         help="bound each accelerator's ready queue at N jobs (0 = "
              "unbounded; default: the target's sched_queue_depth); a "
              "full queue stalls the host (backpressure)" + note,
-    )
-
-
-def add_trace_flags(
-    parser: argparse.ArgumentParser, help: str, formats=TRACE_FORMATS
-) -> None:
-    parser.add_argument("--trace", default=None, metavar="FILE", help=help)
-    parser.add_argument(
-        "--trace-format", choices=list(formats), default="chrome",
-        help="trace export format (default: chrome, the Chrome/Perfetto "
-             "trace_event JSON)",
     )
 
 

@@ -8,6 +8,7 @@ Usage::
         [--include-wall] [--format text|json]
     python -m repro.tools.report trend DIR [--metric PATH]
         [--format text|json]
+    python -m repro.tools.report validate TRACE.json
 
 ``show`` pretty-prints one report (produced by ``repro.tools.run
 --report`` or ``repro.tools.bench --reports``).  ``diff`` compares two
@@ -16,13 +17,16 @@ reports metric-by-metric: every flattened path (``simulated_cycles``,
 must match within its tolerance, which defaults to exact for simulated
 quantities and *ignored* for ``wall_seconds``.  ``trend`` walks a
 directory of historical reports (sorted by filename) and tabulates one
-metric over time.
+metric over time.  ``validate`` checks a Chrome trace exported by
+``repro.tools.run --trace`` against the structural trace-event rules
+Perfetto relies on and prints any problems.
 
 Exit status follows the checker convention (:mod:`repro.tools.check`):
 
 * 0 — clean: reports load and match within tolerances.
 * 1 — the tool could not do its job (missing/malformed file, unknown
-  metric path, bad tolerance spec).
+  metric path, bad tolerance spec), or the trace ``validate`` was
+  given has problems.
 * 3 — differences beyond tolerance (``diff`` only).
 """
 
@@ -32,6 +36,7 @@ import argparse
 import json
 import sys
 
+from repro.obs.export import validate_chrome_trace
 from repro.obs.report import (
     DEFAULT_IGNORE,
     ReportError,
@@ -86,6 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="flattened metric path (default: simulated_cycles)",
     )
     trend.add_argument("--format", choices=("text", "json"), default="text")
+
+    validate = sub.add_parser(
+        "validate", help="check an exported Chrome trace's structure"
+    )
+    validate.add_argument("trace", help="Chrome trace JSON file")
     return parser
 
 
@@ -271,6 +281,24 @@ def cmd_trend(args) -> int:
     return EXIT_CLEAN
 
 
+# --------------------------------------------------------------- validate
+
+
+def cmd_validate(args) -> int:
+    with open(args.trace, "r", encoding="utf-8") as handle:
+        trace = json.load(handle)
+    problems = validate_chrome_trace(trace)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    if problems:
+        print(f"-- {args.trace}: {len(problems)} problem(s)", file=sys.stderr)
+        return EXIT_ERROR
+    count = len(trace.get("traceEvents", []))
+    print(f"-- {args.trace}: valid Chrome trace ({count} events)",
+          file=sys.stderr)
+    return EXIT_CLEAN
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -278,7 +306,9 @@ def main(argv=None) -> int:
             return cmd_show(args)
         if args.command == "diff":
             return cmd_diff(args)
-        return cmd_trend(args)
+        if args.command == "trend":
+            return cmd_trend(args)
+        return cmd_validate(args)
     except (ReportError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -12,12 +12,21 @@ Usage::
         [--dump-after PASS] [--time-passes] [--cache-dir DIR]
         [--emit-artifact PATH]
 
-The target, compile, engine, scheduling and trace flags are the shared
-ones of :mod:`repro.tools.flags` (``--engine`` defaults to
+The target, compile, engine and scheduling flags are the shared ones
+of :mod:`repro.tools.flags` (``--engine`` defaults to
 :data:`repro.vm.DEFAULT_ENGINE`).  They describe one
 :class:`repro.runspec.FarmJob`, run through the same ``prepare`` →
 ``simulate`` → ``job_report`` steps as a farm job; only ``--dump-after``
 / ``--time-passes`` drive the pass pipeline directly.
+
+This is the one tool that traces a run.  ``--trace FILE`` records the
+run's cycle-stamped events and exports them in ``--trace-format``; a run
+that traps still writes the events recorded up to the trap.  With
+``--time-passes`` the trace also holds the compile passes as
+``compile``-track spans, which carry wall-clock microseconds, so such a
+file is not run-to-run byte-identical.  When ``--trace`` or ``--report``
+is ``-`` (stdout), the program's output goes to stderr so stdout holds
+only the artefact; the two cannot both be ``-``.
 
 A ``.json`` input is loaded as a serialized program artifact (see
 ``--emit-artifact`` and :mod:`repro.ir.serialize`) instead of being
@@ -41,6 +50,7 @@ from repro.ir.printer import format_program
 from repro.ir.serialize import load_program, save_program
 from repro.machine.config import resolve_target
 from repro.obs import (
+    NULL_RECORDER,
     MetricsHub,
     TraceRecorder,
     chrome_trace_json,
@@ -57,7 +67,6 @@ from repro.tools.flags import (
     add_policy_flag,
     add_queue_depth_flag,
     add_target_flag,
-    add_trace_flags,
     compile_options,
     read_source,
 )
@@ -81,10 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_queue_depth_flag(
         parser, note=". Implies --policy greedy when no policy is given"
     )
-    add_trace_flags(
-        parser,
+    parser.add_argument(
+        "--trace", default=None, metavar="FILE",
         help="record a cycle-accurate event trace of the run to FILE "
              "('-' for stdout)",
+    )
+    parser.add_argument(
+        "--trace-format", choices=["chrome", "timeline", "profile"],
+        default="chrome",
+        help="trace export format (default: chrome, the Chrome/Perfetto "
+             "trace_event JSON)",
     )
     parser.add_argument(
         "--report", default=None, metavar="FILE",
@@ -157,9 +172,10 @@ def write_trace(recorder, path: str, fmt: str) -> None:
         )
 
 
-def _run_pass_pipeline(args, job: FarmJob):
+def _run_pass_pipeline(args, job: FarmJob, recorder):
     """``--dump-after`` / ``--time-passes``: drive the pass pipeline
-    itself, bypassing cache and warm-up so every pass runs and is timed.
+    itself, bypassing cache and warm-up so every pass runs and is timed
+    (and, given a recorder, traced as ``compile``-track spans).
     Returns the program, or None when ``--dump-after`` ended the job."""
     ctx = PassManager.default().run(
         job.source,
@@ -168,6 +184,7 @@ def _run_pass_pipeline(args, job: FarmJob):
         filename=args.source,
         stop_after=args.dump_after,
         dump_after=(args.dump_after,) if args.dump_after else (),
+        trace=recorder if recorder is not None else NULL_RECORDER,
     )
     if args.time_passes:
         print(format_timings(ctx.timings), file=sys.stderr)
@@ -179,6 +196,11 @@ def _run_pass_pipeline(args, job: FarmJob):
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.trace == "-" and args.report == "-":
+        print("error: --trace and --report cannot both write to stdout",
+              file=sys.stderr)
+        return 1
+    recorder = TraceRecorder() if args.trace is not None else None
     spec = dict(
         workload=os.path.splitext(os.path.basename(args.source))[0],
         engine=args.engine,
@@ -203,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
                 options=compile_options(args), **spec,
             )
             if args.dump_after is not None or args.time_passes:
-                program = _run_pass_pipeline(args, job)
+                program = _run_pass_pipeline(args, job, recorder)
                 if program is None:
                     return 0
             else:
@@ -243,7 +265,6 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 0
-    recorder = TraceRecorder() if args.trace is not None else None
     hub = MetricsHub() if args.report is not None else None
     started = time.perf_counter()
     try:
@@ -256,9 +277,13 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ReproError as error:
         print(f"runtime error: {error}", file=sys.stderr)
+        if recorder is not None:
+            write_trace(recorder, args.trace, args.trace_format)
         return 2
+    # Program output must not interleave with an artefact on stdout.
+    out = sys.stderr if "-" in (args.trace, args.report) else sys.stdout
     for core, value in result.output:
-        print(f"[{core}] {value}")
+        print(f"[{core}] {value}", file=out)
     if recorder is not None:
         write_trace(recorder, args.trace, args.trace_format)
     if args.report is not None:

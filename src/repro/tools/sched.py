@@ -5,17 +5,16 @@ Usage::
     python -m repro.tools.sched [program.om | --corpus figure2|game-demo]
         [--target cell|smp|dsp|apu|manycore]
         [--engine codegen|reference]
-        [--policy greedy|least-loaded|locality|critical-path]
         [--queue-depth N] [--admission stall|trap] [--frames N]
-        [--trace FILE] [--trace-format chrome|timeline]
         [--json] [--require locality<greedy]
 
-Without ``--policy`` every policy runs and a comparison table is
+Every policy runs over one prepared program and a comparison table is
 printed (simulated cycles, uploads, stalls, queue high-water,
-utilization).  With ``--policy`` only that policy runs and the full
-scheduler accounting is shown.  ``--engine`` defaults to
+utilization).  ``--engine`` defaults to
 :data:`repro.vm.DEFAULT_ENGINE`; each policy is one
-:class:`repro.runspec.FarmJob` over one prepared program.
+:class:`repro.runspec.FarmJob`.  One policy's full scheduler accounting,
+or its trace with the sched lane, is ``repro.tools.run --policy P
+[--queue-depth N] [--trace FILE]`` on the same source.
 
 ``--require locality<greedy`` exits 4 unless the locality policy's
 simulated cycles are strictly below greedy's — the gate the CI sched
@@ -34,18 +33,14 @@ import sys
 
 from repro.errors import CompileError, ReproError
 from repro.game.sources import figure2_source, game_demo_source
-from repro.obs import TraceRecorder
 from repro.runspec import FarmJob, prepare, simulate
 from repro.sched import POLICY_NAMES
 from repro.tools.flags import (
     add_engine_flag,
-    add_policy_flag,
     add_queue_depth_flag,
     add_target_flag,
-    add_trace_flags,
     read_source,
 )
-from repro.tools.run import write_trace
 
 CORPUS = {
     "figure2": lambda frames: figure2_source(
@@ -75,17 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_target_flag(parser)
     add_engine_flag(parser)
-    add_policy_flag(parser, help="run one policy (default: compare all)")
     add_queue_depth_flag(parser)
     parser.add_argument(
         "--admission", choices=["stall", "trap"], default="stall",
         help="full-queue behaviour (default: stall = host backpressure)",
-    )
-    add_trace_flags(
-        parser,
-        help="export a trace of the last policy run to FILE "
-             "('-' for stdout); includes the sched lane",
-        formats=("chrome", "timeline"),
     )
     parser.add_argument(
         "--json", action="store_true",
@@ -111,9 +99,9 @@ def _load_source(args) -> str | None:
     return read_source(args.source)
 
 
-def run_policy(program, job: FarmJob, admission: str, recorder=None) -> dict:
+def run_policy(program, job: FarmJob, admission: str) -> dict:
     """One policy run; returns its row of the comparison table."""
-    result = simulate(program, job, trace=recorder, admission=admission)
+    result = simulate(program, job, admission=admission)
     return {
         "policy": job.policy,
         "simulated_cycles": result.cycles,
@@ -164,16 +152,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 1
 
-    policies = [args.policy] if args.policy else list(POLICY_NAMES)
-    rows = []
-    recorder = None
     try:
-        for index, policy in enumerate(policies):
-            # Only the last policy run is traced (one file, one lane set).
-            if args.trace is not None and index == len(policies) - 1:
-                recorder = TraceRecorder()
-            job = dataclasses.replace(base, policy=policy)
-            rows.append(run_policy(program, job, args.admission, recorder))
+        rows = [
+            run_policy(
+                program, dataclasses.replace(base, policy=policy),
+                args.admission,
+            )
+            for policy in POLICY_NAMES
+        ]
     except ReproError as error:
         print(f"runtime error: {error}", file=sys.stderr)
         return 2
@@ -183,9 +169,6 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         print(format_table(rows))
-
-    if recorder is not None:
-        write_trace(recorder, args.trace, args.trace_format)
 
     if args.require is not None:
         left, _, right = args.require.partition("<")

@@ -12,7 +12,6 @@ from repro.farm import (
     FarmJob,
     determinism_batch,
     figure2_batch,
-    job_key,
     jobs_to_json,
     load_jobs,
     mixed_corpus,
@@ -119,14 +118,6 @@ class TestIdentity:
         other_engine = FarmJob(workload="w", source=SOURCE, engine="codegen")
         assert program_key(base) != program_key(other_target)
         assert program_key(base) != program_key(other_engine)
-
-    def test_job_key_distinguishes_policy(self):
-        a = FarmJob(workload="w", source=SOURCE, policy="greedy")
-        b = FarmJob(workload="w", source=SOURCE, policy="locality")
-        assert job_key(a) != job_key(b)
-        assert job_key(a) == job_key(
-            FarmJob(workload="w", source=SOURCE, policy="greedy")
-        )
 
     def test_jobs_are_hashable(self):
         jobs = determinism_batch()

@@ -11,7 +11,7 @@ export:
   agree on ``ctx.now``, so tracing is part of the equivalence contract.
 
 Compile-pass spans are deliberately excluded from run traces (they are
-wall-clock by nature); ``repro.tools.trace --compile-spans`` is the
+wall-clock by nature); ``repro.tools.run --time-passes --trace`` is the
 opt-in that trades determinism for compile visibility.
 """
 

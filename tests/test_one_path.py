@@ -1,7 +1,7 @@
 """Every front end runs through the one execute path (repro.runspec).
 
-Pins the refactor that put ``run``, ``trace``, ``sched``, ``bench`` and
-the farm on the same prepare → simulate → report steps: the committed
+Pins the refactor that put ``run``, ``sched``, ``bench`` and the farm
+on the same prepare → simulate → report steps: the committed
 report baselines stay byte-identical, the front ends agree with each
 other on one job, and no tool's flag set moved.
 """
@@ -21,7 +21,6 @@ from repro.sched import POLICY_NAMES
 from repro.tools import bench as bench_tool
 from repro.tools import run as run_tool
 from repro.tools import sched as sched_tool
-from repro.tools import trace as trace_tool
 from repro.tools.bench import BENCH_TARGETS, emit_run_reports
 from repro.vm import ENGINE_NAMES
 
@@ -87,20 +86,20 @@ def test_run_bench_and_farm_emit_the_same_report(
     assert _identity_free(bench_report) == _identity_free(farm_report)
     capsys.readouterr()
 
-    # sched runs the same job; trace runs it in compat mode (no policy).
+    # sched runs the same job among all policies; run without a policy
+    # runs it in compat mode.
     assert sched_tool.main(
-        [str(path), "--target", target, "--engine", "codegen",
-         "--policy", "locality", "--json"]
+        [str(path), "--target", target, "--engine", "codegen", "--json"]
     ) == 0
-    (row,) = json.loads(capsys.readouterr().out)["policies"]
+    rows = json.loads(capsys.readouterr().out)["policies"]
+    (row,) = [row for row in rows if row["policy"] == "locality"]
     assert row["simulated_cycles"] == farm_report["simulated_cycles"]
 
     compat = execute_job(
         FarmJob("figure2", source=source, target=target, engine="codegen")
     )["report"]
-    assert trace_tool.main(
-        [str(path), "--target", target, "--engine", "codegen",
-         "--out", str(tmp_path / "trace.json")]
+    assert run_tool.main(
+        [str(path), "--target", target, "--engine", "codegen"]
     ) == 0
     assert (
         f"-- {compat['simulated_cycles']} simulated cycles"
@@ -112,10 +111,12 @@ def test_run_bench_and_farm_emit_the_same_report(
 
 #: Option strings (positionals by dest) of every tool's parser.  The
 #: refactor moved declarations into repro.tools.flags; it added and
-#: removed nothing.  bench's ``--farm`` was removed later, on purpose.
+#: removed nothing.  Removed later, on purpose: bench's ``--farm``; the
+#: ``trace`` tool, sched's single-policy and trace flags and bench's
+#: trace flags (``run`` is the one tool that traces a run).
 TOOL_FLAGS = {
-    "bench": """--out --policy --quick --repeats --reports --target --trace
-        --trace-format -h/--help""",
+    "bench": """--out --policy --quick --repeats --reports --target
+        -h/--help""",
     "check": """--all-targets --baseline --corpus --fail-on --format --out
         --target --time-passes --trace --write-baseline -h/--help sources""",
     "farm": """--cache-dir --corpus --count --emit-batch --engine
@@ -125,17 +126,14 @@ TOOL_FLAGS = {
     "report": """-h/--help diff:--default-tolerance diff:--format
         diff:--include-wall diff:--tolerance diff:-h/--help diff:baseline
         diff:new show:--format show:-h/--help show:report trend:--format
-        trend:--metric trend:-h/--help trend:directory""",
+        trend:--metric trend:-h/--help trend:directory validate:-h/--help
+        validate:trace""",
     "run": """--cache --cache-dir --demand-load --dump-after --dump-codegen
         --dump-ir --emit-artifact --engine --optimize --perf --policy
         --queue-depth --record-races --report --target --time-passes
         --trace --trace-format --wordaddr -h/--help source""",
-    "sched": """--admission --corpus --engine --frames --json --policy
-        --queue-depth --require --target --trace --trace-format -h/--help
-        source""",
-    "trace": """--cache --capacity --compile-spans --demand-load --engine
-        --format --frame-marker --optimize --out --target --validate
-        --wordaddr -h/--help source""",
+    "sched": """--admission --corpus --engine --frames --json
+        --queue-depth --require --target -h/--help source""",
 }
 
 #: Flags whose choices come from a registry, wherever they appear.

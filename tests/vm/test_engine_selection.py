@@ -154,10 +154,9 @@ class TestRemovedEngineName:
             ["repro.tools.farm", "--corpus", "mixed"],
             ["repro.tools.farm", "--corpus", "mixed", "--serial"],
             ["repro.tools.run", "SOURCE"],
-            ["repro.tools.trace", "SOURCE"],
             ["repro.tools.sched", "SOURCE"],
         ],
-        ids=["farm", "farm-serial", "run", "trace", "sched"],
+        ids=["farm", "farm-serial", "run", "sched"],
     )
     def test_stale_env_default_is_a_usage_error(self, tmp_path, argv):
         source = tmp_path / "p.om"
