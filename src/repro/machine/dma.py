@@ -22,6 +22,11 @@ requests, checks each new transfer against them
 static :mod:`repro.analysis.dmacheck` applies too) and lets the
 interpreter trap local reads before a ``dma_wait``: the bug class
 targeted by the static and dynamic tools the paper cites.
+
+Runtime traffic — a raw outer access through its bounce buffer, a
+software-cache fill or write-back, an accessor bulk transfer — is a
+transfer and its wait: :meth:`DmaEngine.transfer_and_wait` does both in
+one step, with nothing built or kept when nothing else is in flight.
 """
 
 from __future__ import annotations
@@ -38,8 +43,10 @@ from repro.obs.trace import EV_DMA_WAIT, EV_DMA_XFER, NULL_RECORDER
 
 NUM_TAGS = 32
 
-GET = "get"
-PUT = "put"
+GET, PUT = "get", "put"
+
+#: The counters transfers and waits feed, in slot order.
+_COUNTERS = ("dma.gets", "dma.bytes_get", "dma.puts", "dma.bytes_put", "dma.waits")
 
 #: What :attr:`DmaEngine.racecheck` may be: raise :class:`DmaRaceError`
 #: at the issuing call, append a :class:`RaceRecord` to
@@ -70,21 +77,11 @@ def race_location(
 
 @dataclass(frozen=True)
 class DmaRequest:
-    """One issued DMA transfer.
-
-    Attributes:
-        kind: ``"get"`` (main memory -> local store) or ``"put"``.
-        tag: Tag group, 0..31.
-        local_addr: Byte address in the local store.
-        outer_addr: Byte address in main memory.
-        size: Transfer length in bytes.
-        issue_time: Cycle at which the issuing core posted the request.
-        complete_time: Cycle at which the transfer finishes.
-        serial: Issue order within the owning engine (1-based), used for
-            deterministic reporting.  Per-engine rather than
-            process-global, so serials are reproducible regardless of
-            how many machines ran earlier in the same process.
-    """
+    """One issued DMA transfer: a ``"get"`` (main memory -> local
+    store) or ``"put"`` of ``size`` bytes under ``tag`` (0..31), posted
+    at cycle ``issue_time``, done at ``complete_time``.  ``serial`` is
+    the issue order within the owning engine (1-based): per engine, not
+    per process, so reports do not depend on what ran earlier."""
 
     kind: str
     tag: int
@@ -133,12 +130,8 @@ class DmaEngine:
     """
 
     def __init__(
-        self,
-        local_store: MemorySpace,
-        main_memory: MemorySpace,
-        cost: CostModel,
-        perf: PerfCounters,
-        name: str = "dma",
+        self, local_store: MemorySpace, main_memory: MemorySpace,
+        cost: CostModel, perf: PerfCounters, name: str = "dma",
         interconnect: object = None,
     ):
         self.local_store = local_store
@@ -149,8 +142,9 @@ class DmaEngine:
         self.interconnect = interconnect
         #: Event sink; installed by ``Machine.attach_trace``.
         self.trace = NULL_RECORDER
-        #: Metrics sink; installed by ``Machine.attach_metrics``.
         self.metrics = NULL_METRICS
+        #: :data:`_COUNTERS` as slots, bound at the first transfer.
+        self._slots: tuple = ()
         #: Race-check mode, one of :data:`RACECHECK_MODES`; an
         #: interpreter sets it, and empties :attr:`races`, for its run.
         self.racecheck: Optional[str] = None
@@ -160,103 +154,102 @@ class DmaEngine:
         self._channel_free = 0
         self._next_serial = 0
 
+    @property
+    def metrics(self):
+        """Metrics sink; installed by ``Machine.attach_metrics``."""
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, hub) -> None:
+        # The transfer-size and wait tallies are bound at their first sample.
+        self._metrics = hub
+        self._sizes = self._waits = None
+
     # ------------------------------------------------------------ issuing
 
-    def _validate(self, tag: int, local_addr: int, outer_addr: int, size: int) -> None:
+    def _issue(
+        self, kind: str, tag: int, local_addr: int, outer_addr: int,
+        size: int, now: int, track: bool = True,
+    ) -> int:
+        """Check, schedule, race-check, report and perform one transfer
+        issued at ``now``; returns its completion time.  It is built as
+        a :class:`DmaRequest` only to be checked against transfers in
+        flight or, with ``track``, to stay in flight itself."""
+        name = self.name
         if not 0 <= tag < NUM_TAGS:
-            raise DmaError(f"{self.name}: tag {tag} out of range 0..{NUM_TAGS - 1}")
+            raise DmaError(f"{name}: tag {tag} out of range 0..{NUM_TAGS - 1}")
         if size <= 0:
-            raise DmaError(f"{self.name}: transfer size must be positive, got {size}")
-        if local_addr < 0 or local_addr + size > self.local_store.size:
-            raise DmaError(
-                f"{self.name}: local range [{local_addr:#x}, "
-                f"{local_addr + size:#x}) outside local store"
-            )
-        if outer_addr < 0 or outer_addr + size > self.main_memory.size:
-            raise DmaError(
-                f"{self.name}: outer range [{outer_addr:#x}, "
-                f"{outer_addr + size:#x}) outside main memory"
-            )
-
-    def _schedule(self, issue_time: int, size: int) -> int:
-        earliest = issue_time + self.cost.dma_latency
+            raise DmaError(f"{name}: transfer size must be positive, got {size}")
+        local, outer = self.local_store, self.main_memory
+        if local_addr < 0 or local_addr + size > local.size:
+            raise DmaError(f"{name}: local range [{local_addr:#x}, "
+                           f"{local_addr + size:#x}) outside local store")
+        if outer_addr < 0 or outer_addr + size > outer.size:
+            raise DmaError(f"{name}: outer range [{outer_addr:#x}, "
+                           f"{outer_addr + size:#x}) outside main memory")
+        earliest = now + self.cost.dma_latency
         if self.interconnect is not None:
-            return self.interconnect.reserve(earliest, size)  # type: ignore[attr-defined]
-        start = max(earliest, self._channel_free)
-        duration = -(-size // self.cost.dma_bytes_per_cycle)  # ceil division
-        complete = start + duration
-        self._channel_free = complete
+            complete = self.interconnect.reserve(earliest, size)  # type: ignore[attr-defined]
+        else:  # the channel serialises bandwidth: ceil(size / rate)
+            free = self._channel_free
+            complete = (earliest if earliest > free else free) - (
+                -size // self.cost.dma_bytes_per_cycle)
+            self._channel_free = complete
+        serial = self._next_serial = self._next_serial + 1
+        in_flight = self._in_flight
+        if track or in_flight:
+            request = DmaRequest(kind, tag, local_addr, outer_addr, size, now,
+                                 complete, serial)
+            if in_flight and self.racecheck is not None:
+                self._check_races(request)
+            if track:
+                in_flight.append(request)
+        if self.trace.enabled:
+            self.trace.emit(now, name, EV_DMA_XFER, (
+                kind, tag, local_addr, outer_addr, size, complete, serial))
+        if self._metrics.enabled:
+            sizes = self._sizes
+            if sizes is None:
+                sizes = self._sizes = self._metrics.tally("dma.xfer_bytes", name)
+            sizes[size] = sizes.get(size, 0) + 1
+        slots = self._slots or self._bind_slots()
+        if kind == GET:
+            local._data[local_addr:local_addr + size] = outer._data[
+                outer_addr:outer_addr + size]
+            slots[0].count += 1
+            slots[1].count += size
+        else:
+            outer._data[outer_addr:outer_addr + size] = local._data[
+                local_addr:local_addr + size]
+            slots[2].count += 1
+            slots[3].count += size
         return complete
 
-    def _issue(
-        self, kind: str, tag: int, local_addr: int, outer_addr: int, size: int, now: int
-    ) -> DmaRequest:
-        self._validate(tag, local_addr, outer_addr, size)
-        complete = self._schedule(now, size)
-        self._next_serial += 1
-        request = DmaRequest(
-            kind=kind,
-            tag=tag,
-            local_addr=local_addr,
-            outer_addr=outer_addr,
-            size=size,
-            issue_time=now,
-            complete_time=complete,
-            serial=self._next_serial,
-        )
-        racecheck = self.racecheck
-        if racecheck is not None:
-            # Checked oldest first against what is still in flight.
-            local_end = local_addr + size
-            outer_end = outer_addr + size
-            for earlier in self._in_flight:
-                location = race_location(
-                    earlier.kind,
-                    kind,
-                    earlier.outer_addr < outer_end
-                    and outer_addr < earlier.outer_addr + earlier.size,
-                    earlier.local_addr < local_end
-                    and local_addr < earlier.local_addr + earlier.size,
-                )
-                if location is None:
-                    continue
-                record = RaceRecord(earlier, request, location)
-                if racecheck == "raise":
-                    raise DmaRaceError(record.describe(), earlier, request)
-                self.races.append(record)
-        trace = self.trace
-        if trace.enabled:
-            trace.emit(
-                now,
-                self.name,
-                EV_DMA_XFER,
-                (kind, tag, local_addr, outer_addr, size, complete,
-                 request.serial),
+    def _check_races(self, request: DmaRequest) -> None:
+        """Check a new transfer against those in flight, oldest first."""
+        local_end = request.local_addr + request.size
+        outer_end = request.outer_addr + request.size
+        for earlier in self._in_flight:
+            location = race_location(
+                earlier.kind, request.kind,
+                earlier.outer_addr < outer_end
+                and request.outer_addr < earlier.outer_addr + earlier.size,
+                earlier.local_addr < local_end
+                and request.local_addr < earlier.local_addr + earlier.size,
             )
-        metrics = self.metrics
-        if metrics.enabled:
-            metrics.observe("dma.xfer_bytes", self.name, size)
-        self._in_flight.append(request)
-        if kind == GET:
-            data = self.main_memory.read_unchecked(outer_addr, size)
-            self.local_store.write_unchecked(local_addr, data)
-            self.perf.add("dma.gets")
-            self.perf.add("dma.bytes_get", size)
-        else:
-            data = self.local_store.read_unchecked(local_addr, size)
-            self.main_memory.write_unchecked(outer_addr, data)
-            self.perf.add("dma.puts")
-            self.perf.add("dma.bytes_put", size)
-        return request
+            if location is None:
+                continue
+            record = RaceRecord(earlier, request, location)
+            if self.racecheck == "raise":
+                raise DmaRaceError(record.describe(), earlier, request)
+            self.races.append(record)
 
     def get(
         self, tag: int, local_addr: int, outer_addr: int, size: int, now: int
     ) -> int:
-        """Issue a non-blocking main-memory -> local-store transfer.
-
-        Returns the time at which the issuing core may continue (i.e.
-        ``now`` plus the setup cost); completion is tracked per tag.
-        """
+        """Issue a non-blocking main-memory -> local-store transfer;
+        returns when the issuing core may continue (``now`` plus the
+        setup cost).  Completion is tracked per tag."""
         self._issue(GET, tag, local_addr, outer_addr, size, now)
         return now + self.cost.dma_setup
 
@@ -267,6 +260,26 @@ class DmaEngine:
         self._issue(PUT, tag, local_addr, outer_addr, size, now)
         return now + self.cost.dma_setup
 
+    def transfer_and_wait(
+        self, kind: str, tag: int, local_addr: int, outer_addr: int,
+        size: int, now: int,
+    ) -> int:
+        """A blocking transfer: :meth:`get` or :meth:`put`, then
+        :meth:`wait` on ``tag``, as one step on the value clock.
+
+        With nothing in flight it has exactly their effects (completion
+        time, serial, events, metric samples, counters, data through the
+        local store) without building a :class:`DmaRequest` or touching
+        ``_in_flight``: there is nothing to race with and nothing else
+        to complete.  Otherwise it makes the two calls.
+        """
+        if self._in_flight:
+            self._issue(kind, tag, local_addr, outer_addr, size, now)
+            return self.wait(tag, now + self.cost.dma_setup)
+        complete = self._issue(kind, tag, local_addr, outer_addr, size, now, False)
+        now += self.cost.dma_setup
+        return self._waited(tag, now, complete if complete > now else now)
+
     # ------------------------------------------------------------ waiting
 
     def wait(self, tag: int, now: int) -> int:
@@ -276,37 +289,33 @@ class DmaEngine:
         """
         if not 0 <= tag < NUM_TAGS:
             raise DmaError(f"{self.name}: tag {tag} out of range 0..{NUM_TAGS - 1}")
-        done_time = now
-        remaining: list[DmaRequest] = []
-        for request in self._in_flight:
-            if request.tag == tag:
-                done_time = max(done_time, request.complete_time)
-            else:
-                remaining.append(request)
-        self._in_flight = remaining
-        self.perf.add("dma.waits")
-        trace = self.trace
-        if trace.enabled:
-            trace.emit(now, self.name, EV_DMA_WAIT, (tag, done_time))
-        metrics = self.metrics
-        if metrics.enabled:
-            metrics.observe("dma.wait_cycles", self.name, done_time - now)
-        return done_time
+        in_flight = self._in_flight
+        done = [r.complete_time for r in in_flight if r.tag == tag]
+        self._in_flight = [r for r in in_flight if r.tag != tag]
+        return self._waited(tag, now, max([now, *done]))
 
     def wait_all(self, now: int) -> int:
         """Block until every outstanding transfer has completed."""
-        done_time = now
-        for request in self._in_flight:
-            done_time = max(done_time, request.complete_time)
+        done = [r.complete_time for r in self._in_flight]
         self._in_flight = []
-        self.perf.add("dma.waits")
-        trace = self.trace
-        if trace.enabled:
-            trace.emit(now, self.name, EV_DMA_WAIT, (-1, done_time))
-        metrics = self.metrics
-        if metrics.enabled:
-            metrics.observe("dma.wait_cycles", self.name, done_time - now)
+        return self._waited(-1, now, max([now, *done]))
+
+    def _waited(self, tag: int, now: int, done_time: int) -> int:
+        """Count and report a wait on ``tag`` (-1: every tag) from
+        ``now`` until ``done_time``, and return ``done_time``."""
+        (self._slots or self._bind_slots())[4].count += 1
+        if self.trace.enabled:
+            self.trace.emit(now, self.name, EV_DMA_WAIT, (tag, done_time))
+        if self._metrics.enabled:
+            waits = self._waits
+            if waits is None:
+                waits = self._waits = self._metrics.tally("dma.wait_cycles", self.name)
+            waits[done_time - now] = waits.get(done_time - now, 0) + 1
         return done_time
+
+    def _bind_slots(self) -> tuple:
+        self._slots = tuple(map(self.perf.slot, _COUNTERS))
+        return self._slots
 
     # ---------------------------------------------------------- inspection
 

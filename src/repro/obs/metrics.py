@@ -22,7 +22,9 @@ established in PR 3: pre-bind the hub (machines default to the shared
 :data:`NULL_METRICS`) and guard every observation with a single
 ``if metrics.enabled:`` attribute check, so the disabled path costs one
 attribute load per site.  ``benchmarks/test_obs_overhead.py`` includes
-these guards in its <3% budget.
+these guards in its <3% budget.  The hottest sites (each DMA engine's
+transfers and waits, each software cache's streaks) count samples into
+a :meth:`MetricsHub.tally` instead, which every read folds in first.
 
 Every metric family lives in the :data:`METRICS` registry; the table in
 ``docs/observability.md`` mirrors it and a test keeps the two in sync
@@ -150,7 +152,9 @@ class Histogram:
     ):
         self.name = name
         self.bounds = tuple(bounds)
-        if not self.bounds or list(self.bounds) != sorted(set(self.bounds)):
+        if bounds is not DEFAULT_BUCKET_BOUNDS and (
+            not self.bounds or list(self.bounds) != sorted(set(self.bounds))
+        ):
             raise ValueError(
                 f"histogram bounds must be strictly increasing, "
                 f"got {self.bounds!r}"
@@ -161,15 +165,16 @@ class Histogram:
         self.min = 0
         self.max = 0
 
-    def observe(self, value: int) -> None:
-        """Record one sample.  Hot path: one bisect, one list store."""
-        self.counts[bisect_left(self.bounds, value)] += 1
+    def observe(self, value: int, times: int = 1) -> None:
+        """Record ``times`` samples of ``value``.  Hot path: one bisect,
+        one list store."""
+        self.counts[bisect_left(self.bounds, value)] += times
         if self.count == 0 or value < self.min:
             self.min = value
         if value > self.max:
             self.max = value
-        self.count += 1
-        self.total += value
+        self.count += times
+        self.total += value * times
 
     def percentile(self, q: float) -> int:
         """The q-quantile (0 < q <= 1) estimated from the buckets.
@@ -259,17 +264,40 @@ class MetricsHub:
     def __init__(self) -> None:
         self._histograms: dict[str, Histogram] = {}
         self._gauges: dict[str, int] = {}
+        self._tallies: list[tuple[str, Optional[str], dict[int, int]]] = []
 
     # -------------------------------------------------------------- writing
 
     def observe(self, family: str, label: Optional[str], value: int) -> None:
         """Record one histogram sample under ``family`` (+ ``label``)."""
         assert METRICS.get(family, _MISSING).kind == "histogram", family
-        key = metric_key(family, label)
+        self._histogram_at(metric_key(family, label)).observe(value)
+
+    def _histogram_at(self, key: str) -> Histogram:
         histogram = self._histograms.get(key)
         if histogram is None:
             histogram = self._histograms[key] = Histogram(key)
-        histogram.observe(value)
+        return histogram
+
+    def tally(self, family: str, label: Optional[str]) -> dict[int, int]:
+        """A batched sink for ``family`` (+ ``label``) samples, as a
+        counter slot is for a counter: a hot site bound to it at its
+        first sample adds each value ``v`` as ``tally[v] = tally.get(v,
+        0) + 1``, and every read of the hub first observes and empties
+        every tally: what a read sees does not depend on which sink a
+        sample took."""
+        assert METRICS.get(family, _MISSING).kind == "histogram", family
+        tally: dict[int, int] = {}
+        self._tallies.append((family, label, tally))
+        return tally
+
+    def _fold(self) -> None:
+        for family, label, tally in self._tallies:
+            if tally:
+                histogram = self._histogram_at(metric_key(family, label))
+                for value, times in tally.items():
+                    histogram.observe(value, times)
+                tally.clear()
 
     def gauge_set(self, family: str, value: int,
                   label: Optional[str] = None) -> None:
@@ -282,10 +310,12 @@ class MetricsHub:
     def histogram(self, family: str,
                   label: Optional[str] = None) -> Optional[Histogram]:
         """The histogram for ``family`` (+ ``label``), or None."""
+        self._fold()
         return self._histograms.get(metric_key(family, label))
 
     def histograms_dict(self) -> dict:
         """All histograms as plain dicts, sorted by key."""
+        self._fold()
         return {
             key: h.as_dict() for key, h in sorted(self._histograms.items())
         }
@@ -301,6 +331,7 @@ class MetricsHub:
         }
 
     def __repr__(self) -> str:
+        self._fold()
         return (
             f"MetricsHub(histograms={len(self._histograms)}, "
             f"gauges={len(self._gauges)})"

@@ -24,11 +24,13 @@ exactly the diagnostic behaviour the paper describes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import MissingDuplicateError
 from repro.machine.cores import Core
+from repro.machine.perf import CounterSlot
 from repro.obs.trace import EV_DISPATCH_HIT, EV_DISPATCH_MISS
 
 
@@ -58,6 +60,28 @@ _COUNTERS = (
     "dispatch.missing_duplicates",
 )
 
+#: What one virtual call that hits counts, low field first, in a
+#: :class:`HitTally`; 48 bits a field is more than any run needs.
+_HIT_COUNTERS = ("dispatch.vcalls", *_COUNTERS[:4])
+_FIELD = 48
+
+
+class HitTally(CounterSlot):
+    """Virtual-call hits served inline: each adds its
+    :meth:`DomainTable.hit_weight` to ``count``, one field per
+    :data:`_HIT_COUNTERS` entry, which the counter bag splits when it
+    folds the slot."""
+
+    __slots__ = ()
+
+    def _fold(self, counts: Counter[str]) -> None:
+        count, self.count = self.count, 0
+        for name in _HIT_COUNTERS:
+            amount = count & ((1 << _FIELD) - 1)
+            if amount:
+                counts[name] += amount
+            count >>= _FIELD
+
 
 @dataclass
 class DomainTable:
@@ -85,12 +109,15 @@ class DomainTable:
     _perf: object = field(default=None, init=False, repr=False,
                           compare=False)
     _slots: tuple = field(default=(), init=False, repr=False, compare=False)
+    #: How many times :meth:`add` has changed the table.
+    generation: int = field(default=0, init=False, repr=False, compare=False)
 
     def add(
         self, host_address: int, method_name: str, entries: list[InnerEntry]
     ) -> None:
         """Register a virtual method and its compiled duplicates."""
         self._memo.clear()
+        self.generation += 1
         if host_address in self.outer:
             index = self.outer.index(host_address)
             self.inner[index].extend(entries)
@@ -120,6 +147,15 @@ class DomainTable:
                     return found
             return None, index, index + 1, len(row)
         return None, None, len(self.outer), 0
+
+    def hit_weight(self, host_address: int, duplicate_id: str) -> int:
+        """What a repeat of this successful lookup adds to a
+        :class:`HitTally`: one call, lookup and hit, and its probes."""
+        _, _, outer, inner = self._memo[host_address, duplicate_id]
+        return sum(
+            amount << (_FIELD * field)
+            for field, amount in enumerate((1, 1, outer, inner, 1))
+        )
 
     def lookup_entry(
         self, core: Core, host_address: int, duplicate_id: str, now: int

@@ -30,11 +30,13 @@ None) and, only where replacement reads it, ``_last_used``.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from typing import Optional
 
 from repro.errors import MachineError
 from repro.machine.cores import AcceleratorCore
+from repro.machine.dma import GET, PUT
 from repro.machine.perf import CounterSlot
 from repro.obs.trace import (
     EV_CACHE_EVICT,
@@ -106,6 +108,11 @@ class InlineHits(CounterSlot):
         return loads + stores
 
 
+#: Each core's cache counter slots (see :class:`SoftwareCache`).
+_CORE_SLOTS: "weakref.WeakKeyDictionary[AcceleratorCore, tuple]" = (
+    weakref.WeakKeyDictionary()
+)
+
 #: What generated code binds instead of :attr:`DirectMappedCache.inline_view`
 #: when the inline path is off: a one-slot tag tuple that never matches.
 NO_INLINE = ((None,), (None,), 0, 0, 0, None, None)
@@ -167,11 +174,20 @@ class SoftwareCache:
         self._offset_mask = line_size - 1
         # Batched counters: the probe/hit/miss bookkeeping sits on every
         # cached outer access, so increments are plain ints drained into
-        # the machine-wide PerfCounters on read.
-        self._probes = core.perf.slot("softcache.probes")
-        self._hits = core.perf.slot("softcache.hits")
-        self._misses = core.perf.slot("softcache.misses")
-        self._inline_hits = core.perf.slot("softcache.inline", InlineHits)
+        # the machine-wide PerfCounters on read.  Offloads run one at a
+        # time, so the caches a core runs share one set.
+        slots = _CORE_SLOTS.get(core)
+        if slots is None:
+            slot = core.perf.slot
+            slots = _CORE_SLOTS[core] = (
+                slot("softcache.probes"), slot("softcache.hits"),
+                slot("softcache.misses"), slot("softcache.inline", InlineHits),
+                slot("softcache.fills"), slot("softcache.writebacks"),
+            )
+        (self._probes, self._hits, self._misses, self._inline_hits,
+         self._fills, self._writebacks) = slots
+        self._inline_hits.take_hits()  # an earlier cache's are not ours
+        self._dma = core.dma
         #: Pre-bound event sink + track name; one attribute check per
         #: access when tracing is disabled.
         self._trace = core.trace
@@ -186,6 +202,8 @@ class SoftwareCache:
         self._metrics = core.metrics
         self._streak_hits = 0
         self._streak_misses = 0
+        #: Streak histogram family -> its tally, bound at its first sample.
+        self._streak_tallies: dict[str, dict[int, int]] = {}
 
     # -------------------------------------------------------- organisation
 
@@ -223,7 +241,9 @@ class SoftwareCache:
     def _streak(self, hit: bool) -> None:
         """Advance the hit/miss streak state by one probe (metrics-enabled
         path only), after the hits served inline since the last one."""
-        self._streak_run(True, self._inline_hits.take_hits())
+        inline = self._inline_hits
+        if inline.count != inline._streaked:
+            self._streak_run(True, inline.take_hits())
         self._streak_run(hit, 1)
 
     def _streak_run(self, hit: bool, count: int) -> None:
@@ -231,23 +251,22 @@ class SoftwareCache:
             return
         if hit:
             if self._streak_misses:
-                self._metrics.observe(
-                    "softcache.miss_streak", self._trace_track,
-                    self._streak_misses,
-                )
+                self._record_streak("softcache.miss_streak", self._streak_misses)
                 self._streak_misses = 0
             self._streak_hits += count
         else:
             if self._streak_hits:
-                self._metrics.observe(
-                    "softcache.hit_streak", self._trace_track,
-                    self._streak_hits,
-                )
+                self._record_streak("softcache.hit_streak", self._streak_hits)
                 self._streak_hits = 0
             self._streak_misses += count
 
-    def _slot_local_addr(self, slot: int) -> int:
-        return self.local_base + slot * self.line_size
+    def _record_streak(self, family: str, length: int) -> None:
+        tally = self._streak_tallies.get(family)
+        if tally is None:
+            tally = self._streak_tallies[family] = self._metrics.tally(
+                family, self._trace_track
+            )
+        tally[length] = tally.get(length, 0) + 1
 
     def _touch(self, slot: int) -> None:
         last_used = self._last_used
@@ -263,7 +282,8 @@ class SoftwareCache:
         trace = self._trace
         metrics = self._metrics
         if slot is not None:
-            self._touch(slot)
+            if self._last_used is not None:
+                self._touch(slot)
             self._hits.count += 1
             if trace.enabled:
                 trace.emit(
@@ -287,17 +307,11 @@ class SoftwareCache:
         """Write a dirty line back to main memory (blocking)."""
         outer_addr = self._tags[slot] * self.line_size  # type: ignore[operator]
         start = now
-        dma = self.core.dma
-        assert dma is not None
-        now = dma.put(
-            self.CACHE_TAG,
-            self._slot_local_addr(slot),
-            outer_addr,
-            self.line_size,
-            now,
+        now = self._dma.transfer_and_wait(
+            PUT, self.CACHE_TAG, self.local_base + slot * self.line_size,
+            outer_addr, self.line_size, now,
         )
-        now = dma.wait(self.CACHE_TAG, now)
-        self.core.perf.add("softcache.writebacks")
+        self._writebacks.count += 1
         self._dirty[slot] = None
         trace = self._trace
         if trace.enabled:
@@ -321,20 +335,15 @@ class SoftwareCache:
                 )
             if self._dirty[slot] is not None:
                 now = self._writeback(slot, now)
-        dma = self.core.dma
-        assert dma is not None
-        now = dma.get(
-            self.CACHE_TAG,
-            self._slot_local_addr(slot),
-            line_number * self.line_size,
-            self.line_size,
-            now,
+        now = self._dma.transfer_and_wait(
+            GET, self.CACHE_TAG, self.local_base + slot * self.line_size,
+            line_number * self.line_size, self.line_size, now,
         )
-        now = dma.wait(self.CACHE_TAG, now)
         tags[slot] = line_number
         self._dirty[slot] = None
-        self._touch(slot)
-        self.core.perf.add("softcache.fills")
+        if self._last_used is not None:
+            self._touch(slot)
+        self._fills.count += 1
         if trace.enabled:
             trace.emit(
                 start, self._trace_track, EV_CACHE_FILL,
@@ -363,10 +372,8 @@ class SoftwareCache:
         if offset + size <= self.line_size:
             # Within one line: no parts to join.
             slot, now = self._ensure(outer_addr >> self._line_shift, now)
-            return (
-                ls.read_unchecked(self._slot_local_addr(slot) + offset, size),
-                now,
-            )
+            at = self.local_base + slot * self.line_size + offset
+            return ls._data[at:at + size], now
         parts: list[bytes] = []
         addr = outer_addr
         remaining = size
@@ -374,9 +381,8 @@ class SoftwareCache:
             offset = addr & self._offset_mask
             chunk = min(remaining, self.line_size - offset)
             slot, now = self._ensure(addr >> self._line_shift, now)
-            parts.append(
-                ls.read_unchecked(self._slot_local_addr(slot) + offset, chunk)
-            )
+            at = self.local_base + slot * self.line_size + offset
+            parts.append(ls.read_unchecked(at, chunk))
             addr += chunk
             remaining -= chunk
         return b"".join(parts), now
@@ -387,6 +393,15 @@ class SoftwareCache:
             raise ValueError("store of zero bytes")
         ls = self.core.local_store
         assert ls is not None
+        offset = outer_addr & self._offset_mask
+        if offset + len(data) <= self.line_size and not self.write_through:
+            # Within one line of a write-back cache: mark it, and done.
+            line_number = outer_addr >> self._line_shift
+            slot, now = self._ensure(line_number, now)
+            at = self.local_base + slot * self.line_size + offset
+            ls._data[at:at + len(data)] = data
+            self._dirty[slot] = line_number
+            return now
         addr = outer_addr
         view = memoryview(data)
         while view:
@@ -395,7 +410,7 @@ class SoftwareCache:
             chunk = min(len(view), self.line_size - offset)
             slot, now = self._ensure(line_number, now)
             ls.write_unchecked(
-                self._slot_local_addr(slot) + offset, view[:chunk]
+                self.local_base + slot * self.line_size + offset, view[:chunk]
             )
             self._dirty[slot] = line_number
             if self.write_through:
@@ -440,10 +455,13 @@ class DirectMappedCache(SoftwareCache):
         #: where a resident address sits at ``address & span_mask``).
         #: Testing the first byte's slot against the last byte's line
         #: sends line-spanning accesses to the methods too, given two
-        #: slots and lines as wide as the widest scalar.  Stores test
-        #: ``_dirty``, so a store hit never has to mark its line.
+        #: slots and lines as wide as the widest scalar.  A store hit
+        #: marks its line in ``_dirty``; a write-through cache serves
+        #: nothing inline.
         self.inline_view = NO_INLINE
-        if self.num_lines > 1 and self.line_size >= 8:
+        if self.num_lines > 1 and self.line_size >= 8 and not (
+            self.write_through
+        ):
             self.inline_view = (
                 self._tags, self._dirty, self._line_shift,
                 self.num_lines - 1, span - 1, self._inline_hits,
@@ -486,6 +504,13 @@ class SetAssociativeCache(SoftwareCache):
 
     def _candidate_slots(self, line_number: int) -> list[int]:
         return self._set_slots(line_number)
+
+    def _resident_slot(self, line_number: int) -> int | None:
+        first = line_number % self.num_sets * self.ways
+        try:
+            return self._tags.index(line_number, first, first + self.ways)
+        except ValueError:
+            return None
 
     def _victim_slot(self, line_number: int) -> int:
         slots = self._set_slots(line_number)
@@ -561,8 +586,9 @@ class VictimCache(DirectMappedCache):
     def _move_line(self, src_slot: int, dest_slot: int) -> None:
         ls = self.core.local_store
         assert ls is not None
-        data = ls.read_unchecked(self._slot_local_addr(src_slot), self.line_size)
-        ls.write_unchecked(self._slot_local_addr(dest_slot), data)
+        size = self.line_size
+        data = ls.read_unchecked(self.local_base + src_slot * size, size)
+        ls.write_unchecked(self.local_base + dest_slot * size, data)
         tags, dirty = self._tags, self._dirty
         tags[dest_slot], dirty[dest_slot] = tags[src_slot], dirty[src_slot]
         self._last_used[dest_slot] = self._last_used[src_slot]  # type: ignore[index]

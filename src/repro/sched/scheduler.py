@@ -59,6 +59,28 @@ SCHED_TRACK = "sched"
 ESTIMATE_CYCLES_PER_INSTR = 6
 
 
+def offload_instructions(program: IRProgram, offload_id: int) -> int:
+    """IR instructions in the functions one offload block can reach: its
+    code image.  Counted once per program object, and again only when
+    :meth:`~repro.runtime.dispatch.DomainTable.add` has grown the
+    offload's domain table since."""
+    meta = program.offload_meta[offload_id]
+    counts = program.__dict__.setdefault("_offload_instructions", {})
+    cached = counts.get(offload_id)
+    if cached is None or cached[0] != meta.domain.generation:
+        # Imported here: repro.analysis pulls in the vm package, whose
+        # interpreter imports this module (a top-level import cycles).
+        from repro.analysis.footprint import reachable_functions
+
+        names = reachable_functions(program, meta)
+        cached = counts[offload_id] = (meta.domain.generation, sum(
+            len(program.functions[name].code)
+            for name in names
+            if name in program.functions
+        ))
+    return cached[1]
+
+
 @dataclass(frozen=True)
 class SchedOptions:
     """Explicit-scheduling knobs (absence means compat mode).
@@ -230,35 +252,19 @@ class OffloadScheduler:
         #: Per-accelerator start cycles of assigned-but-not-yet-started
         #: jobs (the simulated ready queues), pruned lazily.
         self._queued_starts: list[list[int]] = [[] for _ in range(count)]
-        self._image_cycles_cache: dict[int, int] = {}
-        self._estimate_cache: dict[int, int] = {}
 
     # ------------------------------------------------------------- modelling
 
     def code_bytes(self, offload_id: int) -> int:
         """Size of the offload's duplicated code image in bytes."""
-        # Imported here: repro.analysis pulls in the vm package, whose
-        # interpreter imports this module (a top-level import cycles).
-        from repro.analysis.footprint import reachable_functions
-
-        meta = self.program.offload_meta[offload_id]
-        names = reachable_functions(self.program, meta)
-        return self.machine.config.code_bytes_per_instr * sum(
-            len(self.program.functions[name].code)
-            for name in names
-            if name in self.program.functions
+        return self.machine.config.code_bytes_per_instr * offload_instructions(
+            self.program, offload_id
         )
 
     def _image_cycles(self, offload_id: int) -> int:
-        cached = self._image_cycles_cache.get(offload_id)
-        if cached is None:
-            cost = self.machine.config.cost
-            transfer = -(
-                -self.code_bytes(offload_id) // cost.dma_bytes_per_cycle
-            )
-            cached = cost.dma_setup + cost.dma_latency + transfer
-            self._image_cycles_cache[offload_id] = cached
-        return cached
+        cost = self.machine.config.cost
+        transfer = -(-self.code_bytes(offload_id) // cost.dma_bytes_per_cycle)
+        return cost.dma_setup + cost.dma_latency + transfer
 
     def upload_cycles(self, offload_id: int, accel_index: int) -> int:
         """Cold-upload cost of the offload on one accelerator (0 when
@@ -282,20 +288,9 @@ class OffloadScheduler:
             prior = self.options.profile.get(offload_id)
             if prior is not None:
                 return prior
-        cached = self._estimate_cache.get(offload_id)
-        if cached is None:
-            from repro.analysis.footprint import reachable_functions
-
-            meta = self.program.offload_meta[offload_id]
-            names = reachable_functions(self.program, meta)
-            instructions = sum(
-                len(self.program.functions[name].code)
-                for name in names
-                if name in self.program.functions
-            )
-            cached = ESTIMATE_CYCLES_PER_INSTR * instructions
-            self._estimate_cache[offload_id] = cached
-        return cached
+        return ESTIMATE_CYCLES_PER_INSTR * offload_instructions(
+            self.program, offload_id
+        )
 
     # ------------------------------------------------------------ lifecycle
 

@@ -67,15 +67,27 @@ Translation scheme
   and outer-access strategies take and return the clock as a value.
   One ``except BaseException`` around the body restores both.
 * **Outer accesses.**  A function with outer loads or stores binds its
-  strategy's inline view once, at entry (``eng._inline_view``): a
-  direct-mapped cache's flat tag and dirty lists, geometry, hit tally
-  and line storage (:mod:`repro.runtime.softcache`), or a view that
-  never matches.  Each site compares one list entry; a hit reads or
-  writes the line storage with the scalar codec and adds one weight to
-  the tally, anything else calls ``eng._load_outer`` /
-  ``eng._store_outer`` like the reference engine.  The probe cycles of
-  a hit are charged with the segment the access closes, and the miss
+  thread's view once, at entry (``eng._inline_view``, kept as
+  ``ctx.view``): a direct-mapped cache's flat tag and dirty lists,
+  geometry, hit tally and line storage (:mod:`repro.runtime.softcache`),
+  or a view that never matches, then two miss helpers.  Each site
+  compares one list entry; a hit reads or writes the line storage with
+  the scalar codec (a store marks its line dirty) and adds one weight
+  to the tally, anything else calls the bound helper with the codec:
+  ``eng._load_outer`` / ``eng._store_outer`` on a cache, like the
+  reference engine, or the one-step ``eng._load_raw`` /
+  ``eng._store_raw`` on the raw bounce buffer.  The probe cycles of a
+  hit are charged with the segment the access closes, and the miss
   path hands the cache the clock without them.
+* **Virtual calls.**  A domain call first probes its run's hit table
+  for the (offload, duplicate) pair (``eng._hit_table``); a repeat of a
+  lookup that hit calls the generated callee directly, charging and
+  counting the memoised probes.  Misses, ``demand`` duplicates and
+  traced runs go through ``eng._domain_call_values``.
+* **Race guard.**  A scalar local load tests ``_inf``, this core's
+  in-flight DMA list, bound at entry and again after every call-out and
+  DMA intrinsic (``wait`` rebinds the list), and only then asks the
+  engine for the read-before-wait trap.
 * **Typedness.**  A per-function fixpoint classifies registers as
   int-typed / float-typed / unknown, eliding the defensive ``int()`` /
   ``float()`` coercions where a register's value class is proven.
@@ -208,13 +220,13 @@ from repro.runtime.softcache import (
     DirectMappedCache,
     inline_hit_weight,
 )
-from repro.vm.context import ThreadContext
+from repro.vm.context import RawDmaStrategy, ThreadContext
 from repro.vm.interpreter import PRINTS, Interpreter, RunOptions
 
 #: Bumped whenever the translation scheme changes in any way that can
 #: affect generated source; part of the disk cache key and kind so
 #: stale cached modules are never re-executed.
-CODEGEN_VERSION = 6
+CODEGEN_VERSION = 7
 
 #: Pseudo-filename under which generated code is compiled (shows up in
 #: tracebacks from generated code).
@@ -446,6 +458,10 @@ _CLOCK_HELPERS = {
 _SYNC_OUT = (0, "eng._instructions, ctx.now = _ic, _now")
 _SYNC_IN = (0, "_ic, _now = eng._instructions, ctx.now")
 
+#: The race guard of local loads: this core's in-flight transfers, bound
+#: at entry and again after whatever may have rebound the list.
+_BIND_INF = (0, "_inf = ctx.core.dma._in_flight if _ls is not None else ()")
+
 
 def _indent(lines: _Lines, by: int = 1) -> _Lines:
     return [(ind + by, text) for ind, text in lines]
@@ -463,8 +479,16 @@ class _FunctionEmitter:
         self.needs: set = set()
         self.types = _infer_reg_types(function)
         self.uses_fb = False
-        self.uses_ls = False
-        self.uses_chk = False
+        #: Whether scalar local loads test the race guard ``_inf``.
+        self.uses_chk = any(
+            type(instr) is Load and instr.space is AccSpace.LOCAL
+            and instr.scalar_key in ops.SCALARS
+            for instr in function.code
+        )
+        self.uses_ls = self.uses_chk
+        #: Per (offload id, duplicate id) of a domain call: the local
+        #: its virtual-call hit table is bound to.
+        self.hit_tables: dict[tuple, str] = {}
         self.uses_mm = False
         #: Whether an outer load or store binds the strategy's inline
         #: view in the prologue.
@@ -579,7 +603,7 @@ class _FunctionEmitter:
         if self.uses_outer:
             lines.append((1, "_s = ctx.strategy"))
             lines.append(
-                (1, "_tg, _dy, _cs, _ck, _cw, _pt, _cv = eng._inline_view(_s)")
+                (1, "_tg, _dy, _cs, _ck, _cw, _pt, _cv, _ol, _os = ctx.view or eng._inline_view(ctx)")
             )
         if self.uses_ls:
             # No local store: size -1 fails every bounds test, and the
@@ -590,9 +614,11 @@ class _FunctionEmitter:
             lines.append((1, "_ls = ctx.local_store"))
             lines.append((1, f"_ld, _lz{names} = (None, -1{nones}) if _ls is None else (_ls._data, _ls.size{reads})"))
         if self.uses_chk:
-            lines.append((1, "_chk = None"))
-            lines.append((1, "if _ls is not None:"))
-            lines.append((2, "_chk = ctx.core.dma"))
+            lines.append((1, _BIND_INF[1]))
+        for (offload_id, duplicate_id), table in self.hit_tables.items():
+            lines.append(
+                (1, f"{table} = eng._hit_table({offload_id}, {duplicate_id!r})")
+            )
         if self.uses_mm:
             lines.append((1, "_mm = ctx.main_memory"))
             lines.append((1, "_md = _mm._data"))
@@ -1087,7 +1113,7 @@ class _FunctionEmitter:
                 f"eng._copy_values({src_sp}, {dst_sp}, "
                 f"{self.iv(instr.src_addr)}, {self.iv(instr.dst_addr)}, "
                 f"{size}, ctx)",
-            ), _SYNC_IN], None
+            ), *self._sync_in()], None
 
         if isinstance(instr, Extract):
             return self._emit_extract(instr)
@@ -1117,14 +1143,7 @@ class _FunctionEmitter:
             return self._emit_icall(instr), None
 
         if isinstance(instr, DomainCall):
-            call = (
-                f"eng._domain_call_values({instr.offload_id}, "
-                f"{instr.duplicate_id!r}, {self.iv(instr.func_id)}, "
-                f"[{self._args(instr.args)}], ctx)"
-            )
-            if instr.dst is not None:
-                call = f"r{instr.dst} = {call}"
-            return [_SYNC_OUT, (0, call), _SYNC_IN], None
+            return self._emit_domain_call(instr), None
 
         if isinstance(instr, Intrinsic):
             return self._emit_intrinsic(instr)
@@ -1134,12 +1153,12 @@ class _FunctionEmitter:
                 0,
                 f"r{instr.dst} = eng._run_offload({instr.offload_id}, "
                 f"{instr.entry!r}, [{self._args(instr.args)}], ctx)",
-            ), _SYNC_IN], None
+            ), *self._sync_in()], None
 
         if isinstance(instr, OffloadJoin):
             return [_SYNC_OUT, (
                 0, f"eng._join_offload({self.iv(instr.handle)}, ctx)"
-            ), _SYNC_IN], None
+            ), *self._sync_in()], None
 
         # Unknown instruction class: fail at execution time exactly like
         # the reference loop does.
@@ -1182,12 +1201,11 @@ class _FunctionEmitter:
 
         if instr.space is AccSpace.OUTER and row is not None:
             upf = self._codec_name("upf", instr.scalar_key)
-            up = self._codec_name("up", instr.scalar_key)
+            codec = self._codec_name("c", instr.scalar_key)
             return self._emit_outer(addr, size, False, lambda a: [
                 (0, f"r{d} = {upf}(_cv, {a} & _cw)[0]"),
             ], lambda a, now: [
-                (0, f"r{d}, _now = eng._load_outer("
-                    f"_s, {a}, {size}, {now}, {up})"),
+                (0, f"r{d}, _now = _ol(eng, _s, {a}, {size}, {now}, {codec})"),
             ]), None
 
         if row is None:
@@ -1197,7 +1215,7 @@ class _FunctionEmitter:
             return [
                 _SYNC_OUT,
                 (0, f"_data = eng._read_mem({sp}, {addr}, {size}, ctx)"),
-                _SYNC_IN,
+                *self._sync_in(),
                 (
                     0,
                     f"r{d} = eng._decode(_data, {instr.signed},"
@@ -1210,17 +1228,10 @@ class _FunctionEmitter:
         access = self._direct(instr, addr, mem, row.load_view, f"{upf}({mem}d, _a)[0]")
         if mem == "_m":
             return access, self.cost.host_mem_access
-        self.uses_chk = True
         return [
             access[0],
-            (0, "if _chk is not None and _chk._in_flight:"),
-            (1, f"_cf = _chk.pending_local_conflict(_a, {size})"),
-            (1, "if _cf is not None:"),
-            (
-                2,
-                'raise RuntimeTrap(f"local store read at {_a:#x} overlaps'
-                ' in-flight {_cf.describe()}; missing dma_wait")',
-            ),
+            (0, "if _inf:"),
+            (1, f"eng._check_pending_get(ctx, _a, {size})"),
             *access[1:],
         ], self.cost.local_access
 
@@ -1264,13 +1275,13 @@ class _FunctionEmitter:
         hit: Callable[[str], _Lines], miss: Callable[[str, str], _Lines],
     ) -> _Lines:
         """An outer access at ``addr``: ``hit(address)`` inline when the
-        slot of its first byte holds the line of its last byte — dirty,
-        for a store (the prologue binds a never-matching view for
-        anything but a direct-mapped cache, or with tracing on) — else
-        ``miss(address, clock)``: the shared engine helper, handed the
-        clock minus the probe cycles the access charges up front.  A hit
-        is tallied for the ``softcache.*`` / ``outer.*`` counters in one
-        add."""
+        slot of its first byte holds the line of its last byte (the
+        prologue binds a never-matching view for anything but a
+        write-back direct-mapped cache, or with tracing on), a store
+        marking the line dirty — else ``miss(address, clock)``: the
+        helper the prologue bound, handed the clock minus the probe
+        cycles the access charges up front.  A hit is tallied for the
+        ``softcache.*`` / ``outer.*`` counters in one add."""
         self.uses_outer = True
         self._lead = self.cost.cache_probe
         lines: _Lines = []
@@ -1278,10 +1289,11 @@ class _FunctionEmitter:
             lines.append((0, f"_a = {addr}"))
             addr = "_a"
         last = f"{addr} + {size - 1}" if size > 1 else addr
-        entries = "_dy" if store else "_tg"
+        mark = [(1, f"_dy[{addr} >> _cs & _ck] = {addr} >> _cs")] if store else []
         return lines + [
-            (0, f"if {entries}[{addr} >> _cs & _ck] == {last} >> _cs:"),
+            (0, f"if _tg[{addr} >> _cs & _ck] == {last} >> _cs:"),
             *_indent(hit(addr)),
+            *mark,
             (1, f"_pt.count += {inline_hit_weight(size, store):#x}"),
             (0, "else:"),
             *_indent(miss(addr, f"_now - {self._lead}")),
@@ -1300,7 +1312,7 @@ class _FunctionEmitter:
                 (0, f"_data = eng._encode({self.rv(src)}, {size}, {is_float})"),
                 _SYNC_OUT,
                 (0, f"eng._write_mem({sp}, {addr}, _data, ctx)"),
-                _SYNC_IN,
+                *self._sync_in(),
             ], None
 
         pki = self._codec_name("pki", key)
@@ -1310,11 +1322,11 @@ class _FunctionEmitter:
             else f"_v = {self.iv(src)} & {instr.mask:#x}"
         )
         if instr.space is AccSpace.OUTER:
-            pk = self._codec_name("pk", key)
+            codec = self._codec_name("c", key)
             return [(0, value), *self._emit_outer(addr, size, True, lambda a: [
                 (0, f"{pki}(_cv, {a} & _cw, _v)"),
             ], lambda a, now: [
-                (0, f"_now = eng._store_outer(_s, {a}, _v, {now}, {pk})"),
+                (0, f"_now = _os(eng, _s, {a}, _v, {now}, {codec})"),
             ])], None
         main = instr.space is AccSpace.MAIN
         mem = "_m" if main else "_l"
@@ -1384,7 +1396,40 @@ class _FunctionEmitter:
         call = f"{_unit_name(instr.callee)}(eng, ctx{sep}{args})"
         if instr.dst is not None:
             call = f"r{instr.dst} = {call}"
-        return [_SYNC_OUT, (0, call), _SYNC_IN]
+        return [_SYNC_OUT, (0, call), *self._sync_in()]
+
+    def _emit_domain_call(self, instr: DomainCall) -> _Lines:
+        """A virtual call: a repeat of a lookup that hit calls the
+        generated callee straight from the site's hit table
+        (:meth:`~repro.vm.interpreter.Interpreter._hit_table`), charging
+        and counting the probes the lookup made; anything else goes
+        through ``eng._domain_call_values``."""
+        key = instr.offload_id, instr.duplicate_id
+        table = self.hit_tables.setdefault(key, f"_vh{len(self.hit_tables)}")
+        fid = self.iv(instr.func_id)
+        lines: _Lines = []
+        if not fid.isidentifier():
+            lines.append((0, f"_fid = {fid}"))
+            fid = "_fid"
+        args = self._args(instr.args)
+        set_dst = "" if instr.dst is None else f"r{instr.dst} = "
+        return lines + [
+            (0, f"_e = {table}.get({fid})"),
+            (0, "if _e is None:"),
+            (1, _SYNC_OUT[1]),
+            (1, f"{set_dst}eng._domain_call_values({instr.offload_id}, "
+                f"{instr.duplicate_id!r}, {fid}, [{args}], ctx)"),
+            (0, "else:"),
+            (1, "eng._sc_vhits.count += _e[1]"),
+            (1, "eng._instructions, ctx.now = _ic, _now + _e[0]"),
+            (1, f"{set_dst}_e[2](eng, ctx{', ' if args else ''}{args})"),
+            *self._sync_in(),
+        ]
+
+    def _sync_in(self) -> _Lines:
+        """Back from a call handed ``ctx``: re-read the counters and,
+        for local loads, rebind the race guard."""
+        return [_SYNC_IN, _BIND_INF] if self.uses_chk else [_SYNC_IN]
 
     def _emit_icall(self, instr: ICall) -> _Lines:
         self.needs.add(("func_ids", None))
@@ -1403,7 +1448,7 @@ class _FunctionEmitter:
             (0, f"_now += {self.cost.vtable_load}"),
             _SYNC_OUT,
             (0, call),
-            _SYNC_IN,
+            *self._sync_in(),
         ]
 
     # --------------------------------------------------------- intrinsics
@@ -1435,7 +1480,8 @@ class _FunctionEmitter:
         helper = _CLOCK_HELPERS.get(name)
         if helper is not None:
             call = f"eng.{helper}({name!r}, ctx, {self._args(args)}, _now)"
-            return [(0, f"_now = {call}"), *assign("0")], None
+            rebind = [_BIND_INF] if self.uses_chk else []
+            return [(0, f"_now = {call}"), *rebind, *assign("0")], None
 
         # Unknown intrinsic: fail at execution time like the reference.
         message = f"unhandled intrinsic {name!r}"
@@ -1461,9 +1507,7 @@ def _prelude(needs: set, program: IRProgram) -> str:
     for key in sorted(key for kind, key in needs if kind == "codec"):
         sfx = _codec_suffix(key)
         lines.append(f"_c_{sfx} = _SCALARS[{', '.join(map(str, key))}].codec")
-        lines.append(f"_up_{sfx} = _c_{sfx}.unpack")
         lines.append(f"_upf_{sfx} = _c_{sfx}.unpack_from")
-        lines.append(f"_pk_{sfx} = _c_{sfx}.pack")
         lines.append(f"_pki_{sfx} = _c_{sfx}.pack_into")
     if any(kind == "func_ids" for kind, _ in needs):
         ids = ", ".join(
@@ -1568,6 +1612,13 @@ def codegen_cache_key(
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
 
+#: What an outer access that is not served inline calls, per strategy
+#: (:meth:`CodegenInterpreter._inline_view`).
+_CACHE_HELPERS = (Interpreter._load_outer, Interpreter._store_outer)
+_CACHE_VIEW = NO_INLINE + _CACHE_HELPERS
+_RAW_VIEW = NO_INLINE + (Interpreter._load_raw, Interpreter._store_raw)
+
+
 class CodegenInterpreter(Interpreter):
     """Drop-in engine executing generated Python source.
 
@@ -1610,15 +1661,27 @@ class CodegenInterpreter(Interpreter):
             funcs = self._ensure_module()
         return funcs[function.name]
 
-    def _inline_view(self, strategy: object) -> tuple:
-        """What a generated function binds at entry to serve outer hits
-        inline: the strategy's :attr:`DirectMappedCache.inline_view`
-        when it is exactly a direct-mapped cache (a victim cache
-        subclasses one) and no tracer wants an event per hit, else the
-        never-matching :data:`~repro.runtime.softcache.NO_INLINE`."""
-        if type(strategy) is DirectMappedCache and not self._trace.enabled:
-            return strategy.inline_view  # type: ignore[attr-defined]
-        return NO_INLINE
+    def _inline_view(self, ctx: ThreadContext) -> tuple:
+        """What a generated function binds at entry for its outer
+        accesses, kept as ``ctx.view`` for the thread's later calls: the
+        fields that serve hits inline — the strategy's
+        :attr:`DirectMappedCache.inline_view` when it is exactly a
+        direct-mapped cache (a victim cache subclasses one) and no
+        tracer wants an event per hit, else the never-matching
+        :data:`~repro.runtime.softcache.NO_INLINE` — then the two
+        ``eng``-first helpers anything else calls: the fused
+        :meth:`_load_raw` / :meth:`_store_raw` on the raw strategy,
+        :meth:`_load_outer` / :meth:`_store_outer` on a cache."""
+        strategy = ctx.strategy
+        kind = type(strategy)
+        if kind is RawDmaStrategy:
+            view = _RAW_VIEW
+        elif kind is DirectMappedCache and not self._trace.enabled:
+            view = strategy.inline_view + _CACHE_HELPERS  # type: ignore[attr-defined]
+        else:
+            view = _CACHE_VIEW
+        ctx.view = view
+        return view
 
     def _call_by_name(
         self, name: str, args: list[object], ctx: ThreadContext

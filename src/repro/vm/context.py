@@ -22,6 +22,7 @@ from typing import Optional
 
 from repro.errors import LocalStoreOverflow, MachineError
 from repro.machine.cores import AcceleratorCore, Core
+from repro.machine.dma import GET, PUT
 from repro.machine.memory import MemorySpace
 from repro.runtime.softcache import SoftwareCache, make_cache
 
@@ -33,45 +34,36 @@ RAW_TAG = 31
 
 
 class RawDmaStrategy:
-    """Blocking bounce-buffer DMA per access (uncached)."""
+    """Blocking bounce-buffer DMA per access (uncached): each chunk of
+    at most :data:`SCRATCH_BYTES` is one :meth:`DmaEngine.transfer_and_wait`
+    through the buffer at ``scratch_addr``."""
 
     def __init__(self, core: AcceleratorCore, scratch_addr: int):
         if core.dma is None or core.local_store is None:
             raise MachineError("raw DMA strategy requires a local store")
-        self.core = core
+        self.dma = core.dma
+        self.scratch = core.local_store._data
         self.scratch_addr = scratch_addr
 
     def load(self, address: int, size: int, now: int) -> tuple[bytes, int]:
-        dma = self.core.dma
-        ls = self.core.local_store
-        assert dma is not None and ls is not None
         parts: list[bytes] = []
-        remaining = size
-        cursor = address
-        while remaining > 0:
-            chunk = min(remaining, SCRATCH_BYTES)
-            now = dma.get(RAW_TAG, self.scratch_addr, cursor, chunk, now)
-            now = dma.wait(RAW_TAG, now)
-            parts.append(ls.read_unchecked(self.scratch_addr, chunk))
-            cursor += chunk
-            remaining -= chunk
-        self.core.perf.add("outer.raw_loads")
+        scratch = self.scratch_addr
+        for cursor in range(address, address + size, SCRATCH_BYTES):
+            chunk = min(address + size - cursor, SCRATCH_BYTES)
+            now = self.dma.transfer_and_wait(GET, RAW_TAG, scratch, cursor, chunk, now)
+            parts.append(self.scratch[scratch:scratch + chunk])
+        self.dma.perf.add("outer.raw_loads")
         return b"".join(parts), now
 
     def store(self, address: int, data: bytes, now: int) -> int:
-        dma = self.core.dma
-        ls = self.core.local_store
-        assert dma is not None and ls is not None
-        view = memoryview(data)
-        cursor = address
-        while view:
-            chunk = min(len(view), SCRATCH_BYTES)
-            ls.write_unchecked(self.scratch_addr, bytes(view[:chunk]))
-            now = dma.put(RAW_TAG, self.scratch_addr, cursor, chunk, now)
-            now = dma.wait(RAW_TAG, now)
-            cursor += chunk
-            view = view[chunk:]
-        self.core.perf.add("outer.raw_stores")
+        scratch = self.scratch_addr
+        for offset in range(0, len(data), SCRATCH_BYTES):
+            chunk = data[offset:offset + SCRATCH_BYTES]
+            self.scratch[scratch:scratch + len(chunk)] = chunk
+            now = self.dma.transfer_and_wait(
+                PUT, RAW_TAG, scratch, address + offset, len(chunk), now
+            )
+        self.dma.perf.add("outer.raw_stores")
         return now
 
     def flush(self, now: int) -> int:
@@ -140,7 +132,8 @@ class FrameStack:
 
 
 class ThreadContext:
-    """One logical thread of execution."""
+    """One logical thread of execution; ``view`` holds what generated
+    code binds for its outer accesses, once it has asked."""
 
     def __init__(
         self,
@@ -157,13 +150,11 @@ class ThreadContext:
         self.now = now
         self.strategy = strategy
         self.offload_id = offload_id
-        self.is_accel = isinstance(core, AcceleratorCore)
+        self.view: Optional[tuple] = None
 
     @property
     def local_store(self) -> Optional[MemorySpace]:
-        if isinstance(self.core, AcceleratorCore):
-            return self.core.local_store
-        return None
+        return getattr(self.core, "local_store", None)
 
     @property
     def name(self) -> str:

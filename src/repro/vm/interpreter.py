@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis.diagnostics import Finding
+from repro.compiler.layout import DATA_BASE
 from repro.errors import MachineError, MissingDuplicateError, RuntimeTrap
 from repro.ir.instructions import (
     AccSpace,
@@ -49,7 +50,7 @@ from repro.ir.module import IRFunction, IRProgram
 from repro.ir.ops import BINOPS, INTRINSICS, SCALARS, UNOPS, _int_div, _int_rem  # noqa: F401
 from repro.machine.config import MachineConfig, resolve_target
 from repro.machine.cores import AcceleratorCore
-from repro.machine.dma import NUM_TAGS, RACECHECK_MODES
+from repro.machine.dma import GET, NUM_TAGS, PUT, RACECHECK_MODES
 from repro.machine.machine import Machine
 from repro.obs.trace import (
     EV_CODE_UPLOAD,
@@ -61,8 +62,9 @@ from repro.obs.trace import (
     EV_OFFLOAD_JOIN,
     EV_OFFLOAD_LAUNCH,
 )
+from repro.runtime.dispatch import HitTally
 from repro.sched.scheduler import OffloadScheduler, SchedOptions, SchedStats
-from repro.vm.context import FrameStack, ThreadContext, build_strategy
+from repro.vm.context import RAW_TAG, FrameStack, ThreadContext, build_strategy
 
 #: Default size of the host call stack carved out of main memory.
 HOST_STACK_BYTES = 1 << 20
@@ -205,6 +207,23 @@ class RunResult:
         return self.machine.perf.as_dict()
 
 
+def static_image(program: IRProgram) -> tuple[int, bytes]:
+    """``(base, bytes)`` of the program's static data region,
+    ``[DATA_BASE, data_end)`` widened to cover every ``init_image``
+    entry: the image written over zeros.  Built once per program
+    object."""
+    cached = program.__dict__.get("_static_image")
+    if cached is None:
+        image = program.init_image
+        base = min([DATA_BASE, *(address for address, _ in image)])
+        end = max([program.data_end, *(a + len(data) for a, data in image)])
+        blob = bytearray(max(0, end - base))
+        for address, data in image:
+            blob[address - base:address - base + len(data)] = data
+        cached = program._static_image = (base, bytes(blob))  # type: ignore[attr-defined]
+    return cached
+
+
 class Interpreter:
     """Executes one program on one machine."""
 
@@ -248,7 +267,14 @@ class Interpreter:
         self._sc_outer_read = perf.slot("outer.bytes_read")
         self._sc_outer_stores = perf.slot("outer.stores")
         self._sc_outer_written = perf.slot("outer.bytes_written")
+        self._sc_raw_loads = perf.slot("outer.raw_loads")
+        self._sc_raw_stores = perf.slot("outer.raw_stores")
         self._sc_vcalls = perf.slot("dispatch.vcalls")
+        #: Virtual-call hits generated code serves inline, and what it
+        #: serves them from: per (offload id, duplicate id), host
+        #: address -> (probe cycles, tally weight, generated callee).
+        self._sc_vhits = perf.slot("dispatch.inline", HitTally)
+        self._vcall_hits: dict[tuple, dict] = {}
         #: Each accessor bulk intrinsic's (transfers, bytes) slots.
         slot = perf.slot
         self._sc_bulk = {
@@ -272,7 +298,9 @@ class Interpreter:
     # ----------------------------------------------------------- lifecycle
 
     def load_image(self) -> None:
-        """Write the compiled program's static data into main memory."""
+        """Write the compiled program's static data region into main
+        memory, zeros included, so every run starts from the program's
+        initial values, also on a machine an earlier run used."""
         heap_base = self.machine.heap.base
         if self.program.data_end > heap_base:
             raise MachineError(
@@ -281,8 +309,8 @@ class Interpreter:
                 f"{heap_base:#x}; use a machine with more main memory "
                 f"(MachineConfig.main_memory_size)"
             )
-        for address, data in self.program.init_image:
-            self.machine.main_memory.write_unchecked(address, data)
+        base, blob = static_image(self.program)
+        self.machine.main_memory.write_unchecked(base, blob)
 
     def run(self, entry: Optional[str] = None) -> RunResult:
         """Load the image and execute ``entry`` (default: main)."""
@@ -389,8 +417,8 @@ class Interpreter:
     @staticmethod
     def _check_pending_get(ctx: ThreadContext, address: int, size: int) -> None:
         """Trap a local-store read that overlaps a DMA get still in
-        flight: the read-before-wait bug.  The codegen engine inlines
-        the same test and message into its local loads."""
+        flight: the read-before-wait bug.  The codegen engine's local
+        loads call it too, when their core has a transfer in flight."""
         conflict = ctx.core.dma.pending_local_conflict(address, size)  # type: ignore[attr-defined]
         if conflict is not None:
             raise RuntimeTrap(
@@ -409,31 +437,58 @@ class Interpreter:
         memory.write_unchecked(address, data)
 
     def _load_outer(
-        self, strategy, address: int, size: int, now: int, unpack=None
+        self, strategy, address: int, size: int, now: int, codec=None
     ) -> tuple[object, int]:
         """One outer-space load through the offload's strategy, on the
         value clock; shared by every engine (codegen's inline hit path
         aside).  Returns (bytes, time), or (value, time) with a
-        :class:`struct.Struct` ``unpack``."""
+        :class:`struct.Struct` ``codec``."""
         assert strategy is not None
         data, now = strategy.load(address, size, now)
         self._sc_outer_loads.count += 1
         self._sc_outer_read.count += size
-        if unpack is not None:
-            return unpack(data)[0], now
+        if codec is not None:
+            return codec.unpack(data)[0], now
         return data, now
 
     def _store_outer(
-        self, strategy, address: int, data: object, now: int, pack=None
+        self, strategy, address: int, data: object, now: int, codec=None
     ) -> int:
         """:meth:`_load_outer`'s store, of bytes, or of a value with a
-        :class:`struct.Struct` ``pack``."""
+        :class:`struct.Struct` ``codec``."""
         assert strategy is not None
-        if pack is not None:
-            data = pack(data)
+        if codec is not None:
+            data = codec.pack(data)
         now = strategy.store(address, data, now)
         self._sc_outer_stores.count += 1
         self._sc_outer_written.count += len(data)
+        return now
+
+    def _load_raw(
+        self, strategy, address: int, size: int, now: int, codec
+    ) -> tuple[object, int]:
+        """:meth:`_load_outer` of one scalar on a
+        :class:`~repro.vm.context.RawDmaStrategy`, for generated code:
+        one :meth:`~repro.machine.dma.DmaEngine.transfer_and_wait`
+        through the bounce buffer, decoded where it landed."""
+        at = strategy.scratch_addr
+        now = strategy.dma.transfer_and_wait(GET, RAW_TAG, at, address, size, now)
+        self._sc_raw_loads.count += 1
+        self._sc_outer_loads.count += 1
+        self._sc_outer_read.count += size
+        return codec.unpack_from(strategy.scratch, at)[0], now
+
+    def _store_raw(
+        self, strategy, address: int, value: object, now: int, codec
+    ) -> int:
+        """:meth:`_load_raw`'s store: encoded into the bounce buffer."""
+        at = strategy.scratch_addr
+        codec.pack_into(strategy.scratch, at, value)
+        size = codec.size
+        now = strategy.dma.transfer_and_wait(PUT, RAW_TAG, at, address, size, now)
+        self._sc_raw_stores.count += 1
+        self._sc_outer_stores.count += 1
+        self._sc_outer_written.count += size
         return now
 
     @staticmethod
@@ -690,6 +745,7 @@ class Interpreter:
         engine."""
         meta = self.program.offload_meta[offload_id]
         self._sc_vcalls.count += 1
+        start = ctx.now
         try:
             entry, ctx.now = meta.domain.lookup_entry(
                 ctx.core, fid, duplicate_id, ctx.now
@@ -719,7 +775,27 @@ class Interpreter:
             self._ensure_code_resident(callee, ctx)
         if run is None:
             return self._exec_function(callee, arg_values, ctx)
+        hits = self._vcall_hits.get((offload_id, duplicate_id))
+        if hits is not None and not entry.demand and not self._trace.enabled:
+            # A repeat of this lookup charges and counts the same probes:
+            # generated code serves it from here.
+            hits[fid] = (
+                ctx.now - start,
+                meta.domain.hit_weight(fid, duplicate_id),
+                run,
+            )
         return run(self, ctx, *arg_values)
+
+    def _hit_table(self, offload_id: int, duplicate_id: Optional[str]) -> dict:
+        """The virtual-call hits of one (offload, duplicate) pair that
+        generated code may serve inline; :meth:`_domain_call_values`
+        fills it with every successful lookup but ``demand`` entries
+        and traced runs (which want each ``dispatch.hit`` event)."""
+        key = offload_id, duplicate_id
+        table = self._vcall_hits.get(key)
+        if table is None:
+            table = self._vcall_hits[key] = {}
+        return table
 
     def _compiled_callee(self, function: IRFunction):
         """A callable ``(engine, ctx, *args)`` that runs ``function``
@@ -810,8 +886,8 @@ class Interpreter:
         its wait."""
         dma = self._require_dma(ctx)
         local, outer, size = int(local), int(outer), int(size)  # type: ignore[call-overload]
-        issue = dma.get if name == "acc_bulk_get" else dma.put
-        now = dma.wait(ACCESSOR_TAG, issue(ACCESSOR_TAG, local, outer, size, now))
+        kind = GET if name == "acc_bulk_get" else PUT
+        now = dma.transfer_and_wait(kind, ACCESSOR_TAG, local, outer, size, now)
         transfers, moved = self._sc_bulk[name]
         transfers.count += 1
         moved.count += size

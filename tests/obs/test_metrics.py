@@ -126,6 +126,20 @@ class TestHub:
         assert hub.histogram("dma.xfer_bytes", "dma1").count == 1
         assert hub.histogram("dma.xfer_bytes", "dma9") is None
 
+    def test_a_tally_reads_as_observed_samples(self):
+        tallied, observed = MetricsHub(), MetricsHub()
+        tally = tallied.tally("dma.xfer_bytes", "dma0")
+        assert tallied.histograms_dict() == {}  # no sample, no histogram
+        for value in (128, 4, 128, 4096, 4):
+            tally[value] = tally.get(value, 0) + 1
+            observed.observe("dma.xfer_bytes", "dma0", value)
+        tallied.observe("dma.xfer_bytes", "dma0", 64)
+        observed.observe("dma.xfer_bytes", "dma0", 64)
+        assert tallied.as_dict() == observed.as_dict()
+        assert tally == {}  # folded on read
+        tally[1] = 2
+        assert tallied.histogram("dma.xfer_bytes", "dma0").count == 8
+
     def test_gauges_last_write_wins(self):
         hub = MetricsHub()
         hub.gauge_set("heap.allocated_bytes", 100)

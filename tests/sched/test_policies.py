@@ -245,3 +245,31 @@ class TestAffinityAndErrors:
     def test_queue_depth_survives_as_stats(self):
         result = run_figure2("greedy", queue_depth=3)
         assert result.sched.queue_depth == 3
+
+
+def test_code_images_are_measured_once_per_program(monkeypatch):
+    """Upload sizes and static estimates walk the call graph once per
+    offload of a program object, not per run or per upload, and again
+    after ``DomainTable.add()`` changes what an offload can reach."""
+    from repro.analysis import footprint
+
+    walks: list = []
+    walk = footprint.reachable_functions
+    monkeypatch.setattr(
+        footprint, "reachable_functions",
+        lambda program, meta: walks.append(meta.entry) or walk(program, meta),
+    )
+    program = compile_program(
+        figure2_source(entity_count=12, pair_count=6, frames=2), CELL_LIKE
+    )
+    options = RunOptions(sched=SchedOptions(policy="locality"))
+    uploads = [
+        run_program(program, Machine(CELL_LIKE), options).perf()["sched.upload_bytes"]
+        for _ in range(3)
+    ]
+    assert uploads[0] > 0 and uploads == uploads[:1] * 3
+    assert sorted(walks) == sorted(m.entry for m in program.offload_meta.values())
+    meta = next(iter(program.offload_meta.values()))
+    meta.domain.add(0x7FFF0, "extra", [])
+    run_program(program, Machine(CELL_LIKE), options)
+    assert walks.count(meta.entry) == 2

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.compiler.driver import compile_program
 from repro.errors import RuntimeTrap
+from repro.machine.config import resolve_target
+from repro.machine.machine import Machine
+from repro.vm.interpreter import ENGINE_NAMES, RunOptions, run_program
 from tests.conftest import printed, run_source
 
 
@@ -336,3 +340,24 @@ class TestGlobalsAndMemory:
             }
             """
         ) == [3]
+
+
+class TestReusedMachine:
+    @pytest.mark.parametrize("target", ["apu", "cell"])
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_each_run_starts_from_the_programs_initial_values(self, engine, target):
+        """A run writes its whole static region, zeros included, so a
+        machine an earlier run used does not leak that run's globals."""
+        config = resolve_target(target)
+        program = compile_program(
+            "int g_count; int g_seed = 7;"
+            " void main() { g_count = g_count + 1; g_seed = g_seed + 1;"
+            " print_int(g_count); print_int(g_seed); }",
+            config,
+        )
+        machine = Machine(config)
+        runs = [
+            run_program(program, machine, RunOptions(engine=engine)).printed
+            for _ in range(4)
+        ]
+        assert runs == [[1, 8]] * 4

@@ -132,7 +132,8 @@ class TestGeneratedSites:
     def test_every_outer_site_carries_the_inline_test(self):
         program = compile_program(ai_kernel_source(), CELL_LIKE)
         text = generate_module_source(program, CELL_LIKE.cost)
-        sites = text.count("eng._load_outer(") + text.count("eng._store_outer(")
+        # A miss calls the helper the prologue bound for its strategy.
+        sites = text.count("_ol(eng, _s, ") + text.count("_os(eng, _s, ")
         assert sites > 0
         tests = re.findall(r"if _(?:tg|dy)\[(\w+) >> _cs & _ck\] == \1\b", text)
         assert len(tests) == sites
@@ -178,7 +179,10 @@ class TestFlatState:
     def test_write_through_stores_never_hit_inline(self, core):
         cache = make_cache("direct", core, 0x10000, write_through=True)
         cache.store(0x500, b"wt", 0)
-        assert cache.inline_view[1] == [None] * cache.num_lines
+        # An inline store hit only marks its line dirty, so a
+        # write-through cache serves nothing inline.
+        assert cache.inline_view is NO_INLINE
+        assert core.main_memory.read_unchecked(0x500, 2) == b"wt"
 
     def test_negative_line_never_matches_an_empty_slot(self, core):
         cache = make_cache("direct", core, 0x10000, num_lines=8)
