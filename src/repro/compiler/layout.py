@@ -18,10 +18,7 @@ import struct
 
 from repro.lang.sema import SemanticInfo
 from repro.lang.types import ArrayType, ClassType, ScalarType, Type
-from repro.ir.module import GlobalSlot, IRProgram
-
-#: Base of the static data area (low addresses trap null derefs).
-DATA_BASE = 0x40
+from repro.ir.module import DATA_BASE, GlobalSlot, IRProgram
 
 #: First host function id; spaced by 4 to resemble code addresses.
 FIRST_FUNCTION_ID = 0x10000

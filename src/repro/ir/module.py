@@ -9,6 +9,9 @@ from repro.ir.instructions import BinOp, Call, CJump, Instr, Jump, UnOp
 from repro.ir.ops import BINOPS, UNOPS
 from repro.runtime.dispatch import DomainTable
 
+#: Base of the static data area (low addresses trap null derefs).
+DATA_BASE = 0x40
+
 
 @dataclass
 class IRFunction:

@@ -143,8 +143,8 @@ class DmaEngine:
         #: Event sink; installed by ``Machine.attach_trace``.
         self.trace = NULL_RECORDER
         self.metrics = NULL_METRICS
-        #: :data:`_COUNTERS` as slots, bound at the first transfer.
-        self._slots: tuple = ()
+        #: :data:`_COUNTERS` as slots.
+        self._slots = tuple(map(perf.slot, _COUNTERS))
         #: Race-check mode, one of :data:`RACECHECK_MODES`; an
         #: interpreter sets it, and empties :attr:`races`, for its run.
         self.racecheck: Optional[str] = None
@@ -212,7 +212,7 @@ class DmaEngine:
             if sizes is None:
                 sizes = self._sizes = self._metrics.tally("dma.xfer_bytes", name)
             sizes[size] = sizes.get(size, 0) + 1
-        slots = self._slots or self._bind_slots()
+        slots = self._slots
         if kind == GET:
             local._data[local_addr:local_addr + size] = outer._data[
                 outer_addr:outer_addr + size]
@@ -303,7 +303,7 @@ class DmaEngine:
     def _waited(self, tag: int, now: int, done_time: int) -> int:
         """Count and report a wait on ``tag`` (-1: every tag) from
         ``now`` until ``done_time``, and return ``done_time``."""
-        (self._slots or self._bind_slots())[4].count += 1
+        self._slots[4].count += 1
         if self.trace.enabled:
             self.trace.emit(now, self.name, EV_DMA_WAIT, (tag, done_time))
         if self._metrics.enabled:
@@ -312,10 +312,6 @@ class DmaEngine:
                 waits = self._waits = self._metrics.tally("dma.wait_cycles", self.name)
             waits[done_time - now] = waits.get(done_time - now, 0) + 1
         return done_time
-
-    def _bind_slots(self) -> tuple:
-        self._slots = tuple(map(self.perf.slot, _COUNTERS))
-        return self._slots
 
     # ---------------------------------------------------------- inspection
 

@@ -31,7 +31,8 @@ class Interconnect:
                 f"bandwidth must be positive, got {bytes_per_cycle}"
             )
         self.bytes_per_cycle = bytes_per_cycle
-        self.perf = perf
+        self._contention = perf.slot("interconnect.contention_cycles")
+        self._bytes = perf.slot("interconnect.bytes")
         self._channel_free = 0
 
     def reserve(self, earliest_start: int, size: int) -> int:
@@ -43,9 +44,9 @@ class Interconnect:
         """
         start = max(earliest_start, self._channel_free)
         if start > earliest_start:
-            self.perf.add("interconnect.contention_cycles", start - earliest_start)
+            self._contention.count += start - earliest_start
         duration = -(-size // self.bytes_per_cycle)
         complete = start + duration
         self._channel_free = complete
-        self.perf.add("interconnect.bytes", size)
+        self._bytes.count += size
         return complete

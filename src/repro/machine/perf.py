@@ -5,128 +5,138 @@ dispatch machinery) increments named counters here.  Benchmarks read them
 to report the quantities the paper talks about: virtual calls per frame,
 bytes moved between memory spaces, domain search steps, cache hit rates.
 
-Two APIs share one set of totals:
-
-* :meth:`PerfCounters.add` — the direct path; one dict update per call.
-* :meth:`PerfCounters.slot` — the batched path for hot loops: a
-  :class:`CounterSlot` is a named plain-int accumulator that callers
-  bump with ``slot.count += 1`` (no method call, no hashing).  Slots are
-  drained into the backing :class:`collections.Counter` lazily, on every
-  read (:meth:`get`, :meth:`as_dict`, :meth:`ratio`, iteration), so
-  readers always observe exact totals regardless of which path
-  produced them.  A slot subclass may stand for several counters at
-  once (:class:`repro.runtime.softcache.InlineHits`): it folds itself.
-
-The counter bag holds its slots *weakly*: a slot whose owner dies (a
-software cache torn down with its offload thread, an execution engine
-discarded after a run) drains any pending count into the totals from
-its finalizer and disappears from the registry on the next flush, so
-long-lived machines do not accumulate — and forever re-flush — dead
-accumulators.
+A :class:`PerfCounters` bag holds one :class:`CounterSlot` per counter
+name for the machine's life: :meth:`~PerfCounters.slot` returns the same
+slot every time, :meth:`~PerfCounters.add` bumps it by name, and hot
+paths bind it once and bump ``slot.count`` in place.  A
+:class:`PackedSlot` stands for several counters: each event adds one
+:func:`packed_weight` of 48-bit fields, and every read folds what the
+fields gained into the named slots.  A snapshot lists a name once its
+count is non-zero or once :meth:`~PerfCounters.add` has named it.
 """
 
 from __future__ import annotations
 
-import weakref
-from collections import Counter
-from typing import Iterator, Optional
+from typing import Iterator
+
+#: Bits per :class:`PackedSlot` field; no run comes near 2**48 events.
+_FIELD = 48
+_FIELD_MASK = (1 << _FIELD) - 1
+
+
+def packed_weight(*amounts: int) -> int:
+    """What one event adds to a :class:`PackedSlot` count: ``amounts[i]``
+    in field ``i``, low field first."""
+    return sum(amount << _FIELD * field for field, amount in enumerate(amounts))
 
 
 class CounterSlot:
-    """A batched accumulator for one counter name.
+    """The accumulator of one counter name: hot paths bump ``count``."""
 
-    Hot paths increment :attr:`count` directly; the owning
-    :class:`PerfCounters` folds the pending value into its totals at
-    read/flush time — or, if the slot dies first, the finalizer folds
-    the remainder so no increment is ever lost.
-    """
+    __slots__ = ("name", "count")
 
-    __slots__ = ("name", "count", "_owner", "__weakref__")
-
-    def __init__(self, name: str, owner: "Optional[PerfCounters]" = None):
+    def __init__(self, name: str):
         self.name = name
         self.count = 0
-        self._owner = owner
-
-    def __del__(self) -> None:
-        if self._owner is not None:
-            self._fold(self._owner._counts)
-
-    def _fold(self, counts: Counter[str]) -> None:
-        """Move the pending count into ``counts``.  Subclasses whose
-        count stands for several counters override this."""
-        if self.count:
-            counts[self.name] += self.count
-            self.count = 0
 
     def __repr__(self) -> str:
-        return f"CounterSlot(name={self.name!r}, pending={self.count})"
+        return f"{type(self).__name__}(name={self.name!r}, count={self.count})"
+
+
+class PackedSlot(CounterSlot):
+    """Several counters in one growing ``count``: field ``i`` feeds every
+    counter named in ``fields[i]``."""
+
+    __slots__ = ("fields", "_targets", "_folded", "taken")
+
+    def __init__(self, name: str, fields: tuple, perf: "PerfCounters"):
+        super().__init__(name)
+        self.fields = fields
+        self._targets = tuple(tuple(map(perf.slot, group)) for group in fields)
+        self._folded = 0
+        #: ``count`` at the previous :meth:`take`.
+        self.taken = 0
+
+    def _fold(self) -> None:
+        """Add what each field gained since the last fold to its slots."""
+        delta, self._folded = self.count - self._folded, self.count
+        for targets in self._targets:
+            for slot in targets:
+                slot.count += delta & _FIELD_MASK
+            delta >>= _FIELD
+
+    def take(self, name: str) -> int:
+        """How much the fields feeding ``name`` gained since the previous
+        take."""
+        delta, self.taken = self.count - self.taken, self.count
+        return sum(
+            delta >> _FIELD * field & _FIELD_MASK
+            for field, group in enumerate(self.fields) if name in group
+        )
 
 
 class PerfCounters:
     """A bag of named monotonically increasing counters."""
 
     def __init__(self) -> None:
-        self._counts: Counter[str] = Counter()
-        self._slots: list[weakref.ref[CounterSlot]] = []
+        #: Counter name -> its one slot.
+        self._slots: dict[str, CounterSlot] = {}
+        #: Packed-slot name -> its one slot, folded into ``_slots`` on read.
+        self._packed: dict[str, PackedSlot] = {}
+        #: The slots :meth:`add` has named; listed even while 0.
+        self._added: dict[str, CounterSlot] = {}
 
     def add(self, name: str, amount: int = 1) -> None:
         """Increment counter ``name`` by ``amount`` (must be >= 0)."""
         assert amount >= 0, f"counter increments must be >= 0, got {amount}"
-        self._counts[name] += amount
+        slot = self._added.get(name)
+        if slot is None:
+            slot = self._added[name] = self.slot(name)
+        slot.count += amount
 
-    def slot(
-        self, name: str, kind: "type[CounterSlot]" = CounterSlot
-    ) -> CounterSlot:
-        """Return a batched accumulator feeding counter ``name``.
+    def slot(self, name: str, fields: tuple = ()) -> CounterSlot:
+        """The one slot of counter ``name``, created at the first ask.
 
-        Multiple slots may share a name; their pending counts sum.  The
-        registry reference is weak: the caller owns the slot's lifetime,
-        and a dead slot stops being flushed (its last pending count is
-        folded in by the finalizer).  ``kind`` is a
-        :class:`CounterSlot` subclass with its own ``_fold``.
+        With ``fields`` (a tuple of counter-name tuples, low field first)
+        it is the :class:`PackedSlot` ``name``, which appears in no
+        snapshot itself.
         """
-        slot = kind(name, self)
-        self._slots.append(weakref.ref(slot))
+        registry = self._packed if fields else self._slots
+        slot = registry.get(name)
+        if slot is None:
+            slot = registry[name] = (
+                PackedSlot(name, fields, self) if fields else CounterSlot(name)
+            )
         return slot
 
-    def flush(self) -> None:
-        """Fold every live slot's pending count into the totals.
-
-        Registry entries whose slot has died are pruned here.
-        """
-        dead = False
-        counts = self._counts
-        for ref in self._slots:
-            slot = ref()
-            if slot is None:
-                dead = True
-            else:
-                slot._fold(counts)
-        if dead:
-            self._slots = [ref for ref in self._slots if ref() is not None]
+    def _fold(self) -> dict[str, CounterSlot]:
+        for packed in self._packed.values():
+            packed._fold()
+        return self._slots
 
     def get(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never incremented)."""
-        self.flush()
-        return self._counts[name]
+        slot = self._fold().get(name)
+        return 0 if slot is None else slot.count
 
     def as_dict(self) -> dict[str, int]:
         """A plain-dict snapshot, sorted by counter name."""
-        self.flush()
-        return dict(sorted(self._counts.items()))
+        added = self._added
+        return {
+            name: slot.count
+            for name, slot in sorted(self._fold().items())
+            if slot.count or name in added
+        }
 
     def ratio(self, numerator: str, denominator: str) -> float:
         """``numerator / denominator`` as a float; 0.0 when undefined."""
-        self.flush()
-        denom = self._counts[denominator]
+        denom = self.get(denominator)
         if denom == 0:
             return 0.0
-        return self._counts[numerator] / denom
+        return self.get(numerator) / denom
 
     def __iter__(self) -> Iterator[tuple[str, int]]:
-        self.flush()
-        return iter(sorted(self._counts.items()))
+        return iter(self.as_dict().items())
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self)

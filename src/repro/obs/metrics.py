@@ -37,6 +37,7 @@ e.g. ``dma.xfer_bytes[dma0]``.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -183,17 +184,21 @@ class Histogram:
         clamped to the exact observed max (so ``percentile(1.0)`` is
         always the true maximum); 0 when empty.
         """
+        return self._percentiles((q,))[0]
+
+    def _percentiles(self, qs: tuple[float, ...]) -> list[int]:
+        """:meth:`percentile` of each of ``qs``, from one running sum of
+        the buckets."""
         if self.count == 0:
-            return 0
-        target = max(1, -(-int(self.count * q * 1000) // 1000))  # ceil
-        seen = 0
-        for index, bucket_count in enumerate(self.counts):
-            seen += bucket_count
-            if seen >= target:
-                if index >= len(self.bounds):
-                    return self.max
-                return min(self.bounds[index], self.max)
-        return self.max
+            return [0] * len(qs)
+        running = list(accumulate(self.counts))
+        bounds, top = self.bounds, self.max
+        found = []
+        for q in qs:
+            target = max(1, -(-int(self.count * q * 1000) // 1000))  # ceil
+            index = bisect_left(running, target)
+            found.append(min(bounds[index], top) if index < len(bounds) else top)
+        return found
 
     def as_dict(self) -> dict:
         """A JSON-ready snapshot.  Buckets are ``[bound, count]`` pairs
@@ -203,13 +208,14 @@ class Histogram:
             for i, c in enumerate(self.counts)
             if c
         ]
+        p50, p90 = self._percentiles((0.5, 0.9))
         return {
             "count": self.count,
             "total": self.total,
             "min": self.min,
             "max": self.max,
-            "p50": self.percentile(0.5),
-            "p90": self.percentile(0.9),
+            "p50": p50,
+            "p90": p90,
             "buckets": buckets,
         }
 

@@ -4,7 +4,7 @@ Everything an offloaded program needs at run time on a machine with
 multiple memory spaces:
 
 * software caches over outer memory (:mod:`repro.runtime.softcache`),
-* portable accessor classes for bulk and streamed transfers
+* the stream accessor for multi-buffered transfers
   (:mod:`repro.runtime.accessors`),
 * the outer/inner domain machinery for virtual dispatch across memory
   spaces (:mod:`repro.runtime.dispatch`).
@@ -14,12 +14,7 @@ hand-written "intrinsics-style" host code (Figure 1), and as the lowering
 targets of the Offload compiler (Sections 3-4).
 """
 
-from repro.runtime.accessors import (
-    ArrayAccessor,
-    DirectAccessor,
-    StreamAccessor,
-    make_array_accessor,
-)
+from repro.runtime.accessors import StreamAccessor
 from repro.runtime.dispatch import DomainTable, InnerEntry
 from repro.runtime.softcache import (
     DirectMappedCache,
@@ -30,8 +25,6 @@ from repro.runtime.softcache import (
 )
 
 __all__ = [
-    "ArrayAccessor",
-    "DirectAccessor",
     "DirectMappedCache",
     "DomainTable",
     "InnerEntry",
@@ -39,6 +32,5 @@ __all__ = [
     "SoftwareCache",
     "StreamAccessor",
     "VictimCache",
-    "make_array_accessor",
     "make_cache",
 ]

@@ -5,19 +5,14 @@ outer array and the code using it: one efficient bulk DMA pulls the whole
 array into fast local store, after which indexing is a local access; on a
 shared-memory system the same accessor degrades to direct access, which
 is what keeps the *source* portable while the *cost* adapts to the
-architecture.
+architecture.  OffloadMini spells it ``Array<T, N> a(outer_array);``:
+the compiler lowers it to the ``acc_bulk_get`` / ``acc_bulk_put``
+intrinsics both execution engines run.
 
-This module provides:
-
-* :class:`ArrayAccessor` — the paper's ``Array<T,N>``: bulk get on
-  construction, local-cost indexing, optional ``put_back``.
-* :class:`StreamAccessor` — chunked, multi-buffered streaming over a
-  large outer region; with ``depth >= 2`` the next chunk's DMA overlaps
-  processing of the current one (the "double buffered transfers" of
-  Section 4.1).
-* :class:`DirectAccessor` — the shared-memory implementation.
-* :func:`make_array_accessor` — picks the right implementation for the
-  core it is given, which is the portability story in one function.
+This module provides :class:`StreamAccessor`, chunked, multi-buffered
+streaming over a large outer region for hand-written host code: with
+``depth >= 2`` the next chunk's DMA overlaps processing of the current
+one (the "double buffered transfers" of Section 4.1).
 
 Element granularity: accessors move raw bytes; callers index by element
 using an ``element_size``.
@@ -26,164 +21,7 @@ using an ``element_size``.
 from __future__ import annotations
 
 from repro.errors import MachineError
-from repro.machine.cores import AcceleratorCore, Core
-
-
-class ArrayAccessor:
-    """Bulk-transfer accessor over ``count`` elements of outer memory.
-
-    Args:
-        core: Accelerator core to run on (must have a local store).
-        outer_addr: Base byte address of the array in main memory.
-        element_size: Bytes per element.
-        count: Number of elements.
-        local_addr: Destination base address in the local store.
-        now: Issue time; the constructor performs the bulk get and the
-            resulting ready time is available as :attr:`ready_time`.
-        tag: DMA tag to use.
-        writeback: Whether :meth:`put_back` is expected (purely
-            informational; a read-only accessor never pays the put).
-    """
-
-    def __init__(
-        self,
-        core: AcceleratorCore,
-        outer_addr: int,
-        element_size: int,
-        count: int,
-        local_addr: int,
-        now: int,
-        tag: int = 28,
-        writeback: bool = False,
-    ):
-        if core.dma is None or core.local_store is None:
-            raise MachineError("ArrayAccessor requires a local store; use "
-                               "make_array_accessor for portable code")
-        if element_size <= 0 or count <= 0:
-            raise ValueError("element_size and count must be positive")
-        self.core = core
-        self.outer_addr = outer_addr
-        self.element_size = element_size
-        self.count = count
-        self.local_addr = local_addr
-        self.tag = tag
-        self.writeback = writeback
-        self.size = element_size * count
-        now = core.dma.get(tag, local_addr, outer_addr, self.size, now)
-        self.ready_time = core.dma.wait(tag, now)
-        core.perf.add("accessor.bulk_gets")
-        core.perf.add("accessor.bytes_in", self.size)
-
-    def _element_addr(self, index: int) -> int:
-        if not 0 <= index < self.count:
-            raise IndexError(
-                f"accessor index {index} out of range 0..{self.count - 1}"
-            )
-        return self.local_addr + index * self.element_size
-
-    def read(self, index: int, now: int) -> tuple[bytes, int]:
-        """Read element ``index``; returns (bytes, time_after)."""
-        ls = self.core.local_store
-        assert ls is not None
-        data = ls.read_unchecked(self._element_addr(index), self.element_size)
-        return data, now + self.core.cost.local_access
-
-    def write(self, index: int, data: bytes, now: int) -> int:
-        """Overwrite element ``index`` in the local copy."""
-        if len(data) != self.element_size:
-            raise ValueError(
-                f"element is {self.element_size} bytes, got {len(data)}"
-            )
-        ls = self.core.local_store
-        assert ls is not None
-        ls.write_unchecked(self._element_addr(index), data)
-        return now + self.core.cost.local_access
-
-    def put_back(self, now: int) -> int:
-        """Write the whole local copy back to outer memory (blocking)."""
-        dma = self.core.dma
-        assert dma is not None
-        now = dma.put(self.tag, self.local_addr, self.outer_addr, self.size, now)
-        now = dma.wait(self.tag, now)
-        self.core.perf.add("accessor.bulk_puts")
-        self.core.perf.add("accessor.bytes_out", self.size)
-        return now
-
-
-class DirectAccessor:
-    """Shared-memory implementation of the array accessor interface.
-
-    Construction is free (no transfer); every access pays the core's
-    main-memory cost.  Works on the host core and on shared-memory
-    accelerators.
-    """
-
-    def __init__(
-        self,
-        core: Core,
-        outer_addr: int,
-        element_size: int,
-        count: int,
-        now: int,
-    ):
-        if element_size <= 0 or count <= 0:
-            raise ValueError("element_size and count must be positive")
-        self.core = core
-        self.outer_addr = outer_addr
-        self.element_size = element_size
-        self.count = count
-        self.ready_time = now
-        self._memory = getattr(core, "main_memory")
-
-    def _element_addr(self, index: int) -> int:
-        if not 0 <= index < self.count:
-            raise IndexError(
-                f"accessor index {index} out of range 0..{self.count - 1}"
-            )
-        return self.outer_addr + index * self.element_size
-
-    def read(self, index: int, now: int) -> tuple[bytes, int]:
-        data = self._memory.read_unchecked(
-            self._element_addr(index), self.element_size
-        )
-        return data, now + self.core.cost.host_mem_access
-
-    def write(self, index: int, data: bytes, now: int) -> int:
-        if len(data) != self.element_size:
-            raise ValueError(
-                f"element is {self.element_size} bytes, got {len(data)}"
-            )
-        self._memory.write_unchecked(self._element_addr(index), data)
-        return now + self.core.cost.host_mem_access
-
-    def put_back(self, now: int) -> int:
-        """No-op: writes already hit main memory directly."""
-        return now
-
-
-def make_array_accessor(
-    core: Core,
-    outer_addr: int,
-    element_size: int,
-    count: int,
-    now: int,
-    local_addr: int = 0,
-    tag: int = 28,
-    writeback: bool = False,
-) -> ArrayAccessor | DirectAccessor:
-    """Build the right accessor for ``core``.
-
-    On an accelerator with a private local store this is the bulk-DMA
-    :class:`ArrayAccessor`; on the host, or on a shared-memory
-    accelerator, it is a :class:`DirectAccessor`.  Calling code is
-    identical either way — the paper's source-level portability.
-    """
-    if isinstance(core, AcceleratorCore) and core.local_store is not None:
-        return ArrayAccessor(
-            core, outer_addr, element_size, count, local_addr, now,
-            tag=tag, writeback=writeback,
-        )
-    return DirectAccessor(core, outer_addr, element_size, count, now)
+from repro.machine.cores import AcceleratorCore
 
 
 class StreamAccessor:

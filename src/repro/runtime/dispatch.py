@@ -24,13 +24,12 @@ exactly the diagnostic behaviour the paper describes.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import MissingDuplicateError
 from repro.machine.cores import Core
-from repro.machine.perf import CounterSlot
+from repro.machine.perf import packed_weight
 from repro.obs.trace import EV_DISPATCH_HIT, EV_DISPATCH_MISS
 
 
@@ -60,27 +59,10 @@ _COUNTERS = (
     "dispatch.missing_duplicates",
 )
 
-#: What one virtual call that hits counts, low field first, in a
-#: :class:`HitTally`; 48 bits a field is more than any run needs.
-_HIT_COUNTERS = ("dispatch.vcalls", *_COUNTERS[:4])
-_FIELD = 48
-
-
-class HitTally(CounterSlot):
-    """Virtual-call hits served inline: each adds its
-    :meth:`DomainTable.hit_weight` to ``count``, one field per
-    :data:`_HIT_COUNTERS` entry, which the counter bag splits when it
-    folds the slot."""
-
-    __slots__ = ()
-
-    def _fold(self, counts: Counter[str]) -> None:
-        count, self.count = self.count, 0
-        for name in _HIT_COUNTERS:
-            amount = count & ((1 << _FIELD) - 1)
-            if amount:
-                counts[name] += amount
-            count >>= _FIELD
+#: The fields of the inline virtual-call hit
+#: :class:`~repro.machine.perf.PackedSlot`, low first: what one call that
+#: hits counts.
+HIT_FIELDS = tuple((name,) for name in ("dispatch.vcalls", *_COUNTERS[:4]))
 
 
 @dataclass
@@ -149,13 +131,10 @@ class DomainTable:
         return None, None, len(self.outer), 0
 
     def hit_weight(self, host_address: int, duplicate_id: str) -> int:
-        """What a repeat of this successful lookup adds to a
-        :class:`HitTally`: one call, lookup and hit, and its probes."""
+        """What a repeat of this successful lookup adds to the
+        :data:`HIT_FIELDS` slot: one call, lookup and hit, and its probes."""
         _, _, outer, inner = self._memo[host_address, duplicate_id]
-        return sum(
-            amount << (_FIELD * field)
-            for field, amount in enumerate((1, 1, outer, inner, 1))
-        )
+        return packed_weight(1, 1, outer, inner, 1)
 
     def lookup_entry(
         self, core: Core, host_address: int, duplicate_id: str, now: int

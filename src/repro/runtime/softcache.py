@@ -30,14 +30,12 @@ None) and, only where replacement reads it, ``_last_used``.
 
 from __future__ import annotations
 
-import weakref
-from collections import Counter
 from typing import Optional
 
 from repro.errors import MachineError
 from repro.machine.cores import AcceleratorCore
 from repro.machine.dma import GET, PUT
-from repro.machine.perf import CounterSlot
+from repro.machine.perf import packed_weight
 from repro.obs.trace import (
     EV_CACHE_EVICT,
     EV_CACHE_FILL,
@@ -47,71 +45,21 @@ from repro.obs.trace import (
 )
 from repro.runtime.cachekinds import SOFT_CACHE_KINDS
 
-#: Width of each field of an :class:`InlineHits` count; no run comes
-#: near 2**48 accesses or bytes.
-_FIELD = 48
-_FIELD_MASK = (1 << _FIELD) - 1
+#: The fields of the inline-hit :class:`~repro.machine.perf.PackedSlot`,
+#: low to high: bytes read, loads, bytes written, stores.
+INLINE_FIELDS = (
+    ("outer.bytes_read",),
+    ("outer.loads", "softcache.probes", "softcache.hits"),
+    ("outer.bytes_written",),
+    ("outer.stores", "softcache.probes", "softcache.hits"),
+)
 
 
 def inline_hit_weight(size: int, store: bool) -> int:
-    """What one inline hit of ``size`` bytes adds to an
-    :class:`InlineHits` count, whose fields are (low to high) bytes
-    read, loads, bytes written, stores."""
-    return (1 << _FIELD | size) << (2 * _FIELD if store else 0)
+    """What one inline hit of ``size`` bytes adds to the inline-hit
+    slot's count."""
+    return packed_weight(0, 0, size, 1) if store else packed_weight(size, 1)
 
-
-def _fields(count: int) -> tuple[int, int, int, int]:
-    return (
-        count & _FIELD_MASK,
-        count >> _FIELD & _FIELD_MASK,
-        count >> 2 * _FIELD & _FIELD_MASK,
-        count >> 3 * _FIELD,
-    )
-
-
-class InlineHits(CounterSlot):
-    """The hits generated code served inline: each adds
-    :func:`inline_hit_weight` to ``count``, which only grows.  Every read
-    of the counter bag folds the new part into ``softcache.probes`` /
-    ``hits`` and ``outer.loads`` / ``bytes_read`` / ``stores`` /
-    ``bytes_written``, so those totals are exact whenever anything can
-    see them."""
-
-    __slots__ = ("_folded", "_streaked")
-
-    def __init__(self, name: str, owner: object = None):
-        super().__init__(name, owner)  # type: ignore[arg-type]
-        self._folded = 0
-        self._streaked = 0
-
-    def _fold(self, counts: Counter[str]) -> None:
-        delta = self.count - self._folded
-        if not delta:
-            return
-        self._folded = self.count
-        read, loads, written, stores = _fields(delta)
-        for name, amount in (
-            ("softcache.probes", loads + stores),
-            ("softcache.hits", loads + stores),
-            ("outer.loads", loads),
-            ("outer.bytes_read", read),
-            ("outer.stores", stores),
-            ("outer.bytes_written", written),
-        ):
-            if amount:
-                counts[name] += amount
-
-    def take_hits(self) -> int:
-        """Inline hits since the previous call."""
-        _, loads, _, stores = _fields(self.count - self._streaked)
-        self._streaked = self.count
-        return loads + stores
-
-
-#: Each core's cache counter slots (see :class:`SoftwareCache`).
-_CORE_SLOTS: "weakref.WeakKeyDictionary[AcceleratorCore, tuple]" = (
-    weakref.WeakKeyDictionary()
-)
 
 #: What generated code binds instead of :attr:`DirectMappedCache.inline_view`
 #: when the inline path is off: a one-slot tag tuple that never matches.
@@ -173,20 +121,16 @@ class SoftwareCache:
         self._line_shift = line_size.bit_length() - 1
         self._offset_mask = line_size - 1
         # Batched counters: the probe/hit/miss bookkeeping sits on every
-        # cached outer access, so increments are plain ints drained into
-        # the machine-wide PerfCounters on read.  Offloads run one at a
-        # time, so the caches a core runs share one set.
-        slots = _CORE_SLOTS.get(core)
-        if slots is None:
-            slot = core.perf.slot
-            slots = _CORE_SLOTS[core] = (
-                slot("softcache.probes"), slot("softcache.hits"),
-                slot("softcache.misses"), slot("softcache.inline", InlineHits),
-                slot("softcache.fills"), slot("softcache.writebacks"),
-            )
-        (self._probes, self._hits, self._misses, self._inline_hits,
-         self._fills, self._writebacks) = slots
-        self._inline_hits.take_hits()  # an earlier cache's are not ours
+        # cached outer access, so increments are plain ints in the
+        # machine's slots.  Generated code adds the hits it serves inline
+        # to one packed slot; offloads run one at a time, so a new cache
+        # drops what an earlier one left untaken.
+        slot = core.perf.slot
+        self._probes, self._hits, self._misses, self._fills, self._writebacks = (
+            slot(f"softcache.{name}")
+            for name in ("probes", "hits", "misses", "fills", "writebacks"))
+        self._inline_hits = slot("softcache.inline", INLINE_FIELDS)
+        self._inline_hits.take("softcache.hits")
         self._dma = core.dma
         #: Pre-bound event sink + track name; one attribute check per
         #: access when tracing is disabled.
@@ -242,8 +186,8 @@ class SoftwareCache:
         """Advance the hit/miss streak state by one probe (metrics-enabled
         path only), after the hits served inline since the last one."""
         inline = self._inline_hits
-        if inline.count != inline._streaked:
-            self._streak_run(True, inline.take_hits())
+        if inline.count != inline.taken:
+            self._streak_run(True, inline.take("softcache.hits"))
         self._streak_run(hit, 1)
 
     def _streak_run(self, hit: bool, count: int) -> None:
@@ -424,7 +368,7 @@ class SoftwareCache:
         if self._metrics.enabled:
             # Hits served inline since the last probe may close a miss
             # streak; the offload's end is the last chance to see them.
-            self._streak_run(True, self._inline_hits.take_hits())
+            self._streak_run(True, self._inline_hits.take("softcache.hits"))
         for slot, dirty in enumerate(self._dirty):
             if dirty is not None:
                 now = self._writeback(slot, now)

@@ -115,11 +115,9 @@ Translation scheme
   implementation (``eng._run_offload``, ``eng._domain_call_values``,
   ...), never re-implemented, which is how the engine stays cycle-,
   counter- and trace-identical to the reference engine.  The only
-  host-side differences: the ``max_instructions`` guard is charged per
+  host-side difference: the ``max_instructions`` guard is charged per
   basic block at block entry (totals are exact for every completed
-  block), and hot counters (``vm.calls``, ``word.extracts`` ...)
-  accumulate in :class:`~repro.machine.perf.CounterSlot` batches that
-  drain into the machine-wide counters on read.
+  block).
 
 Caching
 -------
@@ -1635,13 +1633,6 @@ class CodegenInterpreter(Interpreter):
         super().__init__(program, machine, options)
         self._cost = machine.config.cost
         self._budget = self.options.max_instructions
-        perf = machine.perf
-        # Batched counters for the quantities generated code itself
-        # produces; everything underneath (DMA, caches, dispatch tables)
-        # keeps its own accounting.
-        self._sc_calls = perf.slot("vm.calls")
-        self._sc_extracts = perf.slot("word.extracts")
-        self._sc_inserts = perf.slot("word.inserts")
         self.codegen_stats = CodegenStats()
         self._gen_funcs: Optional[dict[str, Callable]] = None
 

@@ -36,7 +36,8 @@ RAW_TAG = 31
 class RawDmaStrategy:
     """Blocking bounce-buffer DMA per access (uncached): each chunk of
     at most :data:`SCRATCH_BYTES` is one :meth:`DmaEngine.transfer_and_wait`
-    through the buffer at ``scratch_addr``."""
+    through the buffer at ``scratch_addr``.  :attr:`loads` / :attr:`stores`
+    count accesses, here and in the engines' one-scalar helpers."""
 
     def __init__(self, core: AcceleratorCore, scratch_addr: int):
         if core.dma is None or core.local_store is None:
@@ -44,6 +45,8 @@ class RawDmaStrategy:
         self.dma = core.dma
         self.scratch = core.local_store._data
         self.scratch_addr = scratch_addr
+        self.loads = core.perf.slot("outer.raw_loads")
+        self.stores = core.perf.slot("outer.raw_stores")
 
     def load(self, address: int, size: int, now: int) -> tuple[bytes, int]:
         parts: list[bytes] = []
@@ -52,7 +55,7 @@ class RawDmaStrategy:
             chunk = min(address + size - cursor, SCRATCH_BYTES)
             now = self.dma.transfer_and_wait(GET, RAW_TAG, scratch, cursor, chunk, now)
             parts.append(self.scratch[scratch:scratch + chunk])
-        self.dma.perf.add("outer.raw_loads")
+        self.loads.count += 1
         return b"".join(parts), now
 
     def store(self, address: int, data: bytes, now: int) -> int:
@@ -63,7 +66,7 @@ class RawDmaStrategy:
             now = self.dma.transfer_and_wait(
                 PUT, RAW_TAG, scratch, address + offset, len(chunk), now
             )
-        self.dma.perf.add("outer.raw_stores")
+        self.stores.count += 1
         return now
 
     def flush(self, now: int) -> int:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis.diagnostics import Finding
-from repro.compiler.layout import DATA_BASE
 from repro.errors import MachineError, MissingDuplicateError, RuntimeTrap
 from repro.ir.instructions import (
     AccSpace,
@@ -43,7 +42,7 @@ from repro.ir.instructions import (
     Trap,
     UnOp,
 )
-from repro.ir.module import IRFunction, IRProgram
+from repro.ir.module import DATA_BASE, IRFunction, IRProgram
 
 # Generated modules, the ones in disk caches included, import
 # ``_int_div`` / ``_int_rem`` from this module.
@@ -62,7 +61,7 @@ from repro.obs.trace import (
     EV_OFFLOAD_JOIN,
     EV_OFFLOAD_LAUNCH,
 )
-from repro.runtime.dispatch import HitTally
+from repro.runtime.dispatch import HIT_FIELDS
 from repro.sched.scheduler import OffloadScheduler, SchedOptions, SchedStats
 from repro.vm.context import RAW_TAG, FrameStack, ThreadContext, build_strategy
 
@@ -261,19 +260,20 @@ class Interpreter:
         #: uploaded on demand; persists across offload launches because
         #: a loaded code image stays resident on the core.
         self._resident_code: set[tuple[int, str]] = set()
-        #: Batched counters for the hot shared paths both engines call.
+        #: Counter slots for the hot paths both engines share.
         perf = machine.perf
         self._sc_outer_loads = perf.slot("outer.loads")
         self._sc_outer_read = perf.slot("outer.bytes_read")
         self._sc_outer_stores = perf.slot("outer.stores")
         self._sc_outer_written = perf.slot("outer.bytes_written")
-        self._sc_raw_loads = perf.slot("outer.raw_loads")
-        self._sc_raw_stores = perf.slot("outer.raw_stores")
         self._sc_vcalls = perf.slot("dispatch.vcalls")
+        self._sc_calls = perf.slot("vm.calls")
+        self._sc_extracts = perf.slot("word.extracts")
+        self._sc_inserts = perf.slot("word.inserts")
         #: Virtual-call hits generated code serves inline, and what it
         #: serves them from: per (offload id, duplicate id), host
         #: address -> (probe cycles, tally weight, generated callee).
-        self._sc_vhits = perf.slot("dispatch.inline", HitTally)
+        self._sc_vhits = perf.slot("dispatch.inline", HIT_FIELDS)
         self._vcall_hits: dict[tuple, dict] = {}
         #: Each accessor bulk intrinsic's (transfers, bytes) slots.
         slot = perf.slot
@@ -473,7 +473,7 @@ class Interpreter:
         through the bounce buffer, decoded where it landed."""
         at = strategy.scratch_addr
         now = strategy.dma.transfer_and_wait(GET, RAW_TAG, at, address, size, now)
-        self._sc_raw_loads.count += 1
+        strategy.loads.count += 1
         self._sc_outer_loads.count += 1
         self._sc_outer_read.count += size
         return codec.unpack_from(strategy.scratch, at)[0], now
@@ -486,7 +486,7 @@ class Interpreter:
         codec.pack_into(strategy.scratch, at, value)
         size = codec.size
         now = strategy.dma.transfer_and_wait(PUT, RAW_TAG, at, address, size, now)
-        self._sc_raw_stores.count += 1
+        strategy.stores.count += 1
         self._sc_outer_stores.count += 1
         self._sc_outer_written.count += size
         return now
@@ -516,7 +516,7 @@ class Interpreter:
             ctx.stack.push(function.frame_size) if function.frame_size else ctx.stack.sp
         )
         ctx.now += ctx.core.cost.call
-        ctx.core.perf.add("vm.calls")
+        self._sc_calls.count += 1
         trace = self._trace
         if trace.enabled:
             track = ctx.core.name
@@ -714,7 +714,7 @@ class Interpreter:
         if instr.signed and value >= 1 << (8 * instr.size - 1):
             value -= 1 << (8 * instr.size)
         regs[instr.dst] = value
-        ctx.core.perf.add("word.extracts")
+        self._sc_extracts.count += 1
 
     def _exec_insert(
         self, instr: Insert, regs: list[object], ctx: ThreadContext
@@ -731,7 +731,7 @@ class Interpreter:
         shifted_mask = mask << (8 * offset)
         merged = (word & ~shifted_mask) | ((value & mask) << (8 * offset))
         regs[instr.dst] = merged & _U32
-        ctx.core.perf.add("word.inserts")
+        self._sc_inserts.count += 1
 
     def _domain_call_values(
         self,

@@ -1,11 +1,24 @@
 """Unit tests for core clocks and performance counters."""
 
 import gc
+from dataclasses import replace
 
 import pytest
 
+from repro.compiler.driver import compile_program
+from repro.game.sources import figure2_source
 from repro.machine.clock import CoreClock
+from repro.machine.config import CELL_LIKE
+from repro.machine.machine import Machine
 from repro.machine.perf import PerfCounters
+from repro.runtime.dispatch import DomainTable, InnerEntry
+from repro.runtime.softcache import inline_hit_weight, make_cache
+from repro.vm.interpreter import (
+    ENGINE_NAMES,
+    RunOptions,
+    make_interpreter,
+    run_program,
+)
 
 
 class TestCoreClock:
@@ -86,14 +99,11 @@ class TestPerfCounters:
         assert list(perf) == [("a", 2)]
 
 
-def live_slots(perf):
-    return [slot for ref in perf._slots if (slot := ref()) is not None]
-
-
 class TestSlotLifetime:
-    """The counter bag must not leak dead slots (regression: the
-    registry used to keep a strong reference to every slot ever
-    created, so long-lived machines re-flushed an ever-growing list)."""
+    """A long-lived counter bag must not grow with use: it interns one
+    slot per counter name (regression: the registry used to keep a
+    reference to every slot ever created, so long-lived machines
+    re-flushed an ever-growing list)."""
 
     def test_dead_slot_pruned_from_registry(self):
         perf = PerfCounters()
@@ -102,12 +112,12 @@ class TestSlotLifetime:
         dead.count += 1
         del dead
         gc.collect()
-        perf.flush()
-        assert live_slots(perf) == [keep]
+        assert sorted(perf._slots) == ["dropped", "kept"]
+        assert perf.slot("kept") is keep
+        assert perf.slot("dropped").count == 1
 
     def test_dead_slot_count_preserved(self):
-        # The finalizer folds any pending count into the totals, so
-        # dropping a slot mid-batch loses nothing.
+        # Dropping the caller's reference mid-batch loses nothing.
         perf = PerfCounters()
         slot = perf.slot("hits")
         slot.count += 7
@@ -122,7 +132,88 @@ class TestSlotLifetime:
             slot.count += 1
             del slot
         gc.collect()
-        perf.flush()
-        assert len(live_slots(perf)) == 0
-        assert len(perf._slots) == 0
+        assert list(perf._slots) == ["churn"]
         assert perf.get("churn") == 100
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_reused_machine_registry_stays_put(self, engine):
+        program = compile_program(
+            figure2_source(entity_count=8, pair_count=6, frames=1), CELL_LIKE
+        )
+        # Every run carves a fresh host stack out of the heap.
+        machine = Machine(replace(CELL_LIKE, main_memory_size=64 << 20))
+        options = RunOptions(engine=engine)
+        run_program(program, machine, options)
+        once = machine.perf.as_dict()
+        size = len(machine.perf._slots) + len(machine.perf._packed)
+        for _ in range(19):
+            run_program(program, machine, options)
+        assert len(machine.perf._slots) + len(machine.perf._packed) == size
+        assert machine.perf.as_dict() == {
+            name: 20 * value for name, value in once.items()
+        }
+
+
+def inline_hits(machine):
+    """A software cache's inline-hit slot, one hit's weight, and what
+    one hit counts."""
+    cache = make_cache("direct", machine.accelerator(0), 0x10000)
+    return cache.inline_view[5], inline_hit_weight(4, False), {
+        "outer.bytes_read": 4, "outer.loads": 1,
+        "softcache.hits": 1, "softcache.probes": 1,
+    }
+
+
+def vcall_hits(machine):
+    """An engine's inline virtual-call slot, one repeat call's weight,
+    and what one repeat counts."""
+    program = compile_program("void main() { }", CELL_LIKE)
+    slot = make_interpreter(program, machine)._sc_vhits
+    table = DomainTable()
+    table.add(0x40, "A::f", [InnerEntry("a", "t")])
+    table.add(0x80, "B::f", [InnerEntry("b", "t"), InnerEntry("a", "t")])
+    table.lookup_entry(machine.accelerator(0), 0x80, "a", 0)
+    return slot, table.hit_weight(0x80, "a"), {
+        "dispatch.domain_hits": 1, "dispatch.domain_lookups": 1,
+        "dispatch.inner_probes": 2, "dispatch.outer_probes": 2,
+        "dispatch.vcalls": 1,
+    }
+
+
+READS = {
+    "get": lambda perf, names: {name: perf.get(name) for name in names},
+    "as_dict": lambda perf, names: perf.as_dict(),
+    "ratio": lambda perf, names: {
+        name: round(perf.ratio(name, "one")) for name in names
+    },
+    "iteration": lambda perf, names: dict(perf),
+}
+
+
+@pytest.mark.parametrize("packed", [inline_hits, vcall_hits])
+class TestCounterNameContract:
+    """Which names a snapshot lists, whatever route counted them."""
+
+    def test_listed_names(self, packed):
+        machine = Machine(CELL_LIKE)
+        slot, _, _ = packed(machine)
+        perf = machine.perf
+        slot.count += 0
+        snapshot = perf.as_dict()
+        assert slot.name not in snapshot
+        perf.slot("never.counted")
+        perf.add("touched.once", 0)
+        perf.slot("bumped.by.zero").count += 0
+        assert perf.as_dict() == {**snapshot, "touched.once": 0}
+
+    @pytest.mark.parametrize("read", sorted(READS))
+    def test_packed_fields_fold_on_every_read(self, packed, read):
+        machine = Machine(CELL_LIKE)
+        slot, weight, counts = packed(machine)
+        perf = machine.perf
+        perf.add("one")
+        before = perf.as_dict()
+        slot.count += 3 * weight
+        seen = READS[read](perf, counts)
+        for name, amount in counts.items():
+            assert seen[name] == before.get(name, 0) + 3 * amount

@@ -72,6 +72,35 @@ class TestHistogram:
         h.observe(999)
         assert h.percentile(0.5) == 999
 
+    @pytest.mark.parametrize("samples", [
+        [], [5] * 9, [5] * 9 + [500], [10 ** 9] * 3, list(range(0, 5000, 7)),
+        [2] * 50 + [3000] * 40 + [10 ** 9] * 10,
+    ], ids=["empty", "one-bucket", "tail", "overflow", "spread", "heavy-tail"])
+    def test_as_dict_percentiles_match_one_walk_each(self, samples):
+        h = Histogram("t")
+        for value in samples:
+            h.observe(value)
+
+        def walk(q):
+            # One bucket walk per quantile: the ceil target, the bucket
+            # bound clamped to the max, the max past the last bound.
+            if not h.count:
+                return 0
+            target = max(1, -(-int(h.count * q * 1000) // 1000))
+            seen = 0
+            for index, bucket_count in enumerate(h.counts):
+                seen += bucket_count
+                if seen >= target:
+                    if index >= len(h.bounds):
+                        return h.max
+                    return min(h.bounds[index], h.max)
+            return h.max
+
+        d = h.as_dict()
+        assert (d["p50"], d["p90"]) == (walk(0.5), walk(0.9))
+        for q in (0.001, 0.5, 0.9, 0.99, 1.0):
+            assert h.percentile(q) == walk(q)
+
     def test_as_dict_omits_empty_buckets(self):
         h = Histogram("t", bounds=(10, 20, 30))
         h.observe(5)
