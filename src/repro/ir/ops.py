@@ -8,6 +8,13 @@ constant folder call ``Op.fn``, the *same* text compiled at import; cost
 model and register typing read ``weight`` / ``result``; the interval
 analysis is checked against ``fn`` (``tests/analysis/test_ops_table.py``).
 
+An integer op whose template wraps its result to 32 bits also gives
+``raw``, the same term unwrapped, and ``domain``, the wrap's range: the
+two agree whenever the unwrapped result lies in ``domain`` (for ``/``
+and ``%``, when also the dividend is non-negative and the divisor
+positive).  Codegen emits ``raw`` where the interval analysis proves
+that.
+
 So are scalar loads and stores: :data:`SCALARS` gives each shape's
 ``struct`` codec and typed-view formats, for both engines.
 """
@@ -42,6 +49,8 @@ class Op(NamedTuple):
     result: str  #: value class of the result, "int" or "float"
     weight: int  #: simulated cycles, in ALU units
     fn: Callable  #: ``text`` compiled, operands coerced per ``kinds``
+    raw: Optional[str] = None  #: ``text``'s term without its 32-bit wrap
+    domain: Optional[tuple[int, int]] = None  #: the range that wrap keeps
 
 
 def statements(text: str, d: Optional[str], *operands: str) -> list[tuple]:
@@ -59,7 +68,10 @@ def statements(text: str, d: Optional[str], *operands: str) -> list[tuple]:
     return out
 
 
-def _op(text: str, kinds: str, result: str, weight: int = 1) -> Op:
+def _op(
+    text: str, kinds: str, result: str, weight: int = 1,
+    raw: Optional[str] = None, signed: bool = True,
+) -> Op:
     read = {"i": "int({})", "f": "float({})", "r": "{}"}
     params = "ab"[: len(kinds)]
     coerced = [read[k].format(p) for k, p in zip(kinds, params)]
@@ -68,12 +80,16 @@ def _op(text: str, kinds: str, result: str, weight: int = 1) -> Op:
         source.append("    " * (indent + 1) + line)
     namespace = {"math": math, "_int_div": _int_div, "_int_rem": _int_rem}
     exec("\n".join(source + ["    return _d"]), namespace)
-    return Op(text, kinds, result, weight, namespace["fn"])
+    domain = None if raw is None else DOMAINS[signed]
+    return Op(text, kinds, result, weight, namespace["fn"], raw, domain)
 
 
 #: ``term`` — an atom, a call or in parentheses — wrapped to 32 bits.
 _WRAP = {True: "({} + 0x80000000 & 0xFFFFFFFF) - 0x80000000", False: "{} & 0xFFFFFFFF"}
 _INT32 = _WRAP[True].format
+#: The values each wrap keeps (by ``signed``); every integer a register
+#: holds lies in their union.
+DOMAINS = {True: (-(2**31), 2**31 - 1), False: (0, 2**32 - 1)}
 
 _FLOAT_DIV = """\
 _x = {a}
@@ -95,7 +111,7 @@ _SEXT = "_v = {{a}} & {mask:#x}\nif _v >= {sign}:\n    _v -= {mod}\n{{d}} = _v"
 BINOPS: dict[tuple[str, bool, bool], Op] = {}
 #: ``UnOp`` semantics by ``(op, float_op)``; only ``-`` reads the flag.
 UNOPS: dict[tuple[str, bool], Op] = {("-", True): _op("-{a}", "f", "float")}
-UNOPS["-", False] = _op(_INT32("-{a}"), "i", "int")
+UNOPS["-", False] = _op(_INT32("-{a}"), "i", "int", raw="(-{a})")
 for _flag in (False, True):
     for _o in COMPARE_OPS:
         _text = f"1 if {{a}} {_o} {{b}} else 0"
@@ -106,13 +122,15 @@ for _flag in (False, True):
     _terms = {_o: f"({{a}} {_o} {{b}})" for _o in "+-*&|^"}
     _terms["<<"] = "({a} << ({b} & 31))"
     _terms[">>"] = "({a} >> ({b} & 31))" if _flag else "(({a} & 0xFFFFFFFF) >> ({b} & 31))"
+    _raws = dict(_terms, **{"/": "({a} // {b})", "%": "({a} % {b})"})
+    _raws[">>"] = "({a} >> ({b} & 31))"  # one and the same unwrapped
     _terms["/"], _terms["%"] = "_int_div({a}, {b})", "_int_rem({a}, {b})"
     for _o, _term in _terms.items():
         # The two that may trap are statements: never moved or dropped.
         _text = ("{d} = " if _o in "/%" else "") + _WRAP[_flag].format(_term)
-        BINOPS[_o, False, _flag] = _op(_text, "ii", "int")
+        BINOPS[_o, False, _flag] = _op(_text, "ii", "int", raw=_raws[_o], signed=_flag)
     UNOPS["!", _flag] = _op("0 if {a} else 1", "r", "int")
-    UNOPS["~", _flag] = _op(_INT32("~{a}"), "i", "int")
+    UNOPS["~", _flag] = _op(_INT32("~{a}"), "i", "int", raw="(~{a})")
     UNOPS["itof", _flag] = _op("float({a})", "i", "float")
     UNOPS["ftoi", _flag] = _op(_FTOI, "f", "int")
     for _mask in (0xFF, 0xFFFF):

@@ -19,6 +19,12 @@ import struct
 
 from repro.errors import MemoryFault
 
+#: Every space is smaller than this, so each address inside one is a
+#: non-negative signed 32-bit integer, which both 32-bit wraps keep as it
+#: is: code generated for the machine relies on it (``repro.vm.codegen``
+#: drops wraps it proves are identities).
+MAX_SPACE_BYTES = 2**31
+
 
 class MemorySpace:
     """A bounded, byte-backed simulated memory.
@@ -32,8 +38,11 @@ class MemorySpace:
     """
 
     def __init__(self, name: str, size: int, granularity: int = 1):
-        if size <= 0:
-            raise ValueError(f"memory size must be positive, got {size}")
+        if not 0 < size < MAX_SPACE_BYTES:
+            raise ValueError(
+                f"memory size must be positive and below {MAX_SPACE_BYTES:#x}"
+                f" bytes, got {size}"
+            )
         if granularity < 1:
             raise ValueError(f"granularity must be >= 1, got {granularity}")
         self.name = name

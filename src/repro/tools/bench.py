@@ -17,7 +17,7 @@ Usage::
     PYTHONPATH=src python -m repro.tools.bench [--out BENCH_vm.json]
         [--repeats 3] [--quick]
         [--policy greedy|least-loaded|locality|critical-path]
-        [--target cell|smp|dsp|apu|manycore ...] [--reports DIR]
+        [--target cell|smp|dsp|apu|manycore ...]
 
 Only the loop that *times a single layer* (:func:`bench_workload`) calls
 the compiler and VM directly; every untimed run is a
@@ -42,7 +42,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import platform
 import sys
 import time
@@ -57,8 +56,7 @@ from repro.game.sources import (
     move_loop_source,
     word_struct_source,
 )
-from repro.obs import MetricsHub, save_report
-from repro.runspec import FarmJob, job_report, prepare, simulate
+from repro.runspec import FarmJob, prepare, simulate
 from repro.sched import POLICY_NAMES, SchedOptions
 from repro.tools.flags import add_policy_flag, add_target_flag
 from repro.vm.codegen import warm_translations
@@ -227,7 +225,7 @@ def bench_scheduler(quick: bool) -> dict:
     }
 
 
-def _portability_jobs(quick: bool, targets) -> list[FarmJob]:
+def portability_jobs(quick: bool, targets) -> list[FarmJob]:
     """The 4-frame game frame under the locality policy, once per target."""
     scale = 1 if quick else 2
     source = figure2_source(
@@ -254,7 +252,7 @@ def bench_targets(quick: bool, targets) -> dict:
     manycore pays uploads and backpressure) is visible in the report.
     """
     rows = {}
-    for job in _portability_jobs(quick, targets):
+    for job in portability_jobs(quick, targets):
         result = simulate(prepare(job).program, job)
         config = result.machine.config
         perf = result.machine.perf.as_dict()
@@ -274,37 +272,6 @@ def bench_targets(quick: bool, targets) -> dict:
         "policy": "locality",
         "targets": rows,
     }
-
-
-def emit_run_reports(
-    quick: bool, targets, directory: str, policy=None
-) -> list[str]:
-    """One canonical :class:`~repro.obs.report.RunReport` per bench cell.
-
-    Each workload of the matrix gets a fresh, *untimed* run with a
-    metrics hub attached (so the timed columns stay unpolluted by
-    instrumentation), reported as ``{workload}__{target}.json``; the
-    game-frame portability section adds
-    ``game-frame-portability__{target}.json`` per target.  Reports
-    carry no wall-clock, so the files are byte-reproducible and can be
-    committed as CI baselines.
-    """
-    jobs = [
-        FarmJob(
-            spec["name"], source=spec["source"], target=spec["config"],
-            engine="codegen", policy=policy,
-        )
-        for spec in workloads(quick)
-    ] + _portability_jobs(quick, targets)
-    os.makedirs(directory, exist_ok=True)
-    written = []
-    for job in jobs:
-        hub = MetricsHub()
-        result = simulate(prepare(job).program, job, hub=hub)
-        path = os.path.join(directory, f"{job.workload}__{job.target}.json")
-        save_report(job_report(result, job, hub), path)
-        written.append(path)
-    return written
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,11 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="target(s) for the per-target game-frame section; repeat "
              f"to add more (default: {', '.join(BENCH_TARGETS)})",
-    )
-    parser.add_argument(
-        "--reports", default=None, metavar="DIR",
-        help="also write one canonical run report per workload/target "
-             "cell to DIR (diff them with repro.tools.report)",
     )
     return parser
 
@@ -387,12 +349,6 @@ def main(argv: list[str] | None = None) -> int:
         codegen_product *= entry["codegen_speedup"]
     codegen_geomean = codegen_product ** (1.0 / len(results))
     headline = next(e for e in results if e["name"] == "game-frame")
-    if args.reports is not None:
-        written = emit_run_reports(
-            args.quick, args.targets or BENCH_TARGETS, args.reports,
-            args.policy,
-        )
-        print(f"-- {len(written)} run reports -> {args.reports}")
 
     report = {
         "benchmark": "vm-engine-wallclock",

@@ -9,9 +9,11 @@ Usage::
     python -m repro.tools.report trend DIR [--metric PATH]
         [--format text|json]
     python -m repro.tools.report validate TRACE.json
+    python -m repro.tools.report emit DIR [--quick] [--policy P]
+        [--target NAME ...]
 
 ``show`` pretty-prints one report (produced by ``repro.tools.run
---report`` or ``repro.tools.bench --reports``).  ``diff`` compares two
+--report`` or ``emit``).  ``diff`` compares two
 reports metric-by-metric: every flattened path (``simulated_cycles``,
 ``counters.dma.gets``, ``histograms.dma.wait_cycles[dma0].p90``, …)
 must match within its tolerance, which defaults to exact for simulated
@@ -19,7 +21,10 @@ quantities and *ignored* for ``wall_seconds``.  ``trend`` walks a
 directory of historical reports (sorted by filename) and tabulates one
 metric over time.  ``validate`` checks a Chrome trace exported by
 ``repro.tools.run --trace`` against the structural trace-event rules
-Perfetto relies on and prints any problems.
+Perfetto relies on and prints any problems.  ``emit`` writes one
+canonical report per cell of the bench matrix (:func:`emit_run_reports`,
+no timing and no ``BENCH_vm.json``): with no flags, the files
+``baselines/reports/`` holds.
 
 Exit status follows the checker convention (:mod:`repro.tools.check`):
 
@@ -34,8 +39,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
+from repro.obs import MetricsHub, save_report
 from repro.obs.export import validate_chrome_trace
 from repro.obs.report import (
     DEFAULT_IGNORE,
@@ -46,6 +53,9 @@ from repro.obs.report import (
     load_report_dir,
     trend_rows,
 )
+from repro.runspec import FarmJob, job_report, prepare, simulate
+from repro.tools.bench import BENCH_TARGETS, portability_jobs, workloads
+from repro.tools.flags import add_policy_flag, add_target_flag
 
 EXIT_CLEAN = 0
 EXIT_ERROR = 1
@@ -96,7 +106,64 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="check an exported Chrome trace's structure"
     )
     validate.add_argument("trace", help="Chrome trace JSON file")
+
+    emit = sub.add_parser(
+        "emit", help="write the bench matrix's run reports (untimed)"
+    )
+    emit.add_argument("directory", help="where the reports go")
+    emit.add_argument(
+        "--quick", action="store_true", help="the bench's smaller workloads"
+    )
+    add_policy_flag(
+        emit,
+        help="run the workload matrix under this scheduling policy "
+             "(default: compat mode, no explicit scheduling)",
+    )
+    add_target_flag(
+        emit, action="append", default=None, dest="targets",
+        metavar="NAME",
+        help="target(s) of the portability reports; repeat to add more "
+             "(default: cell, apu, manycore)",
+    )
     return parser
+
+
+def emit_run_reports(
+    quick: bool, targets, directory: str, policy=None
+) -> list[str]:
+    """One canonical :class:`~repro.obs.report.RunReport` per cell of the
+    bench matrix (:mod:`repro.tools.bench`), written to ``directory``.
+
+    Each workload of the matrix gets one run with a metrics hub
+    attached, reported as ``{workload}__{target}.json``; the game-frame
+    portability section adds ``game-frame-portability__{target}.json``
+    per target.  Nothing is timed, and reports carry no wall-clock, so
+    the files are byte-reproducible and committed as CI baselines.
+    """
+    jobs = [
+        FarmJob(
+            spec["name"], source=spec["source"], target=spec["config"],
+            engine="codegen", policy=policy,
+        )
+        for spec in workloads(quick)
+    ] + portability_jobs(quick, targets)
+    os.makedirs(directory, exist_ok=True)
+    written = []
+    for job in jobs:
+        hub = MetricsHub()
+        result = simulate(prepare(job).program, job, hub=hub)
+        path = os.path.join(directory, f"{job.workload}__{job.target}.json")
+        save_report(job_report(result, job, hub), path)
+        written.append(path)
+    return written
+
+
+def cmd_emit(args) -> int:
+    written = emit_run_reports(
+        args.quick, args.targets or BENCH_TARGETS, args.directory, args.policy
+    )
+    print(f"-- {len(written)} run reports -> {args.directory}")
+    return EXIT_CLEAN
 
 
 # ------------------------------------------------------------------ show
@@ -308,6 +375,8 @@ def main(argv=None) -> int:
             return cmd_diff(args)
         if args.command == "trend":
             return cmd_trend(args)
+        if args.command == "emit":
+            return cmd_emit(args)
         return cmd_validate(args)
     except (ReportError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

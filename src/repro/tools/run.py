@@ -254,14 +254,20 @@ def main(argv: list[str] | None = None) -> int:
         print(format_program(program))
         return 0
     if args.dump_codegen:
-        from repro.vm.codegen import LADDER_MARK, generate_module_source
+        from repro.vm.codegen import (
+            LADDER_MARK,
+            CodegenStats,
+            generate_module_source,
+        )
 
-        source_text = generate_module_source(program, config.cost)
+        stats = CodegenStats()
+        source_text = generate_module_source(program, config.cost, stats)
         print(source_text)
         print(
             f"-- codegen: {len(program.functions)} functions, "
             f"{len(source_text.splitlines())} lines, "
-            f"{source_text.count(LADDER_MARK)} ladders",
+            f"{source_text.count(LADDER_MARK)} ladders, "
+            f"{stats.proven_wraps} wraps proven",
             file=sys.stderr,
         )
         return 0

@@ -107,13 +107,14 @@ def build_strategy(
 
 
 class FrameStack:
-    """A simple grow-up frame allocator over a memory region."""
+    """A simple grow-up frame allocator over a memory region; ``peak``
+    is the highest stack pointer it reached since :meth:`reset`."""
 
     def __init__(self, base: int, limit: int, space_name: str):
         self.base = base
         self.limit = limit
         self.space_name = space_name
-        self._sp = base
+        self._sp = self.peak = base
 
     def push(self, size: int, alignment: int = 16) -> int:
         aligned = (self._sp + alignment - 1) // alignment * alignment
@@ -124,10 +125,19 @@ class FrameStack:
                 f"call chains must fit in scratch-pad memory"
             )
         self._sp = aligned + size
+        if self._sp > self.peak:
+            self.peak = self._sp
         return aligned
 
     def pop(self, to: int) -> None:
         self._sp = to
+
+    def reset(self, memory) -> None:
+        """Empty the stack and zero ``memory`` up to where its frames
+        reached, so the next user sees the zeros a fresh region holds."""
+        if self.peak > self.base:
+            memory.write_unchecked(self.base, bytes(self.peak - self.base))
+        self._sp = self.peak = self.base
 
     @property
     def sp(self) -> int:

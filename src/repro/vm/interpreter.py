@@ -323,19 +323,33 @@ class Interpreter:
         return self.finalize(value, host_ctx)
 
     def make_host_context(self) -> ThreadContext:
-        """The host thread context (stack carved out of main memory)."""
-        stack_base = (
-            self.machine.heap.allocate(HOST_STACK_BYTES + STACK_COLOR_OFFSET)
-            + STACK_COLOR_OFFSET
-        )
+        """The host thread context (stack in main memory)."""
         return ThreadContext(
             core=self.machine.host,
             main_memory=self.machine.main_memory,
-            stack=FrameStack(
-                stack_base, stack_base + HOST_STACK_BYTES, "host"
+            stack=self._main_stack(
+                self.machine.host.name, HOST_STACK_BYTES, STACK_COLOR_OFFSET,
+                "host",
             ),
             now=self.machine.host.clock.now,
         )
+
+    def _main_stack(
+        self, owner: str, size: int, offset: int, space_name: str
+    ) -> FrameStack:
+        """``owner``'s stack of ``size`` bytes in main memory, ``offset``
+        bytes into the region carved out of the heap for it at its first
+        use; later users get the same region, emptied and zeroed, so a
+        reused machine runs out of no heap and every run or launch sees
+        what it would on a fresh machine."""
+        stacks = self.machine.stacks
+        stack = stacks.get(owner)
+        if stack is None:
+            base = self.machine.heap.allocate(size + offset) + offset
+            stack = stacks[owner] = FrameStack(base, base + size, space_name)
+        else:
+            stack.reset(self.machine.main_memory)
+        return stack
 
     def finalize(self, value: object, host_ctx: ThreadContext) -> RunResult:
         """Sync the host clock, audit handles and build the result."""
@@ -951,11 +965,9 @@ class Interpreter:
             stack = FrameStack(0, stack_limit, f"{accelerator.name} local-store")
         else:
             # Shared-memory accelerator: frames live in main memory.
-            stack_base = self.machine.heap.allocate(HOST_STACK_BYTES // 4)
             strategy = None
-            stack = FrameStack(
-                stack_base,
-                stack_base + HOST_STACK_BYTES // 4,
+            stack = self._main_stack(
+                accelerator.name, HOST_STACK_BYTES // 4, 0,
                 f"{accelerator.name} stack",
             )
         accel_ctx = ThreadContext(

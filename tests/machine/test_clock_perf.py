@@ -1,7 +1,6 @@
 """Unit tests for core clocks and performance counters."""
 
 import gc
-from dataclasses import replace
 
 import pytest
 
@@ -140,8 +139,7 @@ class TestSlotLifetime:
         program = compile_program(
             figure2_source(entity_count=8, pair_count=6, frames=1), CELL_LIKE
         )
-        # Every run carves a fresh host stack out of the heap.
-        machine = Machine(replace(CELL_LIKE, main_memory_size=64 << 20))
+        machine = Machine(CELL_LIKE)
         options = RunOptions(engine=engine)
         run_program(program, machine, options)
         once = machine.perf.as_dict()

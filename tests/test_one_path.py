@@ -21,7 +21,8 @@ from repro.sched import POLICY_NAMES
 from repro.tools import bench as bench_tool
 from repro.tools import run as run_tool
 from repro.tools import sched as sched_tool
-from repro.tools.bench import BENCH_TARGETS, emit_run_reports
+from repro.tools.bench import BENCH_TARGETS
+from repro.tools.report import emit_run_reports
 from repro.vm import ENGINE_NAMES
 
 BASELINES = os.path.join(
@@ -113,10 +114,10 @@ def test_run_bench_and_farm_emit_the_same_report(
 #: refactor moved declarations into repro.tools.flags; it added and
 #: removed nothing.  Removed later, on purpose: bench's ``--farm``; the
 #: ``trace`` tool, sched's single-policy and trace flags and bench's
-#: trace flags (``run`` is the one tool that traces a run).
+#: trace flags (``run`` is the one tool that traces a run); bench's
+#: ``--reports``, which became ``report emit`` (no timed run).
 TOOL_FLAGS = {
-    "bench": """--out --policy --quick --repeats --reports --target
-        -h/--help""",
+    "bench": """--out --policy --quick --repeats --target -h/--help""",
     "check": """--all-targets --baseline --corpus --fail-on --format --out
         --target --time-passes --trace --write-baseline -h/--help sources""",
     "farm": """--cache-dir --corpus --count --emit-batch --engine
@@ -127,7 +128,8 @@ TOOL_FLAGS = {
         diff:--include-wall diff:--tolerance diff:-h/--help diff:baseline
         diff:new show:--format show:-h/--help show:report trend:--format
         trend:--metric trend:-h/--help trend:directory validate:-h/--help
-        validate:trace""",
+        validate:trace emit:--policy emit:--quick emit:--target
+        emit:-h/--help emit:directory""",
     "run": """--cache --cache-dir --demand-load --dump-after --dump-codegen
         --dump-ir --emit-artifact --engine --optimize --perf --policy
         --queue-depth --record-races --report --target --time-passes

@@ -474,5 +474,5 @@ class TestDumpCodegen:
         assert "Generated by repro.vm.codegen" in out
         assert "FUNCTIONS = {" in out
         assert re.fullmatch(
-            r"-- codegen: 1 functions, \d+ lines, 0 ladders\n", err
+            r"-- codegen: 1 functions, \d+ lines, 0 ladders, \d+ wraps proven\n", err
         ), err

@@ -4,6 +4,7 @@ import pytest
 
 from repro.compiler.driver import compile_program
 from repro.errors import RuntimeTrap
+from repro.game.sources import figure2_source
 from repro.machine.config import resolve_target
 from repro.machine.machine import Machine
 from repro.vm.interpreter import ENGINE_NAMES, RunOptions, run_program
@@ -361,3 +362,58 @@ class TestReusedMachine:
             for _ in range(4)
         ]
         assert runs == [[1, 8]] * 4
+
+    @pytest.mark.parametrize("target", ["apu", "smp", "cell"])
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_each_run_and_launch_starts_on_a_zeroed_stack(self, engine, target):
+        """Stacks in main memory (the host's; a shared-memory
+        accelerator's) are carved out once per machine and reused, but
+        every run and launch reads the zeros a fresh region holds, on a
+        reused machine as on a fresh one.  (A local store keeps what
+        earlier launches left there, so on ``cell`` nothing launches.)"""
+        config = resolve_target(target)
+        launches = 3 * config.num_accelerators if config.shared_memory else 0
+        program = compile_program(
+            "void main() { int host[4]; print_int(host[1]); host[1] = 5;"
+            f" for (int i = 0; i < {launches}; i = i + 1) {{"
+            " __offload { int mine[4]; print_int(mine[2]); mine[2] = 9; }; } }",
+            config,
+        )
+        options = RunOptions(engine=engine)
+        once = Machine(config)
+        fresh = run_program(program, once, options).printed
+        machine = Machine(config)
+        runs = [run_program(program, machine, options).printed for _ in range(3)]
+        assert fresh == [0] * (1 + launches)
+        assert runs == [fresh] * 3
+        assert machine.heap.used == once.heap.used
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_a_default_machine_runs_figure2_past_its_old_heap_limit(self, engine):
+        """A host stack per run used to exhaust a default ``cell``
+        machine's heap on the twelfth run of Figure 2."""
+        config = resolve_target("cell")
+        program = compile_program(figure2_source(8, 6, frames=1), config)
+        machine = Machine(config)
+        options = RunOptions(engine=engine)
+        first = run_program(program, machine, options)
+        used = machine.heap.used
+        for _ in range(15):
+            again = run_program(program, machine, options)
+            assert again.printed == first.printed
+        assert machine.heap.used == used
+
+    @pytest.mark.parametrize("target", ["apu", "smp"])
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_eighty_launches_on_a_shared_memory_target(self, engine, target):
+        """A stack per launch used to exhaust the heap: 80 Figure 2
+        frames on ``apu`` raised ``MemoryFault``.  Each accelerator's
+        stack is carved out at its first launch and reused."""
+        config = resolve_target(target)
+        program = compile_program(figure2_source(8, 4, frames=80), config)
+        machine = Machine(config)
+        result = run_program(program, machine, RunOptions(engine=engine))
+        assert len(result.printed) == 3
+        assert set(machine.stacks) <= {machine.host.name} | {
+            core.name for core in machine.accelerators
+        }
