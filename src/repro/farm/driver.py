@@ -3,11 +3,15 @@
 Structure follows the FastFlow exemplar (PAPERS.md) rather than a naive
 ``multiprocessing.Pool``: the driver and each worker share a dedicated
 duplex pipe (single-producer/single-consumer in each direction — no
-shared lock-protected queue, no feeder threads), jobs are dispatched to
-idle workers, and results stream back as they complete.  Compile,
-dispatch and simulate are decoupled stages: the compile stage is
-absorbed by the shared on-disk cache plus each worker's warm-program
-memo, so on a long-lived pool the steady state is pure simulation.
+shared lock-protected queue, no feeder threads), and dispatch is
+streamed: a worker holds :data:`IN_FLIGHT` jobs, the one it runs and
+the next, already in its pipe, so it never waits a round trip for work.
+Results stream back as they complete; per result the driver does one
+poll (one ``select.poll`` set, rebuilt only when the pool changes), one
+receive and one scan of the pending queue.  Compile, dispatch and
+simulate are decoupled stages: the compile stage is absorbed by the
+shared on-disk cache plus each worker's warm-program memo, so on a
+long-lived pool the steady state is pure simulation.
 
 Dispatch is **sharded by program**: the first worker to run a program
 (:func:`~repro.runspec.program_key`) owns that key for the life of
@@ -15,21 +19,26 @@ the pool, and later jobs with the same key only ever dispatch to the
 owner.  That makes warm mode a guarantee rather than a scheduling
 accident — on a repeat batch every job lands on the worker whose memo
 already holds its program, so zero compiles and zero translations is
-deterministic, not dependent on which worker happened to be idle.
-Ownership spreads across the pool as distinct programs arrive (an
-unowned key is claimed by whichever idle worker reaches it first) and
-migrates to the replacement worker when an owner crashes.  The
-corollary — jobs sharing one program serialize on their shard owner —
-is exactly the cache-affinity trade the paper's locality scheduling
-makes, and the corpus builders seed-vary their workloads to keep
-batches spread.
+deterministic, not dependent on which worker happened to be free.
+Claims are **owned-first**: a worker with a free slot takes its oldest
+pending job whose program it owns, and claims an unowned program only
+when it owns nothing pending.  Ownership spreads across the pool as
+distinct programs arrive and passes to the replacement worker when an
+owner dies.  The corollary — jobs sharing one program serialize on
+their shard owner — is exactly the cache-affinity trade the paper's
+locality scheduling makes, and the corpus builders seed-vary their
+workloads to keep batches spread.
 
-Robustness is structural, not bolted on:
+Robustness is structural, not bolted on.  Only the head of a worker's
+queue runs, so only it is charged an attempt or a deadline (its budget
+starts when it reaches the head); jobs queued behind it go back to the
+front of the pending queue, in order, uncharged:
 
-* **crash detection** — a dead worker's pipe raises EOF (and
-  ``Process.is_alive`` goes false even when the worker dies while
-  idle); the driver records the attempt, respawns the worker and
-  retries the job up to ``max_attempts`` times before emitting a
+* **crash detection** — a dead worker's pipe raises EOF (a poll that
+  times out also reaps workers that died while idle), and a reply that
+  is not a result for the head job counts the same; the driver records
+  the attempt, respawns the worker and retries the job up to
+  ``max_attempts`` times before emitting a
   :class:`~repro.farm.job.JobFailure` with reason ``"crash"``;
 * **per-job timeout** — a wedged worker is terminated when the job's
   wall-clock budget expires (reason ``"timeout"``, same bounded
@@ -46,10 +55,11 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import pickle
+import select
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as connection_wait
 from typing import Callable, Optional
 
 from repro.farm.job import JobFailure, JobResult
@@ -62,6 +72,9 @@ SUMMARY_SCHEMA_VERSION = 1
 
 #: The ``kind`` discriminator in farm summary files.
 SUMMARY_KIND = "repro-farm-summary"
+
+#: Jobs a worker holds at once: the one it runs and the next.
+IN_FLIGHT = 2
 
 
 def _default_start_method() -> str:
@@ -192,28 +205,30 @@ def summary_json(summaries: list[BatchSummary], workers: int,
 
 
 class _Assignment:
-    """What one busy worker is doing right now."""
+    """One job sent to a worker; ``started`` and ``deadline`` are set
+    when it reaches the head of the worker's queue."""
 
     __slots__ = ("index", "attempt", "started", "deadline")
 
-    def __init__(self, index: int, attempt: int, started: float,
-                 deadline: Optional[float]):
+    def __init__(self, index: int, attempt: int):
         self.index = index
         self.attempt = attempt
-        self.started = started
-        self.deadline = deadline
+        self.started = 0.0
+        self.deadline: Optional[float] = None
 
 
 class _Worker:
-    """One pooled process plus its driver-side pipe end."""
+    """One pooled process, its driver-side pipe end and its queue of
+    assignments (head first)."""
 
-    __slots__ = ("worker_id", "process", "conn", "busy_seconds")
+    __slots__ = ("worker_id", "process", "conn", "busy_seconds", "inflight")
 
     def __init__(self, worker_id: str, process, conn):
         self.worker_id = worker_id
         self.process = process
         self.conn = conn
         self.busy_seconds = 0.0
+        self.inflight: deque[_Assignment] = deque()
 
 
 class Farm:
@@ -258,7 +273,6 @@ class Farm:
             start_method or _default_start_method()
         )
         self._pool: list[_Worker] = []
-        self._busy: dict[str, _Assignment] = {}
         # Program-key shard map: program_key -> owning worker_id.  The
         # pool's warm state lives in worker memos, so ownership persists
         # exactly as long as the pool does.
@@ -315,7 +329,6 @@ class Farm:
             except OSError:
                 pass
         self._pool.clear()
-        self._busy.clear()
         self._owner.clear()
         self._started = False
 
@@ -333,24 +346,21 @@ class Farm:
         JSONL writer — hook in here).  Results in the returned summary
         are in job order regardless of completion order.
         """
+        if any(worker.inflight for worker in self._pool):
+            self.close()  # a batch that raised left replies in the pipes
         self.start()
         hub = MetricsHub()
         for worker in self._pool:
             worker.busy_seconds = 0.0
         started = time.perf_counter()
-        # One key per distinct job object: a repeated batch lists the
-        # same jobs many times over.
-        by_job: dict[int, str] = {}
-        for job in jobs:
-            if id(job) not in by_job:
-                by_job[id(job)] = program_key(job)
-        keys = [by_job[id(job)] for job in jobs]
+        keys = [program_key(job) for job in jobs]
         pending: deque[tuple[int, int]] = deque(
             (index, 1) for index in range(len(jobs))
         )
         outcomes: list = [None] * len(jobs)
         remaining = len(jobs)
         retried = 0
+        poller = None  # rebuilt whenever the pool changes
 
         def settle(index: int, outcome) -> None:
             nonlocal remaining
@@ -359,71 +369,78 @@ class Farm:
             if on_result is not None:
                 on_result(outcome)
 
-        def handle_message(worker: _Worker, message) -> None:
-            kind, worker_id, index, payload = message
-            assignment = self._busy.get(worker.worker_id)
-            if assignment is None or assignment.index != index:
-                return  # stale reply from a recycled assignment
-            del self._busy[worker.worker_id]
-            elapsed = time.perf_counter() - assignment.started
-            worker.busy_seconds += elapsed
-            if kind == "ok":
-                hub.observe(
-                    "farm.job_wall_ms", None,
-                    int(payload["wall_seconds"] * 1000),
-                )
-                settle(
-                    index,
-                    JobResult(
-                        index=index,
-                        job=jobs[index],
-                        worker=worker_id,
-                        attempts=assignment.attempt,
+        def arm(assignment: _Assignment, now: float) -> None:
+            job = jobs[assignment.index]
+            budget = job.timeout if job.timeout is not None else self.timeout
+            assignment.started = now
+            assignment.deadline = now + budget if budget else None
+
+        def settle_head(worker: _Worker, data: bytes) -> Optional[str]:
+            """Settle ``worker``'s head job from one reply; returns what
+            is wrong with a reply that is not a result for it."""
+            head = worker.inflight[0] if worker.inflight else None
+            try:
+                kind, _worker_id, index, payload = pickle.loads(data)
+                if head is None or index != head.index:
+                    raise ValueError(f"reply names job {index!r}")
+                if kind == "ok":
+                    outcome = JobResult(
+                        index=index, job=jobs[index],
+                        worker=worker.worker_id, attempts=head.attempt,
                         **payload,
-                    ),
-                )
-            else:  # deterministic job error: no retry
-                settle(
-                    index,
-                    JobFailure(
-                        index=index,
-                        job=jobs[index],
-                        reason="error",
-                        detail=payload,
-                        worker=worker_id,
-                        attempts=assignment.attempt,
-                    ),
-                )
+                    )
+                    wall_ms = int(outcome.wall_seconds * 1000)
+                elif kind == "err":  # deterministic job error: no retry
+                    outcome = JobFailure(
+                        index=index, job=jobs[index], reason="error",
+                        detail=str(payload), worker=worker.worker_id,
+                        attempts=head.attempt,
+                    )
+                else:
+                    raise ValueError(f"unknown reply kind {kind!r}")
+            except Exception as exc:
+                return f"bad reply from the worker: {type(exc).__name__}: {exc}"
+            worker.inflight.popleft()
+            now = time.perf_counter()
+            worker.busy_seconds += now - head.started
+            if kind == "ok":
+                hub.observe("farm.job_wall_ms", None, wall_ms)
+            if worker.inflight:
+                arm(worker.inflight[0], now)
+            settle(index, outcome)
+            return None
 
         def handle_death(worker: _Worker, reason: str, detail: str) -> None:
-            nonlocal retried
+            nonlocal retried, poller
             # A worker can die *after* sending its result; drain the
             # pipe first so a completed job is never re-run or failed.
             try:
-                while worker.conn.poll(0):
-                    handle_message(worker, worker.conn.recv())
+                while worker.inflight and worker.conn.poll(0):
+                    if settle_head(worker, worker.conn.recv_bytes()):
+                        break
             except (EOFError, OSError):
                 pass
-            assignment = self._busy.pop(worker.worker_id, None)
-            if assignment is not None:
-                worker.busy_seconds += (
-                    time.perf_counter() - assignment.started
+            if worker.inflight:
+                head = worker.inflight.popleft()
+                worker.busy_seconds += time.perf_counter() - head.started
+                # Queued jobs never started: back to the front, uncharged.
+                pending.extendleft(
+                    (queued.index, queued.attempt)
+                    for queued in reversed(worker.inflight)
                 )
-                if assignment.attempt < self.max_attempts:
+                if head.attempt < self.max_attempts:
                     retried += 1
-                    pending.appendleft(
-                        (assignment.index, assignment.attempt + 1)
-                    )
+                    pending.appendleft((head.index, head.attempt + 1))
                 else:
                     settle(
-                        assignment.index,
+                        head.index,
                         JobFailure(
-                            index=assignment.index,
-                            job=jobs[assignment.index],
+                            index=head.index,
+                            job=jobs[head.index],
                             reason=reason,
                             detail=detail,
                             worker=worker.worker_id,
-                            attempts=assignment.attempt,
+                            attempts=head.attempt,
                         ),
                     )
             try:
@@ -441,87 +458,86 @@ class Farm:
                 if owner == worker.worker_id:
                     self._owner[key] = replacement.worker_id
             self._pool[self._pool.index(worker)] = replacement
+            poller = None
+
+        def pick(worker_id: str) -> Optional[int]:
+            """The pending slot of the oldest job whose program
+            ``worker_id`` owns, else of the oldest unowned one."""
+            claim = None
+            for slot, (index, _attempt) in enumerate(pending):
+                owner = self._owner.get(keys[index])
+                if owner == worker_id:
+                    return slot
+                if owner is None and claim is None:
+                    claim = slot
+            return claim
 
         while remaining:
-            # Reap workers that died while idle or whose death the pipe
-            # has not surfaced yet.
-            for worker in list(self._pool):
-                if not worker.process.is_alive():
-                    exitcode = worker.process.exitcode
-                    handle_death(
-                        worker, "crash",
-                        f"worker exited with code {exitcode}",
-                    )
-            # Dispatch to every idle worker, sharded by program key: an
-            # idle worker takes the oldest pending job whose program it
-            # owns or that nobody owns yet (claiming it).  Jobs whose
-            # owner is busy wait for it — that wait is what buys the
+            # Fill free slots a depth at a time, so every worker gets a
+            # first job before any gets a second.  Jobs whose owner is
+            # full wait for it — that wait is what buys the
             # zero-compile warm guarantee.
-            busy_ids = set(self._busy)
-            pool_ids = {worker.worker_id for worker in self._pool}
-            for worker in self._pool:
-                if not pending:
-                    break
-                if worker.worker_id in busy_ids:
-                    continue
-                picked = None
-                for slot, (index, _attempt) in enumerate(pending):
-                    owner = self._owner.get(keys[index])
-                    if (
-                        owner is None
-                        or owner == worker.worker_id
-                        or owner not in pool_ids
-                    ):
-                        picked = slot
+            for depth in range(IN_FLIGHT):
+                for worker in self._pool:
+                    if not pending:
                         break
-                if picked is None:
-                    continue  # everything pending belongs to busy shards
-                index, attempt = pending[picked]
-                del pending[picked]
-                job = jobs[index]
-                hub.observe("farm.queue_occupancy", None, len(pending))
-                budget = (
-                    job.timeout if job.timeout is not None else self.timeout
-                )
-                now = time.perf_counter()
-                deadline = now + budget if budget else None
+                    if len(worker.inflight) != depth:
+                        continue
+                    slot = pick(worker.worker_id)
+                    if slot is None:
+                        continue
+                    index, attempt = pending[slot]
+                    del pending[slot]
+                    hub.observe("farm.queue_occupancy", None, len(pending))
+                    try:
+                        worker.conn.send((index, attempt, jobs[index]))
+                    except (BrokenPipeError, OSError):
+                        pending.insert(slot, (index, attempt))
+                        continue  # its EOF reaps it below
+                    self._owner[keys[index]] = worker.worker_id
+                    assignment = _Assignment(index, attempt)
+                    if not worker.inflight:
+                        arm(assignment, time.perf_counter())
+                    worker.inflight.append(assignment)
+            if poller is None:
+                poller = select.poll()
+                by_fd = {}
+                for worker in self._pool:
+                    poller.register(worker.conn, select.POLLIN)
+                    by_fd[worker.conn.fileno()] = worker
+            events = poller.poll(50)  # milliseconds
+            if not events:
+                # Nothing to read: reap workers that died while idle.
+                for worker in list(self._pool):
+                    if not worker.process.is_alive():
+                        handle_death(
+                            worker, "crash",
+                            f"worker exited with code "
+                            f"{worker.process.exitcode}",
+                        )
+            for fd, _event in events:
+                worker = by_fd[fd]
                 try:
-                    worker.conn.send((index, attempt, job))
-                except (BrokenPipeError, OSError):
-                    pending.appendleft((index, attempt))
-                    continue  # death reaped on the next loop turn
-                self._owner[keys[index]] = worker.worker_id
-                self._busy[worker.worker_id] = _Assignment(
-                    index, attempt, now, deadline
-                )
-            # Wait for any worker pipe to become readable (a result, or
-            # EOF from a dying worker).
-            conns = {
-                worker.conn: worker
-                for worker in self._pool
-                if not worker.conn.closed
-            }
-            for conn in connection_wait(list(conns), timeout=0.05):
-                worker = conns[conn]
-                try:
-                    message = conn.recv()
+                    data = worker.conn.recv_bytes()
                 except (EOFError, OSError):
                     handle_death(worker, "crash", "worker pipe closed")
                     continue
-                handle_message(worker, message)
-            # Enforce per-job deadlines on whoever is still busy.
+                bad = settle_head(worker, data)
+                if bad is not None:
+                    handle_death(worker, "crash", bad)
+            # Enforce the deadline of each worker's running job.
             now = time.perf_counter()
             for worker in list(self._pool):
-                assignment = self._busy.get(worker.worker_id)
+                head = worker.inflight[0] if worker.inflight else None
                 if (
-                    assignment is not None
-                    and assignment.deadline is not None
-                    and now > assignment.deadline
+                    head is not None
+                    and head.deadline is not None
+                    and now > head.deadline
                 ):
                     handle_death(
                         worker, "timeout",
                         f"job exceeded its "
-                        f"{assignment.deadline - assignment.started:.3g}s "
+                        f"{head.deadline - head.started:.3g}s "
                         f"budget and the worker was killed",
                     )
 

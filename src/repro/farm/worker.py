@@ -13,6 +13,7 @@ compile cache (``cache_dir``) that survives pool restarts.
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Callable, Optional
 
@@ -34,6 +35,9 @@ def worker_main(worker_id: str, cache_dir: Optional[str], conn) -> None:
     """
     from repro.compiler.cache import cache_at
 
+    # A forked worker inherits the driver's whole heap, none of it its
+    # garbage: keep full collections (tens of ms each) from walking it.
+    gc.freeze()
     cache = cache_at(cache_dir) if cache_dir else None
     memo: dict = {}
     while True:

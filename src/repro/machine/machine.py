@@ -48,8 +48,9 @@ class Machine:
         self._heap = BumpAllocator(
             base=config.main_memory_size // 4, limit=config.main_memory_size
         )
-        #: Per core name, the stack the execution engines keep in main
-        #: memory for it, carved out of the heap at its first use.
+        #: Per core name, the stack the execution engines keep for it:
+        #: in its local store if it has one, else in main memory, carved
+        #: out of the heap at its first use.
         self.stacks: dict[str, object] = {}
         #: Event sink shared by every component; the null recorder until
         #: :meth:`attach_trace` installs a real one.

@@ -43,7 +43,7 @@ from repro.obs.metrics import MetricsHub
 from repro.obs.report import RunReport, collect_report
 from repro.sched.policy import POLICY_NAMES
 from repro.sched.scheduler import SchedOptions
-from repro.vm.codegen import warm_translations
+from repro.vm.codegen import CodegenStats, ensure_module
 from repro.vm.interpreter import (
     DEFAULT_ENGINE,
     RunOptions,
@@ -225,15 +225,19 @@ def program_key(job: FarmJob) -> str:
     Jobs that compile the same source for the same target with the same
     options — under the same engine — reuse one warmed program object
     inside a worker, whatever their policy, queue depth or seed.
-    Artifact jobs key on the artifact path.
+    Artifact jobs key on the artifact path.  The key is kept on the
+    job after the first call (its fields cannot change under it), so it
+    crosses a farm pipe inside the job's pickle.
     """
-    if job.artifact is not None:
-        base = f"artifact:{job.artifact}:{job.target}"
-    else:
-        base = compile_cache_key(
-            job.source, job.target, job.options
-        )
-    return f"{base}:{job.resolved_engine()}"
+    key = job.__dict__.get("_program_key")
+    if key is None:
+        if job.artifact is not None:
+            base = f"artifact:{job.artifact}:{job.target}"
+        else:
+            base = compile_cache_key(job.source, job.target, job.options)
+        key = f"{base}:{job.resolved_engine()}"
+        object.__setattr__(job, "_program_key", key)
+    return key
 
 
 # -------------------------------------------------------- the execute path
@@ -293,12 +297,11 @@ def prepare(
         program = compile_program(job.source, config, job.options, filename)
         compiles = 1
     if engine != "reference":
-        # The throwaway machine only anchors the translations (its cost
-        # model object identity); every run simulates on a fresh one.
-        translations = warm_translations(
-            program, Machine(config), engine=engine, cache=cache,
-            digest=digest,
-        )
+        # Translations are kept on the program per cost model object:
+        # the target's, which every machine built for it runs under.
+        stats = CodegenStats()
+        ensure_module(program, config.cost, stats, cache, digest)
+        translations = stats.translations
     if memo is not None:
         memo[key] = program
     return Prepared(program, compiles, cache_hits, translations)

@@ -194,6 +194,7 @@ from typing import Callable, Optional
 
 from repro.analysis.dataflow import BasicBlock, ControlFlowGraph
 from repro.analysis.intervals import AbsAddr, AbsInt, Congruence, operand_values
+from repro.compiler.cache import _fields_json
 from repro.ir import ops
 from repro.ir.instructions import (
     AccSpace,
@@ -1735,13 +1736,13 @@ def codegen_cache_key(
             digest = artifact_digest(program_to_json(program))
         except Exception:
             return None
-    material = to_canonical_json(
-        {
-            "codegen_version": CODEGEN_VERSION,
-            "cache_tag": tag,
-            "program_sha256": digest,
-            "cost": dataclasses.asdict(cost),
-        }
+    # ``to_canonical_json`` of the four fields, spelled out so the cost
+    # model is serialized once per object, not once per key.
+    material = (
+        f'{{"cache_tag":{to_canonical_json(tag)},'
+        f'"codegen_version":{CODEGEN_VERSION},'
+        f'"cost":{_fields_json(cost)},'
+        f'"program_sha256":"{digest}"}}'
     )
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 

@@ -962,7 +962,17 @@ class Interpreter:
         start, body_start = sched.begin(offload_id, accel_index, ctx.now)
         if accelerator.local_store is not None:
             strategy, stack_limit = build_strategy(accelerator, meta.cache_kind)
-            stack = FrameStack(0, stack_limit, f"{accelerator.name} local-store")
+            # One stack per local store, emptied and zeroed at each
+            # launch like a main-memory stack: a launch reads the zeros
+            # a fresh machine holds, whatever earlier launches left.
+            stack = self.machine.stacks.get(accelerator.name)
+            if stack is None:
+                stack = self.machine.stacks[accelerator.name] = FrameStack(
+                    0, stack_limit, f"{accelerator.name} local-store"
+                )
+            else:
+                stack.reset(accelerator.local_store)
+                stack.limit = stack_limit
         else:
             # Shared-memory accelerator: frames live in main memory.
             strategy = None

@@ -8,9 +8,14 @@ and attempt count, and the pool stays usable afterwards.
 
 from __future__ import annotations
 
+import multiprocessing
+import pickle
+
 import pytest
 
+import repro.farm.driver as driver_module
 from repro.farm import Farm, FarmJob, JobFailure, JobResult, run_jobs_serial
+from repro.farm.worker import worker_main
 from repro.game.sources import figure2_source
 
 SOURCE = figure2_source(entity_count=6, pair_count=4, frames=1)
@@ -74,6 +79,132 @@ class TestTimeouts:
                 [healthy("slowish", fault="sleep:0.5", timeout=30.0)]
             )
         assert summary.ok == 1
+
+
+class TestStreamedDispatch:
+    """One worker holds a running job and a queued one: only the running
+    job pays for a crash or a timeout, and a queued job is never lost."""
+
+    def test_crash_spares_the_job_queued_behind_it(self):
+        with Farm(workers=1, timeout=60.0, max_attempts=2) as farm:
+            summary = farm.run_batch(
+                [healthy("boom", fault="crash"), healthy("behind")]
+            )
+        boom, behind = summary.results
+        assert isinstance(boom, JobFailure) and boom.reason == "crash"
+        assert boom.attempts == 2
+        assert isinstance(behind, JobResult)
+        assert behind.attempts == 1
+
+    def test_queued_time_does_not_count_against_a_budget(self):
+        with Farm(workers=1, timeout=60.0, max_attempts=1) as farm:
+            summary = farm.run_batch([
+                healthy("sleepy", fault="sleep:2"),
+                healthy("quick", timeout=1.0),
+            ])
+        assert summary.failed == 0, summary.failures
+
+    def test_crash_once_ahead_of_a_queue_is_retried_once(self, tmp_path):
+        marker = str(tmp_path / "crashed.marker")
+        jobs = [
+            healthy("flaky", fault=f"crash-once:{marker}"),
+            healthy("ok1"),
+            healthy("ok2"),
+        ]
+        with Farm(workers=1, timeout=60.0, max_attempts=2) as farm:
+            summary = farm.run_batch(jobs)
+        assert summary.failed == 0
+        assert summary.retried == 1
+        assert [r.attempts for r in summary.results] == [2, 1, 1]
+
+    def test_every_job_reported_once_and_summary_in_job_order(self, tmp_path):
+        marker = str(tmp_path / "crashed.marker")
+        jobs = [
+            healthy("boom", fault="crash"),
+            healthy("ok1"),
+            healthy("flaky", fault=f"crash-once:{marker}"),
+            FarmJob(workload="bad", source="not a program"),
+            healthy("ok2"),
+        ]
+        seen = []
+        with Farm(workers=1, timeout=60.0, max_attempts=2) as farm:
+            summary = farm.run_batch(jobs, on_result=seen.append)
+        assert sorted(r.index for r in seen) == list(range(len(jobs)))
+        assert [r.index for r in summary.results] == list(range(len(jobs)))
+        assert [r.status for r in summary.results] == [
+            "failed", "ok", "ok", "failed", "ok"
+        ]
+
+    def test_a_batch_that_raised_leaves_no_replies_behind(self):
+        def stop(result):
+            raise RuntimeError("consumer gave up")
+
+        with Farm(workers=1, timeout=60.0) as farm:
+            with pytest.raises(RuntimeError, match="gave up"):
+                farm.run_batch(
+                    [healthy("first"), healthy("second")], on_result=stop
+                )
+            summary = farm.run_batch([healthy("next")])
+        assert summary.ok == 1
+        assert summary.results[0].job.workload == "next"
+        assert summary.results[0].attempts == 1
+
+
+class _Garbling:
+    """A worker's pipe end that swaps its reply to every job named
+    ``garbled`` for ``bad`` bytes."""
+
+    def __init__(self, conn, bad: bytes):
+        self._conn = conn
+        self._bad = bad
+        self._jobs: dict = {}
+
+    def recv(self):
+        message = self._conn.recv()
+        if message is not None:
+            self._jobs[message[0]] = message[2]
+        return message
+
+    def send(self, reply) -> None:
+        if self._jobs[reply[2]].workload == "garbled":
+            self._conn.send_bytes(self._bad)
+        else:
+            self._conn.send(reply)
+
+    def close(self) -> None:
+        self._conn.close()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="patching the worker loop needs forked workers",
+)
+class TestBadReplies:
+    @pytest.mark.parametrize("bad", [
+        b"this is not a pickle",
+        pickle.dumps(("ok", "w0")),
+        pickle.dumps(("ok", "w0", 0, {})),  # names a job it was not given
+        pickle.dumps(("ok", "w0", 1, "not a payload")),
+    ], ids=["garbage", "short-tuple", "wrong-job", "bad-payload"])
+    def test_bad_reply_is_a_crash(self, monkeypatch, bad):
+        monkeypatch.setattr(
+            driver_module, "worker_main",
+            lambda worker_id, cache_dir, conn: worker_main(
+                worker_id, cache_dir, _Garbling(conn, bad)
+            ),
+        )
+        jobs = [healthy("ok1"), healthy("garbled"), healthy("ok2")]
+        with Farm(workers=1, timeout=60.0, max_attempts=2,
+                  start_method="fork") as farm:
+            summary = farm.run_batch(jobs)
+            again = farm.run_batch([healthy("after")])
+        ok1, garbled, ok2 = summary.results
+        assert isinstance(ok1, JobResult) and isinstance(ok2, JobResult)
+        assert isinstance(garbled, JobFailure)
+        assert garbled.reason == "crash"
+        assert garbled.attempts == 2
+        assert "bad reply" in garbled.detail
+        assert again.ok == 1
 
 
 class TestErrors:

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import dataclasses
 import glob
+import hashlib
 import marshal
 import os
 import re
+import sys
 import types
 
 import pytest
@@ -34,6 +36,11 @@ from repro.game.sources import (
     figure2_source,
 )
 from repro.ir.instructions import Const
+from repro.ir.serialize import (
+    artifact_digest,
+    program_to_json,
+    to_canonical_json,
+)
 from repro.machine.config import CELL_LIKE, resolve_target, target_names
 from repro.machine.machine import Machine
 from repro.runspec import FarmJob, execute_job
@@ -213,6 +220,25 @@ class TestCacheKey:
         # ...and both equal the serialise-and-hash key of a program no
         # cache vouches for.
         assert codegen_cache_key(_fresh_program(), cost) == key
+
+    @pytest.mark.parametrize("target", target_names())
+    def test_key_hashes_the_canonical_json_of_its_fields(self, target):
+        """The key spells its material out by hand; it must stay the
+        hash of the canonical JSON of the four fields, so disk entries
+        written under that spelling keep hitting."""
+        config = resolve_target(target)
+        for name, source in _corpus_sources():
+            program = compile_program(source, config)
+            digest = artifact_digest(program_to_json(program))
+            material = to_canonical_json({
+                "codegen_version": codegen_module.CODEGEN_VERSION,
+                "cache_tag": sys.implementation.cache_tag,
+                "program_sha256": digest,
+                "cost": dataclasses.asdict(config.cost),
+            })
+            expected = hashlib.sha256(material.encode("utf-8")).hexdigest()
+            assert codegen_cache_key(program, config.cost) == expected, name
+            assert codegen_cache_key(program, config.cost, digest) == expected
 
     def test_program_loaded_by_another_cache_object_warms_from_disk(
         self, tmp_path

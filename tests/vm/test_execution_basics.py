@@ -5,7 +5,7 @@ import pytest
 from repro.compiler.driver import compile_program
 from repro.errors import RuntimeTrap
 from repro.game.sources import figure2_source
-from repro.machine.config import resolve_target
+from repro.machine.config import resolve_target, target_names
 from repro.machine.machine import Machine
 from repro.vm.interpreter import ENGINE_NAMES, RunOptions, run_program
 from tests.conftest import printed, run_source
@@ -363,16 +363,15 @@ class TestReusedMachine:
         ]
         assert runs == [[1, 8]] * 4
 
-    @pytest.mark.parametrize("target", ["apu", "smp", "cell"])
+    @pytest.mark.parametrize("target", ["apu", "smp", "cell", "dsp"])
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_each_run_and_launch_starts_on_a_zeroed_stack(self, engine, target):
-        """Stacks in main memory (the host's; a shared-memory
-        accelerator's) are carved out once per machine and reused, but
-        every run and launch reads the zeros a fresh region holds, on a
-        reused machine as on a fresh one.  (A local store keeps what
-        earlier launches left there, so on ``cell`` nothing launches.)"""
+        """Stacks (the host's; a shared-memory accelerator's in main
+        memory; an accelerator's in its local store) are set up once per
+        machine and reused, but every run and launch reads the zeros a
+        fresh region holds, on a reused machine as on a fresh one."""
         config = resolve_target(target)
-        launches = 3 * config.num_accelerators if config.shared_memory else 0
+        launches = 3 * config.num_accelerators
         program = compile_program(
             "void main() { int host[4]; print_int(host[1]); host[1] = 5;"
             f" for (int i = 0; i < {launches}; i = i + 1) {{"
@@ -387,6 +386,23 @@ class TestReusedMachine:
         assert fresh == [0] * (1 + launches)
         assert runs == [fresh] * 3
         assert machine.heap.used == once.heap.used
+
+    @pytest.mark.parametrize("target", target_names())
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_a_launch_never_reads_an_earlier_launchs_locals(self, engine, target):
+        """Twelve launches of one offload print 0 every time on every
+        target: a local store used to hand a launch what the launch
+        before it on the same accelerator left (9 from the seventh
+        launch on ``cell``, from the third on ``dsp``)."""
+        config = resolve_target(target)
+        program = compile_program(
+            "void main() { for (int i = 0; i < 12; i = i + 1) {"
+            " __offload { int mine[4]; print_int(mine[2]); mine[2] = 9; };"
+            " } }",
+            config,
+        )
+        result = run_program(program, Machine(config), RunOptions(engine=engine))
+        assert result.printed == [0] * 12
 
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_a_default_machine_runs_figure2_past_its_old_heap_limit(self, engine):
