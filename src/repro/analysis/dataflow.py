@@ -8,7 +8,7 @@ and a forward worklist fixpoint engine with pluggable join/transfer
 functions, in the spirit of the Scratch (TACAS 2010) static DMA analyser
 the paper cites.
 
-Four layers:
+Three layers:
 
 * :func:`build_cfg` — basic blocks, successor/predecessor edges,
   reverse postorder, dominators, back edges and natural loops.
@@ -21,13 +21,9 @@ Four layers:
 * :func:`solve_call_graph` — the interprocedural driver: per-function
   summaries to a fixpoint over the call graph, re-solving a function
   only when something it reads changed, and keeping the solves.
-* A shared symbolic-value domain (:class:`SymAddr`,
-  :func:`eval_value_instr`, :func:`join_values`) used by the DMA
-  discipline checker and the outer-traffic analysis alike: registers map
-  to known integers or ``(region, offset)`` symbolic addresses, where a
-  region is the frame, a global, or an opaque per-instruction pointer
-  source.  ``offset is None`` means "somewhere inside the region" — the
-  widened form produced when two paths disagree.
+
+The one abstract value domain every analysis reads register values
+from is the interval solve of :mod:`repro.analysis.intervals`.
 """
 
 from __future__ import annotations
@@ -36,18 +32,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.ir.instructions import (
-    BinOp,
-    Call,
-    CJump,
-    Const,
-    FrameAddr,
-    GlobalAddr,
-    Jump,
-    Move,
-    Ret,
-    Trap,
-)
+from repro.ir.instructions import Call, CJump, Jump, Ret, Trap
 from repro.ir.module import IRFunction
 
 #: Instructions that end a basic block.
@@ -443,136 +428,3 @@ def solve_call_graph(
         if not changed:
             return Summaries(summaries, solved, True)
     return Summaries(summaries, {}, False)
-
-
-# ------------------------------------------------- symbolic value domain
-
-
-@dataclass(frozen=True)
-class SymAddr:
-    """A symbolic address: region name + byte offset.
-
-    Regions: ``"frame"`` (this function's frame), ``"global:<name>"``,
-    or ``"u:<instr>"`` — an opaque pointer produced at one instruction
-    (non-constant arithmetic).  ``offset is None`` is the widened
-    "unknown offset within the region" element.
-    """
-
-    region: str
-    offset: Optional[int]
-
-    def shifted(self, delta: int) -> "SymAddr":
-        if self.offset is None:
-            return self
-        return SymAddr(self.region, self.offset + delta)
-
-    def widened(self) -> "SymAddr":
-        return SymAddr(self.region, None)
-
-
-#: A register's abstract value: a known int, a SymAddr, or absent (top).
-Value = object
-
-
-def join_value(a: Value, b: Value) -> Optional[Value]:
-    """Join two register values; ``None`` means top (drop the register)."""
-    if a == b:
-        return a
-    if isinstance(a, SymAddr) and isinstance(b, SymAddr) and a.region == b.region:
-        return SymAddr(a.region, None)
-    return None
-
-
-def join_values(a: dict[int, Value], b: dict[int, Value]) -> dict[int, Value]:
-    """Pointwise join of two register maps (absent = top)."""
-    out: dict[int, Value] = {}
-    for reg, value in a.items():
-        other = b.get(reg)
-        if other is None:
-            continue
-        joined = join_value(value, other)
-        if joined is not None:
-            out[reg] = joined
-    return out
-
-
-def eval_value_instr(
-    instr, index: int, values: dict[int, Value]
-) -> None:
-    """Update a register map for one non-DMA instruction (in place).
-
-    Mirrors the seed analysis' abstract semantics: constants, moves,
-    frame/global addresses, and ``+``/``-``/``*`` with the extension
-    that adding a non-constant to a symbolic base yields an opaque
-    region named after the instruction index — deterministic across
-    fixpoint iterations, which is what lets loop states converge.
-    """
-    if isinstance(instr, Const):
-        if isinstance(instr.value, int):
-            values[instr.dst] = instr.value
-        else:
-            values.pop(instr.dst, None)
-    elif isinstance(instr, Move):
-        src = values.get(instr.src)
-        if src is None:
-            values.pop(instr.dst, None)
-        else:
-            values[instr.dst] = src
-    elif isinstance(instr, FrameAddr):
-        values[instr.dst] = SymAddr("frame", instr.offset)
-    elif isinstance(instr, GlobalAddr):
-        values[instr.dst] = SymAddr(f"global:{instr.name}", 0)
-    elif isinstance(instr, BinOp) and instr.op in ("+", "-", "*"):
-        a = values.get(instr.a)
-        b = values.get(instr.b)
-        if instr.op == "*":
-            if isinstance(a, int) and isinstance(b, int):
-                values[instr.dst] = a * b
-            else:
-                values[instr.dst] = SymAddr(f"u:{index}", 0)
-            return
-        sign = 1 if instr.op == "+" else -1
-        if isinstance(a, SymAddr) and isinstance(b, int):
-            values[instr.dst] = a.shifted(sign * b)
-        elif isinstance(b, SymAddr) and isinstance(a, int) and sign == 1:
-            values[instr.dst] = b.shifted(a)
-        elif isinstance(a, int) and isinstance(b, int):
-            values[instr.dst] = a + sign * b
-        else:
-            values[instr.dst] = SymAddr(f"u:{index}", 0)
-    else:
-        dst = getattr(instr, "dst", None)
-        if isinstance(dst, int):
-            values.pop(dst, None)
-
-
-def freeze_values(values: dict[int, Value]) -> tuple:
-    """A hashable, order-canonical snapshot of a register map."""
-    return tuple(sorted(values.items(), key=lambda item: item[0]))
-
-
-def thaw_values(frozen: tuple) -> dict[int, Value]:
-    return dict(frozen)
-
-
-class ValuesAnalysis(ForwardAnalysis):
-    """Register-value tracking alone (used by the traffic analysis).
-
-    States are :func:`freeze_values` tuples; the transfer function folds
-    :func:`eval_value_instr` over the block.
-    """
-
-    def __init__(self, function: IRFunction):
-        self.function = function
-
-    def boundary(self):
-        return ()
-
-    def join(self, a, b):
-        return freeze_values(join_values(thaw_values(a), thaw_values(b)))
-
-    def transfer(self, block: BasicBlock, state):
-        values = thaw_values(state)
-        for index, instr in block.instructions(self.function):
-            eval_value_instr(instr, index, values)
-        return freeze_values(values)

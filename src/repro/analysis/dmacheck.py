@@ -10,17 +10,26 @@ statically here.
 
 Abstract state per program point:
 
-* register values (the shared symbolic-address domain),
 * the set of in-flight :class:`PendingTransfer` records,
 * the set of DMA tags possibly issued so far (orphan-wait detection),
 * the set of tags *definitely* waited on every path (summaries).
 
-Joins union the pending set (a transfer in flight on either path may be
-in flight at the merge), pointwise-join register values, union issued
-tags and intersect waited tags.  Loop-carried growth is bounded by
-collapsing pending transfers that originate at the same instruction —
-their addresses are joined, widening disagreeing offsets to
-"unknown offset within the region" — so the fixpoint always converges.
+Register values are not part of that state: every DMA operand is read
+from the function's interval solve (:mod:`repro.analysis.intervals`),
+the one solve the bounds checker and the cost model read too.  Joins
+union the pending set (a transfer in flight on either path may be in
+flight at the merge), union issued tags and intersect waited tags.  As
+the operands come from a converged solve, each DMA site issues one
+fixed transfer, so the pending sets are subsets of a finite set and
+the fixpoint needs no widening.
+
+Overlap is decided on :class:`~repro.analysis.intervals.AbsAddr`
+ranges.  Two addresses in one region with bounded offsets overlap when
+``[lo, hi + size)`` ranges do.  An address whose offset is unbounded
+is opaque: its region is renamed after the copy class of the register
+holding it, so two such addresses overlap only when they are copies of
+one computed value (a pointer reused by two transfers), and distinct
+unknown sources stay quiet.
 
 Interprocedural reasoning uses per-function :class:`FunctionSummary`
 records computed to a global fixpoint over the accelerator call graph:
@@ -38,7 +47,7 @@ Diagnostic codes (see :mod:`repro.analysis.diagnostics`):
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,17 +55,18 @@ from repro.analysis.dataflow import (
     BasicBlock,
     ForwardAnalysis,
     Summaries,
-    SymAddr,
-    build_cfg,
     call_targets,
-    eval_value_instr,
-    freeze_values,
-    join_values,
     solve_call_graph,
     solve_forward,
-    thaw_values,
 )
 from repro.analysis.diagnostics import Finding, RelatedLocation
+from repro.analysis.intervals import (
+    AbsAddr,
+    AbsInt,
+    SolvedFunction,
+    compute_summaries as interval_summaries,
+    solved_function,
+)
 from repro.ir.instructions import Call, DomainCall, ICall, Intrinsic, Ret
 from repro.ir.module import IRFunction, IRProgram
 from repro.machine.dma import race_location
@@ -68,8 +78,8 @@ class PendingTransfer:
 
     kind: str  # "get" | "put"
     tag: Optional[int]  # None when not statically known
-    local: Optional[SymAddr]
-    outer: Optional[SymAddr]
+    local: Optional[AbsAddr]
+    outer: Optional[AbsAddr]
     size: Optional[int]
     index: int  # issuing instruction index (in ``origin``)
     origin: str  # function the transfer was issued in
@@ -79,7 +89,6 @@ class PendingTransfer:
 class DmaState:
     """The abstract state at one program point (immutable, hashable)."""
 
-    values: tuple  # freeze_values() of the register map
     pending: frozenset  # of PendingTransfer
     issued: frozenset  # of int tags possibly issued
     unknown_issue: bool  # a dynamic callee / unknown tag may have issued
@@ -87,14 +96,7 @@ class DmaState:
     waits_all: bool  # an all-fencing wait happened on every path
 
 
-EMPTY_STATE = DmaState(
-    values=(),
-    pending=frozenset(),
-    issued=frozenset(),
-    unknown_issue=False,
-    waited=frozenset(),
-    waits_all=False,
-)
+EMPTY_STATE = DmaState(frozenset(), frozenset(), False, frozenset(), False)
 
 
 @dataclass(frozen=True)
@@ -125,26 +127,23 @@ UNKNOWN_SUMMARY = FunctionSummary(
 
 
 def _ranges_overlap(
-    a: Optional[SymAddr],
+    a: Optional[AbsAddr],
     a_size: Optional[int],
-    b: Optional[SymAddr],
+    b: Optional[AbsAddr],
     b_size: Optional[int],
 ) -> bool:
-    """Conservative overlap test over symbolic addresses.
+    """Conservative overlap test over abstract addresses.
 
     Unknown provenance (``None``) never overlaps — distinct opaque
     sources stay quiet, matching the seed analysis.  Within one region,
-    an unknown (widened) offset or size counts as overlapping.
+    an unbounded offset or an unknown size counts as overlapping.
     """
-    if a is None or b is None:
+    if a is None or b is None or a.region != b.region:
         return False
-    if a.region != b.region:
-        return False
-    if a.offset is None or b.offset is None:
+    ia, ib = a.offset.interval, b.offset.interval
+    if a_size is None or b_size is None or not (ia.bounded and ib.bounded):
         return True
-    if a_size is None or b_size is None:
-        return True
-    return a.offset < b.offset + b_size and b.offset < a.offset + a_size
+    return ia.lo < ib.hi + b_size and ib.lo < ia.hi + a_size
 
 
 def _conflict(earlier: PendingTransfer, later: PendingTransfer) -> Optional[str]:
@@ -158,42 +157,67 @@ def _conflict(earlier: PendingTransfer, later: PendingTransfer) -> Optional[str]
     )
 
 
-def _join_addr(a: Optional[SymAddr], b: Optional[SymAddr]) -> Optional[SymAddr]:
-    if a == b:
-        return a
-    if a is None or b is None:
+def _constant(value) -> Optional[int]:
+    return value.const_value if type(value) is AbsInt else None
+
+
+def _address(value, reg: int, copies: dict) -> Optional[AbsAddr]:
+    """An operand's address for overlap tests (None: not an address).
+    An unbounded offset says nothing about where in the region the
+    address lies, so the region is renamed after the copy class of the
+    register holding it: only copies of one value then overlap."""
+    if type(value) is not AbsAddr:
         return None
-    if a.region == b.region:
-        return SymAddr(a.region, None)
-    return None
+    if value.offset.interval.bounded:
+        return value
+    return AbsAddr(f"{value.region}~r{copies.get(reg, reg)}", value.offset)
 
 
-def _collapse_pending(pending: frozenset) -> frozenset:
-    """Bound loop-carried growth: transfers issued at the same
-    instruction (same origin/index) are merged, widening any field the
-    paths disagree on.  This is the analysis' widening operator — the
-    pending set is thereby at most one entry per DMA instruction."""
-    by_site: dict[tuple[str, int], PendingTransfer] = {}
-    for t in pending:
-        key = (t.origin, t.index)
-        held = by_site.get(key)
-        if held is None:
-            by_site[key] = t
-            continue
-        by_site[key] = PendingTransfer(
-            kind=held.kind,
-            tag=held.tag if held.tag == t.tag else None,
-            local=_join_addr(held.local, t.local),
-            outer=_join_addr(held.outer, t.outer),
-            size=held.size if held.size == t.size else None,
-            index=held.index,
-            origin=held.origin,
+_DMA_OPS = frozenset(("dma_get", "dma_put", "dma_wait"))
+
+
+def _read_sites(solved: SolvedFunction) -> dict[int, object]:
+    """Per DMA intrinsic of the solved function, by instruction index:
+    a get's or put's :class:`PendingTransfer`, a wait's tag (None: not a
+    known constant).  Operands are read from the interval solve; in a
+    block it did not reach, or when it did not converge, they are
+    unknown."""
+    function, cfg = solved.function, solved.cfg
+    reached = solved.result.block_in if solved.result.converged else {}
+    blocks = {
+        cfg.block_at(index).index
+        for index, instr in enumerate(function.code)
+        if type(instr) is Intrinsic and instr.name in _DMA_OPS
+    }
+    sites: dict[int, object] = {}
+    for block in map(cfg.blocks.__getitem__, sorted(blocks)):
+        steps = (
+            solved.walk(block)
+            if block.index in reached
+            else ((i, instr, {}, {}) for i, instr in block.instructions(function))
         )
-    return frozenset(by_site.values())
+        for index, instr, regs, copies in steps:
+            if type(instr) is not Intrinsic or instr.name not in _DMA_OPS:
+                continue
+            if instr.name == "dma_wait":
+                sites[index] = _constant(regs.get(instr.args[0]))
+                continue
+            local, outer, size, tag = instr.args[:4]
+            sites[index] = PendingTransfer(
+                kind="get" if instr.name == "dma_get" else "put",
+                tag=_constant(regs.get(tag)),
+                local=_address(regs.get(local), local, copies),
+                outer=_address(regs.get(outer), outer, copies),
+                size=_constant(regs.get(size)),
+                index=index,
+                origin=function.name,
+            )
+    return sites
 
 
 class DmaDisciplineAnalysis(ForwardAnalysis):
-    """The dataflow analysis proper, parameterised by callee summaries.
+    """The dataflow analysis proper, parameterised by callee summaries
+    and the function's DMA sites (:func:`_read_sites`).
 
     ``report`` collects findings during the final reporting pass; during
     fixpoint solving it is None so transient states don't produce
@@ -205,10 +229,12 @@ class DmaDisciplineAnalysis(ForwardAnalysis):
         function: IRFunction,
         summaries: dict[str, FunctionSummary],
         accel_names: frozenset,
+        sites: dict[int, object],
     ):
         self.function = function
         self.summaries = summaries
         self.accel_names = accel_names
+        self.sites = sites
         self.report: Optional[list] = None
 
     # ------------------------------------------------------------ lattice
@@ -218,88 +244,36 @@ class DmaDisciplineAnalysis(ForwardAnalysis):
 
     def join(self, a: DmaState, b: DmaState) -> DmaState:
         return DmaState(
-            values=freeze_values(
-                join_values(thaw_values(a.values), thaw_values(b.values))
-            ),
-            pending=_collapse_pending(a.pending | b.pending),
+            pending=a.pending | b.pending,
             issued=a.issued | b.issued,
             unknown_issue=a.unknown_issue or b.unknown_issue,
             waited=a.waited & b.waited,
             waits_all=a.waits_all and b.waits_all,
         )
 
-    def widen(self, old: DmaState, new: DmaState, visits: int) -> DmaState:
-        # The join already collapses per-site; as a last resort drop all
-        # offset precision so the chain is finite even under adversarial
-        # address arithmetic.
-        widened = frozenset(
-            PendingTransfer(
-                kind=t.kind,
-                tag=t.tag,
-                local=t.local.widened() if t.local else None,
-                outer=t.outer.widened() if t.outer else None,
-                size=None,
-                index=t.index,
-                origin=t.origin,
-            )
-            for t in new.pending
-        )
-        return DmaState(
-            values=new.values,
-            pending=_collapse_pending(widened),
-            issued=new.issued,
-            unknown_issue=new.unknown_issue,
-            waited=new.waited,
-            waits_all=new.waits_all,
-        )
-
     # ----------------------------------------------------------- transfer
 
     def transfer(self, block: BasicBlock, state: DmaState) -> DmaState:
-        values = thaw_values(state.values)
         pending = set(state.pending)
         issued = set(state.issued)
         unknown_issue = state.unknown_issue
         waited = set(state.waited)
         waits_all = state.waits_all
-        fn = self.function
-        for index, instr in block.instructions(fn):
+        for index, instr in block.instructions(self.function):
             if isinstance(instr, Intrinsic) and instr.name in (
                 "dma_get",
                 "dma_put",
             ):
-                local = values.get(instr.args[0])
-                outer = values.get(instr.args[1])
-                size = values.get(instr.args[2])
-                tag = values.get(instr.args[3])
-                transfer = PendingTransfer(
-                    kind="get" if instr.name == "dma_get" else "put",
-                    tag=tag if isinstance(tag, int) else None,
-                    local=local if isinstance(local, SymAddr) else None,
-                    outer=outer if isinstance(outer, SymAddr) else None,
-                    size=size if isinstance(size, int) else None,
-                    index=index,
-                    origin=fn.name,
-                )
-                if self.report is not None:
-                    for earlier in sorted(
-                        pending, key=lambda t: (t.origin, t.index)
-                    ):
-                        location = _conflict(earlier, transfer)
-                        if location is not None:
-                            self.report.append(
-                                ("race", earlier, transfer, location)
-                            )
+                transfer = self.sites[index]
+                self._report_races(pending, transfer)
                 pending.add(transfer)
-                if isinstance(tag, int):
-                    issued.add(tag)
+                if transfer.tag is not None:
+                    issued.add(transfer.tag)
                 else:
                     unknown_issue = True
-                if instr.dst is not None:
-                    values.pop(instr.dst, None)
             elif isinstance(instr, Intrinsic) and instr.name == "dma_wait":
-                tag = values.get(instr.args[0])
-                if isinstance(tag, int):
+                tag = self.sites[index]
+                if tag is not None:
                     if (
                         self.report is not None
                         and tag not in issued
@@ -313,8 +287,6 @@ class DmaDisciplineAnalysis(ForwardAnalysis):
                     # (the seed analysis' behaviour).
                     pending.clear()
                     waits_all = True
-                if instr.dst is not None:
-                    values.pop(instr.dst, None)
             elif isinstance(instr, Call):
                 summary = self._summary_for(instr.callee)
                 if summary is not None:
@@ -328,42 +300,35 @@ class DmaDisciplineAnalysis(ForwardAnalysis):
                             if t.tag not in summary.must_wait_tags
                         }
                         waited |= summary.must_wait_tags
-                    if self.report is not None:
-                        for leaked in summary.leaked:
-                            for earlier in sorted(
-                                pending, key=lambda t: (t.origin, t.index)
-                            ):
-                                location = _conflict(earlier, leaked)
-                                if location is not None:
-                                    self.report.append(
-                                        ("race", earlier, leaked, location)
-                                    )
+                    for leaked in summary.leaked:
+                        self._report_races(pending, leaked)
                     pending.update(summary.leaked)
                     issued |= summary.issued_tags
                     unknown_issue = unknown_issue or summary.unknown_issue
-                if instr.dst is not None:
-                    values.pop(instr.dst, None)
             elif isinstance(instr, (ICall, DomainCall)):
                 # Dynamic dispatch: the duplicate actually invoked is
                 # not resolved here; assume it may issue transfers we
                 # cannot see (suppresses orphan-wait false positives)
                 # but model no fence.
                 unknown_issue = True
-                if instr.dst is not None:
-                    values.pop(instr.dst, None)
             elif isinstance(instr, Ret):
                 if self.report is not None and pending:
                     self.report.append(("leak", frozenset(pending), index))
-            else:
-                eval_value_instr(instr, index, values)
         return DmaState(
-            values=freeze_values(values),
-            pending=_collapse_pending(frozenset(pending)),
+            pending=frozenset(pending),
             issued=frozenset(issued),
             unknown_issue=unknown_issue,
             waited=frozenset(waited),
             waits_all=waits_all,
         )
+
+    def _report_races(self, pending: set, later: PendingTransfer) -> None:
+        if self.report is None:
+            return
+        for earlier in sorted(pending, key=lambda t: (t.origin, t.index)):
+            location = _conflict(earlier, later)
+            if location is not None:
+                self.report.append(("race", earlier, later, location))
 
     def _summary_for(self, callee: str) -> Optional[FunctionSummary]:
         if callee in self.summaries:
@@ -378,36 +343,31 @@ class DmaDisciplineAnalysis(ForwardAnalysis):
 
 def _export_transfer(t: PendingTransfer) -> PendingTransfer:
     """Rewrite a leaked transfer for use in callers: the callee's frame
-    is not the caller's frame, so frame regions are renamed to a
+    is not the caller's frame, nor are its registers the caller's, so
+    frame regions and opaque (register-keyed) regions are renamed to a
     callee-qualified region (globals are genuinely shared and kept)."""
 
-    def rewrite(addr: Optional[SymAddr]) -> Optional[SymAddr]:
-        if addr is None:
-            return None
-        if addr.region == "frame" or addr.region.startswith("u:"):
-            return SymAddr(f"{addr.region}@{t.origin}", addr.offset)
+    def rewrite(addr: Optional[AbsAddr]) -> Optional[AbsAddr]:
+        if addr is None or "@" in addr.region:
+            return addr
+        if addr.region == "frame" or "~" in addr.region:
+            return AbsAddr(f"{addr.region}@{t.origin}", addr.offset)
         return addr
 
-    return PendingTransfer(
-        kind=t.kind,
-        tag=t.tag,
-        local=rewrite(t.local),
-        outer=rewrite(t.outer),
-        size=t.size,
-        index=t.index,
-        origin=t.origin,
-    )
+    return dataclasses.replace(t, local=rewrite(t.local), outer=rewrite(t.outer))
 
 
 def _solve(
-    function: IRFunction,
+    solved: SolvedFunction,
+    sites: dict[int, object],
     summaries: dict[str, FunctionSummary],
     accel_names: frozenset,
 ) -> tuple[tuple, FunctionSummary]:
-    """The function's solved dataflow as ``(cfg, result)``, and the
-    summary read off it: the states at ``Ret``."""
-    cfg = build_cfg(function)
-    analysis = DmaDisciplineAnalysis(function, summaries, accel_names)
+    """The function's solved dataflow over its interval solve's CFG, as
+    ``(solved, sites, result)``, and the summary read off it: the
+    states at ``Ret``."""
+    function, cfg = solved.function, solved.cfg
+    analysis = DmaDisciplineAnalysis(function, summaries, accel_names, sites)
     result = solve_forward(cfg, analysis)
     ret_states: list[DmaState] = []
     for block_index, out_state in result.block_out.items():
@@ -429,7 +389,7 @@ def _solve(
             else must_wait & state.waited
         )
         waits_all = waits_all and state.waits_all
-    return (cfg, result), FunctionSummary(
+    return (solved, sites, result), FunctionSummary(
         issued_tags=frozenset(issued),
         unknown_issue=unknown,
         leaked=tuple(
@@ -441,17 +401,21 @@ def _solve(
 
 
 def compute_summaries(
-    functions: list[IRFunction], *, max_rounds: int = 8
+    functions: list[IRFunction], ivals: dict, *, max_rounds: int = 8
 ) -> Summaries:
     """Fixpoint of per-function summaries over the accel call graph.
 
-    Starts every function at :data:`UNKNOWN_SUMMARY` (sound for cycles)
-    and re-summarises until nothing changes; ``max_rounds`` bounds the
-    work on pathological graphs.  The result keeps the converged solves
-    for :func:`check_function` to report from.
+    ``ivals`` — the interval summaries of the same functions
+    (:func:`repro.analysis.intervals.compute_summaries`) — supply each
+    function's solve, read once for its DMA operands.  Starts every
+    function at :data:`UNKNOWN_SUMMARY` (sound for cycles) and
+    re-summarises until nothing changes; ``max_rounds`` bounds the work
+    on pathological graphs.  The result keeps the converged solves for
+    :func:`check_function` to report from.
     """
     accel_names = frozenset(f.name for f in functions)
     callees = {f.name: call_targets(f) for f in functions}
+    read: dict[str, tuple] = {}
 
     def inputs(function: IRFunction, summaries: dict) -> list:
         return [
@@ -459,7 +423,13 @@ def compute_summaries(
             for callee in callees[function.name]
         ]
 
-    solve = functools.partial(_solve, accel_names=accel_names)
+    def solve(function: IRFunction, summaries: dict) -> tuple:
+        held = read.get(function.name)
+        if held is None:
+            solved = solved_function(function, ivals)
+            held = read[function.name] = solved, _read_sites(solved)
+        return _solve(*held, summaries, accel_names)
+
     return solve_call_graph(functions, inputs, solve, max_rounds=max_rounds)
 
 
@@ -474,16 +444,20 @@ def check_function(
     function: IRFunction,
     summaries: dict[str, FunctionSummary],
     accel_names: frozenset,
+    ivals: dict,
     *,
     file: str = "<input>",
 ) -> list[Finding]:
-    """Report DMA-discipline findings for one accelerator function."""
+    """Report DMA-discipline findings for one accelerator function;
+    ``ivals`` are the interval summaries ``summaries`` were solved with."""
     # Replay the solve compute_summaries kept for it, if there is one.
     held = getattr(summaries, "solved", {}).get(function.name)
     if held is None or held[0].function is not function:
-        held, _ = _solve(function, summaries, accel_names)
-    cfg, result = held
-    analysis = DmaDisciplineAnalysis(function, summaries, accel_names)
+        solved = solved_function(function, ivals)
+        held, _ = _solve(solved, _read_sites(solved), summaries, accel_names)
+    solved, sites, result = held
+    cfg = solved.cfg
+    analysis = DmaDisciplineAnalysis(function, summaries, accel_names, sites)
     raw: list = []
     analysis.report = raw
     for block_index, in_state in result.block_in.items():
@@ -599,12 +573,13 @@ def check_program(
     program: IRProgram, *, file: str = "<input>"
 ) -> list[Finding]:
     """Run the DMA-discipline checker over every accelerator function."""
-    functions = program.accel_functions()
-    summaries = compute_summaries(functions)
+    functions = sorted(program.accel_functions(), key=lambda f: f.name)
+    ivals = interval_summaries(functions)
+    summaries = compute_summaries(functions, ivals)
     accel_names = frozenset(f.name for f in functions)
     findings: list[Finding] = []
-    for function in sorted(functions, key=lambda f: f.name):
+    for function in functions:
         findings.extend(
-            check_function(function, summaries, accel_names, file=file)
+            check_function(function, summaries, accel_names, ivals, file=file)
         )
     return findings

@@ -14,10 +14,11 @@ dataflow framework (:mod:`repro.analysis.dataflow`):
 * :class:`Congruence` — ``value ≡ rem (mod mod)``; ``mod == 0`` pins an
   exact constant, ``mod == 1`` is ⊤.  This is what proves *alignment*:
   an address striding by 24 from an 8-aligned base stays 8-aligned.
-* :class:`AbsAddr` — the interval generalisation of the shared
-  :class:`repro.analysis.dataflow.SymAddr` domain: a region (frame,
-  global, opaque) plus an abstract *offset*, so buffer extents are
-  shared with every existing analysis.
+* :class:`AbsAddr` — a region (the frame or a global) plus an abstract
+  *offset*.  This is the one value domain of the checker: the DMA
+  discipline, bounds, cost and outer-traffic analyses all read their
+  register values from the solve, through
+  :meth:`SolvedFunction.walk`.
 * :class:`IntervalAnalysis` — the forward transfer function over
   register maps, with **branch-edge refinement**: on the edge out of a
   ``cjump`` whose condition is a tracked comparison, both operands (and
@@ -63,7 +64,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from repro.analysis.dataflow import (
     BasicBlock,
@@ -443,12 +444,10 @@ def _aligned(bits: int) -> Congruence:
 
 @dataclass(frozen=True, slots=True)
 class AbsAddr:
-    """A symbolic address with an abstract offset.
-
-    The interval generalisation of :class:`~repro.analysis.dataflow.SymAddr`
-    over the same region vocabulary: ``"frame"``, ``"global:<name>"``,
-    and ``"u:<instr>"`` opaque pointer sources.
-    """
+    """A symbolic address with an abstract offset: ``region`` is
+    ``"frame"`` (this function's frame) or ``"global:<name>"``.  The
+    DMA-discipline checker renames the region of an address whose
+    offset is unbounded (:func:`repro.analysis.dmacheck._address`)."""
 
     region: str
     offset: AbsInt
@@ -939,18 +938,26 @@ class SolvedFunction:
     result: FixpointResult
     analysis: IntervalAnalysis
 
-    def values_before(self, instr_index: int) -> dict[int, AbsVal]:
-        """The register map immediately before one instruction."""
-        block = self.cfg.block_at(instr_index)
+    def walk(self, block: BasicBlock) -> Iterator[tuple[int, object, dict, dict]]:
+        """``(index, instr, regs, copies)`` per instruction of one block
+        the solve reached (none for another): the register map and the
+        copy classes just before it.  The maps move on with the walk, so
+        read them before taking the next item."""
         state = self.result.block_in.get(block.index)
         if state is None:
-            return {}
+            return
         regs, conds, copies = _thaw(state)
+        step = self.analysis._step
         for index, instr in block.instructions(self.function):
+            yield index, instr, regs, copies
+            step(instr, regs, conds, copies)
+
+    def values_before(self, instr_index: int) -> dict[int, AbsVal]:
+        """The register map immediately before one instruction."""
+        for index, _, regs, _ in self.walk(self.cfg.block_at(instr_index)):
             if index == instr_index:
-                break
-            self.analysis._step(instr, regs, conds, copies)
-        return regs
+                return regs
+        return {}
 
 
 #: Loop heads widen at their second visit: soundness does not depend on

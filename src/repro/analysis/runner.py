@@ -91,13 +91,21 @@ def run_analyses(
     meter = _Meter(result, trace)
     findings = result.findings
 
-    # DMA discipline: summaries once, then per-function checks.
+    # Interval summaries once: the one value domain the DMA discipline,
+    # bounds, cost and outer-traffic analyses all read.
     accel = sorted(program.accel_functions(), key=lambda f: f.name)
     accel_names = frozenset(f.name for f in accel)
+    ivals = meter.run(
+        "dma-bounds",
+        "(summaries)",
+        lambda: interval_summaries(accel),
+    )
+
+    # DMA discipline: summaries once, then per-function checks.
     summaries = meter.run(
         "dma-discipline",
         "(summaries)",
-        lambda: dmacheck.compute_summaries(accel),
+        lambda: dmacheck.compute_summaries(accel, ivals),
     )
     for function in accel:
         findings.extend(
@@ -105,7 +113,7 @@ def run_analyses(
                 "dma-discipline",
                 function.name,
                 lambda fn=function: dmacheck.check_function(
-                    fn, summaries, accel_names, file=file
+                    fn, summaries, accel_names, ivals, file=file
                 ),
             )
         )
@@ -135,13 +143,7 @@ def run_analyses(
             )
         )
 
-    # DMA bounds/alignment over the interval domain, per accel function
-    # (interval summaries computed once, shared with the cost model).
-    ivals = meter.run(
-        "dma-bounds",
-        "(summaries)",
-        lambda: interval_summaries(accel),
-    )
+    # DMA bounds/alignment over the interval domain, per accel function.
     for function in accel:
         findings.extend(
             meter.run(
@@ -174,7 +176,9 @@ def run_analyses(
             meter.run(
                 "outer-traffic",
                 function.name,
-                lambda fn=function: traffic.check_function(fn, file=file),
+                lambda fn=function: traffic.check_function(
+                    fn, summaries=ivals, file=file
+                ),
             )
         )
 

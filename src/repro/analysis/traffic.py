@@ -12,29 +12,29 @@ mechanizes the guidance.
 
 For every natural loop of every accel function reachable from an
 *uncached* offload block, the analysis counts outer access sites
-(``Load``/``Store``/``Copy`` touching OUTER space), resolves their
-addresses with the shared symbolic-value domain, and *coalesces* sites
-that provably hit the same region+offset (those would share a cache
-line or a single batched transfer).  Loops whose coalesced count meets
-:data:`HOT_LOOP_THRESHOLD` get ``W-outer-loop-traffic`` with a concrete
-per-iteration byte estimate and the two §5 remedies.
+(``Load``/``Store``/``Copy`` touching OUTER space), reads their
+addresses from the function's interval solve (the one the bounds and
+DMA-discipline checks read; :mod:`repro.analysis.intervals`), and
+*coalesces* sites that provably hit the same constant address (those
+would share a cache line or a single batched transfer).  Loops whose
+coalesced count meets :data:`HOT_LOOP_THRESHOLD` get
+``W-outer-loop-traffic`` with a concrete per-iteration byte estimate
+and the two §5 remedies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.dataflow import (
-    ControlFlowGraph,
-    SymAddr,
-    ValuesAnalysis,
-    build_cfg,
-    eval_value_instr,
-    solve_forward,
-    thaw_values,
-)
 from repro.analysis.diagnostics import Finding
 from repro.analysis.footprint import reachable_functions
+from repro.analysis.intervals import (
+    AbsAddr,
+    AbsInt,
+    SolvedFunction,
+    compute_summaries,
+    solved_function,
+)
 from repro.ir.instructions import AccSpace, Copy, Load, Store
 from repro.ir.module import IRFunction, IRProgram
 
@@ -49,7 +49,7 @@ class OuterAccess:
     instr_index: int
     kind: str  # "load" | "store" | "copy-in" | "copy-out"
     size: int
-    addr: object  # SymAddr | int | None (statically unresolved)
+    addr: object  # AbsAddr | AbsInt | None (statically unresolved)
 
 
 @dataclass(frozen=True)
@@ -64,80 +64,74 @@ class LoopTraffic:
 
 
 def _outer_accesses_in(
-    function: IRFunction, cfg: ControlFlowGraph, body: frozenset
+    solved: SolvedFunction, body: frozenset
 ) -> list[OuterAccess]:
-    """Outer access sites in a loop body, with resolved addresses.
-
-    Register values are taken from the solved whole-function value
-    analysis at each block entry and replayed through the block, so an
-    address computed before the loop still resolves inside it.
-    """
-    result = solve_forward(cfg, ValuesAnalysis(function))
+    """Outer access sites in a loop body, with the addresses the solve
+    gives them (an address computed before the loop resolves inside it)."""
     accesses: list[OuterAccess] = []
     for block_index in sorted(body):
-        state = result.block_in.get(block_index)
-        if state is None:
-            continue
-        values = thaw_values(state)
-        for index, instr in cfg.blocks[block_index].instructions(function):
+        for index, instr, regs, _ in solved.walk(solved.cfg.blocks[block_index]):
             if isinstance(instr, Load) and instr.space is AccSpace.OUTER:
                 accesses.append(
-                    OuterAccess(index, "load", instr.size, values.get(instr.addr))
+                    OuterAccess(index, "load", instr.size, regs.get(instr.addr))
                 )
             elif isinstance(instr, Store) and instr.space is AccSpace.OUTER:
                 accesses.append(
-                    OuterAccess(index, "store", instr.size, values.get(instr.addr))
+                    OuterAccess(index, "store", instr.size, regs.get(instr.addr))
                 )
             elif isinstance(instr, Copy):
                 if instr.src_space is AccSpace.OUTER:
                     accesses.append(
                         OuterAccess(
-                            index, "copy-in", instr.size, values.get(instr.src_addr)
+                            index, "copy-in", instr.size, regs.get(instr.src_addr)
                         )
                     )
                 if instr.dst_space is AccSpace.OUTER:
                     accesses.append(
                         OuterAccess(
-                            index, "copy-out", instr.size, values.get(instr.dst_addr)
+                            index, "copy-out", instr.size, regs.get(instr.dst_addr)
                         )
                     )
-            eval_value_instr(instr, index, values)
     return accesses
 
 
 def _coalesce(accesses: list[OuterAccess]) -> tuple[int, int]:
     """(coalesced site count, bytes per iteration).
 
-    Sites whose addresses resolve to the same region+offset merge (the
-    widest access wins); unresolved or widened addresses stay distinct —
-    there is nothing static to coalesce them on.
+    Sites whose addresses are the same constant — one region and
+    offset, or one absolute address — merge (the widest access wins).
+    Any other address stays distinct, even when two sites hold equal
+    ranges: a range says where an access may land, not that two
+    accesses land together.
     """
     merged: dict[object, int] = {}
     distinct = 0
     distinct_bytes = 0
     for access in accesses:
         addr = access.addr
-        if isinstance(addr, SymAddr) and addr.offset is not None:
-            key = (addr.region, addr.offset)
-            merged[key] = max(merged.get(key, 0), access.size)
-        elif isinstance(addr, int):
-            key = ("absolute", addr)
-            merged[key] = max(merged.get(key, 0), access.size)
+        if type(addr) is AbsAddr and addr.offset.const_value is not None:
+            key = (addr.region, addr.offset.const_value)
+        elif type(addr) is AbsInt and addr.const_value is not None:
+            key = ("absolute", addr.const_value)
         else:
             distinct += 1
             distinct_bytes += access.size
+            continue
+        merged[key] = max(merged.get(key, 0), access.size)
     return distinct + len(merged), distinct_bytes + sum(merged.values())
 
 
-def analyze_function(function: IRFunction) -> list[LoopTraffic]:
-    """Loop traffic summaries for one accel function (cache-agnostic)."""
-    cfg = build_cfg(function)
-    loops = cfg.natural_loops()
-    if not loops:
-        return []
+def analyze_function(
+    function: IRFunction, summaries=None
+) -> list[LoopTraffic]:
+    """Loop traffic summaries for one accel function (cache-agnostic),
+    read off its interval solve against ``summaries``
+    (:func:`repro.analysis.intervals.solved_function`)."""
+    solved = solved_function(function, summaries)
+    cfg = solved.cfg
     out: list[LoopTraffic] = []
-    for loop in loops:
-        accesses = _outer_accesses_in(function, cfg, loop.body)
+    for loop in cfg.natural_loops():
+        accesses = _outer_accesses_in(solved, loop.body)
         if not accesses:
             continue
         sites, nbytes = _coalesce(accesses)
@@ -168,11 +162,11 @@ def uncached_reachable(program: IRProgram) -> set[str]:
 
 
 def check_function(
-    function: IRFunction, *, file: str = "<input>"
+    function: IRFunction, *, summaries=None, file: str = "<input>"
 ) -> list[Finding]:
     """``W-outer-loop-traffic`` findings for one (uncached) function."""
     findings: list[Finding] = []
-    for loop in analyze_function(function):
+    for loop in analyze_function(function, summaries):
         if loop.coalesced_sites < HOT_LOOP_THRESHOLD:
             continue
         raw = len(loop.accesses)
@@ -210,8 +204,12 @@ def check_program(
 ) -> list[Finding]:
     """``W-outer-loop-traffic`` findings for uncached offload blocks."""
     reach = uncached_reachable(program)
+    functions = sorted(program.accel_functions(), key=lambda f: f.name)
+    summaries = compute_summaries(functions)
     findings: list[Finding] = []
-    for function in sorted(program.accel_functions(), key=lambda f: f.name):
+    for function in functions:
         if function.name in reach:
-            findings.extend(check_function(function, file=file))
+            findings.extend(
+                check_function(function, summaries=summaries, file=file)
+            )
     return findings

@@ -21,6 +21,7 @@ from repro.lang.parser import parse_program
 from repro.lang.sema import SemanticInfo, analyze
 from repro.lang.types import ClassType
 from repro.ir.module import IRProgram
+from repro.errors import CompileError
 from repro.machine.config import MachineConfig, resolve_target
 from repro.runtime.cachekinds import CACHE_KIND_CHOICES
 from repro.compiler.layout import LayoutResult, compute_layout
@@ -99,6 +100,9 @@ class Compiler:
         self.options = options
         word_align = config.word_size if config.word_addressed else 1
         self.layout: LayoutResult = compute_layout(info, word_align)
+        problem = config.static_data_error(self.layout.data_end)
+        if problem is not None:
+            raise CompileError.single("E-static-data", problem)
         self.program = IRProgram(target_name=config.name)
         self._worklist: deque[tuple] = deque()
         self._scheduled: set[str] = set()

@@ -81,6 +81,11 @@ def _vptr_writes(
         writes.append((global_addr, struct.pack("<I", vtable_addr)))
     elif isinstance(global_type, ArrayType):
         element = global_type.element
+        innermost = element
+        while isinstance(innermost, ArrayType):
+            innermost = innermost.element
+        if not (isinstance(innermost, ClassType) and innermost.has_vptr):
+            return writes  # no element holds a vptr: nothing to walk
         for index in range(global_type.count):
             writes.extend(
                 _vptr_writes(

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -149,6 +150,24 @@ class MachineConfig:
     def with_(self, **overrides: object) -> "MachineConfig":
         """Return a copy of this config with the given fields replaced."""
         return replace(self, **overrides)  # type: ignore[arg-type]
+
+    @property
+    def heap_base(self) -> int:
+        """First main-memory byte above the static data region; the heap
+        and main-memory stacks live from here to the end."""
+        return self.main_memory_size // 4
+
+    def static_data_error(self, data_end: int) -> Optional[str]:
+        """Why static data ending at ``data_end`` cannot be loaded on
+        this machine, or None when it fits below :attr:`heap_base`."""
+        if data_end <= self.heap_base:
+            return None
+        return (
+            f"program static data ({data_end} bytes) overlaps the "
+            f"heap/stack region starting at {self.heap_base:#x}; use a "
+            f"machine with more main memory "
+            f"(MachineConfig.main_memory_size)"
+        )
 
 
 CELL_LIKE = MachineConfig(

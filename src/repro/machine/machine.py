@@ -46,7 +46,7 @@ class Machine:
         ]
         # Reserve low main memory for globals; the rest is heap.
         self._heap = BumpAllocator(
-            base=config.main_memory_size // 4, limit=config.main_memory_size
+            base=config.heap_base, limit=config.main_memory_size
         )
         #: Per core name, the stack the execution engines keep for it:
         #: in its local store if it has one, else in main memory, carved

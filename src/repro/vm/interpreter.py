@@ -301,14 +301,9 @@ class Interpreter:
         """Write the compiled program's static data region into main
         memory, zeros included, so every run starts from the program's
         initial values, also on a machine an earlier run used."""
-        heap_base = self.machine.heap.base
-        if self.program.data_end > heap_base:
-            raise MachineError(
-                f"program static data ({self.program.data_end} bytes) "
-                f"overlaps the heap/stack region starting at "
-                f"{heap_base:#x}; use a machine with more main memory "
-                f"(MachineConfig.main_memory_size)"
-            )
+        problem = self.machine.config.static_data_error(self.program.data_end)
+        if problem is not None:
+            raise MachineError(problem)
         base, blob = static_image(self.program)
         self.machine.main_memory.write_unchecked(base, blob)
 

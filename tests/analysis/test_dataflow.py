@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.analysis.dataflow import (
-    ForwardAnalysis,
-    SymAddr,
-    ValuesAnalysis,
-    build_cfg,
-    eval_value_instr,
-    freeze_values,
-    join_value,
-    join_values,
-    solve_forward,
-    thaw_values,
+from repro.analysis.dataflow import ForwardAnalysis, build_cfg, solve_forward
+from repro.analysis.intervals import (
+    TOP_INT,
+    AbsAddr,
+    AbsInt,
+    AbsState,
+    Interval,
+    IntervalAnalysis,
+    analyze_function,
+    join_abs,
+    widen_abs,
 )
 from repro.ir.instructions import (
     BinOp,
@@ -140,69 +140,89 @@ class TestOrders:
         assert build_cfg(diamond_function()).natural_loops() == []
 
 
+def const(value):
+    return AbsInt.const(value)
+
+
+def addr(region, offset):
+    return AbsAddr(region, const(offset))
+
+
 class TestLattice:
     def test_join_equal_values(self):
-        assert join_value(7, 7) == 7
-        addr = SymAddr("frame", 16)
-        assert join_value(addr, SymAddr("frame", 16)) == addr
+        assert join_abs(const(7), const(7)) == const(7)
+        frame16 = addr("frame", 16)
+        assert join_abs(frame16, addr("frame", 16)) == frame16
 
     def test_join_same_region_widens_offset(self):
-        joined = join_value(SymAddr("frame", 0), SymAddr("frame", 8))
-        assert joined == SymAddr("frame", None)
+        joined = join_abs(addr("frame", 0), addr("frame", 8))
+        assert joined.region == "frame"
+        assert joined.offset.interval == Interval(0, 8)
 
     def test_join_different_regions_is_top(self):
-        assert join_value(SymAddr("frame", 0), SymAddr("global:g", 0)) is None
-        assert join_value(1, 2) is None
-        assert join_value(1, SymAddr("frame", 0)) is None
+        assert join_abs(addr("frame", 0), addr("global:g", 0)) is None
+        assert join_abs(const(1), addr("frame", 0)) is None
+        # Two integers join to their hull, not to top.
+        assert join_abs(const(1), const(2)).interval == Interval(1, 2)
 
     def test_join_values_pointwise(self):
-        a = {0: 1, 1: SymAddr("frame", 0), 2: 5}
-        b = {0: 1, 1: SymAddr("frame", 4)}
-        joined = join_values(a, b)
-        assert joined == {0: 1, 1: SymAddr("frame", None)}
+        a = {0: const(1), 1: addr("frame", 0), 2: const(5)}
+        b = {0: const(1), 1: addr("frame", 4)}
+        joined = IntervalAnalysis(diamond_function()).join(
+            AbsState(a, {}, {}), AbsState(b, {}, {})
+        )
+        assert joined.regs == {0: const(1), 1: join_abs(a[1], b[1])}
+        assert joined.regs[1].offset.interval == Interval(0, 4)
 
     def test_widened_offset_absorbs_shift(self):
-        widened = SymAddr("g", None)
-        assert widened.shifted(12) == widened
-        assert SymAddr("g", 4).widened() == widened
+        widened = AbsAddr("g", TOP_INT)
+        assert widened.shifted(const(12)).offset.interval == TOP_INT.interval
+        grown = widen_abs(addr("g", 4), addr("g", 8))
+        assert grown.region == "g"
+        assert grown.offset.interval == Interval(4, None)
 
     def test_eval_semantics(self):
-        values = {}
-        eval_value_instr(Const(dst=0, value=8), 0, values)
-        eval_value_instr(FrameAddr(dst=1, offset=16), 1, values)
-        eval_value_instr(GlobalAddr(dst=2, name="g"), 2, values)
-        eval_value_instr(BinOp(op="+", dst=3, a=1, b=0), 3, values)
-        eval_value_instr(Move(dst=4, src=3), 4, values)
-        assert values[3] == SymAddr("frame", 24)
-        assert values[4] == SymAddr("frame", 24)
-        assert values[2] == SymAddr("global:g", 0)
-        # Unknown arithmetic: deterministic per-instruction region.
-        eval_value_instr(BinOp(op="+", dst=5, a=1, b=2), 5, values)
-        assert values[5] == SymAddr("u:5", 0)
-
-    def test_freeze_thaw_round_trip(self):
-        values = {3: SymAddr("frame", 0), 1: 9}
-        assert thaw_values(freeze_values(values)) == values
-        assert freeze_values(values) == freeze_values({1: 9, 3: SymAddr("frame", 0)})
+        fn = IRFunction(
+            name="values",
+            params=[],
+            num_regs=6,
+            code=[
+                Const(dst=0, value=8),
+                FrameAddr(dst=1, offset=16),
+                GlobalAddr(dst=2, name="g"),
+                BinOp(op="+", dst=3, a=1, b=0),
+                Move(dst=4, src=3),
+                BinOp(op="+", dst=5, a=1, b=2),
+                Ret(),
+            ],
+        )
+        values = analyze_function(fn).values_before(6)
+        assert values[3] == addr("frame", 24)
+        assert values[4] == addr("frame", 24)
+        assert values[2] == addr("global:g", 0)
+        # The sum of two addresses is no address: top.
+        assert 5 not in values
 
 
 class TestFixpoint:
     def test_loop_converges_and_keeps_invariants(self):
         fn = loop_function()
         cfg = build_cfg(fn)
-        result = solve_forward(cfg, ValuesAnalysis(fn))
+        result = solve_forward(cfg, IntervalAnalysis(fn))
         assert result.converged
         # The loop body runs more than once before the fixpoint.
         assert result.iterations > len(cfg.blocks)
-        exit_in = thaw_values(result.block_in[3])
-        assert exit_in[2] == 10  # loop-invariant constant survives
-        assert 0 not in exit_in  # the induction variable is dropped
+        exit_in = result.block_in[3].regs
+        assert exit_in[2] == const(10)  # loop-invariant constant survives
+        # The induction variable is no constant; the exit edge bounds it.
+        assert exit_in[0].const_value is None
+        assert exit_in[0].interval.lo == 10
 
     def test_diamond_joins_disagreeing_constants(self):
         fn = diamond_function()
-        result = solve_forward(build_cfg(fn), ValuesAnalysis(fn))
-        join_in = thaw_values(result.block_in[3])
-        assert 1 not in join_in  # r1 is 1 or 2 -> top
+        result = solve_forward(build_cfg(fn), IntervalAnalysis(fn))
+        join_in = result.block_in[3].regs
+        assert join_in[1].interval == Interval(1, 2)  # r1 is 1 or 2
 
     def test_widen_hook_bounds_growing_chains(self):
         fn = loop_function()

@@ -8,7 +8,7 @@ from repro.errors import DmaRaceError
 from repro.game.sources import figure1_racy_source, figure1_source
 from repro.ir.instructions import Const, FrameAddr, GlobalAddr, Intrinsic, Call, Ret
 from repro.ir.module import IRFunction, IRProgram
-from repro.machine.config import CELL_LIKE
+from repro.machine.config import CELL_LIKE, resolve_target
 from repro.vm.interpreter import RunOptions
 from tests.conftest import run_source
 
@@ -414,3 +414,135 @@ class TestGameCorpusQuiet:
         ):
             program = compiled(source)
             assert dmacheck.check_program(program) == []
+
+
+# Two puts per iteration whose outer ranges overlap inside one
+# iteration: [32i, 32i + 32) and [32i + 16, 32i + 48).  Both addresses
+# vary with the loop counter, but their offsets are bounded intervals.
+BOUNDED_LOOP_RACE = """
+int g_data[64];
+void main() {
+    __offload {
+        int a[16];
+        for (int i = 0; i < 4; i = i + 1) {
+            dma_put(&a[0], &g_data[i * 8], 32, 1);
+            dma_put(&a[8], &g_data[i * 8 + 4], 32, 2);
+            dma_wait(1);
+            dma_wait(2);
+        }
+    };
+}
+"""
+
+# One pointer, loaded index: its offset is unbounded, yet both
+# transfers read copies of the same value.
+REUSED_POINTER_RACE = """
+int g_data[64];
+int g_k;
+void main() {
+    __offload {
+        int a[8]; int b[8];
+        int k = g_k;
+        int* p = &g_data[k];
+        dma_get(&a[0], p, 32, 1);
+        dma_put(&b[0], p, 32, 2);
+        dma_wait(1);
+        dma_wait(2);
+    };
+}
+"""
+
+# Prefetch the next half while the current one is consumed: the wait
+# takes the loop-carried buffer index, so it fences every tag.
+DOUBLE_BUFFER_LOOP = """
+int g_data[256];
+int g_sum;
+void main() {
+    __offload {
+        int buf[64];
+        int sum = 0;
+        int cur = 0;
+        dma_get(&buf[0], &g_data[0], 128, 0);
+        for (int i = 0; i < 8; i = i + 1) {
+            int next = 1 - cur;
+            if (i < 7) {
+                dma_get(&buf[next * 32], &g_data[(i + 1) * 32], 128, next);
+            }
+            dma_wait(cur);
+            sum = sum + buf[cur * 32] + buf[cur * 32 + 31];
+            cur = next;
+        }
+        g_sum = sum;
+    };
+}
+"""
+
+SCRATCHPAD_TARGETS = ("cell", "dsp", "manycore")
+
+
+def recorded_races(source, target, engine):
+    options = RunOptions(racecheck="record", engine=engine)
+    return run_source(
+        source, resolve_target(target), run_options=options
+    ).races
+
+
+class TestIntervalAddresses:
+    """DMA operands come from the interval solve: bounded offsets are
+    compared as ranges, and unbounded ones overlap only when they are
+    copies of one value."""
+
+    @pytest.mark.parametrize("target", SCRATCHPAD_TARGETS)
+    def test_bounded_loop_race_flagged(self, target):
+        program = compile_program(BOUNDED_LOOP_RACE, target)
+        found = [
+            f for f in dmacheck.check_program(program) if f.code == "E-dma-race"
+        ]
+        assert found
+        assert "outer memory" in found[0].message
+
+    @pytest.mark.parametrize("engine", ("codegen", "reference"))
+    def test_bounded_loop_race_happens(self, engine):
+        found = recorded_races(BOUNDED_LOOP_RACE, "cell", engine)
+        assert len(found) == 4
+        assert {race.location for race in found} == {"outer"}
+
+    @pytest.mark.parametrize("target", SCRATCHPAD_TARGETS)
+    def test_reused_pointer_race_flagged(self, target):
+        program = compile_program(REUSED_POINTER_RACE, target)
+        assert "E-dma-race" in codes(dmacheck.check_program(program))
+
+    @pytest.mark.parametrize("engine", ("codegen", "reference"))
+    def test_reused_pointer_race_happens(self, engine):
+        found = recorded_races(REUSED_POINTER_RACE, "cell", engine)
+        assert [race.location for race in found] == ["outer"]
+
+    @pytest.mark.parametrize("target", SCRATCHPAD_TARGETS)
+    def test_double_buffer_loop_has_no_race(self, target):
+        program = compile_program(DOUBLE_BUFFER_LOOP, target)
+        assert "E-dma-race" not in codes(dmacheck.check_program(program))
+
+    @pytest.mark.parametrize("engine", ("codegen", "reference"))
+    def test_double_buffer_loop_runs_race_free(self, engine):
+        assert recorded_races(DOUBLE_BUFFER_LOOP, "cell", engine) == []
+
+    def test_transfers_in_statically_dead_code_stay_quiet(self):
+        # The interval solve proves the branch never taken and gives its
+        # operands no values; the second put never runs.
+        source = """
+        int g_data[64];
+        void main() {
+            __offload {
+                int a[8];
+                int n = 4;
+                dma_put(&a[0], &g_data[0], 32, 1);
+                if (n > 8) {
+                    dma_put(&a[0], &g_data[0], 32, 2);
+                    dma_wait(2);
+                }
+                dma_wait(1);
+            };
+        }
+        """
+        assert dmacheck.check_program(compiled(source)) == []
+        assert recorded_races(source, "cell", "codegen") == []

@@ -11,10 +11,11 @@ each analysis run standalone with summaries of its own.
 """
 
 import functools
+import sys
 
 import pytest
 
-from repro.analysis import bounds, cost, dmacheck, intervals
+from repro.analysis import bounds, cost, dataflow, dmacheck, intervals, traffic
 from repro.analysis.dataflow import call_targets
 from repro.analysis.diagnostics import dedupe_findings
 from repro.analysis.runner import run_analyses
@@ -145,6 +146,16 @@ def _forced_only(records, accel):
         assert record not in records[:index], f"{record[0]} solved again"
 
 
+def _patch_everywhere(monkeypatch, real, wrapper):
+    """Rebind ``real`` to ``wrapper`` in every loaded ``repro`` module."""
+    for module in list(sys.modules.values()):
+        if not getattr(module, "__name__", "").startswith("repro."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, attr, wrapper)
+
+
 class TestSolveCount:
     @pytest.mark.parametrize("name, target", GRID)
     def test_each_function_solved_once_per_changed_input(
@@ -163,10 +174,52 @@ class TestSolveCount:
         # (dma-discipline), the bounds checker and the cost model add none.
         for records in solves.values():
             records.clear()
-        intervals.compute_summaries(accel)
-        dmacheck.compute_summaries(accel)
+        ivals = intervals.compute_summaries(accel)
+        dmacheck.compute_summaries(accel, ivals)
         for kind, records in solves.items():
             assert len(whole_run[kind]) == len(records), kind
+
+    @pytest.mark.parametrize("name, target", GRID)
+    def test_one_cfg_per_interval_solve_and_traffic_solves_nothing(
+        self, solves, monkeypatch, name, target
+    ):
+        """Every CFG is built for an interval solve, no other analysis
+        solves, and the outer-traffic checks read the kept solves."""
+        program = compiled(name, target)
+        built, other = [], []
+        real_build, real_solve = dataflow.build_cfg, dataflow.solve_forward
+
+        def build_cfg(function):
+            built.append(function.name)
+            return real_build(function)
+
+        def solve_forward(cfg, analysis, **kwargs):
+            other.append(type(analysis).__name__)
+            return real_solve(cfg, analysis, **kwargs)
+
+        _patch_everywhere(monkeypatch, real_build, build_cfg)
+        _patch_everywhere(monkeypatch, real_solve, solve_forward)
+        work = lambda: (
+            len(built), len(other), sum(map(len, solves.values()))
+        )
+        in_traffic = []
+        real_check = traffic.check_function
+
+        def check_function(*args, **kwargs):
+            before = work()
+            findings = real_check(*args, **kwargs)
+            in_traffic.append((before, work()))
+            return findings
+
+        monkeypatch.setattr(traffic, "check_function", check_function)
+        run_analyses(program, target, file=name)
+        assert len(built) == len(solves["IntervalAnalysis"])
+        assert other == []
+        for before, after in in_traffic:
+            assert before == after
+        names = {f.name for f in accel_of(program)}
+        if traffic.uncached_reachable(program) & names:
+            assert in_traffic
 
     @pytest.mark.parametrize("target", target_names())
     def test_figure2_second_round_changes_nothing(self, solves, target):
@@ -226,7 +279,7 @@ class TestSharedEqualsIndependent:
         accel = accel_of(program)
         names = frozenset(f.name for f in accel)
         ivals = intervals.compute_summaries(accel)
-        dmas = dmacheck.compute_summaries(accel)
+        dmas = dmacheck.compute_summaries(accel, ivals)
         assert ivals.converged and dmas.converged
         for function in accel:
             kept = intervals.solved_function(function, ivals)
@@ -240,8 +293,8 @@ class TestSharedEqualsIndependent:
                 program, function, config, summaries=dict(ivals)
             )
             assert dmacheck.check_function(
-                function, dmas, names
-            ) == dmacheck.check_function(function, dict(dmas), names)
+                function, dmas, names, ivals
+            ) == dmacheck.check_function(function, dict(dmas), names, ivals)
         assert cost.estimate_program(
             program, config, summaries=ivals
         ) == cost.estimate_program(program, config, summaries=dict(ivals))
@@ -264,7 +317,7 @@ class TestNonConvergedFallback:
         accel = accel_of(program)
         names = frozenset(f.name for f in accel)
         ivals = intervals.compute_summaries(accel, max_rounds=1)
-        dmas = dmacheck.compute_summaries(accel, max_rounds=1)
+        dmas = dmacheck.compute_summaries(accel, ivals, max_rounds=1)
         assert not dmas.converged and not dmas.solved
         for records in solves.values():
             records.clear()
@@ -274,9 +327,15 @@ class TestNonConvergedFallback:
             ) == bounds.check_function(
                 program, function, config, summaries=dict(ivals)
             )
+        assert len(solves["IntervalAnalysis"]) == 2 * len(accel)
+        # A DMA-discipline check reads an interval solve, and with none
+        # kept, each side solves both analyses afresh.
+        for records in solves.values():
+            records.clear()
+        for function in accel:
             assert dmacheck.check_function(
-                function, dmas, names
-            ) == dmacheck.check_function(function, dict(dmas), names)
+                function, dmas, names, ivals
+            ) == dmacheck.check_function(function, dict(dmas), names, ivals)
         # Both sides of both comparisons solved: nothing was reused.
         for kind, records in solves.items():
             assert len(records) == 2 * len(accel), kind

@@ -1,9 +1,16 @@
 """Unit tests for static data layout (globals, vtables, function ids)."""
 
 import struct
+import time
 
-from repro.compiler.driver import analyze_source
+import pytest
+
+from repro.compiler.driver import analyze_source, compile_program
 from repro.compiler.layout import DATA_BASE, FIRST_FUNCTION_ID, compute_layout
+from repro.errors import CompileError
+from repro.machine.config import resolve_target, target_names
+from repro.tools import check as check_tool
+from repro.tools import run as run_tool
 
 
 def layout_for(source):
@@ -119,3 +126,67 @@ class TestGlobals:
         layout = compute_layout(info, word_align=4)
         assert layout.globals["c"].address % 4 == 0
         assert layout.globals["d"].address % 4 == 0
+
+    def test_nested_array_of_objects_gets_vptr_per_element(self):
+        info, layout = layout_for(
+            "class A { int n; virtual void f() { } }; A grid[2][3];" + MAIN
+        )
+        size = info.classes["A"].size()
+        base = layout.globals["grid"].address
+        image = {a: d for a, d in layout.init_image}
+        vptrs = sorted(a for a in image if a >= base)
+        assert vptrs == [base + index * size for index in range(6)]
+
+    def test_scalar_array_adds_nothing_to_the_image(self):
+        _, layout = layout_for("int g[4000][4000];" + MAIN)
+        assert layout.init_image == []
+
+
+#: Static data far beyond any target's data region, and twice the 4 MiB
+#: data region of the default main memory.
+OVERSIZED = {
+    "huge": "int g[2000000000];\nvoid main() { g[1] = 2; }\n",
+    "big": "int g[2000000];\nvoid main() { g[1] = 2; }\n",
+}
+
+
+class TestOversizedStaticData:
+    """Static data that cannot load below the heap fails at compile
+    time, at once, with the loader's own words."""
+
+    @pytest.mark.parametrize("target", target_names())
+    @pytest.mark.parametrize("name", sorted(OVERSIZED))
+    def test_compile_fails_at_once(self, name, target):
+        start = time.perf_counter()
+        with pytest.raises(CompileError) as caught:
+            compile_program(OVERSIZED[name], target)
+        assert time.perf_counter() - start < 0.1
+        (diagnostic,) = caught.value.diagnostics
+        assert diagnostic.code == "E-static-data"
+        heap_base = resolve_target(target).heap_base
+        assert diagnostic.message.startswith("program static data (")
+        assert f"heap/stack region starting at {heap_base:#x}" in (
+            diagnostic.message
+        )
+
+    @pytest.mark.parametrize("target", target_names())
+    @pytest.mark.parametrize("name", sorted(OVERSIZED))
+    @pytest.mark.parametrize("tool", (run_tool, check_tool))
+    def test_clis_print_one_error_line(
+        self, tmp_path, capsys, tool, name, target
+    ):
+        path = tmp_path / "program.om"
+        path.write_text(OVERSIZED[name])
+        assert tool.main([str(path), "--target", target]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error[E-static-data]: program static data")
+
+    def test_data_that_fits_still_compiles(self):
+        config = resolve_target("cell")
+        count = (config.heap_base - DATA_BASE) // 4
+        program = compile_program(
+            f"int g[{count}];\nvoid main() {{ g[1] = 2; }}\n", config
+        )
+        assert program.data_end <= config.heap_base

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from repro import CELL_LIKE, Machine, MachineError, compile_program, run_program
+from repro.errors import CompileError
 from tests.conftest import printed, run_source
 
 
@@ -121,14 +122,23 @@ class TestNarrowing:
 
 
 class TestLayoutGuards:
-    def test_giant_globals_rejected_at_load(self):
-        source = """
+    GIANT = """
         int g_huge[2000000];   // 8 MB > the 4 MB static region
         void main() { g_huge[0] = 1; }
         """
-        program = compile_program(source, CELL_LIKE)
+
+    def test_giant_globals_rejected_at_load(self):
+        # Compiled for a machine they fit, loaded on one they do not:
+        # the loader still checks what it is handed.
+        roomy = CELL_LIKE.with_(main_memory_size=64 * 1024 * 1024)
+        program = compile_program(self.GIANT, roomy)
         with pytest.raises(MachineError) as excinfo:
             run_program(program, Machine(CELL_LIKE))
+        assert "main_memory_size" in str(excinfo.value)
+
+    def test_giant_globals_rejected_at_compile(self):
+        with pytest.raises(CompileError) as excinfo:
+            compile_program(self.GIANT, CELL_LIKE)
         assert "main_memory_size" in str(excinfo.value)
 
     def test_bigger_machine_accepts_them(self):
