@@ -24,12 +24,16 @@ fixed transfer, so the pending sets are subsets of a finite set and
 the fixpoint needs no widening.
 
 Overlap is decided on :class:`~repro.analysis.intervals.AbsAddr`
-ranges.  Two addresses in one region with bounded offsets overlap when
-``[lo, hi + size)`` ranges do.  An address whose offset is unbounded
-is opaque: its region is renamed after the copy class of the register
-holding it, so two such addresses overlap only when they are copies of
-one computed value (a pointer reused by two transfers), and distinct
-unknown sources stay quiet.
+ranges.  Two addresses in one region overlap when their
+``[lo, hi + size)`` ranges do, a missing bound reaching to the end of
+the region.  An offset with neither bound comes from one of two places.
+A pointer stepped through a loop (the join of its assignments) may lie
+anywhere in its region, and overlaps everything there.  An address
+indexed by an unknown value is opaque: its region is renamed after the
+register that added the index, so two such addresses overlap only when
+they are built on one computed value (a pointer reused by two
+transfers), and distinct unknown sources stay quiet.  Blocks the
+interval solve proves dead get no state.
 
 Interprocedural reasoning uses per-function :class:`FunctionSummary`
 records computed to a global fixpoint over the accelerator call graph:
@@ -67,7 +71,7 @@ from repro.analysis.intervals import (
     compute_summaries as interval_summaries,
     solved_function,
 )
-from repro.ir.instructions import Call, DomainCall, ICall, Intrinsic, Ret
+from repro.ir.instructions import BinOp, Call, DomainCall, ICall, Intrinsic, Move, Ret
 from repro.ir.module import IRFunction, IRProgram
 from repro.machine.dma import race_location
 
@@ -135,15 +139,23 @@ def _ranges_overlap(
     """Conservative overlap test over abstract addresses.
 
     Unknown provenance (``None``) never overlaps — distinct opaque
-    sources stay quiet, matching the seed analysis.  Within one region,
-    an unbounded offset or an unknown size counts as overlapping.
+    sources stay quiet, matching the seed analysis.  Within one region
+    the ranges ``[lo, hi + size)`` are compared, a missing endpoint
+    reaching to ±∞; an unknown size counts as overlapping.
     """
     if a is None or b is None or a.region != b.region:
         return False
-    ia, ib = a.offset.interval, b.offset.interval
-    if a_size is None or b_size is None or not (ia.bounded and ib.bounded):
+    if a_size is None or b_size is None:
         return True
-    return ia.lo < ib.hi + b_size and ib.lo < ia.hi + a_size
+    ia, ib = a.offset.interval, b.offset.interval
+    return _starts_before(ia.lo, ib.hi, b_size) and _starts_before(
+        ib.lo, ia.hi, a_size
+    )
+
+
+def _starts_before(lo: Optional[int], hi: Optional[int], size: int) -> bool:
+    """``lo < hi + size``, with ``None`` endpoints as -∞ / +∞."""
+    return lo is None or hi is None or lo < hi + size
 
 
 def _conflict(earlier: PendingTransfer, later: PendingTransfer) -> Optional[str]:
@@ -161,16 +173,54 @@ def _constant(value) -> Optional[int]:
     return value.const_value if type(value) is AbsInt else None
 
 
-def _address(value, reg: int, copies: dict) -> Optional[AbsAddr]:
+def _address(value, reg: int, copies: dict, source) -> Optional[AbsAddr]:
     """An operand's address for overlap tests (None: not an address).
-    An unbounded offset says nothing about where in the region the
-    address lies, so the region is renamed after the copy class of the
-    register holding it: only copies of one value then overlap."""
+    An offset with neither bound says nothing about where in the region
+    the address lies.  When an unknown index made it so, the region is
+    renamed after the register that added the index (``source``, see
+    :func:`_index_sources`): only addresses built on that one value then
+    overlap.  A pointer stepped through a loop stays in its region."""
     if type(value) is not AbsAddr:
         return None
-    if value.offset.interval.bounded:
+    interval = value.offset.interval
+    if interval.lo is not None or interval.hi is not None:
         return value
-    return AbsAddr(f"{value.region}~r{copies.get(reg, reg)}", value.offset)
+    indexed = source(copies.get(reg, reg))
+    if indexed is None:
+        return value
+    return AbsAddr(f"{value.region}~r{indexed}", value.offset)
+
+
+def _index_sources(solved: SolvedFunction):
+    """``source(root)`` for an address with an unbounded offset held in
+    the copy-class root ``root``: the register that indexed an address
+    by an unknown amount, or None when the bounds were lost joining the
+    assignments of a pointer variable (a register defined more than
+    once, or a copy the join dropped) — a pointer stepped through a
+    loop.  Adding a constant keeps the source of the address."""
+    code = solved.function.code
+    known: dict[int, Optional[int]] = {}
+
+    def source(root: int) -> Optional[int]:
+        if root in known:
+            return known[root]
+        known[root] = root  # a register stepping itself stays opaque
+        defs = [i for i, ins in enumerate(code) if getattr(ins, "dst", None) == root]
+        if len(defs) > 1 or (defs and type(code[defs[0]]) is Move):
+            known[root] = None
+        elif defs and type(code[defs[0]]) is BinOp:
+            at = defs[0]
+            for index, instr, regs, copies in solved.walk(solved.cfg.block_at(at)):
+                if index < at:
+                    continue
+                for base, step in ((instr.a, instr.b), (instr.b, instr.a)):
+                    addr, delta = regs.get(base), regs.get(step)
+                    if type(addr) is AbsAddr and _constant(delta) is not None:
+                        known[root] = source(copies.get(base, base))
+                break
+        return known[root]
+
+    return source
 
 
 _DMA_OPS = frozenset(("dma_get", "dma_put", "dma_wait"))
@@ -179,24 +229,19 @@ _DMA_OPS = frozenset(("dma_get", "dma_put", "dma_wait"))
 def _read_sites(solved: SolvedFunction) -> dict[int, object]:
     """Per DMA intrinsic of the solved function, by instruction index:
     a get's or put's :class:`PendingTransfer`, a wait's tag (None: not a
-    known constant).  Operands are read from the interval solve; in a
-    block it did not reach, or when it did not converge, they are
-    unknown."""
+    known constant).  Operands are read from the interval solve's block
+    states, also from those of a solve that did not converge; a block
+    with no state is dead and has no sites."""
     function, cfg = solved.function, solved.cfg
-    reached = solved.result.block_in if solved.result.converged else {}
     blocks = {
         cfg.block_at(index).index
         for index, instr in enumerate(function.code)
         if type(instr) is Intrinsic and instr.name in _DMA_OPS
     }
     sites: dict[int, object] = {}
+    source = _index_sources(solved)
     for block in map(cfg.blocks.__getitem__, sorted(blocks)):
-        steps = (
-            solved.walk(block)
-            if block.index in reached
-            else ((i, instr, {}, {}) for i, instr in block.instructions(function))
-        )
-        for index, instr, regs, copies in steps:
+        for index, instr, regs, copies in solved.walk(block):
             if type(instr) is not Intrinsic or instr.name not in _DMA_OPS:
                 continue
             if instr.name == "dma_wait":
@@ -206,8 +251,8 @@ def _read_sites(solved: SolvedFunction) -> dict[int, object]:
             sites[index] = PendingTransfer(
                 kind="get" if instr.name == "dma_get" else "put",
                 tag=_constant(regs.get(tag)),
-                local=_address(regs.get(local), local, copies),
-                outer=_address(regs.get(outer), outer, copies),
+                local=_address(regs.get(local), local, copies, source),
+                outer=_address(regs.get(outer), outer, copies, source),
                 size=_constant(regs.get(size)),
                 index=index,
                 origin=function.name,
@@ -219,6 +264,8 @@ class DmaDisciplineAnalysis(ForwardAnalysis):
     """The dataflow analysis proper, parameterised by callee summaries
     and the function's DMA sites (:func:`_read_sites`).
 
+    ``live`` — the blocks the interval solve reached; the others are
+    dead code and get no state.
     ``report`` collects findings during the final reporting pass; during
     fixpoint solving it is None so transient states don't produce
     duplicate diagnostics.
@@ -230,11 +277,13 @@ class DmaDisciplineAnalysis(ForwardAnalysis):
         summaries: dict[str, FunctionSummary],
         accel_names: frozenset,
         sites: dict[int, object],
+        live: dict,
     ):
         self.function = function
         self.summaries = summaries
         self.accel_names = accel_names
         self.sites = sites
+        self.live = live
         self.report: Optional[list] = None
 
     # ------------------------------------------------------------ lattice
@@ -250,6 +299,9 @@ class DmaDisciplineAnalysis(ForwardAnalysis):
             waited=a.waited & b.waited,
             waits_all=a.waits_all and b.waits_all,
         )
+
+    def edge(self, pred: BasicBlock, succ_index: int, state: DmaState):
+        return state if succ_index in self.live else None
 
     # ----------------------------------------------------------- transfer
 
@@ -367,7 +419,9 @@ def _solve(
     ``(solved, sites, result)``, and the summary read off it: the
     states at ``Ret``."""
     function, cfg = solved.function, solved.cfg
-    analysis = DmaDisciplineAnalysis(function, summaries, accel_names, sites)
+    analysis = DmaDisciplineAnalysis(
+        function, summaries, accel_names, sites, solved.result.block_in
+    )
     result = solve_forward(cfg, analysis)
     ret_states: list[DmaState] = []
     for block_index, out_state in result.block_out.items():
@@ -457,7 +511,9 @@ def check_function(
         held, _ = _solve(solved, _read_sites(solved), summaries, accel_names)
     solved, sites, result = held
     cfg = solved.cfg
-    analysis = DmaDisciplineAnalysis(function, summaries, accel_names, sites)
+    analysis = DmaDisciplineAnalysis(
+        function, summaries, accel_names, sites, solved.result.block_in
+    )
     raw: list = []
     analysis.report = raw
     for block_index, in_state in result.block_in.items():

@@ -609,7 +609,8 @@ class FunctionSummary:
 
     ``params`` — joined abstract values of every call-site argument
     (⊤ entries omitted); ``ret`` — the joined return value over all
-    ``Ret`` sites.  Entry functions (offload entries, domain-dispatch
+    ``Ret`` sites.  Frame addresses cross a call as ⊤
+    (:func:`_across_call`).  Entry functions (offload entries, domain-dispatch
     targets) keep ⊤ params: their arguments come from the runtime.
     """
 
@@ -1027,6 +1028,15 @@ def _return_value(solved: SolvedFunction) -> Optional[AbsVal]:
     return None if ret == "unset" else ret
 
 
+def _across_call(value: Optional[AbsVal]) -> Optional[AbsVal]:
+    """A value as the other side of a call sees it: a frame address
+    names the frame of the function that computed it, not the frame of
+    the one it is passed to or returned to, so it crosses as ⊤."""
+    if type(value) is AbsAddr and value.region == "frame":
+        return None
+    return value
+
+
 def solved_function(
     function: IRFunction, summaries: Optional[dict[str, FunctionSummary]]
 ) -> SolvedFunction:
@@ -1081,7 +1091,8 @@ def compute_summaries(
         boundary = boundaries.get(function.name)
         solved = analyze_function(function, summaries, boundary)
         params = tuple(sorted((boundary or {}).items()))
-        return solved, FunctionSummary(params, _return_value(solved))
+        ret = _across_call(_return_value(solved))
+        return solved, FunctionSummary(params, ret)
 
     def rejoin_boundaries(solved: dict[str, SolvedFunction]) -> bool:
         nonlocal boundaries
@@ -1110,7 +1121,7 @@ def compute_summaries(
             params = {
                 position: value
                 for position, value in enumerate(args)
-                if value is not None and value != "unset"
+                if value != "unset" and _across_call(value) is not None
             }
             if params:
                 new_boundaries[name] = params

@@ -489,8 +489,8 @@ def recorded_races(source, target, engine):
 
 class TestIntervalAddresses:
     """DMA operands come from the interval solve: bounded offsets are
-    compared as ranges, and unbounded ones overlap only when they are
-    copies of one value."""
+    compared as ranges, and addresses at unknown indices overlap only
+    when they are built on one value."""
 
     @pytest.mark.parametrize("target", SCRATCHPAD_TARGETS)
     def test_bounded_loop_race_flagged(self, target):
@@ -519,6 +519,8 @@ class TestIntervalAddresses:
 
     @pytest.mark.parametrize("target", SCRATCHPAD_TARGETS)
     def test_double_buffer_loop_has_no_race(self, target):
+        # Not a proof: the loop-carried buffer index widens to ⊤, so the
+        # loop get's address is an opaque unknown index.
         program = compile_program(DOUBLE_BUFFER_LOOP, target)
         assert "E-dma-race" not in codes(dmacheck.check_program(program))
 
@@ -546,3 +548,161 @@ class TestIntervalAddresses:
         """
         assert dmacheck.check_program(compiled(source)) == []
         assert recorded_races(source, "cell", "codegen") == []
+
+
+# A pointer stepped through a loop: the join of its assignments leaves
+# its offset unbounded, yet it still points into g_data, where the get
+# issued before the loop is in flight during the first put.
+STEPPED_POINTER_RACE = """
+int g_data[64];
+void main() {
+    __offload {
+        int a[8]; int b[8];
+        int* p = &g_data[0];
+        dma_get(&a[0], &g_data[0], 32, 1);
+        for (int i = 0; i < 4; i = i + 1) {
+            dma_put(&b[0], p, 32, 2);
+            dma_wait(2);
+            p = p + 8;
+        }
+        dma_wait(1);
+    };
+}
+"""
+
+# The same, one element past the stepped pointer.
+STEPPED_POINTER_DISPLACED_RACE = STEPPED_POINTER_RACE.replace(
+    "dma_put(&b[0], p, 32, 2)", "dma_put(&b[0], p + 4, 32, 2)"
+)
+
+# A local destination stepped through a loop, over the buffer a get
+# before the loop is still filling.
+STEPPED_LOCAL_POINTER_RACE = """
+int g_x[64];
+int g_y[64];
+void main() {
+    __offload {
+        int a[32];
+        int* d = &a[0];
+        dma_get(&a[0], &g_x[0], 32, 1);
+        for (int i = 0; i < 4; i = i + 1) {
+            dma_get(d, &g_y[i * 8], 32, 2);
+            dma_wait(2);
+            d = d + 8;
+        }
+        dma_wait(1);
+    };
+}
+"""
+
+STEPPED_POINTER_RACES = {
+    "outer": STEPPED_POINTER_RACE,
+    "outer-displaced": STEPPED_POINTER_DISPLACED_RACE,
+    "local": STEPPED_LOCAL_POINTER_RACE,
+}
+
+
+class TestSteppedPointers:
+    """A pointer stepped through a loop may lie anywhere in its region,
+    so it overlaps every transfer there."""
+
+    @pytest.mark.parametrize("name", sorted(STEPPED_POINTER_RACES))
+    @pytest.mark.parametrize("target", SCRATCHPAD_TARGETS)
+    def test_flagged(self, name, target):
+        program = compile_program(STEPPED_POINTER_RACES[name], target)
+        found = [
+            f for f in dmacheck.check_program(program) if f.code == "E-dma-race"
+        ]
+        assert len(found) == 1
+        assert f"{name.split('-')[0]} memory" in found[0].message
+
+    @pytest.mark.parametrize("name", sorted(STEPPED_POINTER_RACES))
+    @pytest.mark.parametrize("engine", ("codegen", "reference"))
+    def test_happens(self, name, engine):
+        found = recorded_races(STEPPED_POINTER_RACES[name], "cell", engine)
+        assert [race.location for race in found] == [name.split("-")[0]]
+
+
+def fetch_helper():
+    """Hand-built accel helper ``fetch(dst)``: a get into the caller's
+    ``dst``, then one into its own frame at offset 0."""
+    code = [
+        GlobalAddr(dst=1, name="g_x"),
+        Const(dst=2, value=32),
+        Const(dst=3, value=1),
+        Intrinsic(name="dma_get", args=[0, 1, 2, 3]),
+        FrameAddr(dst=4, offset=0),
+        GlobalAddr(dst=5, name="g_y"),
+        Const(dst=6, value=2),
+        Intrinsic(name="dma_get", args=[4, 5, 2, 6]),
+        Intrinsic(name="dma_wait", args=[3]),
+        Intrinsic(name="dma_wait", args=[6]),
+        Ret(),
+    ]
+    return IRFunction(
+        name="fetch", params=["dst"], num_regs=7, frame_size=32, code=code,
+        space="accel", source_name="fetch",
+    )
+
+
+class TestFramesAcrossCalls:
+    @pytest.mark.parametrize("target", SCRATCHPAD_TARGETS)
+    def test_a_callers_frame_is_not_the_callees(self, target):
+        # The caller's buffer and the helper's both sit at frame offset
+        # 0, but in two frames: the gets do not overlap.
+        from repro.analysis.runner import run_analyses
+
+        caller = entry([
+            FrameAddr(dst=0, offset=0),
+            Call(callee="fetch", args=[0]),
+            Ret(),
+        ])
+        caller.frame_size = 32
+        program = program_of(fetch_helper(), caller)
+        findings = run_analyses(program, target).findings
+        assert "E-dma-race" not in codes(findings)
+
+
+class TestSolveCoverage:
+    def test_a_solve_that_did_not_converge_keeps_its_findings(self):
+        # Its partial block states are read, not dropped for unknowns.
+        from repro.analysis import intervals
+
+        program = compiled(REUSED_POINTER_RACE)
+        functions = sorted(program.accel_functions(), key=lambda f: f.name)
+        ivals = intervals.compute_summaries(functions)
+        for solved in ivals.solved.values():
+            solved.result.converged = False
+        summaries = dmacheck.compute_summaries(functions, ivals)
+        accel_names = frozenset(f.name for f in functions)
+        found = [
+            finding
+            for function in functions
+            for finding in dmacheck.check_function(
+                function, summaries, accel_names, ivals
+            )
+        ]
+        assert "E-dma-race" in codes(found)
+
+    def test_statically_dead_code_issues_nothing(self):
+        # The dead put's unknown tag would hide the orphan wait.
+        source = """
+        int g_data[64];
+        int g_k;
+        void main() {
+            __offload {
+                int a[8];
+                int n = 4;
+                if (n > 8) {
+                    dma_put(&a[0], &g_data[0], 32, g_k);
+                    dma_wait(g_k);
+                }
+                dma_wait(5);
+            };
+        }
+        """
+        assert codes(dmacheck.check_program(compiled(source))) == [
+            "E-dma-orphan-wait"
+        ]
+        perf = run_source(source).perf()
+        assert perf.get("dma.puts", 0) == 0 and perf["dma.waits"] == 1
