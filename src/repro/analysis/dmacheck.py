@@ -24,11 +24,11 @@ fixed transfer, so the pending sets are subsets of a finite set and
 the fixpoint needs no widening.
 
 Overlap is decided on :class:`~repro.analysis.intervals.AbsAddr`
-ranges.  Two addresses in one region overlap when their
-``[lo, hi + size)`` ranges do, a missing bound reaching to the end of
-the region.  An offset with neither bound comes from one of two places.
-A pointer stepped through a loop (the join of its assignments) may lie
-anywhere in its region, and overlaps everything there.  An address
+ranges.  Two addresses in one region with bounded offsets overlap when
+their ``[lo, hi + size)`` ranges do.  An unbounded offset comes from
+one of two places.  A pointer stepped through a loop (the join of its
+assignments) may lie anywhere in its region, and overlaps everything
+there.  An address
 indexed by an unknown value is opaque: its region is renamed after the
 register that added the index, so two such addresses overlap only when
 they are built on one computed value (a pointer reused by two
@@ -139,23 +139,15 @@ def _ranges_overlap(
     """Conservative overlap test over abstract addresses.
 
     Unknown provenance (``None``) never overlaps — distinct opaque
-    sources stay quiet, matching the seed analysis.  Within one region
-    the ranges ``[lo, hi + size)`` are compared, a missing endpoint
-    reaching to ±∞; an unknown size counts as overlapping.
+    sources stay quiet, matching the seed analysis.  Within one region,
+    an unbounded offset or an unknown size counts as overlapping.
     """
     if a is None or b is None or a.region != b.region:
         return False
-    if a_size is None or b_size is None:
-        return True
     ia, ib = a.offset.interval, b.offset.interval
-    return _starts_before(ia.lo, ib.hi, b_size) and _starts_before(
-        ib.lo, ia.hi, a_size
-    )
-
-
-def _starts_before(lo: Optional[int], hi: Optional[int], size: int) -> bool:
-    """``lo < hi + size``, with ``None`` endpoints as -∞ / +∞."""
-    return lo is None or hi is None or lo < hi + size
+    if a_size is None or b_size is None or not (ia.bounded and ib.bounded):
+        return True
+    return ia.lo < ib.hi + b_size and ib.lo < ia.hi + a_size
 
 
 def _conflict(earlier: PendingTransfer, later: PendingTransfer) -> Optional[str]:
@@ -175,15 +167,14 @@ def _constant(value) -> Optional[int]:
 
 def _address(value, reg: int, copies: dict, source) -> Optional[AbsAddr]:
     """An operand's address for overlap tests (None: not an address).
-    An offset with neither bound says nothing about where in the region
-    the address lies.  When an unknown index made it so, the region is
+    An unbounded offset says nothing about where in the region the
+    address lies.  When an unknown index made it so, the region is
     renamed after the register that added the index (``source``, see
     :func:`_index_sources`): only addresses built on that one value then
     overlap.  A pointer stepped through a loop stays in its region."""
     if type(value) is not AbsAddr:
         return None
-    interval = value.offset.interval
-    if interval.lo is not None or interval.hi is not None:
+    if value.offset.interval.bounded:
         return value
     indexed = source(copies.get(reg, reg))
     if indexed is None:

@@ -446,8 +446,8 @@ def _aligned(bits: int) -> Congruence:
 class AbsAddr:
     """A symbolic address with an abstract offset: ``region`` is
     ``"frame"`` (this function's frame) or ``"global:<name>"``.  The
-    DMA-discipline checker renames the region of an address whose
-    offset is unbounded (:func:`repro.analysis.dmacheck._address`)."""
+    DMA-discipline checker renames the region of an address indexed by
+    an unknown value (:func:`repro.analysis.dmacheck._address`)."""
 
     region: str
     offset: AbsInt
