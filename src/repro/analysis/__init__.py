@@ -12,8 +12,7 @@
   the interval domain (``E-dma-oob``, ``W-dma-unaligned``,
   ``W-dma-tiny-transfer``).
 * :mod:`repro.analysis.cost` — static per-offload cycle and DMA-traffic
-  estimation (``W-cost-unbounded``); :func:`repro.analysis.cost.static_profile`
-  feeds the ``critical-path`` scheduler policy with no profiling run.
+  estimation (``W-cost-unbounded``).
 * :mod:`repro.analysis.footprint` — local-store footprint estimation
   per offload block against the target's scratch-pad capacity.
 * :mod:`repro.analysis.traffic` — outer-traffic analysis flagging
@@ -35,11 +34,7 @@ from repro.analysis.annotations import (
     annotation_requirements,
     report_for_program,
 )
-from repro.analysis.cost import (
-    OffloadCost,
-    estimate_program,
-    static_profile,
-)
+from repro.analysis.cost import OffloadCost, estimate_program
 from repro.analysis.diagnostics import CODES, Finding, RelatedLocation
 from repro.analysis.effort import count_loc, source_delta
 from repro.analysis.intervals import (
@@ -71,5 +66,4 @@ __all__ = [
     "report_for_program",
     "run_analyses",
     "source_delta",
-    "static_profile",
 ]

@@ -4,12 +4,8 @@ This is the "zero-run profile" consumer of the interval layer
 (:mod:`repro.analysis.intervals`): loop trip-count bounds × the
 machine's :class:`~repro.machine.config.CostModel` give a cycle and
 DMA-byte *interval* for every offload entry without simulating a
-single instruction.  Three consumers:
+single instruction.  Two consumers:
 
-* the ``critical-path`` scheduler policy takes
-  :func:`static_profile`'s per-offload cycle numbers through
-  ``SchedOptions(profile=...)`` — profile-feedback quality with no
-  profiling pass;
 * the static-vs-dynamic agreement tests hold the predicted DMA bytes
   against the measured ``RunReport`` counters (exactly, for fully
   bounded uncached loops);
@@ -464,21 +460,6 @@ def estimate_program(
             program, meta, config, summaries=summaries
         )
         for offload_id, meta in sorted(program.offload_meta.items())
-    }
-
-
-def static_profile(program: IRProgram, config: MachineConfig) -> dict[int, int]:
-    """Per-offload cycle estimates for ``SchedOptions(profile=...)``.
-
-    Upper bounds of the static cycle intervals — what a profiling run
-    feeds the ``critical-path`` policy, with no run.  Offloads whose
-    loops could not be bounded are omitted; the scheduler falls back to
-    its instruction-count estimate for those.
-    """
-    return {
-        offload_id: oc.cycles.hi
-        for offload_id, oc in estimate_program(program, config).items()
-        if oc.cycles.hi is not None
     }
 
 

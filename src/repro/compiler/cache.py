@@ -41,10 +41,10 @@ from typing import Optional, TYPE_CHECKING
 from repro.ir.serialize import (
     ARTIFACT_VERSION,
     ArtifactError,
+    _fields_json,
     artifact_digest,
     program_from_json,
     program_to_json,
-    to_canonical_json,
 )
 from repro.lang.source import source_fingerprint
 from repro.machine.config import MachineConfig, resolve_target
@@ -118,16 +118,6 @@ def compile_cache_key(
         f'"source":"{source_fingerprint(source)}"}}'
     )
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-
-def _fields_json(frozen: object) -> str:
-    """Canonical JSON of a frozen dataclass's fields, kept on the object
-    after the first call (its fields cannot change under it)."""
-    text = frozen.__dict__.get("_fields_json")
-    if text is None:
-        text = to_canonical_json(dataclasses.asdict(frozen))  # type: ignore[call-overload]
-        object.__setattr__(frozen, "_fields_json", text)
-    return text
 
 
 @dataclasses.dataclass

@@ -359,6 +359,16 @@ def to_canonical_json(data: dict[str, Any]) -> str:
     )
 
 
+def _fields_json(frozen: object) -> str:
+    """Canonical JSON of a frozen dataclass's fields, kept on the object
+    after the first call (its fields cannot change under it)."""
+    text = frozen.__dict__.get("_fields_json")
+    if text is None:
+        text = to_canonical_json(dataclasses.asdict(frozen))  # type: ignore[call-overload]
+        object.__setattr__(frozen, "_fields_json", text)
+    return text
+
+
 def program_to_json(program: IRProgram) -> str:
     return to_canonical_json(program_to_dict(program))
 

@@ -49,16 +49,11 @@ import time
 from repro.compiler.driver import compile_program
 from repro.machine.config import resolve_target
 from repro.machine.machine import Machine
-from repro.game.sources import (
-    ai_kernel_source,
-    figure2_source,
-    game_demo_source,
-    move_loop_source,
-    word_struct_source,
-)
+from repro.game.sources import figure2_source
 from repro.runspec import FarmJob, prepare, simulate
 from repro.sched import POLICY_NAMES, SchedOptions
 from repro.tools.flags import add_policy_flag, add_target_flag
+from repro.tools.report import BENCH_TARGETS, portability_jobs, workloads
 from repro.vm.codegen import warm_translations
 from repro.vm.interpreter import RunOptions, run_program
 
@@ -68,71 +63,6 @@ BENCH_ENGINES = ("reference", "codegen")
 #: Layout version of ``BENCH_vm.json``; bump when fields are renamed
 #: or removed (``benchmarks/wallclock.py --validate`` checks it).
 BENCH_SCHEMA_VERSION = 5
-
-#: Default targets for the per-target game-frame portability section:
-#: the paper's distributed-memory machine plus the two registry presets
-#: whose cost structures bracket it (unified memory / many accelerators).
-BENCH_TARGETS = ("cell", "apu", "manycore")
-
-
-def workloads(quick: bool) -> list[dict]:
-    """The benchmark matrix.  ``game-frame`` is the headline workload."""
-    scale = 1 if quick else 2
-    return [
-        {
-            "name": "game-frame",
-            "description": "Figure 2 frame loop, offloaded (headline)",
-            "source": figure2_source(
-                entity_count=48 * scale,
-                pair_count=32 * scale,
-                frames=2 * scale,
-            ),
-            "config": "cell",
-        },
-        {
-            "name": "game-frame-sequential",
-            "description": "Figure 2 frame loop, host only",
-            "source": figure2_source(
-                entity_count=48 * scale,
-                pair_count=32 * scale,
-                frames=2 * scale,
-                offloaded=False,
-            ),
-            "config": "cell",
-        },
-        {
-            "name": "ai-kernel-cached",
-            "description": "Section 4.1 AI pass through a direct cache",
-            "source": ai_kernel_source(entity_count=32 * scale),
-            "config": "cell",
-        },
-        {
-            "name": "move-loop-accessor",
-            "description": "Section 4.2 locality loop, accessor-staged",
-            "source": move_loop_source(
-                object_count=32 * scale, use_accessor=True, cache="direct"
-            ),
-            "config": "cell",
-        },
-        {
-            "name": "word-struct",
-            "description": "Section 5 word-addressed packet loop",
-            "source": word_struct_source(packet_count=32 * scale),
-            "config": "dsp",
-        },
-        {
-            "name": "game-demo",
-            "description": "Whole-frame pipeline, three offloads per frame",
-            "source": game_demo_source(
-                entity_count=16 * scale,
-                pair_count=12 * scale,
-                particles=8 * scale,
-                frames=scale,
-            ),
-            "config": "cell",
-        },
-    ]
-
 
 def _time_run(program, config, engine: str, sched=None) -> tuple[float, object]:
     """One timed execution on a fresh machine (machine build excluded)."""
@@ -223,21 +153,6 @@ def bench_scheduler(quick: bool) -> dict:
         "policies": policies,
         "locality_vs_greedy": round(locality / greedy, 6),
     }
-
-
-def portability_jobs(quick: bool, targets) -> list[FarmJob]:
-    """The 4-frame game frame under the locality policy, once per target."""
-    scale = 1 if quick else 2
-    source = figure2_source(
-        entity_count=48 * scale, pair_count=32 * scale, frames=4
-    )
-    return [
-        FarmJob(
-            "game-frame-portability", source=source, target=target,
-            engine="codegen", policy="locality",
-        )
-        for target in targets
-    ]
 
 
 def bench_targets(quick: bool, targets) -> dict:

@@ -42,6 +42,13 @@ import json
 import os
 import sys
 
+from repro.game.sources import (
+    ai_kernel_source,
+    figure2_source,
+    game_demo_source,
+    move_loop_source,
+    word_struct_source,
+)
 from repro.obs import MetricsHub, save_report
 from repro.obs.export import validate_chrome_trace
 from repro.obs.report import (
@@ -54,7 +61,6 @@ from repro.obs.report import (
     trend_rows,
 )
 from repro.runspec import FarmJob, job_report, prepare, simulate
-from repro.tools.bench import BENCH_TARGETS, portability_jobs, workloads
 from repro.tools.flags import add_policy_flag, add_target_flag
 
 EXIT_CLEAN = 0
@@ -128,11 +134,92 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Default targets for the per-target game-frame portability section:
+#: the paper's distributed-memory machine plus the two registry presets
+#: whose cost structures bracket it (unified memory / many accelerators).
+BENCH_TARGETS = ("cell", "apu", "manycore")
+
+
+def workloads(quick: bool) -> list[dict]:
+    """The benchmark matrix.  ``game-frame`` is the headline workload."""
+    scale = 1 if quick else 2
+    return [
+        {
+            "name": "game-frame",
+            "description": "Figure 2 frame loop, offloaded (headline)",
+            "source": figure2_source(
+                entity_count=48 * scale,
+                pair_count=32 * scale,
+                frames=2 * scale,
+            ),
+            "config": "cell",
+        },
+        {
+            "name": "game-frame-sequential",
+            "description": "Figure 2 frame loop, host only",
+            "source": figure2_source(
+                entity_count=48 * scale,
+                pair_count=32 * scale,
+                frames=2 * scale,
+                offloaded=False,
+            ),
+            "config": "cell",
+        },
+        {
+            "name": "ai-kernel-cached",
+            "description": "Section 4.1 AI pass through a direct cache",
+            "source": ai_kernel_source(entity_count=32 * scale),
+            "config": "cell",
+        },
+        {
+            "name": "move-loop-accessor",
+            "description": "Section 4.2 locality loop, accessor-staged",
+            "source": move_loop_source(
+                object_count=32 * scale, use_accessor=True, cache="direct"
+            ),
+            "config": "cell",
+        },
+        {
+            "name": "word-struct",
+            "description": "Section 5 word-addressed packet loop",
+            "source": word_struct_source(packet_count=32 * scale),
+            "config": "dsp",
+        },
+        {
+            "name": "game-demo",
+            "description": "Whole-frame pipeline, three offloads per frame",
+            "source": game_demo_source(
+                entity_count=16 * scale,
+                pair_count=12 * scale,
+                particles=8 * scale,
+                frames=scale,
+            ),
+            "config": "cell",
+        },
+    ]
+
+
+def portability_jobs(quick: bool, targets) -> list[FarmJob]:
+    """The 4-frame game frame under the locality policy, once per target."""
+    scale = 1 if quick else 2
+    source = figure2_source(
+        entity_count=48 * scale, pair_count=32 * scale, frames=4
+    )
+    return [
+        FarmJob(
+            "game-frame-portability", source=source, target=target,
+            engine="codegen", policy="locality",
+        )
+        for target in targets
+    ]
+
+
 def emit_run_reports(
     quick: bool, targets, directory: str, policy=None
 ) -> list[str]:
     """One canonical :class:`~repro.obs.report.RunReport` per cell of the
-    bench matrix (:mod:`repro.tools.bench`), written to ``directory``.
+    bench matrix (:func:`workloads`, :func:`portability_jobs`; the
+    matrix ``repro.tools.bench`` times), written to ``directory``.
 
     Each workload of the matrix gets one run with a metrics hub
     attached, reported as ``{workload}__{target}.json``; the game-frame

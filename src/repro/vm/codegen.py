@@ -194,7 +194,6 @@ from typing import Callable, Optional
 
 from repro.analysis.dataflow import BasicBlock, ControlFlowGraph
 from repro.analysis.intervals import AbsAddr, AbsInt, Congruence, operand_values
-from repro.compiler.cache import _fields_json
 from repro.ir import ops
 from repro.ir.instructions import (
     AccSpace,
@@ -225,6 +224,7 @@ from repro.ir.instructions import (
 )
 from repro.ir.module import IRFunction, IRProgram
 from repro.ir.serialize import (
+    _fields_json,
     artifact_digest,
     program_to_json,
     to_canonical_json,

@@ -91,16 +91,22 @@ class TestOutputs:
         assert len(lines) == 2
         assert all("report" in line for line in lines)
 
-    def test_repeat_warm_batches(self, tmp_path):
+    @pytest.mark.parametrize(
+        "corpus", [("figure2", "--count", "4"), ("mixed",)], ids=["figure2", "mixed"]
+    )
+    def test_repeat_warm_batches(self, tmp_path, corpus):
+        """Cold then warm on one pool, on the default engine: the warm
+        batch compiles and translates nothing."""
         out = str(tmp_path / "summary.json")
         code = main(
-            ["--corpus", "figure2", "--count", "4", "--workers", "2",
+            ["--corpus", *corpus, "--workers", "2",
              "--repeat", "2", "--cache-dir", str(tmp_path / "cache"),
              "--out", out, "--quiet"]
         )
         assert code == 0
         batches = json.loads(open(out).read())["batches"]
         assert len(batches) == 2
+        assert all(batch["ok"] == batch["jobs"] for batch in batches), batches
         assert batches[0]["compiles"] > 0
         assert batches[1]["compiles"] == 0
         assert batches[1]["translations"] == 0

@@ -20,6 +20,7 @@ and stay silent on identical reports.
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -42,12 +43,15 @@ from repro.obs.report import (
     validate_report,
 )
 from repro.sched import SchedOptions
+from repro.tools import report as report_tool
 from repro.vm.interpreter import (
     DEFAULT_ENGINE,
     ENGINE_NAMES,
     RunOptions,
     run_program,
 )
+
+BASELINES = pathlib.Path(__file__).resolve().parents[2] / "baselines" / "reports"
 
 WORKLOADS = {
     "figure2": figure2_source,
@@ -175,13 +179,22 @@ class TestDiff:
         b = make_report("figure2").as_dict()
         assert diff_reports(a, b) == []
 
-    def test_detects_injected_cycle_regression(self):
+    def test_detects_injected_cycle_regression(self, tmp_path):
         a = make_report("figure2").as_dict()
         b = json.loads(json.dumps(a))
         b["simulated_cycles"] += 1000
         entries = diff_reports(a, b)
         assert [e.metric for e in entries] == ["simulated_cycles"]
         assert entries[0].pct is not None and entries[0].pct > 0
+        # Through the CLI, against a committed baseline: the regression
+        # flips ``report diff``'s exit code from clean to differences.
+        baseline = BASELINES / "game-frame__cell.json"
+        regressed = json.loads(baseline.read_text())
+        regressed["simulated_cycles"] += 1000
+        path = tmp_path / "regressed.json"
+        path.write_text(json.dumps(regressed))
+        assert report_tool.main(["diff", str(baseline), str(baseline)]) == 0
+        assert report_tool.main(["diff", str(baseline), str(path)]) == 3
 
     def test_detects_counter_change(self):
         a = make_report("figure2").as_dict()

@@ -21,8 +21,7 @@ from repro.sched import POLICY_NAMES
 from repro.tools import bench as bench_tool
 from repro.tools import run as run_tool
 from repro.tools import sched as sched_tool
-from repro.tools.bench import BENCH_TARGETS
-from repro.tools.report import emit_run_reports
+from repro.tools.report import BENCH_TARGETS, emit_run_reports
 from repro.vm import ENGINE_NAMES
 
 BASELINES = os.path.join(

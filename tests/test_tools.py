@@ -210,6 +210,7 @@ class TestRunTool:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
     def test_cache_dir_cold_then_warm(self, source_file, tmp_path, capsys):
         cache_dir = str(tmp_path / "cc")

@@ -21,7 +21,8 @@ from repro.machine.dma import GET, PUT, DmaEngine
 from repro.machine.machine import Machine
 from repro.obs import MetricsHub, TraceRecorder
 from repro.runtime.softcache import SoftwareCache
-from repro.vm.context import RAW_TAG
+from repro.vm.codegen import generate_module_source
+from repro.vm.context import RAW_TAG, RawDmaStrategy
 from repro.vm.interpreter import ACCESSOR_TAG, ENGINE_NAMES, RunOptions, run_program
 
 TARGETS = ("cell", "manycore")
@@ -200,3 +201,34 @@ def test_read_before_wait_traps_after_an_empty_wait(engine):
         run_program(
             program, Machine(resolve_target("cell")), RunOptions(engine=engine)
         )
+
+
+def test_figure2s_raw_sites_take_the_short_paths(monkeypatch):
+    """Figure 2 on cell: no outer site calls ``eng._load_outer`` /
+    ``eng._store_outer`` (a miss calls the helper its prologue bound),
+    the raw strategy's byte-level methods never run, and every DMA wait
+    is one fused step."""
+    cell = resolve_target("cell")
+    program = compile_program(figure2_source(), cell)
+    text = generate_module_source(program, cell.cost)
+    assert "eng._store_outer(" not in text and "eng._load_outer(" not in text
+    assert "_os(eng, _s, " in text, "no raw store site"
+    calls = {"fused": 0, "bytes": 0}
+    fused = DmaEngine.transfer_and_wait
+
+    def counted(self, *args):
+        calls["fused"] += 1
+        return fused(self, *args)
+
+    def refused(self, *args):
+        calls["bytes"] += 1
+        raise AssertionError("a raw access took the byte-level path")
+
+    monkeypatch.setattr(DmaEngine, "transfer_and_wait", counted)
+    monkeypatch.setattr(RawDmaStrategy, "load", refused)
+    monkeypatch.setattr(RawDmaStrategy, "store", refused)
+    perf = run_program(
+        program, Machine(cell), RunOptions(engine="codegen")
+    ).perf()
+    assert perf["outer.raw_stores"] > 0 and calls["bytes"] == 0, calls
+    assert calls["fused"] == perf["dma.waits"], (calls, perf["dma.waits"])

@@ -26,6 +26,7 @@ import repro.vm.codegen as codegen_module
 from repro.compiler.cache import (
     AUX_SUFFIX,
     CACHE_ENV_VAR,
+    OWNED_SUFFIXES,
     CompileCache,
     compile_cache_key,
 )
@@ -46,6 +47,7 @@ from repro.machine.machine import Machine
 from repro.runspec import FarmJob, execute_job
 from repro.tools.check import _game_corpus
 from repro.vm.codegen import (
+    LADDER_MARK,
     MODULE_FILENAME,
     CodegenInterpreter,
     codegen_cache_key,
@@ -138,6 +140,11 @@ class TestWarmStarts:
         assert cache.stats.aux_stores == 1
         key = codegen_cache_key(cold, CELL_LIKE.cost)
         assert os.path.exists(cache.aux_path(key, codegen_cache_kind()))
+        # Walked by the suffixes the cache declares it owns, the
+        # directory holds that one module and nothing it does not own.
+        names = [name for _, _, files in os.walk(tmp_path) for name in files]
+        assert all(name.endswith(OWNED_SUFFIXES) for name in names), names
+        assert sum(name.endswith(AUX_SUFFIX) for name in names) == 1, names
 
         # A fresh program object (fresh process, same compilation): the
         # cached code objects are unmarshalled and exec'd — neither the
@@ -452,6 +459,13 @@ class TestLaddersOnTheCorpus:
             stats = engine.codegen_stats
             assert 0 <= stats.ladders <= stats.translations
             record_property(f"ladders[{name}]", stats.ladders)
+
+    def test_figure2_on_cell_has_none(self):
+        """What ``run --dump-codegen`` prints for Figure 2 on cell
+        compiles, every function structured."""
+        source = generate_module_source(_fresh_program(), CELL_LIKE.cost)
+        compile(source, "figure2-codegen.py", "exec")
+        assert source.count(LADDER_MARK) == 0
 
 
 #: A short-circuit join: the structurer leaves ``main`` on the ladder.

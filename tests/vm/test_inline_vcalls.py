@@ -10,16 +10,19 @@ nothing observable may tell the paths apart.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.compiler.driver import CompileOptions, compile_program
 from repro.errors import MissingDuplicateError
+from repro.game.sources import move_loop_source
 from repro.machine.config import CELL_LIKE
 from repro.machine.machine import Machine
 from repro.obs import MetricsHub, TraceRecorder, collect_report
 from repro.obs.trace import EV_DISPATCH_HIT
 from repro.runtime.dispatch import InnerEntry
-from repro.vm.codegen import CodegenInterpreter
+from repro.vm.codegen import CodegenInterpreter, generate_module_source
 from repro.vm.interpreter import Interpreter, RunOptions, make_interpreter
 
 SOURCE = """
@@ -143,3 +146,17 @@ def test_only_generated_code_fills_hit_tables():
     seen, interp = run(program(), "reference")
     assert type(interp) is Interpreter and interp._vcall_hits == {}
     assert type(run(program(), "codegen")[1]) is CodegenInterpreter
+
+
+def test_every_lookup_site_is_the_miss_arm_of_a_hit_probe():
+    """The accessor move loop on cell: each ``_domain_call_values`` call
+    in generated code sits behind an inline hit-table probe."""
+    source = move_loop_source(512, use_accessor=True, cache="direct")
+    lines = generate_module_source(
+        compile_program(source, CELL_LIKE), CELL_LIKE.cost
+    ).splitlines()
+    sites = [i for i, line in enumerate(lines) if "eng._domain_call_values(" in line]
+    assert sites
+    for i in sites:
+        assert re.fullmatch(r"\s*_e = _vh\d+\.get\(\w+\)", lines[i - 3]), lines[i - 3]
+        assert lines[i - 2].strip() == "if _e is None:", lines[i - 2]

@@ -137,9 +137,13 @@ class TestGeneratedSites:
         assert sites > 0
         tests = re.findall(r"if _(?:tg|dy)\[(\w+) >> _cs & _ck\] == \1\b", text)
         assert len(tests) == sites
-        # The strategy is read once per function entry, never per access.
+        # The strategy is read once per function entry, never per access:
+        # in each function's prologue, none after it.
         assert text.count("ctx.strategy") == text.count("_s = ctx.strategy")
         assert text.count("_s = ctx.strategy") < sites
+        for function in text.split("\ndef ")[1:]:
+            body = function.split("\n    try:\n", 1)[-1]
+            assert "ctx.strategy" not in body, function.split("(")[0]
 
 
 class TestFlatState:

@@ -2,13 +2,14 @@
 
 Codegen emits an integer op's unwrapped term (:attr:`repro.ir.ops.Op.raw`)
 where the interval analysis proves its result lies in the wrap's domain.
-Two checks keep that honest:
+Checks keep that honest:
 
 * an oracle over the game corpus x every target: a reference-engine run
   whose operator table records, at every site codegen emitted unwrapped,
   the raw result of each execution — each must lie in the range proven
   and the wrap's domain and equal what the wrapped template computes
   (or, at a site emitted as one literal, be that value);
+* Figure 2's pair scan on ``apu`` keeps no wrap at all;
 * a counter that really overflows keeps its wrap, and both engines agree
   on the wrapped values it goes through.
 """
@@ -18,13 +19,18 @@ from __future__ import annotations
 import pytest
 
 from repro.compiler.driver import compile_program
+from repro.game.sources import figure2_source
 from repro.ir import ops
 from repro.ir.instructions import BinOp, UnOp
 from repro.machine.config import resolve_target, target_names
 from repro.machine.machine import Machine
 from repro.tools.check import _game_corpus
 from repro.vm import interpreter
-from repro.vm.codegen import _FunctionEmitter, generate_module_source
+from repro.vm.codegen import (
+    CodegenStats,
+    _FunctionEmitter,
+    generate_module_source,
+)
 from repro.vm.interpreter import ENGINE_NAMES, RunOptions, run_program
 
 
@@ -130,6 +136,31 @@ def test_figure2s_unwrapped_sites_are_reached(corpus_runs, target):
         if key[0].startswith("GameWorld::calculateStrategy") and key[0] in ran
     }
     assert strategy and strategy <= set(seen)
+
+
+def test_figure2s_inner_loop_keeps_no_wrap():
+    """On ``apu`` the analysis bounds ``calculateStrategy``'s inner
+    counter and the addresses it indexes, so the pair scan (the loop
+    nested in the outer one) keeps no 32-bit wrap."""
+    config = resolve_target("apu")
+    program = compile_program(figure2_source(), config)
+    stats = CodegenStats()
+    text = generate_module_source(program, config.cost, stats)
+    assert stats.proven_wraps > 0
+    (unit,) = [
+        body for body in text.split("\ndef ")[1:]
+        if body.startswith("_fh_GameWorld__calculateStrategy_")
+    ]
+    lines = unit.splitlines()
+    heads = [i for i, line in enumerate(lines) if line.strip() == "while True:"]
+    head = heads[1]
+    depth = len(lines[head]) - len(lines[head].lstrip())
+    inner = []
+    for line in lines[head + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= depth:
+            break
+        inner.append(line)
+    assert inner and "0xFFFFFFFF" not in "\n".join(inner), "\n".join(inner)
 
 
 # ------------------------------------------------------------ overflow

@@ -488,4 +488,13 @@ def test_figure2_inner_loop_reads_hoisted_addresses_and_views():
     assert "calculateStrategy" in strategy.split("(")[0]
     inner = strategy.split("            while True:\n", 1)[1]
     assert "_h0 = " in strategy and "_a = _h0" in inner
-    assert "_upf_" not in inner.split("\n            _ic += ", 1)[0]
+    # The pair scan itself: no struct unpack, typed views only, and
+    # every address hoisted out of it is read in it.
+    inner = inner.split("\n            _ic += ", 1)[0]
+    assert "unpack_from" not in inner and "_upf_" not in inner, inner
+    assert "_mvf[" in inner, inner
+    hoisted = [
+        line.split(" = ")[0].strip() for line in strategy.splitlines()
+        if line.lstrip().startswith("_h")
+    ]
+    assert hoisted and all(name in inner for name in hoisted), hoisted
